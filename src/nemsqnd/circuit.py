@@ -176,14 +176,6 @@ def effective_params(
     return eff
 
 
-def check_resonance(eff: EffectiveParams, rtol: float = 1e-9) -> None:
-    if eff.resonance_mismatch > rtol:
-        raise ValueError(
-            f"effective frequencies differ by {eff.resonance_mismatch:.3e} "
-            f"(tolerance {rtol:.3e})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # classical Kirchhoff dynamics
 
@@ -327,13 +319,6 @@ def circuit_energy(
         - (p.d + np.asarray(x)) / (2.0 * p.d) * v_ct * q2
     )
     return h
-
-
-def write_trajectory_csv(path, traj: Trajectory) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,Q1,P1,Q2,P2\n")
-        for row in zip(traj.t, traj.q1, traj.p1, traj.q2, traj.p2):
-            fh.write(",".join(f"{v:.12e}" for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import (
-    effective_params,
-    estimate_dominant_frequency,
-    simulate_classical_circuit,
-    write_trajectory_csv,
-)
+from .circuit import estimate_dominant_frequency, simulate_classical_circuit
 from .config import RunConfig, default_config_text, load_config
-from .entanglement import cat_state_check, conditioned_state, linear_entropies
+from .entanglement import cat_state_check, entropy_series
 from .errors import ConfigError, SimulationError, VerificationFailure
 from .readout import integrate_mean_qsde, mean_photocurrent
 from .verify import classical_scenario, run_all
@@ -50,10 +45,14 @@ ENTROPY_CURVE_SETS: tuple[tuple[complex, complex], ...] = (
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
+        # mkstemp creates 0600; give the artifact the mode open() would
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -151,14 +150,11 @@ def cmd_entropy(cfg: RunConfig, out: Path, strict: bool) -> int:
     rows = []
     for beta, gamma in ENTROPY_CURVE_SETS:
         triple = cfg.triple(beta=beta, gamma=gamma)
-        for phase in theta_t:
-            state = conditioned_state(triple, float(phase), n_terms=cfg.n_terms)
-            report = linear_entropies(state)
-            rows.append((
-                alpha.real, alpha.imag, beta.real, beta.imag,
-                gamma.real, gamma.imag, phase,
-                report.e_n_12, report.e_1_n2, report.e_2_n1,
-            ))
+        curves = entropy_series(triple, theta_t, n_terms=cfg.n_terms)[:3]
+        rows.extend(
+            (alpha.real, alpha.imag, beta.real, beta.imag, gamma.real, gamma.imag, *point)
+            for point in zip(theta_t, *curves)
+        )
     curve_header = (
         "alpha_re", "alpha_im", "beta_re", "beta_im", "gamma_re", "gamma_im",
         "theta_t", "E_N12", "E_1N2", "E_2N1",
@@ -168,10 +164,8 @@ def cmd_entropy(cfg: RunConfig, out: Path, strict: bool) -> int:
     grid_rows = []
     for abs_alpha in np.linspace(0.0, cfg.alpha_max, cfg.alpha_points):
         triple = cfg.triple(alpha=complex(abs_alpha))
-        for phase in theta_t:
-            state = conditioned_state(triple, float(phase), n_terms=cfg.n_terms)
-            report = linear_entropies(state)
-            grid_rows.append((phase, abs_alpha, report.e_n_12))
+        e_n_12 = entropy_series(triple, theta_t, n_terms=cfg.n_terms)[0]
+        grid_rows.extend((phase, abs_alpha, e) for phase, e in zip(theta_t, e_n_12))
     _write_csv(out / "entropy_alpha_grid.csv", ("theta_t", "abs_alpha", "E_N12"), grid_rows)
 
     print(f"wrote {out / 'entropy_curves.csv'} ({len(rows)} rows)")
@@ -208,7 +202,11 @@ def cmd_cat(cfg: RunConfig, out: Path, strict: bool) -> int:
 def cmd_classical(cfg: RunConfig, out: Path, strict: bool) -> int:
     run, omega_ref, nu_drive = classical_scenario(cfg)
     traj = simulate_classical_circuit(run)
-    write_trajectory_csv(out / "trajectory.csv", traj)
+    _write_csv(
+        out / "trajectory.csv",
+        ("t", "Q1", "P1", "Q2", "P2"),
+        zip(traj.t, traj.q1, traj.p1, traj.q2, traj.p2),
+    )
     dt = traj.t[1] - traj.t[0]
     est = estimate_dominant_frequency(traj.q1, dt)
     rel_error = abs(est - omega_ref) / omega_ref

@@ -16,7 +16,7 @@ the bare one).  The drive keeps the steady amplitude of resonator 2 at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .circuit import (
@@ -35,20 +35,14 @@ def _desk_defaults() -> dict[str, float]:
     d = 1e-8
     area = 1e-10
     nu = 2.0 * math.pi * 1e9
-    c_eq = EPS0 * area / d
-    c1 = c_eq / 10.0
+    c1 = EPS0 * area / d / 10.0
     omega = 6e9
     l1 = 1.0 / (omega**2 * c1)
     m = HBAR / (d**2 * nu * 1e-6)  # pins |theta/theta0| to 1e-6
-    omega_tilde = math.sqrt(omega**2 + 0.5 / (c_eq * l1))
-    c_tilde1 = 1.0 / (1.0 / c1 + 0.5 / c_eq)
-    theta0 = omega_tilde * c_tilde1 / (4.0 * c_eq)
-    kappa2 = 100.0 * theta0
-    return {
-        "L1": l1, "L2": l1, "C1": c1, "C2": c1,
-        "d": d, "A": area, "m": m, "nu": nu,
-        "kappa1": 1e7, "kappa2": kappa2, "F_im": 2.5 * kappa2,
-    }
+    circuit = {"L1": l1, "L2": l1, "C1": c1, "C2": c1,
+               "d": d, "A": area, "m": m, "nu": nu}
+    kappa2 = 100.0 * effective_params(PhysicalCircuitParams(**circuit)).theta0
+    return {**circuit, "kappa1": 1e7, "kappa2": kappa2, "F_im": 2.5 * kappa2}
 
 
 _DESK = _desk_defaults()
@@ -63,120 +57,75 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-#: key -> (caster, default)
-KEYS: dict[str, tuple] = {
-    # circuit, SI units
-    "L1": (float, _DESK["L1"]),
-    "L2": (float, _DESK["L2"]),
-    "C1": (float, _DESK["C1"]),
-    "C2": (float, _DESK["C2"]),
-    "d": (float, _DESK["d"]),
-    "A": (float, _DESK["A"]),
-    "m": (float, _DESK["m"]),
-    "nu": (float, _DESK["nu"]),
-    "n_b": (float, 0.0),
-    # readout drive and decay rates (rad/s); F as a re/im pair
-    "kappa1": (float, _DESK["kappa1"]),
-    "kappa2": (float, _DESK["kappa2"]),
-    "F_re": (float, 0.0),
-    "F_im": (float, _DESK["F_im"]),
-    # coherent amplitudes as re/im pairs
-    "alpha_re": (float, 2.0),
-    "alpha_im": (float, 0.0),
-    "beta_re": (float, 2.0),
-    "beta_im": (float, 0.0),
-    "gamma_re": (float, 2.0),
-    "gamma_im": (float, 0.0),
-    "n_terms": (int, 30),
-    # output grids
-    "entropy_points": (int, 201),
-    "theta_t_max": (float, 2.0 * math.pi),
-    "alpha_max": (float, 3.0),
-    "alpha_points": (int, 21),
-    "current_points": (int, 200),
-    "current_tau_max": (float, 10.0),
-    # classical validation run
-    "classical_toy": (_bool, True),
-    "classical_x0_over_d": (float, math.sqrt(2.0) * 1e-3),
-    "classical_nu_factor": (float, 20.0),
-    "classical_periods": (int, 250),
-    "classical_samples": (int, 8192),
-    "classical_rtol": (float, 1e-10),
-    # brute-force oracle sizing
-    "oracle_dim": (int, 30),
-    # tolerances (every one strictly positive)
-    "tol_current_ode": (float, 1e-8),
-    "tol_elimination": (float, 1e-2),
-    "tol_entropy_oracle": (float, 1e-6),
-    "tol_cat_fidelity": (float, 1e-10),
-    "tol_separability": (float, 1e-8),
-    "tol_classical_peak": (float, 2e-2),
-    "resonance_rtol": (float, 1e-9),
-    # verification knob: scales theta on the analytic side of the
-    # oracle comparison; anything but 1.0 must make `verify` fail
-    "verify_theta_scale": (float, 1.0),
-}
-
-_POSITIVE = {
-    "L1", "L2", "C1", "C2", "d", "A", "m", "nu", "kappa1", "kappa2",
-    "theta_t_max", "current_tau_max", "classical_x0_over_d",
-    "classical_nu_factor", "classical_rtol", "verify_theta_scale",
-    "tol_current_ode", "tol_elimination", "tol_entropy_oracle",
-    "tol_cat_fidelity", "tol_separability", "tol_classical_peak",
-    "resonance_rtol",
-}
+def _positive(default: float):
+    """A field whose value must be strictly positive."""
+    return field(default=default, metadata={"positive": True})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed and validated configuration; one field per config key."""
+    """Parsed and validated configuration; one field per config key.
 
-    L1: float
-    L2: float
-    C1: float
-    C2: float
-    d: float
-    A: float
-    m: float
-    nu: float
-    n_b: float
-    kappa1: float
-    kappa2: float
-    F_re: float
-    F_im: float
-    alpha_re: float
-    alpha_im: float
-    beta_re: float
-    beta_im: float
-    gamma_re: float
-    gamma_im: float
-    n_terms: int
-    entropy_points: int
-    theta_t_max: float
-    alpha_max: float
-    alpha_points: int
-    current_points: int
-    current_tau_max: float
-    classical_toy: bool
-    classical_x0_over_d: float
-    classical_nu_factor: float
-    classical_periods: int
-    classical_samples: int
-    classical_rtol: float
-    oracle_dim: int
-    tol_current_ode: float
-    tol_elimination: float
-    tol_entropy_oracle: float
-    tol_cat_fidelity: float
-    tol_separability: float
-    tol_classical_peak: float
-    resonance_rtol: float
-    verify_theta_scale: float
+    The field list is the config schema: each field's default is the
+    key's default, the default's type picks the parser, and fields made
+    with ``_positive`` must be strictly positive.
+    """
+
+    # circuit, SI units
+    L1: float = _positive(_DESK["L1"])
+    L2: float = _positive(_DESK["L2"])
+    C1: float = _positive(_DESK["C1"])
+    C2: float = _positive(_DESK["C2"])
+    d: float = _positive(_DESK["d"])
+    A: float = _positive(_DESK["A"])
+    m: float = _positive(_DESK["m"])
+    nu: float = _positive(_DESK["nu"])
+    n_b: float = 0.0
+    # readout drive and decay rates (rad/s); F as a re/im pair
+    kappa1: float = _positive(_DESK["kappa1"])
+    kappa2: float = _positive(_DESK["kappa2"])
+    F_re: float = 0.0
+    F_im: float = _DESK["F_im"]
+    # coherent amplitudes as re/im pairs
+    alpha_re: float = 2.0
+    alpha_im: float = 0.0
+    beta_re: float = 2.0
+    beta_im: float = 0.0
+    gamma_re: float = 2.0
+    gamma_im: float = 0.0
+    n_terms: int = 30
+    # output grids
+    entropy_points: int = 201
+    theta_t_max: float = _positive(2.0 * math.pi)
+    alpha_max: float = 3.0
+    alpha_points: int = 21
+    current_points: int = 200
+    current_tau_max: float = _positive(10.0)
+    # classical validation run
+    classical_toy: bool = True
+    classical_x0_over_d: float = _positive(math.sqrt(2.0) * 1e-3)
+    classical_nu_factor: float = _positive(20.0)
+    classical_periods: int = 250
+    classical_samples: int = 8192
+    classical_rtol: float = _positive(1e-10)
+    # brute-force oracle sizing
+    oracle_dim: int = 30
+    # tolerances (every one strictly positive)
+    tol_current_ode: float = _positive(1e-8)
+    tol_elimination: float = _positive(1e-2)
+    tol_entropy_oracle: float = _positive(1e-6)
+    tol_cat_fidelity: float = _positive(1e-10)
+    tol_separability: float = _positive(1e-8)
+    tol_classical_peak: float = _positive(2e-2)
+    resonance_rtol: float = _positive(1e-9)
+    # verification knob: scales theta on the analytic side of the
+    # oracle comparison; anything but 1.0 must make `verify` fail
+    verify_theta_scale: float = _positive(1.0)
 
     def __post_init__(self):
-        for name in _POSITIVE:
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+        for f in fields(self):
+            if f.metadata.get("positive") and not getattr(self, f.name) > 0:
+                raise ConfigError(f"{f.name} must be positive")
         if self.n_b < 0:
             raise ConfigError("n_b must be nonnegative")
         if not 1 <= self.n_terms <= TERM_CAP:
@@ -232,6 +181,13 @@ class RunConfig:
         )
 
 
+#: key -> (caster, default), in field order; derived from RunConfig
+KEYS: dict[str, tuple] = {
+    f.name: ({bool: _bool, int: int, float: float}[type(f.default)], f.default)
+    for f in fields(RunConfig)
+}
+
+
 def parse_config_text(text: str) -> RunConfig:
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -251,9 +207,9 @@ def parse_config_text(text: str) -> RunConfig:
             values[key] = caster(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
-    merged = {name: default for name, (_, default) in KEYS.items()}
-    merged.update(values)
-    return RunConfig(**merged)
+        if caster is float and not math.isfinite(values[key]):
+            raise ConfigError(f"line {lineno}: {key} must be finite")
+    return RunConfig(**values)
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -282,7 +238,3 @@ def default_config_text() -> str:
             rendered = repr(float(default))
         lines.append(f"{name} = {rendered}")
     return "\n".join(lines) + "\n"
-
-
-# keep the dataclass and the key table in lockstep
-assert {f.name for f in fields(RunConfig)} == set(KEYS), "RunConfig fields must match KEYS"

@@ -15,7 +15,7 @@ and coherent branch amplitudes
     beta_n(t)  = beta  cos(phi_n) - i gamma sin(phi_n)
     gamma_n(t) = gamma cos(phi_n) - i beta  sin(phi_n).
 
-By default the ``theta0`` part of the angle is dropped (``phi_n = n
+The analytic side drops the ``theta0`` part of the angle (``phi_n = n
 theta t``): it rotates the two resonators identically in every phonon
 layer, so it cannot entangle them with the mechanics, and dropping it
 matches the analytic object the entropies are quoted for.  The
@@ -43,6 +43,7 @@ from scipy.special import gammaln
 
 from .errors import ConditioningError, TruncationError
 from .fock import (
+    _DEFAULT_TRIPLE_LABELS as _TRIPLE_LABELS,
     DEFAULT_DENSITY_CAP,
     StateVector,
     TruncatedSpace,
@@ -60,8 +61,6 @@ ALPHA_CAP = 6.0
 
 #: hard ceiling for the automatic term-count growth
 TERM_CAP = 512
-
-_TRIPLE_LABELS = ("N", "TLR1", "TLR2")
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,6 @@ class ConditionedState:
     beta_n: np.ndarray
     gamma_n: np.ndarray
     theta_t: float
-    theta0_t: float
     tail: float
 
     def __post_init__(self):
@@ -198,8 +196,8 @@ def required_terms(alpha: complex, tail_tol: float = 1e-12,
 
 
 def conditioned_state(triple: CoherentTriple, theta_t: float,
-                      n_terms: int | None = None, tail_tol: float = 1e-12,
-                      theta0_t: float = 0.0) -> ConditionedState:
+                      n_terms: int | None = None,
+                      tail_tol: float = 1e-12) -> ConditionedState:
     """Evaluate the layer decomposition at dimensionless phase ``theta_t``.
 
     ``n_terms`` is a floor: the count is raised automatically until the
@@ -214,14 +212,10 @@ def conditioned_state(triple: CoherentTriple, theta_t: float,
             required_dim=needed,
         )
     c = _poisson_coefficients(triple.alpha, n)
-    layers = np.arange(n)
-    phi = theta0_t + layers * theta_t
-    cos, sin = np.cos(phi), np.sin(phi)
-    beta_n = triple.beta * cos - 1j * triple.gamma * sin
-    gamma_n = triple.gamma * cos - 1j * triple.beta * sin
+    beta_n, gamma_n = branch_amplitudes(np.arange(n), theta_t, triple.beta, triple.gamma)
     return ConditionedState(
         c_n=c, beta_n=beta_n, gamma_n=gamma_n, theta_t=theta_t,
-        theta0_t=theta0_t, tail=poisson_tail(abs(triple.alpha) ** 2, n),
+        tail=poisson_tail(abs(triple.alpha) ** 2, n),
     )
 
 
@@ -242,15 +236,14 @@ def linear_entropies(state: ConditionedState) -> EntropyReport:
 
 
 def entropy_series(triple: CoherentTriple, theta_ts,
-                   n_terms: int | None = None, tail_tol: float = 1e-12,
-                   theta0_t: float = 0.0):
+                   n_terms: int | None = None, tail_tol: float = 1e-12):
     """Entropies along a grid of phases; returns (E_N|12, E_1|N2, E_2|N1, tail_bound)."""
     theta_ts = np.asarray(theta_ts, dtype=float)
     out = np.empty((3, theta_ts.size))
     bound = 0.0
     for i, tt in enumerate(theta_ts):
         rep = linear_entropies(
-            conditioned_state(triple, float(tt), n_terms, tail_tol, theta0_t)
+            conditioned_state(triple, float(tt), n_terms, tail_tol)
         )
         out[:, i] = rep.as_tuple()
         bound = max(bound, rep.tail_bound)

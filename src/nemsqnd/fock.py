@@ -467,13 +467,3 @@ def fidelity(psi: StateVector, phi: StateVector) -> float:
     """Squared overlap ``|<psi|phi>|^2`` of two pure states."""
     return float(abs(psi.overlap(phi)) ** 2)
 
-
-def dump_csv(path, obj: Operator | StateVector | DensityMatrix) -> None:
-    """Write a state or operator as rows of real/imaginary pairs."""
-    arr = obj.vector if isinstance(obj, StateVector) else obj.matrix
-    arr = np.atleast_2d(arr)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = ",".join(f"re{j},im{j}" for j in range(arr.shape[1]))
-        fh.write(cols + "\n")
-        for row in arr:
-            fh.write(",".join(f"{z.real:.12e},{z.imag:.12e}" for z in row) + "\n")

@@ -132,13 +132,6 @@ class ReadoutParams:
                 warnings.warn(msg, RegimeWarning, stacklevel=3)
 
 
-def steady_alpha2(F: complex, kappa2: float) -> complex:
-    """Steady response -2iF/kappa2 of the driven, fast-decaying resonator."""
-    if not kappa2 > 0:
-        raise ValueError(f"kappa2 must be positive, got {kappa2!r}")
-    return -2j * complex(F) / kappa2
-
-
 def _check_nonneg(name, value):
     arr = np.asarray(value, dtype=float)
     if arr.size and float(arr.min()) < 0:

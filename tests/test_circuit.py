@@ -8,16 +8,17 @@ from nemsqnd.circuit import (
     HBAR,
     ClassicalCircuitConfig,
     PhysicalCircuitParams,
-    check_resonance,
     circuit_energy,
     effective_params,
     equilibrium_capacitance,
     estimate_dominant_frequency,
     simulate_classical_circuit,
-    write_trajectory_csv,
     x_rms,
 )
+from nemsqnd.cli import main
+from nemsqnd.config import parse_config_text
 from nemsqnd.errors import EstimationError
+from nemsqnd.verify import classical_scenario
 
 
 def desk_params() -> PhysicalCircuitParams:
@@ -90,8 +91,7 @@ def test_xrms_correction_flag():
 
 def test_resonance_check():
     p = desk_params()
-    eff = effective_params(p)
-    check_resonance(eff)  # equal circuits: no-op
+    effective_params(p, resonance_rtol=1e-9)  # equal circuits: no-op
     q = PhysicalCircuitParams(L1=p.L1, L2=1.02 * p.L2, C1=p.C1, C2=p.C2,
                               d=p.d, A=p.A, m=p.m, nu=p.nu)
     with pytest.raises(ValueError):
@@ -195,14 +195,14 @@ def test_averaging_beyond_leading_order():
 
 
 def test_trajectory_csv(tmp_path):
-    p = unit_params()
-    run = ClassicalCircuitConfig(params=p, q1=1.0, t_span=(0.0, 1.0), n_samples=16)
-    traj = simulate_classical_circuit(run)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, traj)
-    lines = path.read_text().splitlines()
+    text = "classical_periods = 20\nclassical_samples = 1024\n"
+    conf = tmp_path / "short.conf"
+    conf.write_text(text)
+    assert main(["classical", "--config", str(conf), "--out", str(tmp_path)]) == 0
+    traj = simulate_classical_circuit(classical_scenario(parse_config_text(text))[0])
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,Q1,P1,Q2,P2"
-    assert len(lines) == 17
+    assert len(lines) == 1025
     got = np.array([float(v) for v in lines[3].split(",")])
     assert got[1] == pytest.approx(traj.q1[2], rel=1e-12)
 

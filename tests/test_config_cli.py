@@ -7,15 +7,19 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nemsqnd
 from nemsqnd.cli import main
 from nemsqnd.config import (
     KEYS,
+    RunConfig,
     default_config_text,
     load_config,
     parse_config_text,
@@ -51,7 +55,43 @@ def test_default_text_roundtrips():
     assert parse_config_text(text) == load_config(None)
     # every key appears exactly once
     keys = [line.split("=")[0].strip() for line in text.strip().splitlines()]
-    assert sorted(keys) == sorted(KEYS)
+    assert keys == list(KEYS) == [f.name for f in fields(RunConfig)]
+
+
+def _render(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
+
+
+# per field type, values most keys accept mixed with values many reject
+_FIELD_VALUES = {
+    bool: st.booleans(),
+    int: st.integers(2, 512) | st.integers(-3, 10_000),
+    float: (st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+            | st.floats(allow_nan=False, allow_infinity=False)),
+}
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_parsed_overrides_match_the_dataclass(data):
+    """Any typed overrides, written as config text, parse to the same
+    RunConfig the dataclass builds from them, or fail the same way."""
+    names = data.draw(st.lists(st.sampled_from(list(_FIELD_TYPES)), unique=True, max_size=8))
+    overrides = {name: data.draw(_FIELD_VALUES[_FIELD_TYPES[name]], label=name)
+                 for name in names}
+    text = "".join(f"{k} = {_render(v)}\n" for k, v in overrides.items())
+    try:
+        expected = RunConfig(**overrides)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError, match=re.escape(str(exc))):
+            parse_config_text(text)
+    else:
+        parsed = parse_config_text(text)
+        assert parsed == expected
+        assert {k: type(v) for k, v in vars(parsed).items()} == _FIELD_TYPES
 
 
 def test_comments_blanks_and_overrides():
@@ -73,6 +113,9 @@ def test_comments_blanks_and_overrides():
     ("L1 1e-6\n", "line 1: expected 'key = value'"),
     ("n_terms = soup\n", "line 1: bad value for n_terms"),
     ("classical_toy = maybe\n", "line 1: bad value for classical_toy"),
+    ("n_b = nan\n", "line 1: n_b must be finite"),
+    ("L1 = 1e-6\ntheta_t_max = inf\n", "line 2: theta_t_max must be finite"),
+    ("F_re = -inf\n", "line 1: F_re must be finite"),
 ])
 def test_parse_errors_carry_line_numbers(text, msg):
     with pytest.raises(ConfigError) as err:
@@ -238,6 +281,29 @@ def test_exit_codes(tmp_path, capsys):
         main(["no-such-command"])
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_artifacts_get_the_plain_file_mode(tmp_path):
+    conf = tmp_path / "short.conf"
+    conf.write_text("classical_periods = 20\nclassical_samples = 1024\n")
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        assert main(["classical", "--config", str(conf), "--out", str(out)]) == 0
+        assert main(["current", "--config", str(conf), "--out", str(out)]) == 0
+        with open(out / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode for p in out.iterdir()}
+    assert sorted(modes) == ["classical_report.csv", "current.csv", "plain.txt",
+                             "trajectory.csv"]
+    assert set(modes.values()) == {modes["plain.txt"]}
+
+
+def test_exports_resolve():
+    for name in nemsqnd.__all__:
+        getattr(nemsqnd, name)
 
 
 def test_out_directory_is_created(tmp_path):

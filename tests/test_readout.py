@@ -20,7 +20,6 @@ from nemsqnd.readout import (
     stationary_current_statistics,
     stationary_mean_amplitude,
     stationary_two_mode,
-    steady_alpha2,
 )
 
 
@@ -59,10 +58,10 @@ def test_gain_positive_for_negative_theta():
 
 
 def test_steady_alpha2_helper():
-    assert steady_alpha2(10j, 40.0) == 0.5 + 0j
-    assert steady_alpha2(3.0, 2.0) == -3j
+    assert unit_chain(F=10j, kappa2=40.0).alpha2 == 0.5 + 0j
+    assert unit_chain(F=3.0, kappa2=2.0).alpha2 == -3j
     with pytest.raises(ValueError, match="kappa2"):
-        steady_alpha2(1j, 0.0)
+        unit_chain(F=1j, kappa2=0.0)
 
 
 @pytest.mark.parametrize("field,value", [
