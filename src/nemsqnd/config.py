@@ -26,7 +26,7 @@ from .circuit import (
     PhysicalCircuitParams,
     effective_params,
 )
-from .entanglement import ALPHA_CAP, TERM_CAP, CoherentTriple
+from .entanglement import ALPHA_CAP, ORACLE_DIM_CAP, TERM_CAP, CoherentTriple
 from .errors import ConfigError
 from .readout import ReadoutParams
 
@@ -67,8 +67,9 @@ class RunConfig:
     """Parsed and validated configuration; one field per config key.
 
     The field list is the config schema: each field's default is the
-    key's default, the default's type picks the parser, and fields made
-    with ``_positive`` must be strictly positive.
+    key's default, the default's type picks the parser, float fields
+    must be finite, and fields made with ``_positive`` must be strictly
+    positive.
     """
 
     # circuit, SI units
@@ -124,6 +125,9 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
+            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
+        for f in fields(self):
             if f.metadata.get("positive") and not getattr(self, f.name) > 0:
                 raise ConfigError(f"{f.name} must be positive")
         if self.n_b < 0:
@@ -142,8 +146,8 @@ class RunConfig:
             raise ConfigError("classical_samples must be >= 1024 for the spectral fit")
         if self.classical_x0_over_d >= 1.0:
             raise ConfigError("classical_x0_over_d must stay below 1 (gap contact)")
-        if self.oracle_dim < 2:
-            raise ConfigError("oracle_dim must be >= 2")
+        if not 2 <= self.oracle_dim <= ORACLE_DIM_CAP:
+            raise ConfigError(f"oracle_dim must be in [2, {ORACLE_DIM_CAP}]")
 
     # -- assembled domain objects ------------------------------------
 

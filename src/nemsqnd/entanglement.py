@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from .errors import ConditioningError, TruncationError
@@ -47,9 +48,7 @@ from .fock import (
     DEFAULT_DENSITY_CAP,
     StateVector,
     TruncatedSpace,
-    annihilation,
     coherent_vector,
-    embed,
     linear_entropy,
     min_fock_dim,
     poisson_tail,
@@ -61,6 +60,9 @@ ALPHA_CAP = 6.0
 
 #: hard ceiling for the automatic term-count growth
 TERM_CAP = 512
+
+#: largest configurable oracle cutoff; rho_12 at (66^2)^2 is ~1.9e7 entries
+ORACLE_DIM_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -253,20 +255,22 @@ def entropy_series(triple: CoherentTriple, theta_ts,
 # ---------------------------------------------------------------------------
 # brute-force reference: exact evolution on the truncated space
 #
-# The evolution engine exploits phonon-number conservation: the
-# propagator is block diagonal over phonon layers and within layer n it
-# is exp(-i phi_n K) with K = a1^dag a2 + a1 a2^dag on the resonator
-# pair.  One Hermitian eigendecomposition of K serves every layer and
-# every time.  Note this uses nothing from the analytic solution above
-# beyond the conservation law itself: the coherent-branch structure has
-# to come out of the numerics, not in.
+# The evolution engine exploits two conservation laws.  Phonon number:
+# the propagator is block diagonal over phonon layers and within layer n
+# it is exp(-i phi_n K) with K = a1^dag a2 + a1 a2^dag on the resonator
+# pair.  Total photon number n1 + n2: K is block diagonal over sectors
+# N, and on the truncated sector it is a real tridiagonal matrix (the
+# SU(2) blocks of the lossless beam splitter).  One eigendecomposition
+# per sector serves every layer.  Note this uses nothing from the
+# analytic solution above beyond the conservation laws themselves: the
+# coherent-branch structure has to come out of the numerics, not in.
 
 
 def oracle_space(dims: tuple[int, int, int]) -> TruncatedSpace:
     """Three-mode space sized for the brute-force checks.
 
-    The allocation cap is raised to fit dense matrices on the resonator
-    pair (needed for K and for rho_12), which exceed the default cap
+    The allocation cap is raised to fit the dense resonator-pair state
+    rho_12 of ``separability_check_12``, which exceeds the default cap
     already at pair dimensions around 33x33.
     """
     d_n, d_1, d_2 = (int(d) for d in dims)
@@ -294,14 +298,6 @@ def initial_product_state(triple: CoherentTriple, space: TruncatedSpace,
     return StateVector(space, full)
 
 
-def _pair_generator(space: TruncatedSpace) -> np.ndarray:
-    pair = space.subspace(("TLR1", "TLR2"))
-    a1 = embed(annihilation(space.dims[1]), "TLR1", pair)
-    a2 = embed(annihilation(space.dims[2]), "TLR2", pair)
-    k = a1.dagger() @ a2 + a2.dagger() @ a1
-    return k.matrix
-
-
 def exchange_evolve(psi: StateVector, theta_t: float,
                     theta0_t: float = 0.0) -> StateVector:
     """Exact propagation of a three-mode state by the exchange interaction.
@@ -315,13 +311,16 @@ def exchange_evolve(psi: StateVector, theta_t: float,
         raise ValueError(
             f"exchange_evolve expects modes {_TRIPLE_LABELS}, got {space.labels}"
         )
-    d_n = space.dims[0]
-    pair_dim = space.dims[1] * space.dims[2]
-    evals, evecs = np.linalg.eigh(_pair_generator(space))
-    tensor = psi.vector.reshape(d_n, pair_dim)
-    coeff = tensor @ evecs.conj()
-    phases = np.exp(-1j * np.outer(theta0_t + np.arange(d_n) * theta_t, evals))
-    out = (coeff * phases) @ evecs.T
+    d_n, d_1, d_2 = space.dims
+    layer_phase = theta0_t + np.arange(d_n) * theta_t
+    tensor = psi.vector.reshape(space.dims)
+    out = np.empty_like(tensor)
+    for total in range(d_1 + d_2 - 1):
+        n1 = np.arange(max(0, total - d_2 + 1), min(total, d_1 - 1) + 1)
+        w, v = eigh_tridiagonal(np.zeros(n1.size),
+                                np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1])))
+        phases = np.exp(-1j * np.outer(layer_phase, w))
+        out[:, n1, total - n1] = ((tensor[:, n1, total - n1] @ v) * phases) @ v.T
     return StateVector(space, out.reshape(-1), norm_tol=1e-10)
 
 
@@ -414,12 +413,11 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
     rho = reduced_density(psi_t, ("TLR1", "TLR2")).matrix
 
     state = conditioned_state(triple, theta_t, tail_tol=tail_tol)
-    mixture = np.zeros_like(rho)
-    for p_n, b_n, g_n in zip(np.abs(state.c_n) ** 2, state.beta_n, state.gamma_n):
-        vb, _ = coherent_vector(b_n, dims[1])
-        vg, _ = coherent_vector(g_n, dims[2])
-        v = np.kron(vb, vg)
-        mixture += p_n * np.outer(v, v.conj())
+    branches = np.array([
+        np.kron(coherent_vector(b_n, dims[1])[0], coherent_vector(g_n, dims[2])[0])
+        for b_n, g_n in zip(state.beta_n, state.gamma_n)
+    ])
+    mixture = (branches.T * np.abs(state.c_n) ** 2) @ branches.conj()
     return SeparabilityReport(
         max_abs_deviation=float(np.max(np.abs(rho - mixture))),
         mixture_trace=float(np.real(np.trace(mixture))),
@@ -468,9 +466,7 @@ def default_cat_dims(triple: CoherentTriple) -> tuple[int, int, int]:
 
 def cat_state_check(triple: CoherentTriple,
                     dims: tuple[int, int, int] | None = None,
-                    tail_tol: float = 1e-12,
-                    weight_floor: float = 1e-12,
-                    overlap_guard: float = 1e-2) -> CatStateReport:
+                    tail_tol: float = 1e-12) -> CatStateReport:
     """Verify the half-period cat structure of the mechanical mode.
 
     At mixing phase pi every odd phonon layer carries ``|-beta>|-gamma>``
@@ -484,15 +480,15 @@ def cat_state_check(triple: CoherentTriple,
     Raises
     ------
     ConditioningError
-        When ``|<beta|-beta><gamma|-gamma>| > overlap_guard``: the two
+        When ``|<beta|-beta><gamma|-gamma>| > 1e-2``: the two
         projection products are then too close to parallel for the
         conditional states to mean anything (degenerate at beta=gamma=0).
     """
     overlap = math.exp(-2.0 * (abs(triple.beta) ** 2 + abs(triple.gamma) ** 2))
-    if overlap > overlap_guard:
+    if overlap > 1e-2:
         raise ConditioningError(
-            f"projection products overlap at {overlap:.3e} (guard "
-            f"{overlap_guard}); beta/gamma too small to separate the branches"
+            f"projection products overlap at {overlap:.3e} (guard 0.01); "
+            "beta/gamma too small to separate the branches"
         )
     if dims is None:
         dims = default_cat_dims(triple)
@@ -517,7 +513,7 @@ def cat_state_check(triple: CoherentTriple,
     cat_odd = _cat_vector(triple.alpha, dims[0], -1)
 
     def _fid(cond, w, cat):
-        if w < weight_floor or cat is None:
+        if w < 1e-12 or cat is None:
             return None
         return float(abs(np.vdot(cat, cond)) ** 2 / w)
 

@@ -199,9 +199,6 @@ class DensityMatrix:
 
     space: TruncatedSpace
     matrix: np.ndarray
-    herm_tol: float = field(default=1e-12, compare=False)
-    trace_tol: float = field(default=1e-10, compare=False)
-    eig_floor: float = field(default=-1e-10, compare=False)
 
     def __post_init__(self):
         self.space.check_matrix_alloc()
@@ -211,13 +208,13 @@ class DensityMatrix:
                 f"matrix shape {m.shape} does not match space dimension {self.space.dim}"
             )
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > self.herm_tol:
+        if herm_dev > 1e-12:
             raise ValueError(f"density matrix is not Hermitian (deviation {herm_dev:.3e})")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > self.trace_tol:
+        if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1")
         lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < self.eig_floor:
+        if lo < -1e-10:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -396,19 +393,18 @@ def product_state(states: tuple[StateVector, ...], labels: tuple[str, ...] = (),
 # evolution
 
 
-def evolve(H: Operator, t: float, psi0: StateVector,
-           hermitian_tol: float = 1e-10) -> StateVector:
+def evolve(H: Operator, t: float, psi0: StateVector) -> StateVector:
     """Apply ``exp(-1j H t)`` through an eigendecomposition of ``H``.
 
-    ``H`` must be Hermitian within ``hermitian_tol`` (absolute, scaled by
-    the largest entry).  The result keeps the input norm to 1e-10.
+    ``H`` must be Hermitian within 1e-10 (absolute, scaled by the largest
+    entry).  The result keeps the input norm to 1e-10.
     """
     if psi0.space != H.space:
         raise ValueError("state and Hamiltonian live on different spaces")
     m = H.matrix
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > hermitian_tol * scale:
+    if dev > 1e-10 * scale:
         raise ValueError(f"Hamiltonian is not Hermitian (deviation {dev:.3e})")
     evals, evecs = np.linalg.eigh(m)
     phases = np.exp(-1j * evals * t)

@@ -101,10 +101,12 @@ def test_comments_blanks_and_overrides():
         "kappa1 = 2e7   # trailing comment\n"
         "n_terms = 40\n"
         "classical_toy = off\n"
+        "oracle_dim = 60   # the cap\n"
     )
     assert cfg.kappa1 == 2e7
     assert cfg.n_terms == 40
     assert cfg.classical_toy is False
+    assert cfg.oracle_dim == 60
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -132,10 +134,21 @@ def test_parse_errors_carry_line_numbers(text, msg):
     ("classical_samples = 512\n", "classical_samples"),
     ("classical_x0_over_d = 1.5\n", "below 1"),
     ("oracle_dim = 1\n", "oracle_dim"),
+    ("oracle_dim = 61\n", "oracle_dim"),
 ])
 def test_semantic_validation(text, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_config_text(text)
+
+
+def test_dataclass_rejects_non_finite_floats():
+    """Library callers get the finiteness check the config parser applies."""
+    for f in fields(RunConfig):
+        if type(f.default) is not float:
+            continue
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"^{f.name} must be finite$"):
+                RunConfig(**{f.name: value})
 
 
 def test_load_config_file_errors(tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nemsqnd.entanglement import (
@@ -24,7 +24,14 @@ from nemsqnd.entanglement import (
     transmittance,
 )
 from nemsqnd.errors import ConditioningError, TruncationError
-from nemsqnd.fock import StateVector, TruncatedSpace, embed, evolve, number
+from nemsqnd.fock import (
+    StateVector,
+    TruncatedSpace,
+    annihilation,
+    embed,
+    evolve,
+    number,
+)
 
 amplitudes = st.complex_numbers(max_magnitude=2.5, allow_nan=False,
                                 allow_infinity=False)
@@ -243,19 +250,26 @@ def test_uniform_rotation_cannot_entangle_mechanics():
     assert d_1n2 > 1e-3 and d_2n1 > 1e-3
 
 
-def test_exchange_evolve_agrees_with_dense_propagator():
-    space = oracle_space((4, 5, 5))
-    rng = np.random.default_rng(7)
-    raw = rng.normal(size=100) + 1j * rng.normal(size=100)
+mixing_phases = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 6), st.integers(2, 6),
+       mixing_phases, mixing_phases, st.integers(0, 2**32 - 1))
+@example(4, 5, 5, 0.7, 0.3, 7)
+def test_exchange_evolve_agrees_with_dense_propagator(d_n, d_1, d_2, theta_t,
+                                                      theta0_t, seed):
+    """The per-sector propagator equals dense evolution under the full
+    generator theta0_t K + theta_t N K, on unequal cutoffs too."""
+    space = oracle_space((d_n, d_1, d_2))
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi = StateVector(space, raw / np.linalg.norm(raw))
 
-    from nemsqnd.fock import annihilation
-
-    a1 = embed(annihilation(5), "TLR1", space)
-    a2 = embed(annihilation(5), "TLR2", space)
+    a1 = embed(annihilation(d_1), "TLR1", space)
+    a2 = embed(annihilation(d_2), "TLR2", space)
     k = a1.dagger() @ a2 + a2.dagger() @ a1
-    n_op = embed(number(4), "N", space)
-    theta_t, theta0_t = 0.7, 0.3
+    n_op = embed(number(d_n), "N", space)
     h = k * theta0_t + (n_op @ k) * theta_t
 
     fast = exchange_evolve(psi, theta_t, theta0_t)
