@@ -23,6 +23,22 @@ its fractional correction x_rms^2/d^2 (about 1e-6 at the default desk
 values) is reported but, by convention, dropped from the frequencies
 unless explicitly requested.
 
+The classical validator integrates the unaveraged Kirchhoff equations
+with the plate on a declared harmonic drive x(t) = x0 cos(nu t).  The
+circuit is then linear in the charges and momenta y = (Q1, P1, Q2, P2),
+and the plate enters only through x^2, so the coefficients repeat with
+period T = pi / nu.  By Floquet theory (Yakubovich & Starzhinskii,
+Linear Differential Equations with Periodic Coefficients, 1975) one
+period of the 4x4 fundamental matrix Phi(s), Phi(0) = 1, gives the
+whole trajectory:
+
+    y(t0 + m T + s) = Phi(s) M^m y(t0),    M = Phi(T),  0 <= s <= T.
+
+Phi is an ordinary numerical integration of the unaveraged equations,
+exact to the integrator's tolerance, so a spectral check on this
+trajectory tests the x^2 averaging behind the effective parameters
+without assuming it.
+
 The module boundary is SI: farads, henries, meters, kilograms, rad/s.
 All frequencies, including the mechanical one, are angular.
 """
@@ -31,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -177,23 +192,26 @@ def effective_params(
 
 
 # ---------------------------------------------------------------------------
-# classical Kirchhoff dynamics
+# classical Kirchhoff dynamics (Floquet propagation, see the module docstring)
+
+#: most drive periods one run may span; each holds one M^m y0 vector
+DRIVE_PERIOD_CAP = 2**20
 
 
 @dataclass
 class ClassicalCircuitConfig:
     """Inputs for a classical simulation of the coupled circuit.
 
-    ``x_drive`` gives the plate displacement x(t) in meters; ``v_ct``
-    gives the drive voltage V(t) in volts (two conventions for this
-    reference voltage circulate; here it is treated as an externally
-    prescribed function and defaults to zero).  Initial conditions are
-    charges (coulomb) and their conjugate momenta (weber).
+    The plate follows the declared drive x(t) = x0 cos(nu t): ``x0`` in
+    meters (0, the default, holds the plate at rest) and ``nu`` in rad/s,
+    defaulting to the plate's mechanical frequency ``params.nu``.
+    Initial conditions at ``t_span[0]`` are charges (coulomb) and their
+    conjugate momenta (weber).
     """
 
     params: PhysicalCircuitParams
-    x_drive: Callable[[float], float] | None = None
-    v_ct: Callable[[float], float] | None = None
+    x0: float = 0.0
+    nu: float | None = None
     q1: float = 0.0
     p1: float = 0.0
     q2: float = 0.0
@@ -201,16 +219,26 @@ class ClassicalCircuitConfig:
     t_span: tuple[float, float] = (0.0, 1.0)
     n_samples: int = 4096
     rtol: float = 1e-10
-    atol: float | None = None
-    method: str = "DOP853"
 
     def __post_init__(self):
+        if self.nu is None:
+            self.nu = self.params.nu
+        if not math.isfinite(self.x0):
+            raise ValueError("x0 must be finite")
+        if not (math.isfinite(self.nu) and self.nu > 0):
+            raise ValueError("nu must be a finite positive number")
         if self.n_samples < 2:
             raise ValueError("n_samples must be at least 2")
         if not self.t_span[1] > self.t_span[0]:
             raise ValueError("t_span must be increasing")
         if self.rtol <= 0:
             raise ValueError("rtol must be positive")
+        periods = (self.t_span[1] - self.t_span[0]) * self.nu / math.pi
+        if not periods <= DRIVE_PERIOD_CAP:
+            raise ValueError(
+                f"t_span covers {periods:.3e} drive periods, above the cap "
+                f"{DRIVE_PERIOD_CAP}"
+            )
 
 
 @dataclass(frozen=True)
@@ -222,80 +250,94 @@ class Trajectory:
     p2: np.ndarray
 
 
-def _zero(_t: float) -> float:
-    return 0.0
-
-
 def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> Trajectory:
     """Integrate the Kirchhoff equations of the coupled circuit.
 
     The equations of motion follow from the circuit Hamiltonian:
 
         dQ1/dt = P1 / L1
-        dP1/dt = -Q1 / Ctilde1(t) - c(t) Q2 - ((d - x) / 2d) V(t)
+        dP1/dt = -Q1 / Ctilde1(t) - c(t) Q2
         dQ2/dt = P2 / L2
-        dP2/dt = -Q2 / Ctilde2(t) - c(t) Q1 + ((d + x) / 2d) V(t)
+        dP2/dt = -Q2 / Ctilde2(t) - c(t) Q1
 
-    with c(t) = (d^2 - x^2(t)) / (2 d eps0 A) and the instantaneous
-    1/Ctilde_i(t) = 1/C_i + c(t).  Uses an adaptive explicit high-order
-    Runge-Kutta pair (DOP853 by default) at rtol 1e-10 unless overridden.
+    with c(t) = (d^2 - x^2(t)) / (2 d eps0 A), x(t) = x0 cos(nu t) and the
+    instantaneous 1/Ctilde_i(t) = 1/C_i + c(t).  The fundamental matrix
+    is integrated over one period T = pi/nu (or the span, if shorter)
+    with DOP853 at ``rtol``, the step at most T/16 since the samples come
+    from its dense interpolant.  Each sample is then
+    Phi((t - t0) mod T) M^m y0, the M^m y0 built by a running product.
+    The absolute tolerance of each entry of Phi is scaled by the ratio of
+    its row and column variables' natural sizes (charge against momentum,
+    P ~ omega L Q), so its floor means the same for coulomb and weber
+    entries.
 
     Raises
     ------
     ValueError
-        If the drive displacement reaches the plate separation anywhere
-        on the sampled span (the plates would short).
+        If the drive amplitude reaches the plate separation (the plates
+        would short); checked before anything is integrated.
     IntegrationError
         If the integrator reports failure.
     """
     p = cfg.params
-    x_of = cfg.x_drive or _zero
-    v_of = cfg.v_ct or _zero
+    if abs(cfg.x0) >= p.d:
+        raise ValueError(
+            f"drive amplitude |x0| = {abs(cfg.x0):.3e} m meets the plate "
+            f"separation {p.d:.3e} m; the plates would short"
+        )
 
     t0, t1 = cfg.t_span
-    guard_t = np.linspace(t0, t1, 4 * cfg.n_samples)
-    x_guard = np.array([x_of(t) for t in guard_t])
-    worst = float(np.max(np.abs(x_guard)))
-    if worst >= p.d:
-        raise ValueError(
-            f"|x(t)| reaches {worst:.3e} m which meets the plate separation "
-            f"{p.d:.3e} m; the plates would short"
-        )
+    period = math.pi / cfg.nu
+    t = np.linspace(t0, t1, cfg.n_samples)
+    elapsed = t - t0
+    whole = np.floor(elapsed / period).astype(np.int64)
+    # rounding may put a phase a hair outside [0, T]; Phi is known on all of it
+    phase = np.clip(elapsed - whole * period, 0.0, period)
+    # a span shorter than T needs Phi only that far (and no M); otherwise T
+    # closes the grid, so M = Phi(T) is its last entry
+    horizon = min(period, t1 - t0)
+    grid, slot = np.unique(np.append(phase, horizon), return_inverse=True)
 
     inv_l1, inv_l2 = 1.0 / p.L1, 1.0 / p.L2
     inv_c1, inv_c2 = 1.0 / p.C1, 1.0 / p.C2
     inv_2dea = 1.0 / (2.0 * p.d * p.eps0 * p.A)
-    inv_2d = 1.0 / (2.0 * p.d)
-    d, d2 = p.d, p.d * p.d
+    d2, x02, nu = p.d * p.d, cfg.x0 * cfg.x0, cfg.nu
 
-    def rhs(t, y):
-        x = x_of(t)
-        v = v_of(t)
-        c = (d2 - x * x) * inv_2dea
-        q1, p1_, q2, p2_ = y
-        return (
+    def rhs(s, phi):
+        cos = math.cos(nu * (t0 + s))
+        c = (d2 - x02 * cos * cos) * inv_2dea
+        q1, p1_, q2, p2_ = phi.reshape(4, 4)
+        return np.concatenate((
             p1_ * inv_l1,
-            -(inv_c1 + c) * q1 - c * q2 - (d - x) * inv_2d * v,
+            -(inv_c1 + c) * q1 - c * q2,
             p2_ * inv_l2,
-            -(inv_c2 + c) * q2 - c * q1 + (d + x) * inv_2d * v,
-        )
+            -(inv_c2 + c) * q2 - c * q1,
+        ))
 
-    scale = max(abs(cfg.q1), abs(cfg.q2), abs(cfg.p1), abs(cfg.p2), 1e-30)
-    atol = cfg.atol if cfg.atol is not None else cfg.rtol * scale * 1e-2
-    t_eval = np.linspace(t0, t1, cfg.n_samples)
+    c0 = d2 * inv_2dea
+    size = np.array([1.0, math.sqrt(p.L1 * (inv_c1 + c0)), 1.0, math.sqrt(p.L2 * (inv_c2 + c0))])
+    atol = 1e-2 * cfg.rtol * np.outer(size, 1.0 / size).ravel()
     sol = solve_ivp(
         rhs,
-        (t0, t1),
-        [cfg.q1, cfg.p1, cfg.q2, cfg.p2],
-        method=cfg.method,
+        (0.0, horizon),
+        np.eye(4).ravel(),
+        method="DOP853",
         rtol=cfg.rtol,
         atol=atol,
-        t_eval=t_eval,
-        dense_output=False,
+        max_step=period / 16.0,
+        t_eval=grid,
     )
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}")
-    return Trajectory(sol.t, sol.y[0], sol.y[1], sol.y[2], sol.y[3])
+    phi = sol.y.T.reshape(-1, 4, 4)
+    monodromy = phi[-1]
+
+    starts = np.empty((int(whole[-1]) + 1, 4))
+    starts[0] = (cfg.q1, cfg.p1, cfg.q2, cfg.p2)
+    for m in range(1, starts.shape[0]):
+        starts[m] = monodromy @ starts[m - 1]
+    y = np.matmul(phi[slot[:-1]], starts[whole][:, :, None])[:, :, 0]
+    return Trajectory(t, y[:, 0], y[:, 1], y[:, 2], y[:, 3])
 
 
 def circuit_energy(
@@ -305,20 +347,16 @@ def circuit_energy(
     q2: np.ndarray,
     p2: np.ndarray,
     x: float | np.ndarray = 0.0,
-    v_ct: float | np.ndarray = 0.0,
 ):
     """Instantaneous circuit Hamiltonian along a trajectory."""
     c = (p.d**2 - np.asarray(x) ** 2) / (2.0 * p.d * p.eps0 * p.A)
-    h = (
+    return (
         p1**2 / (2.0 * p.L1)
         + p2**2 / (2.0 * p.L2)
         + 0.5 * (1.0 / p.C1 + c) * q1**2
         + 0.5 * (1.0 / p.C2 + c) * q2**2
         + c * q1 * q2
-        + (p.d - np.asarray(x)) / (2.0 * p.d) * v_ct * q1
-        - (p.d + np.asarray(x)) / (2.0 * p.d) * v_ct * q2
     )
-    return h
 
 
 # ---------------------------------------------------------------------------

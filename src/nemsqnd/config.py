@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .circuit import (
+    DRIVE_PERIOD_CAP,
     EPS0,
     HBAR,
     EffectiveParams,
@@ -62,14 +63,19 @@ def _positive(default: float):
     return field(default=default, metadata={"positive": True})
 
 
+def _within(default: int, low: int, high: int):
+    """An integer field bounded to [low, high]; ``high`` caps what a run allocates."""
+    return field(default=default, metadata={"range": (low, high)})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed and validated configuration; one field per config key.
 
     The field list is the config schema: each field's default is the
     key's default, the default's type picks the parser, float fields
-    must be finite, and fields made with ``_positive`` must be strictly
-    positive.
+    must be finite, fields made with ``_positive`` must be strictly
+    positive and those made with ``_within`` must lie in their range.
     """
 
     # circuit, SI units
@@ -94,23 +100,24 @@ class RunConfig:
     beta_im: float = 0.0
     gamma_re: float = 2.0
     gamma_im: float = 0.0
-    n_terms: int = 30
+    n_terms: int = _within(30, 1, TERM_CAP)
     # output grids
-    entropy_points: int = 201
+    entropy_points: int = _within(201, 2, 10_000)
     theta_t_max: float = _positive(2.0 * math.pi)
     alpha_max: float = 3.0
-    alpha_points: int = 21
-    current_points: int = 200
+    alpha_points: int = _within(21, 2, 1_000)
+    current_points: int = _within(200, 2, 100_000)
     current_tau_max: float = _positive(10.0)
     # classical validation run
     classical_toy: bool = True
     classical_x0_over_d: float = _positive(math.sqrt(2.0) * 1e-3)
     classical_nu_factor: float = _positive(20.0)
-    classical_periods: int = 250
-    classical_samples: int = 8192
+    classical_periods: int = _within(250, 1, 100_000)
+    # at least 1024 samples for the spectral fit
+    classical_samples: int = _within(8192, 1024, 2**18)
     classical_rtol: float = _positive(1e-10)
     # brute-force oracle sizing
-    oracle_dim: int = 30
+    oracle_dim: int = _within(30, 2, ORACLE_DIM_CAP)
     # tolerances (every one strictly positive)
     tol_current_ode: float = _positive(1e-8)
     tol_elimination: float = _positive(1e-2)
@@ -130,24 +137,20 @@ class RunConfig:
         for f in fields(self):
             if f.metadata.get("positive") and not getattr(self, f.name) > 0:
                 raise ConfigError(f"{f.name} must be positive")
+            low, high = f.metadata.get("range", (None, None))
+            if low is not None and not low <= getattr(self, f.name) <= high:
+                raise ConfigError(f"{f.name} must be in [{low}, {high}]")
         if self.n_b < 0:
             raise ConfigError("n_b must be nonnegative")
-        if not 1 <= self.n_terms <= TERM_CAP:
-            raise ConfigError(f"n_terms must be in [1, {TERM_CAP}]")
-        if self.entropy_points < 2 or self.alpha_points < 2:
-            raise ConfigError("entropy_points and alpha_points must be >= 2")
-        if self.current_points < 2:
-            raise ConfigError("current_points must be >= 2")
         if not 0 <= self.alpha_max <= ALPHA_CAP:
             raise ConfigError(f"alpha_max must be in [0, {ALPHA_CAP}]")
-        if self.classical_periods < 1:
-            raise ConfigError("classical_periods must be >= 1")
-        if self.classical_samples < 1024:
-            raise ConfigError("classical_samples must be >= 1024 for the spectral fit")
+        # the classical run keeps one state per drive period (period pi/nu)
+        if 2 * self.classical_periods * self.classical_nu_factor > DRIVE_PERIOD_CAP:
+            raise ConfigError(
+                f"classical_periods * classical_nu_factor must be <= {DRIVE_PERIOD_CAP // 2}"
+            )
         if self.classical_x0_over_d >= 1.0:
             raise ConfigError("classical_x0_over_d must stay below 1 (gap contact)")
-        if not 2 <= self.oracle_dim <= ORACLE_DIM_CAP:
-            raise ConfigError(f"oracle_dim must be in [2, {ORACLE_DIM_CAP}]")
 
     # -- assembled domain objects ------------------------------------
 

@@ -45,7 +45,6 @@ from scipy.special import gammaln
 from .errors import ConditioningError, TruncationError
 from .fock import (
     _DEFAULT_TRIPLE_LABELS as _TRIPLE_LABELS,
-    DEFAULT_DENSITY_CAP,
     StateVector,
     TruncatedSpace,
     coherent_vector,
@@ -63,6 +62,10 @@ TERM_CAP = 512
 
 #: largest configurable oracle cutoff; rho_12 at (66^2)^2 is ~1.9e7 entries
 ORACLE_DIM_CAP = 60
+
+#: bytes the dense resonator-pair state rho_12 of an oracle space may
+#: take; 512 MiB admits the (60, 66, 66) space of ``ORACLE_DIM_CAP``
+ORACLE_BYTE_BUDGET = 2**29
 
 
 @dataclass(frozen=True)
@@ -269,14 +272,19 @@ def entropy_series(triple: CoherentTriple, theta_ts,
 def oracle_space(dims: tuple[int, int, int]) -> TruncatedSpace:
     """Three-mode space sized for the brute-force checks.
 
-    The allocation cap is raised to fit the dense resonator-pair state
-    rho_12 of ``separability_check_12``, which exceeds the default cap
-    already at pair dimensions around 33x33.
+    Its allocation cap is the fixed ``ORACLE_BYTE_BUDGET`` in complex
+    entries, room for the dense resonator-pair state rho_12 of
+    ``separability_check_12``.  Cutoffs whose rho_12 would not fit are
+    refused with ``ValueError`` before anything is allocated.
     """
     d_n, d_1, d_2 = (int(d) for d in dims)
-    pair = d_1 * d_2
-    cap = max(DEFAULT_DENSITY_CAP, pair * pair, d_n * pair)
-    return TruncatedSpace((d_n, d_1, d_2), _TRIPLE_LABELS, cap)
+    rho12_bytes = 16 * (d_1 * d_2) ** 2
+    if rho12_bytes > ORACLE_BYTE_BUDGET:
+        raise ValueError(
+            f"cutoffs {(d_n, d_1, d_2)}: rho_12 would take {rho12_bytes:.3e} bytes, "
+            f"above the oracle budget of {ORACLE_BYTE_BUDGET} bytes"
+        )
+    return TruncatedSpace((d_n, d_1, d_2), _TRIPLE_LABELS, ORACLE_BYTE_BUDGET // 16)
 
 
 def initial_product_state(triple: CoherentTriple, space: TruncatedSpace,

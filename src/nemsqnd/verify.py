@@ -82,11 +82,11 @@ def classical_scenario(cfg: RunConfig) -> tuple[ClassicalCircuitConfig, float, f
         params = cfg.physical()
         nu_drive = cfg.classical_nu_factor * effective_params(params).omega_tilde1
     eff = effective_params(params)
-    x0 = cfg.classical_x0_over_d * params.d
     period = 2.0 * math.pi / eff.omega_tilde1
     run = ClassicalCircuitConfig(
         params=params,
-        x_drive=lambda t: x0 * math.cos(nu_drive * t),
+        x0=cfg.classical_x0_over_d * params.d,
+        nu=nu_drive,
         q1=params.C1, q2=params.C1,
         t_span=(0.0, cfg.classical_periods * period),
         n_samples=cfg.classical_samples,

@@ -196,7 +196,7 @@ def test_classical_averaging_and_energy_conservation():
     energy = circuit_energy(params, traj.q1, traj.p1, traj.q2, traj.p2)
     drift = np.max(np.abs(energy - energy[0])) / energy[0]
     assert drift <= 1e-8
-    assert time.perf_counter() - t_start < 30.0
+    assert time.perf_counter() - t_start < 5.0
 
 
 def test_randomized_invariant_battery():

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from classical_reference import reference_trajectory
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from nemsqnd import circuit
 from nemsqnd.circuit import (
+    DRIVE_PERIOD_CAP,
     EPS0,
     HBAR,
     ClassicalCircuitConfig,
     PhysicalCircuitParams,
+    Trajectory,
     circuit_energy,
     effective_params,
     equilibrium_capacitance,
@@ -129,14 +135,18 @@ def test_energy_conservation_undriven():
     period = 2 * math.pi / eff.omega_tilde1
     run = ClassicalCircuitConfig(params=p, q1=0.7, p2=-0.2,
                                  t_span=(0.0, 100 * period),
-                                 n_samples=1024, rtol=1e-12, atol=1e-14)
+                                 n_samples=1024, rtol=1e-12)
     traj = simulate_classical_circuit(run)
     e = circuit_energy(p, traj.q1, traj.p1, traj.q2, traj.p2)
     assert np.abs(e - e[0]).max() / abs(e[0]) < 1e-9
 
 
 def test_mirror_symmetry():
-    """Flipping x -> -x and swapping the circuits mirrors the trajectory."""
+    """Flipping x -> -x and swapping the circuits mirrors the trajectory.
+
+    Needs a drive voltage and a plate motion with no x -> -x symmetry of
+    its own, so it runs on the callable reference integrator.
+    """
     p = unit_params(a_over_d=5.0)
     x0 = 0.3
 
@@ -148,23 +158,105 @@ def test_mirror_symmetry():
 
     v = lambda t: 0.05 * math.sin(1.7 * t)
     span = (0.0, 40.0)
-    fwd = simulate_classical_circuit(ClassicalCircuitConfig(
-        params=p, x_drive=drive, v_ct=v, q1=0.4, p2=0.1, t_span=span,
-        n_samples=512, rtol=1e-11))
+    fwd = reference_trajectory(p, (0.4, 0.0, 0.0, 0.1), span, 512,
+                               x_drive=drive, v_ct=v, rtol=1e-11)
     # swap circuits 1<->2, negate charges, flip the plate: same dynamics
-    rev = simulate_classical_circuit(ClassicalCircuitConfig(
-        params=p, x_drive=drive_neg, v_ct=v, q2=-0.4, p1=-0.1, t_span=span,
-        n_samples=512, rtol=1e-11))
+    rev = reference_trajectory(p, (0.0, -0.1, -0.4, 0.0), span, 512,
+                               x_drive=drive_neg, v_ct=v, rtol=1e-11)
     assert np.allclose(fwd.q1, -rev.q2, atol=1e-9)
     assert np.allclose(fwd.q2, -rev.q1, atol=1e-9)
 
 
-def test_short_circuit_guard():
+def test_short_circuit_guard(monkeypatch):
     p = unit_params(a_over_d=5.0)
-    run = ClassicalCircuitConfig(params=p, x_drive=lambda t: 1.5 * math.sin(t),
-                                 q1=1.0, t_span=(0.0, 10.0))
     with pytest.raises(ValueError, match="short"):
-        simulate_classical_circuit(run)
+        reference_trajectory(p, (1.0, 0.0, 0.0, 0.0), (0.0, 10.0), 4096,
+                             x_drive=lambda t: 1.5 * math.sin(t))
+
+    # the declared drive is refused before anything is integrated
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated past the contact guard")
+
+    monkeypatch.setattr(circuit, "solve_ivp", no_integration)
+    for x0 in (1.5, 1.0, -1.0):
+        run = ClassicalCircuitConfig(params=p, x0=x0, nu=1.0, q1=1.0, t_span=(0.0, 10.0))
+        with pytest.raises(ValueError, match="short"):
+            simulate_classical_circuit(run)
+
+
+def test_drive_period_cap():
+    p = unit_params()
+    ClassicalCircuitConfig(params=p, nu=1.0, t_span=(0.0, DRIVE_PERIOD_CAP * math.pi))
+    with pytest.raises(ValueError, match="drive periods"):
+        ClassicalCircuitConfig(params=p, nu=1.0, t_span=(0.0, 1.01 * DRIVE_PERIOD_CAP * math.pi))
+    with pytest.raises(ValueError, match="nu"):
+        ClassicalCircuitConfig(params=p, nu=0.0)
+
+
+def _matched_reference(run: ClassicalCircuitConfig, rtol: float) -> Trajectory:
+    """The callable reference integrating ``run``'s drive step by step."""
+    p = run.params
+    c0 = 1.0 / (2.0 * equilibrium_capacitance(p))
+    size = np.array([1.0, math.sqrt(p.L1 * (1.0 / p.C1 + c0)),
+                     1.0, math.sqrt(p.L2 * (1.0 / p.C2 + c0))])
+    y0 = np.array([run.q1, run.p1, run.q2, run.p2])
+    return reference_trajectory(
+        p, tuple(y0), run.t_span, run.n_samples,
+        x_drive=lambda t: run.x0 * math.cos(run.nu * t), rtol=rtol,
+        atol=1e-2 * rtol * size * np.max(np.abs(y0) / size),
+    )
+
+
+def _worst_component_error(traj: Trajectory, ref: Trajectory) -> float:
+    """Largest deviation, each coordinate measured against its own size."""
+    return max(
+        float(np.max(np.abs(getattr(traj, k) - getattr(ref, k)))
+              / np.max(np.abs(getattr(ref, k))))
+        for k in ("q1", "p1", "q2", "p2")
+    )
+
+
+def test_whole_period_sample_times():
+    """Samples landing exactly on whole drive periods (and repeating the
+    same phase many times over) come out as the step-by-step run's."""
+    p = unit_params(a_over_d=1.0)
+    # at nu = 7.66 some t - floor(t/T) T round below 0, at 9.14 above T
+    for nu, (first, last), n_samples in ((7.66, (0, 40), 41),   # every sample at m T
+                                         (9.14, (0, 100), 201),  # phases 0 and T/2 only
+                                         (7.66, (3, 43), 161)):  # shifted start
+        period = math.pi / nu
+        t_span = (first * period, last * period)
+        run = ClassicalCircuitConfig(params=p, x0=0.5, nu=nu, q1=1.0, p2=0.3,
+                                     t_span=t_span, n_samples=n_samples, rtol=1e-11)
+        traj = simulate_classical_circuit(run)
+        assert np.array_equal(traj.t, np.linspace(*t_span, n_samples))
+        assert _worst_component_error(traj, _matched_reference(run, 1e-12)) < 1e-8
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(si=st.booleans(), x0_over_d=st.floats(0.0, 0.9, exclude_max=True),
+       nu_ratio=st.floats(0.1, 30.0), t0_periods=st.floats(0.0, 3.0),
+       y0=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+@example(si=True, x0_over_d=0.0, nu_ratio=1.0, t0_periods=0.0, y0=[1.0, 0.0, 0.0, 0.0])
+def test_floquet_matches_step_by_step_reference(si, x0_over_d, nu_ratio, t0_periods, y0):
+    """The Floquet path agrees with the callable reference on short spans
+    (below nu/omega = 1/8 the span is shorter than one drive period),
+    each coordinate judged against its own size.  On the SI circuit the
+    charges (~1e-14 C) and momenta (~1e-10 Wb) differ by four orders, so
+    an error in the charges would hide under a whole-state norm."""
+    assume(max(map(abs, y0)) > 0.1)
+    p = desk_params() if si else unit_params(a_over_d=5.0)
+    eff = effective_params(p)
+    circuit_period = 2 * math.pi / eff.omega_tilde1
+    scale = (p.C1, p.C1 * math.sqrt(p.L1 / eff.c_tilde1))
+    run = ClassicalCircuitConfig(
+        params=p, x0=x0_over_d * p.d, nu=nu_ratio * eff.omega_tilde1,
+        q1=y0[0] * scale[0], p1=y0[1] * scale[1], q2=y0[2] * scale[0], p2=y0[3] * scale[1],
+        t_span=(t0_periods * circuit_period, (t0_periods + 4) * circuit_period),
+        n_samples=257,
+    )
+    traj = simulate_classical_circuit(run)
+    assert _worst_component_error(traj, _matched_reference(run, 1e-12)) < 1e-9
 
 
 def test_averaging_beyond_leading_order():
@@ -180,10 +272,9 @@ def test_averaging_beyond_leading_order():
     x0 = 0.5
     omega_avg = math.sqrt(2.0 - x0**2 / 2.0)
     omega_frozen = math.sqrt(2.0)
-    nu_drive = 25.0 * omega_avg
     run = ClassicalCircuitConfig(
         params=p,
-        x_drive=lambda t: x0 * math.cos(nu_drive * t),
+        x0=x0, nu=25.0 * omega_avg,
         q1=1.0, q2=1.0,
         t_span=(0.0, 250 * 2 * math.pi / omega_avg),
         n_samples=8192, rtol=1e-10,

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nemsqnd
+from nemsqnd.circuit import DRIVE_PERIOD_CAP
 from nemsqnd.cli import main
 from nemsqnd.config import (
     KEYS,
@@ -130,8 +131,15 @@ def test_parse_errors_carry_line_numbers(text, msg):
     ("n_b = -0.5\n", "n_b must be nonnegative"),
     ("n_terms = 0\n", "n_terms must be in"),
     ("alpha_max = 6.5\n", "alpha_max must be in"),
-    ("entropy_points = 1\n", "must be >= 2"),
+    ("entropy_points = 1\n", r"entropy_points must be in \[2, 10000\]"),
+    ("entropy_points = 1000000000\n", r"entropy_points must be in \[2, 10000\]"),
+    ("alpha_points = 1001\n", r"alpha_points must be in \[2, 1000\]"),
+    ("current_points = 100001\n", r"current_points must be in \[2, 100000\]"),
     ("classical_samples = 512\n", "classical_samples"),
+    ("classical_samples = 262145\n", r"classical_samples must be in \[1024, 262144\]"),
+    ("classical_periods = 100001\n", r"classical_periods must be in \[1, 100000\]"),
+    ("classical_periods = 100000\nclassical_nu_factor = 5.3\n",
+     r"classical_periods \* classical_nu_factor must be <= 524288"),
     ("classical_x0_over_d = 1.5\n", "below 1"),
     ("oracle_dim = 1\n", "oracle_dim"),
     ("oracle_dim = 61\n", "oracle_dim"),
@@ -149,6 +157,22 @@ def test_dataclass_rejects_non_finite_floats():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match=f"^{f.name} must be finite$"):
                 RunConfig(**{f.name: value})
+
+
+def test_dataclass_bounds_grid_sizes():
+    """Built directly, RunConfig bounds every grid size and the number of
+    drive periods of the classical run, each at its upper end inclusive."""
+    slow_drive = {"classical_nu_factor": 1.0}
+    for name, high, rest in (("entropy_points", 10_000, {}), ("alpha_points", 1_000, {}),
+                             ("current_points", 100_000, {}),
+                             ("classical_samples", 2**18, {}),
+                             ("classical_periods", 100_000, slow_drive)):
+        assert getattr(RunConfig(**{name: high}, **rest), name) == high
+        with pytest.raises(ConfigError, match=f"^{name} must be in "):
+            RunConfig(**{name: high + 1}, **rest)
+    RunConfig(classical_periods=1024, classical_nu_factor=DRIVE_PERIOD_CAP / 2048)
+    with pytest.raises(ConfigError, match="classical_nu_factor must be <= "):
+        RunConfig(classical_periods=1024, classical_nu_factor=DRIVE_PERIOD_CAP / 2047)
 
 
 def test_load_config_file_errors(tmp_path):

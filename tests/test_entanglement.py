@@ -1,6 +1,7 @@
 """Layer decomposition, linear entropies, and the brute-force cross-checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nemsqnd.entanglement import (
+    ORACLE_BYTE_BUDGET,
+    ORACLE_DIM_CAP,
     TERM_CAP,
     CoherentTriple,
     branch_amplitudes,
@@ -308,8 +311,25 @@ def test_oracle_space_allocates_for_pair_matrices():
     space = oracle_space((30, 36, 36))
     assert space.labels == ("N", "TLR1", "TLR2")
     assert space.density_cap >= (36 * 36) ** 2
-    # large enough for rho_12 of the verify sizes without tripping the cap
+    # large enough for rho_12 of the verify sizes without tripping the cap,
+    # up to the largest configurable cutoff
     space.subspace(("TLR1", "TLR2")).check_matrix_alloc()
+    top = ORACLE_DIM_CAP
+    oracle_space((top, top + 6, top + 6)).subspace(("TLR1", "TLR2")).check_matrix_alloc()
+
+
+def test_oracle_space_refuses_oversized_pairs():
+    """The guard is a fixed budget that the requested cutoffs cannot raise."""
+    assert oracle_space((2, 76, 76)).density_cap == ORACLE_BYTE_BUDGET // 16
+    tracemalloc.start()
+    try:
+        for dims in ((400, 406, 406), (2, 77, 77)):
+            with pytest.raises(ValueError, match="oracle budget"):
+                oracle_space(dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
