@@ -133,11 +133,7 @@ def test_parse_errors_carry_line_numbers(text, msg):
     ("alpha_max = 6.5\n", "alpha_max must be in"),
     ("entropy_points = 1\n", r"entropy_points must be in \[2, 10000\]"),
     ("entropy_points = 1000000000\n", r"entropy_points must be in \[2, 10000\]"),
-    ("alpha_points = 1001\n", r"alpha_points must be in \[2, 1000\]"),
-    ("current_points = 100001\n", r"current_points must be in \[2, 100000\]"),
     ("classical_samples = 512\n", "classical_samples"),
-    ("classical_samples = 262145\n", r"classical_samples must be in \[1024, 262144\]"),
-    ("classical_periods = 100001\n", r"classical_periods must be in \[1, 100000\]"),
     ("classical_periods = 100000\nclassical_nu_factor = 5.3\n",
      r"classical_periods \* classical_nu_factor must be <= 524288"),
     ("classical_x0_over_d = 1.5\n", "below 1"),
