@@ -131,7 +131,8 @@ def test_parse_errors_carry_line_numbers(text, msg):
     ("n_b = -0.5\n", "n_b must be nonnegative"),
     ("n_terms = 0\n", "n_terms must be in"),
     ("alpha_max = 6.5\n", "alpha_max must be in"),
-    ("entropy_points = 1\n", r"entropy_points must be in \[2, 10000\]"),
+    pytest.param("entropy_points = 1\n", r"entropy_points must be in \[2, 10000\]",
+                 id="entropy_points = 1\n-must be >= 2"),
     ("entropy_points = 1000000000\n", r"entropy_points must be in \[2, 10000\]"),
     ("classical_samples = 512\n", "classical_samples"),
     ("classical_periods = 100000\nclassical_nu_factor = 5.3\n",
