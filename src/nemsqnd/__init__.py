@@ -5,7 +5,10 @@ plate's phonon number shifts the inter-resonator exchange rate, which a
 driven probe converts into a photocurrent and, run coherently, into
 three-body entangled states.  The package covers the classical circuit
 model, the dispersive readout chain, the analytic entangled-layer
-construction and a dense Fock-space oracle used to cross-check all of it.
+construction and a brute-force Fock-space oracle used to cross-check all
+of it.  The oracle evolves its truncated state photon-number sector by
+sector (``entanglement.exchange_evolve``); the dense operator algebra it
+is tested against is not part of the package.
 """
 
 from .circuit import (
@@ -55,21 +58,11 @@ from .errors import (
 )
 from .fock import (
     DensityMatrix,
-    Operator,
     StateVector,
     TruncatedSpace,
-    annihilation,
-    basis_state,
-    coherent_state,
-    creation,
-    evolve,
-    fidelity,
     linear_entropy,
     min_fock_dim,
-    number,
-    partial_trace,
     poisson_tail,
-    product_state,
     reduced_density,
 )
 from .readout import (
@@ -106,7 +99,6 @@ __all__ = [
     "EstimationError",
     "IntegrationError",
     "MeanTrace",
-    "Operator",
     "OracleComparison",
     "PhononDistribution",
     "PhysicalCircuitParams",
@@ -123,24 +115,18 @@ __all__ = [
     "TwoModeTrace",
     "VerificationFailure",
     "adiabatic_elimination_error",
-    "annihilation",
-    "basis_state",
     "branch_amplitudes",
     "brute_force_compare",
     "brute_force_entropies",
     "cat_state_check",
     "circuit_energy",
-    "coherent_state",
     "conditioned_state",
-    "creation",
     "default_config_text",
     "effective_params",
     "entropy_series",
     "equilibrium_capacitance",
     "estimate_dominant_frequency",
-    "evolve",
     "exchange_evolve",
-    "fidelity",
     "full_two_mode_mean_dynamics",
     "initial_product_state",
     "integrate_mean_qsde",
@@ -150,11 +136,8 @@ __all__ = [
     "mean_amplitude",
     "mean_photocurrent",
     "min_fock_dim",
-    "number",
     "parse_config_text",
-    "partial_trace",
     "poisson_tail",
-    "product_state",
     "reduced_density",
     "run_all",
     "separability_check_12",

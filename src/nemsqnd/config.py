@@ -73,9 +73,10 @@ class RunConfig:
     """Parsed and validated configuration; one field per config key.
 
     The field list is the config schema: each field's default is the
-    key's default, the default's type picks the parser, float fields
-    must be finite, fields made with ``_positive`` must be strictly
-    positive and those made with ``_within`` must lie in their range.
+    key's default, the default's type picks the parser, bool and int
+    fields must hold a value of exactly that type, float fields must be
+    finite, fields made with ``_positive`` must be strictly positive and
+    those made with ``_within`` must lie in their range.
     """
 
     # circuit, SI units
@@ -132,7 +133,13 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if type(f.default) is bool and not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be a boolean")
+            if type(f.default) is int and (not isinstance(value, int)
+                                           or isinstance(value, bool)):
+                raise ConfigError(f"{f.name} must be an integer")
+            if type(f.default) is float and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite")
         for f in fields(self):
             if f.metadata.get("positive") and not getattr(self, f.name) > 0:

@@ -54,11 +54,15 @@ from .fock import (
     reduced_density,
 )
 
-#: default cap on |alpha|; keeps the automatic term counts in the tens
+#: cap on |alpha|; keeps the automatic term counts in the tens
 ALPHA_CAP = 6.0
 
 #: hard ceiling for the automatic term-count growth
 TERM_CAP = 512
+
+#: Poisson tail mass a truncated coherent mode may discard, on the
+#: analytic layer sums and on every oracle cutoff alike
+TAIL_TOL = 1e-12
 
 #: largest configurable oracle cutoff; rho_12 at (66^2)^2 is ~1.9e7 entries
 ORACLE_DIM_CAP = 60
@@ -75,7 +79,6 @@ class CoherentTriple:
     alpha: complex
     beta: complex
     gamma: complex
-    alpha_cap: float = ALPHA_CAP
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
@@ -83,9 +86,9 @@ class CoherentTriple:
             if not (math.isfinite(val.real) and math.isfinite(val.imag)):
                 raise ValueError(f"{name} must be finite, got {val!r}")
             object.__setattr__(self, name, val)
-        if abs(self.alpha) > self.alpha_cap:
+        if abs(self.alpha) > ALPHA_CAP:
             raise ValueError(
-                f"|alpha| = {abs(self.alpha):.3f} exceeds the cap {self.alpha_cap}; "
+                f"|alpha| = {abs(self.alpha):.3f} exceeds the cap {ALPHA_CAP}; "
                 "larger mechanical amplitudes need more than the intended "
                 "tens of phonon layers"
             )
@@ -187,29 +190,27 @@ def _poisson_coefficients(alpha: complex, n_terms: int) -> np.ndarray:
     return np.exp(log_c)
 
 
-def required_terms(alpha: complex, tail_tol: float = 1e-12,
-                   cap: int = TERM_CAP) -> int:
-    """Smallest layer count keeping the Poisson tail of alpha at or below tail_tol."""
+def required_terms(alpha: complex) -> int:
+    """Smallest layer count keeping the Poisson tail of alpha at most ``TAIL_TOL``."""
     try:
-        return min_fock_dim(alpha, tail_tol, cap=cap)
+        return min_fock_dim(alpha, TAIL_TOL, cap=TERM_CAP)
     except TruncationError:
         raise TruncationError(
-            f"more than {cap} layers needed for tail {tail_tol} at "
+            f"more than {TERM_CAP} layers needed for tail {TAIL_TOL} at "
             f"alpha = {alpha}",
-            required_dim=cap,
+            required_dim=TERM_CAP,
         ) from None
 
 
 def conditioned_state(triple: CoherentTriple, theta_t: float,
-                      n_terms: int | None = None,
-                      tail_tol: float = 1e-12) -> ConditionedState:
+                      n_terms: int | None = None) -> ConditionedState:
     """Evaluate the layer decomposition at dimensionless phase ``theta_t``.
 
     ``n_terms`` is a floor: the count is raised automatically until the
-    discarded Poisson tail is at most ``tail_tol``, and the call fails
+    discarded Poisson tail is at most ``TAIL_TOL``, and the call fails
     with a truncation error only if that would exceed the hard cap.
     """
-    needed = required_terms(triple.alpha, tail_tol)
+    needed = required_terms(triple.alpha)
     n = max(needed, 0 if n_terms is None else int(n_terms))
     if n > TERM_CAP:
         raise TruncationError(
@@ -240,16 +241,13 @@ def linear_entropies(state: ConditionedState) -> EntropyReport:
     )
 
 
-def entropy_series(triple: CoherentTriple, theta_ts,
-                   n_terms: int | None = None, tail_tol: float = 1e-12):
+def entropy_series(triple: CoherentTriple, theta_ts, n_terms: int | None = None):
     """Entropies along a grid of phases; returns (E_N|12, E_1|N2, E_2|N1, tail_bound)."""
     theta_ts = np.asarray(theta_ts, dtype=float)
     out = np.empty((3, theta_ts.size))
     bound = 0.0
     for i, tt in enumerate(theta_ts):
-        rep = linear_entropies(
-            conditioned_state(triple, float(tt), n_terms, tail_tol)
-        )
+        rep = linear_entropies(conditioned_state(triple, float(tt), n_terms))
         out[:, i] = rep.as_tuple()
         bound = max(bound, rep.tail_bound)
     return out[0], out[1], out[2], bound
@@ -287,18 +285,20 @@ def oracle_space(dims: tuple[int, int, int]) -> TruncatedSpace:
     return TruncatedSpace((d_n, d_1, d_2), _TRIPLE_LABELS, ORACLE_BYTE_BUDGET // 16)
 
 
-def initial_product_state(triple: CoherentTriple, space: TruncatedSpace,
-                          tail_tol: float = 1e-12) -> StateVector:
-    """Truncated ``|alpha>|beta>|gamma>`` on ``space``, tail-checked per mode."""
+def initial_product_state(triple: CoherentTriple, space: TruncatedSpace) -> StateVector:
+    """Truncated ``|alpha>|beta>|gamma>`` on ``space``, tail-checked per mode.
+
+    Each mode's discarded Poisson tail must be at most ``TAIL_TOL``.
+    """
     vecs = []
     for amp, dim, name in zip((triple.alpha, triple.beta, triple.gamma),
                               space.dims, _TRIPLE_LABELS):
         tail = poisson_tail(abs(amp) ** 2, dim)
-        if tail > tail_tol:
+        if tail > TAIL_TOL:
             raise TruncationError(
                 f"mode {name}: cutoff {dim} leaves tail {tail:.3e} for "
                 f"amplitude {amp}",
-                required_dim=min_fock_dim(amp, tail_tol),
+                required_dim=min_fock_dim(amp, TAIL_TOL),
             )
         v, _ = coherent_vector(amp, dim)
         vecs.append(v)
@@ -334,14 +334,13 @@ def exchange_evolve(psi: StateVector, theta_t: float,
 
 def brute_force_entropies(triple: CoherentTriple, theta_t: float,
                           dims: tuple[int, int, int] = (30, 30, 30),
-                          theta0_t: float = 0.0,
-                          tail_tol: float = 1e-12):
+                          theta0_t: float = 0.0):
     """Partial-trace linear entropies from exact truncated evolution.
 
     Returns ``(E_N|12, E_1|N2, E_2|N1, psi_t)``.
     """
     space = oracle_space(dims)
-    psi = initial_product_state(triple, space, tail_tol)
+    psi = initial_product_state(triple, space)
     psi_t = exchange_evolve(psi, theta_t, theta0_t)
     e = [linear_entropy(reduced_density(psi_t, keep))
          for keep in (("N",), ("TLR1",), ("TLR2",))]
@@ -374,8 +373,7 @@ class OracleComparison:
 
 def brute_force_compare(triple: CoherentTriple, theta_t: float,
                         dims: tuple[int, int, int] = (30, 30, 30),
-                        theta0_t: float = 0.0,
-                        tail_tol: float = 1e-12) -> OracleComparison:
+                        theta0_t: float = 0.0) -> OracleComparison:
     """Analytic entropies against the brute-force oracle at one phase point.
 
     The analytic side always uses the theta0-free branch solution.
@@ -384,10 +382,8 @@ def brute_force_compare(triple: CoherentTriple, theta_t: float,
     resonators internally: E_N|12 must be unchanged while the two
     single-resonator entropies may move.
     """
-    b_n12, b_1n2, b_2n1, _ = brute_force_entropies(
-        triple, theta_t, dims, theta0_t, tail_tol
-    )
-    analytic = linear_entropies(conditioned_state(triple, theta_t, tail_tol=tail_tol))
+    b_n12, b_1n2, b_2n1, _ = brute_force_entropies(triple, theta_t, dims, theta0_t)
+    analytic = linear_entropies(conditioned_state(triple, theta_t))
     return OracleComparison(
         analytic=analytic, brute_e_n_12=b_n12, brute_e_1_n2=b_1n2,
         brute_e_2_n1=b_2n1, theta_t=theta_t, theta0_t=theta0_t,
@@ -407,8 +403,7 @@ class SeparabilityReport:
 
 
 def separability_check_12(triple: CoherentTriple, theta_t: float,
-                          dims: tuple[int, int, int] = (30, 30, 30),
-                          tail_tol: float = 1e-12) -> SeparabilityReport:
+                          dims: tuple[int, int, int] = (30, 30, 30)) -> SeparabilityReport:
     """Compare brute-force rho_12 against the explicit separable mixture.
 
     Tracing the phonon mode out of the layer decomposition leaves
@@ -416,11 +411,11 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
     separable.  The brute-force reduced state must match it entrywise.
     """
     space = oracle_space(dims)
-    psi = initial_product_state(triple, space, tail_tol)
+    psi = initial_product_state(triple, space)
     psi_t = exchange_evolve(psi, theta_t)
     rho = reduced_density(psi_t, ("TLR1", "TLR2")).matrix
 
-    state = conditioned_state(triple, theta_t, tail_tol=tail_tol)
+    state = conditioned_state(triple, theta_t)
     branches = np.array([
         np.kron(coherent_vector(b_n, dims[1])[0], coherent_vector(g_n, dims[2])[0])
         for b_n, g_n in zip(state.beta_n, state.gamma_n)
@@ -466,15 +461,14 @@ def default_cat_dims(triple: CoherentTriple) -> tuple[int, int, int]:
     intensity |beta|^2 + |gamma|^2 pushes that error below the target
     tolerances with room to spare.
     """
-    d_n = max(30, min_fock_dim(triple.alpha, 1e-12))
+    d_n = max(30, min_fock_dim(triple.alpha, TAIL_TOL))
     joint = math.sqrt(abs(triple.beta) ** 2 + abs(triple.gamma) ** 2)
     d_r = max(30, min_fock_dim(joint, 1e-15) + 2)
     return (d_n, d_r, d_r)
 
 
 def cat_state_check(triple: CoherentTriple,
-                    dims: tuple[int, int, int] | None = None,
-                    tail_tol: float = 1e-12) -> CatStateReport:
+                    dims: tuple[int, int, int] | None = None) -> CatStateReport:
     """Verify the half-period cat structure of the mechanical mode.
 
     At mixing phase pi every odd phonon layer carries ``|-beta>|-gamma>``
@@ -501,7 +495,7 @@ def cat_state_check(triple: CoherentTriple,
     if dims is None:
         dims = default_cat_dims(triple)
     space = oracle_space(dims)
-    psi = initial_product_state(triple, space, tail_tol)
+    psi = initial_product_state(triple, space)
     psi_t = exchange_evolve(psi, math.pi)
     tensor = psi_t.vector.reshape(space.dims[0], -1)
 

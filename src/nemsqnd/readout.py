@@ -198,10 +198,9 @@ class TwoModeTrace:
     a2: np.ndarray
 
 
-def _solve_complex(rhs, t_span, y0, n_samples, rtol, atol, scale):
+def _solve_complex(rhs, t_span, y0, n_samples, rtol, scale):
     t_eval = np.linspace(t_span[0], t_span[1], n_samples)
-    if atol is None:
-        atol = rtol * max(scale, 1e-30) * 1e-2
+    atol = rtol * max(scale, 1e-30) * 1e-2
     sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
                     t_eval=t_eval)
     if not sol.success:
@@ -211,7 +210,7 @@ def _solve_complex(rhs, t_span, y0, n_samples, rtol, atol, scale):
 
 def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float],
                         a1_init: complex = 0j, n_samples: int = 200,
-                        rtol: float = 1e-10, atol: float | None = None) -> MeanTrace:
+                        rtol: float = 1e-10) -> MeanTrace:
     """Integrate the eliminated mean equation
 
         d<a1>/dt = -i theta alpha2 n_b - (Gamma + kappa1)/2 <a1>
@@ -234,17 +233,16 @@ def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float
 
     scale = max(abs(a1_init), abs(forcing) / max(halfdecay, 1e-300))
     sol = _solve_complex(rhs, t_span, [a1_init.real, a1_init.imag],
-                         n_samples, rtol, atol, scale)
+                         n_samples, rtol, scale)
     a1 = sol.y[0] + 1j * sol.y[1]
     return MeanTrace(sol.t, a1, current_from_amplitude(p, a1))
 
 
 def full_two_mode_mean_dynamics(p: ReadoutParams, n_b: float,
                                 t_span: tuple[float, float],
-                                a1_init: complex = 0j, a2_init: complex = 0j,
-                                n_samples: int = 200, rtol: float = 1e-10,
-                                atol: float | None = None) -> TwoModeTrace:
-    """Integrate the coupled mean equations of both resonators.
+                                n_samples: int = 200,
+                                rtol: float = 1e-10) -> TwoModeTrace:
+    """Integrate the coupled mean equations of both resonators from rest.
 
         d<a1>/dt = -i (theta0 + theta n_b) <a2> - (kappa1/2) <a1>
         d<a2>/dt = -i (theta0 + theta n_b) <a1> - iF - (kappa2/2) <a2>
@@ -268,10 +266,8 @@ def full_two_mode_mean_dynamics(p: ReadoutParams, n_b: float,
         da2 = -1j * g * a1 - 1j * F - k2h * a2
         return (da1.real, da1.imag, da2.real, da2.imag)
 
-    scale = max(abs(a1_init), abs(a2_init), abs(p.alpha2))
-    sol = _solve_complex(rhs, t_span,
-                         [a1_init.real, a1_init.imag, a2_init.real, a2_init.imag],
-                         n_samples, rtol, atol, scale)
+    sol = _solve_complex(rhs, t_span, [0.0, 0.0, 0.0, 0.0],
+                         n_samples, rtol, abs(p.alpha2))
     return TwoModeTrace(sol.t, sol.y[0] + 1j * sol.y[1], sol.y[2] + 1j * sol.y[3])
 
 
@@ -295,9 +291,7 @@ def stationary_two_mode(p: ReadoutParams, n_b: float) -> tuple[complex, complex]
 
 
 def adiabatic_elimination_error(p: ReadoutParams, n_b: float = 1.0,
-                                from_ode: bool = False,
-                                settle_factor: float = 80.0,
-                                rtol: float = 1e-12) -> float:
+                                from_ode: bool = False) -> float:
     """Relative error of the eliminated model's stationary phonon signal.
 
     The full model's stationary ``<a1>`` contains a phonon-independent
@@ -308,15 +302,16 @@ def adiabatic_elimination_error(p: ReadoutParams, n_b: float = 1.0,
         eliminated:  -2i alpha2 theta n_b / (Gamma + kappa1)
 
     and returns |full - eliminated| / |eliminated|.  With ``from_ode``
-    the full-model values come from long integrations of the coupled
-    mean equations instead of the algebraic fixed point.
+    the full-model values come from integrations of the coupled mean
+    equations over 80 of the slower decay times, at rtol 1e-12, instead
+    of the algebraic fixed point.
     """
     if n_b <= 0:
         raise ValueError("n_b must be positive to carry a signal")
     if from_ode:
-        t_end = settle_factor / min(p.kappa1, p.kappa2)
-        on = full_two_mode_mean_dynamics(p, n_b, (0.0, t_end), n_samples=3, rtol=rtol)
-        off = full_two_mode_mean_dynamics(p, 0.0, (0.0, t_end), n_samples=3, rtol=rtol)
+        t_end = 80.0 / min(p.kappa1, p.kappa2)
+        on = full_two_mode_mean_dynamics(p, n_b, (0.0, t_end), n_samples=3, rtol=1e-12)
+        off = full_two_mode_mean_dynamics(p, 0.0, (0.0, t_end), n_samples=3, rtol=1e-12)
         full = on.a1[-1] - off.a1[-1]
     else:
         full = stationary_two_mode(p, n_b)[0] - stationary_two_mode(p, 0.0)[0]
@@ -362,19 +357,19 @@ class PhononDistribution:
         return cls(pr)
 
     @classmethod
-    def poisson(cls, mean: float, tail_tol: float = 1e-13) -> "PhononDistribution":
+    def poisson(cls, mean: float) -> "PhononDistribution":
         """Poisson phonon statistics, truncated and renormalized.
 
-        The cutoff is chosen so the discarded tail is at most
-        ``tail_tol``, keeping mean and variance of the truncated
-        distribution within ~tail_tol of the exact values.
+        The cutoff is chosen so the discarded tail is at most 1e-13,
+        keeping mean and variance of the truncated distribution within
+        ~1e-13 of the exact values.
         """
         if mean < 0:
             raise ValueError("mean must be nonnegative")
         if mean == 0:
             return cls(np.array([1.0]))
         size = 2
-        while poisson_tail(mean, size) > tail_tol:
+        while poisson_tail(mean, size) > 1e-13:
             size += 1
             if size > 100000:
                 raise ValueError("Poisson cutoff search diverged")

@@ -207,13 +207,26 @@ def check_entropy_oracle(cfg: RunConfig) -> CheckResult:
 
 
 def check_cat_fidelity(cfg: RunConfig) -> CheckResult:
-    """Half-period conditional states against the even/odd superpositions."""
-    report = cat_state_check(cfg.triple())
-    residuals = [1.0 - report.even_fidelity,
+    """Half-period conditional states against the even/odd superpositions.
+
+    The projection products ``|beta, gamma>`` and ``|-beta, -gamma>``
+    overlap by ``ov = exp(-2|beta|^2 - 2|gamma|^2)``, so each conditional
+    state carries an ``ov^2`` admixture of the other cat.  With the
+    even/odd cat weights ``P+- = (1 +- exp(-2|alpha|^2)) / 2`` (Dodonov,
+    Malkin & Man'ko, Physica 72, 597 (1974)) the exact fidelities are
+    ``P+ / (P+ + P- ov^2)`` and ``P- / (P- + P+ ov^2)``; the brute-force
+    fidelities are judged against those, not against 1.
+    """
+    triple = cfg.triple()
+    report = cat_state_check(triple)
+    exp_term = math.exp(-2.0 * abs(triple.alpha) ** 2)
+    p_even, p_odd = 0.5 * (1.0 + exp_term), 0.5 * (1.0 - exp_term)
+    ov2 = math.exp(-4.0 * (abs(triple.beta) ** 2 + abs(triple.gamma) ** 2))
+    residuals = [abs(report.even_fidelity - p_even / (p_even + p_odd * ov2)),
                  abs(1.0 - report.reassembled_norm),
                  1.0 - report.reassembly_fidelity]
     if report.odd_fidelity is not None:
-        residuals.append(1.0 - report.odd_fidelity)
+        residuals.append(abs(report.odd_fidelity - p_odd / (p_odd + p_even * ov2)))
     residual = max(residuals)
     return CheckResult(
         name="cat_fidelity",

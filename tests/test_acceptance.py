@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from dense_reference import Operator, annihilation, creation, evolve
 
 from nemsqnd.circuit import (
     ClassicalCircuitConfig,
@@ -32,12 +33,8 @@ from nemsqnd.entanglement import (
     separability_check_12,
 )
 from nemsqnd.fock import (
-    Operator,
     StateVector,
     TruncatedSpace,
-    annihilation,
-    creation,
-    evolve,
     linear_entropy,
     reduced_density,
 )

@@ -156,6 +156,21 @@ def test_dataclass_rejects_non_finite_floats():
                 RunConfig(**{f.name: value})
 
 
+def test_dataclass_rejects_mistyped_values():
+    """Built directly, RunConfig refuses a bool or int field of another
+    type, before any range check can compare or allocate with it."""
+    for f in fields(RunConfig):
+        kind = type(f.default)
+        if kind is bool:
+            for value in ("false", 0, 1.0, None):
+                with pytest.raises(ConfigError, match=f"^{f.name} must be a boolean$"):
+                    RunConfig(**{f.name: value})
+        elif kind is int:
+            for value in (float(f.default), f.default + 0.5, str(f.default), True, None):
+                with pytest.raises(ConfigError, match=f"^{f.name} must be an integer$"):
+                    RunConfig(**{f.name: value})
+
+
 def test_dataclass_bounds_grid_sizes():
     """Built directly, RunConfig bounds every grid size and the number of
     drive periods of the classical run, each at its upper end inclusive."""
@@ -287,6 +302,17 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
         assert check["passed"] is True
         assert 0.0 <= check["residual"] < check["tolerance"]
         assert isinstance(check["detail"], str) and check["detail"]
+
+
+@pytest.mark.parametrize("amplitudes", [(1.5, 1.5, 1.5), (1.0, 1.2, 1.1)])
+def test_verify_passes_off_the_default_amplitudes(tmp_path, capsys, amplitudes):
+    """Where the cat branches still overlap visibly, the cat check judges the
+    exact overlapping-branch fidelities and every check passes."""
+    conf = tmp_path / "amplitudes.conf"
+    conf.write_text("".join(f"{name}_re = {value}\n" for name, value
+                            in zip(("alpha", "beta", "gamma"), amplitudes)))
+    assert main(["verify", "--config", str(conf), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.count("[ ok ]") == 6
 
 
 def test_verify_catches_tampered_physics(tmp_path, capsys):

@@ -5,7 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from dense_reference import annihilation, embed, evolve, number
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nemsqnd.entanglement import (
@@ -27,14 +28,7 @@ from nemsqnd.entanglement import (
     transmittance,
 )
 from nemsqnd.errors import ConditioningError, TruncationError
-from nemsqnd.fock import (
-    StateVector,
-    TruncatedSpace,
-    annihilation,
-    embed,
-    evolve,
-    number,
-)
+from nemsqnd.fock import StateVector, TruncatedSpace
 
 amplitudes = st.complex_numbers(max_magnitude=2.5, allow_nan=False,
                                 allow_infinity=False)
@@ -111,7 +105,6 @@ def test_transmittance_values():
 def test_triple_validation():
     with pytest.raises(ValueError, match="cap"):
         CoherentTriple(6.5, 1.0, 1.0)
-    CoherentTriple(6.5, 1.0, 1.0, alpha_cap=7.0)  # explicit opt-out
     with pytest.raises(ValueError, match="finite"):
         CoherentTriple(math.nan, 1.0, 1.0)
 
@@ -143,8 +136,8 @@ def test_term_count_is_a_floor():
 
 def test_term_caps():
     assert required_terms(0.0) == 2
-    with pytest.raises(TruncationError, match="layers"):
-        required_terms(6.0, 1e-12, cap=10)
+    with pytest.raises(TruncationError, match=f"more than {TERM_CAP} layers"):
+        required_terms(30.0)
     with pytest.raises(TruncationError, match="cap"):
         conditioned_state(triple(), 0.5, n_terms=TERM_CAP + 1)
 
@@ -281,9 +274,8 @@ def test_exchange_evolve_agrees_with_dense_propagator(d_n, d_1, d_2, theta_t,
 
 
 def test_exchange_evolve_norm_at_large_phase():
-    space = oracle_space((6, 8, 8))
-    psi = initial_product_state(CoherentTriple(0.6, 0.7, 0.5), space,
-                                tail_tol=1e-3)
+    space = oracle_space((12, 14, 14))
+    psi = initial_product_state(CoherentTriple(0.6, 0.7, 0.5), space)
     out = exchange_evolve(psi, 1e3)
     assert abs(np.linalg.norm(out.vector) - 1.0) <= 1e-10
 
@@ -376,6 +368,32 @@ def test_cat_cross_talk_dies_at_large_amplitude():
     assert report.even_fidelity == pytest.approx(1.0, abs=1e-10)
     assert report.odd_fidelity == pytest.approx(1.0, abs=1e-10)
     assert report.reassembly_fidelity == pytest.approx(1.0, abs=1e-10)
+
+
+def _polar(modulus, phase):
+    return modulus * complex(math.cos(phase), math.sin(phase))
+
+
+moduli = st.floats(0.0, 2.0)
+phases = st.floats(0.0, 2.0 * math.pi)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(moduli, phases, moduli, phases, moduli, phases)
+@example(1.5, 0.0, 1.5, 0.0, 1.5, 0.0)
+@example(1.0, 0.0, 1.2, 0.0, 1.1, 0.0)
+def test_cat_fidelities_match_the_overlapping_branch_forms(ra, pa, rb, pb, rg, pg):
+    """Wherever the overlap guard admits the resonator amplitudes, the
+    conditional-state fidelities are the even/odd cat weights diluted by
+    the squared branch overlap, not 1."""
+    ov = math.exp(-2.0 * (rb**2 + rg**2))  # <beta|-beta><gamma|-gamma>
+    assume(ov <= 1e-2)
+    report = cat_state_check(CoherentTriple(_polar(ra, pa), _polar(rb, pb), _polar(rg, pg)))
+    even = 0.5 * (1.0 + math.exp(-2.0 * ra**2))
+    odd = 0.5 * (1.0 - math.exp(-2.0 * ra**2))
+    assert abs(report.even_fidelity - even / (even + odd * ov**2)) <= 1e-12
+    if report.odd_fidelity is not None:
+        assert abs(report.odd_fidelity - odd / (odd + even * ov**2)) <= 1e-12
 
 
 def test_cat_with_vacuum_mechanics_has_no_odd_branch():

@@ -2,29 +2,31 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-
-from nemsqnd.errors import TruncationError
-from nemsqnd.fock import (
-    DensityMatrix,
+from dense_reference import (
     Operator,
-    StateVector,
-    TruncatedSpace,
     annihilation,
     basis_state,
     coherent_state,
-    coherent_vector,
     creation,
     embed,
     evolve,
     fidelity,
     identity,
-    linear_entropy,
-    min_fock_dim,
     number,
     partial_trace,
-    poisson_tail,
     product_state,
+)
+from hypothesis import given, settings, strategies as st
+
+from nemsqnd.errors import TruncationError
+from nemsqnd.fock import (
+    DensityMatrix,
+    StateVector,
+    TruncatedSpace,
+    coherent_vector,
+    linear_entropy,
+    min_fock_dim,
+    poisson_tail,
     reduced_density,
 )
 
