@@ -31,10 +31,8 @@ from .entanglement import (
     CoherentTriple,
     ConditionedState,
     EntropyReport,
-    OracleComparison,
     SeparabilityReport,
     branch_amplitudes,
-    brute_force_compare,
     brute_force_entropies,
     cat_state_check,
     conditioned_state,
@@ -42,6 +40,7 @@ from .entanglement import (
     exchange_evolve,
     initial_product_state,
     linear_entropies,
+    oracle_dims,
     separability_check_12,
     transmittance,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "EstimationError",
     "IntegrationError",
     "MeanTrace",
-    "OracleComparison",
     "PhononDistribution",
     "PhysicalCircuitParams",
     "ReadoutParams",
@@ -116,7 +114,6 @@ __all__ = [
     "VerificationFailure",
     "adiabatic_elimination_error",
     "branch_amplitudes",
-    "brute_force_compare",
     "brute_force_entropies",
     "cat_state_check",
     "circuit_energy",
@@ -136,6 +133,7 @@ __all__ = [
     "mean_amplitude",
     "mean_photocurrent",
     "min_fock_dim",
+    "oracle_dims",
     "parse_config_text",
     "poisson_tail",
     "reduced_density",

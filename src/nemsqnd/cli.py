@@ -25,7 +25,7 @@ import numpy as np
 
 from .circuit import estimate_dominant_frequency, simulate_classical_circuit
 from .config import RunConfig, default_config_text, load_config
-from .entanglement import cat_state_check, entropy_series
+from .entanglement import cat_state_check, entropy_series, oracle_dims
 from .errors import ConfigError, SimulationError, VerificationFailure
 from .readout import integrate_mean_qsde, mean_photocurrent
 from .verify import classical_scenario, run_all
@@ -174,7 +174,8 @@ def cmd_entropy(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def cmd_cat(cfg: RunConfig, out: Path, strict: bool) -> int:
-    report = cat_state_check(cfg.triple())
+    triple = cfg.triple()
+    report = cat_state_check(triple, oracle_dims(triple, cfg.oracle_dim))
     odd = math.nan if report.odd_fidelity is None else report.odd_fidelity
     _write_csv(
         out / "cat_report.csv",

@@ -74,9 +74,10 @@ class RunConfig:
 
     The field list is the config schema: each field's default is the
     key's default, the default's type picks the parser, bool and int
-    fields must hold a value of exactly that type, float fields must be
-    finite, fields made with ``_positive`` must be strictly positive and
-    those made with ``_within`` must lie in their range.
+    fields must hold a value of exactly that type, float fields a finite
+    int or float that is not a bool, fields made with ``_positive`` must
+    be strictly positive and those made with ``_within`` must lie in
+    their range.
     """
 
     # circuit, SI units
@@ -139,8 +140,11 @@ class RunConfig:
             if type(f.default) is int and (not isinstance(value, int)
                                            or isinstance(value, bool)):
                 raise ConfigError(f"{f.name} must be an integer")
-            if type(f.default) is float and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite")
+            if type(f.default) is float:
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise ConfigError(f"{f.name} must be a number")
+                if not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be finite")
         for f in fields(self):
             if f.metadata.get("positive") and not getattr(self, f.name) > 0:
                 raise ConfigError(f"{f.name} must be positive")

@@ -19,7 +19,8 @@ The analytic side drops the ``theta0`` part of the angle (``phi_n = n
 theta t``): it rotates the two resonators identically in every phonon
 layer, so it cannot entangle them with the mechanics, and dropping it
 matches the analytic object the entropies are quoted for.  The
-brute-force comparator accepts it back as an explicit opt-in.
+brute-force entropies of ``brute_force_entropies`` accept it back as an
+explicit opt-in.
 
 The three bipartite linear entropies of the pure tripartite state are
 closed double sums over branch overlaps; with ``p_n = |C_n|^2``:
@@ -64,11 +65,12 @@ TERM_CAP = 512
 #: analytic layer sums and on every oracle cutoff alike
 TAIL_TOL = 1e-12
 
-#: largest configurable oracle cutoff; rho_12 at (66^2)^2 is ~1.9e7 entries
+#: largest configurable floor of the oracle cutoffs (``oracle_dims``)
 ORACLE_DIM_CAP = 60
 
-#: bytes the dense resonator-pair state rho_12 of an oracle space may
-#: take; 512 MiB admits the (60, 66, 66) space of ``ORACLE_DIM_CAP``
+#: bytes one dense matrix on the resonator pair of an oracle space may
+#: take (the rho_12 - mixture difference of ``separability_check_12``);
+#: 512 MiB admits resonator cutoffs up to 76, above the cap's 60
 ORACLE_BYTE_BUDGET = 2**29
 
 
@@ -267,20 +269,38 @@ def entropy_series(triple: CoherentTriple, theta_ts, n_terms: int | None = None)
 # coherent-branch structure has to come out of the numerics, not in.
 
 
+def oracle_dims(triple: CoherentTriple, floor: int) -> tuple[int, int, int]:
+    """Cutoffs ``(d_N, d_1, d_2)`` of every brute-force check of ``triple``.
+
+    The phonon cutoff keeps the Poisson tail of alpha at ``TAIL_TOL``.
+    The exchange coupling conserves the total resonator photon number,
+    so reflection artifacts appear only in sectors whose ladder is cut
+    off; both resonator cutoffs are sized by the tail of the *joint*
+    intensity |beta|^2 + |gamma|^2, which pushes that error well below
+    the check tolerances.  ``floor`` bounds every cutoff from below.
+    """
+    d_n = max(floor, min_fock_dim(triple.alpha, TAIL_TOL))
+    joint = math.sqrt(abs(triple.beta) ** 2 + abs(triple.gamma) ** 2)
+    d_r = max(floor, min_fock_dim(joint, 1e-15) + 2)
+    return (d_n, d_r, d_r)
+
+
 def oracle_space(dims: tuple[int, int, int]) -> TruncatedSpace:
     """Three-mode space sized for the brute-force checks.
 
     Its allocation cap is the fixed ``ORACLE_BYTE_BUDGET`` in complex
-    entries, room for the dense resonator-pair state rho_12 of
-    ``separability_check_12``.  Cutoffs whose rho_12 would not fit are
-    refused with ``ValueError`` before anything is allocated.
+    entries, room for one dense matrix on the resonator pair (the
+    rho_12 - mixture difference of ``separability_check_12``).  Cutoffs
+    whose pair matrix would not fit are refused with ``ValueError``
+    before anything is allocated.
     """
     d_n, d_1, d_2 = (int(d) for d in dims)
-    rho12_bytes = 16 * (d_1 * d_2) ** 2
-    if rho12_bytes > ORACLE_BYTE_BUDGET:
+    pair_bytes = 16 * (d_1 * d_2) ** 2
+    if pair_bytes > ORACLE_BYTE_BUDGET:
         raise ValueError(
-            f"cutoffs {(d_n, d_1, d_2)}: rho_12 would take {rho12_bytes:.3e} bytes, "
-            f"above the oracle budget of {ORACLE_BYTE_BUDGET} bytes"
+            f"cutoffs {(d_n, d_1, d_2)}: a resonator-pair matrix would take "
+            f"{pair_bytes:.3e} bytes, above the oracle budget of "
+            f"{ORACLE_BYTE_BUDGET} bytes"
         )
     return TruncatedSpace((d_n, d_1, d_2), _TRIPLE_LABELS, ORACLE_BYTE_BUDGET // 16)
 
@@ -333,62 +353,18 @@ def exchange_evolve(psi: StateVector, theta_t: float,
 
 
 def brute_force_entropies(triple: CoherentTriple, theta_t: float,
-                          dims: tuple[int, int, int] = (30, 30, 30),
-                          theta0_t: float = 0.0):
+                          dims: tuple[int, int, int], theta0_t: float = 0.0):
     """Partial-trace linear entropies from exact truncated evolution.
 
-    Returns ``(E_N|12, E_1|N2, E_2|N1, psi_t)``.
+    Returns ``(E_N|12, E_1|N2, E_2|N1)``.  The analytic entropies drop
+    the theta0 rotation; passing ``theta0_t != 0`` here probes the claim
+    that it only mixes the two resonators internally: E_N|12 must be
+    unchanged while the two single-resonator entropies may move.
     """
     space = oracle_space(dims)
-    psi = initial_product_state(triple, space)
-    psi_t = exchange_evolve(psi, theta_t, theta0_t)
-    e = [linear_entropy(reduced_density(psi_t, keep))
-         for keep in (("N",), ("TLR1",), ("TLR2",))]
-    return e[0], e[1], e[2], psi_t
-
-
-@dataclass(frozen=True)
-class OracleComparison:
-    analytic: EntropyReport
-    brute_e_n_12: float
-    brute_e_1_n2: float
-    brute_e_2_n1: float
-    theta_t: float
-    theta0_t: float
-    dims: tuple[int, int, int]
-
-    @property
-    def discrepancies(self) -> tuple[float, float, float]:
-        a = self.analytic
-        return (
-            abs(a.e_n_12 - self.brute_e_n_12),
-            abs(a.e_1_n2 - self.brute_e_1_n2),
-            abs(a.e_2_n1 - self.brute_e_2_n1),
-        )
-
-    @property
-    def max_discrepancy(self) -> float:
-        return max(self.discrepancies)
-
-
-def brute_force_compare(triple: CoherentTriple, theta_t: float,
-                        dims: tuple[int, int, int] = (30, 30, 30),
-                        theta0_t: float = 0.0) -> OracleComparison:
-    """Analytic entropies against the brute-force oracle at one phase point.
-
-    The analytic side always uses the theta0-free branch solution.
-    Passing ``theta0_t != 0`` to the brute-force side therefore probes
-    the claim that the phonon-independent rotation only mixes the two
-    resonators internally: E_N|12 must be unchanged while the two
-    single-resonator entropies may move.
-    """
-    b_n12, b_1n2, b_2n1, _ = brute_force_entropies(triple, theta_t, dims, theta0_t)
-    analytic = linear_entropies(conditioned_state(triple, theta_t))
-    return OracleComparison(
-        analytic=analytic, brute_e_n_12=b_n12, brute_e_1_n2=b_1n2,
-        brute_e_2_n1=b_2n1, theta_t=theta_t, theta0_t=theta0_t,
-        dims=tuple(int(d) for d in dims),
-    )
+    psi_t = exchange_evolve(initial_product_state(triple, space), theta_t, theta0_t)
+    return tuple(linear_entropy(reduced_density(psi_t, keep))
+                 for keep in (("N",), ("TLR1",), ("TLR2",)))
 
 
 # ---------------------------------------------------------------------------
@@ -403,27 +379,37 @@ class SeparabilityReport:
 
 
 def separability_check_12(triple: CoherentTriple, theta_t: float,
-                          dims: tuple[int, int, int] = (30, 30, 30)) -> SeparabilityReport:
+                          dims: tuple[int, int, int]) -> SeparabilityReport:
     """Compare brute-force rho_12 against the explicit separable mixture.
 
     Tracing the phonon mode out of the layer decomposition leaves
     ``sum_n |C_n|^2 |beta_n><beta_n| (x) |gamma_n><gamma_n|`` — manifestly
     separable.  The brute-force reduced state must match it entrywise.
+
+    Neither side is formed on its own.  With the evolved state's phonon
+    layers A (d_N x D, D = d_1 d_2) stacked over the branch vectors B,
+    ``rho_12 - mixture = G^T diag(1, ..., 1, -p_n) G^*``, one product.
+    rho_12 = A^T A^* shares its nonzero spectrum and trace with the
+    d_N x d_N Gram matrix A A^dagger (Schmidt decomposition), which is
+    the phonon state, so validating that as a density matrix checks the
+    trace and positivity of rho_12.
     """
     space = oracle_space(dims)
-    psi = initial_product_state(triple, space)
-    psi_t = exchange_evolve(psi, theta_t)
-    rho = reduced_density(psi_t, ("TLR1", "TLR2")).matrix
+    psi_t = exchange_evolve(initial_product_state(triple, space), theta_t)
+    reduced_density(psi_t, ("N",))  # raises unless rho_12 is a valid state
 
     state = conditioned_state(triple, theta_t)
+    p = np.abs(state.c_n) ** 2
     branches = np.array([
         np.kron(coherent_vector(b_n, dims[1])[0], coherent_vector(g_n, dims[2])[0])
         for b_n, g_n in zip(state.beta_n, state.gamma_n)
     ])
-    mixture = (branches.T * np.abs(state.c_n) ** 2) @ branches.conj()
+    g = np.vstack([psi_t.vector.reshape(dims[0], -1), branches])
+    sign = np.concatenate([np.ones(dims[0]), -p])
+    deviation = (g.T * sign) @ g.conj()
     return SeparabilityReport(
-        max_abs_deviation=float(np.max(np.abs(rho - mixture))),
-        mixture_trace=float(np.real(np.trace(mixture))),
+        max_abs_deviation=float(np.max(np.abs(deviation))),
+        mixture_trace=float(p @ np.sum(np.abs(branches) ** 2, axis=1)),
         dims=tuple(int(d) for d in dims),
     )
 
@@ -452,23 +438,8 @@ def _cat_vector(alpha: complex, dim: int, sign: int) -> np.ndarray | None:
     return v / nrm
 
 
-def default_cat_dims(triple: CoherentTriple) -> tuple[int, int, int]:
-    """Cutoffs that keep joint resonator sectors essentially exact.
-
-    The exchange coupling conserves the total resonator photon number,
-    so reflection artifacts appear only in sectors whose ladder is cut
-    off.  Sizing each resonator cutoff by the tail of the *combined*
-    intensity |beta|^2 + |gamma|^2 pushes that error below the target
-    tolerances with room to spare.
-    """
-    d_n = max(30, min_fock_dim(triple.alpha, TAIL_TOL))
-    joint = math.sqrt(abs(triple.beta) ** 2 + abs(triple.gamma) ** 2)
-    d_r = max(30, min_fock_dim(joint, 1e-15) + 2)
-    return (d_n, d_r, d_r)
-
-
 def cat_state_check(triple: CoherentTriple,
-                    dims: tuple[int, int, int] | None = None) -> CatStateReport:
+                    dims: tuple[int, int, int]) -> CatStateReport:
     """Verify the half-period cat structure of the mechanical mode.
 
     At mixing phase pi every odd phonon layer carries ``|-beta>|-gamma>``
@@ -492,8 +463,6 @@ def cat_state_check(triple: CoherentTriple,
             f"projection products overlap at {overlap:.3e} (guard 0.01); "
             "beta/gamma too small to separate the branches"
         )
-    if dims is None:
-        dims = default_cat_dims(triple)
     space = oracle_space(dims)
     psi = initial_product_state(triple, space)
     psi_t = exchange_evolve(psi, math.pi)

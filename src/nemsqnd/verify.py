@@ -27,6 +27,7 @@ from .entanglement import (
     cat_state_check,
     conditioned_state,
     linear_entropies,
+    oracle_dims,
     separability_check_12,
 )
 from .readout import ReadoutParams, adiabatic_elimination_error, integrate_mean_qsde, mean_photocurrent
@@ -185,24 +186,25 @@ def check_entropy_oracle(cfg: RunConfig) -> CheckResult:
     only; any value other than 1 is a deliberate mismatch and must trip
     this check (that property is itself under test elsewhere).
     """
-    dims = (cfg.oracle_dim,) * 3
     worst = 0.0
     worst_at = ""
     for a, b, g, theta_t in _ORACLE_POINTS:
         triple = CoherentTriple(a, b, g)
-        brute = brute_force_entropies(triple, theta_t, dims)[:3]
+        dims = oracle_dims(triple, cfg.oracle_dim)
+        brute = brute_force_entropies(triple, theta_t, dims)
         analytic = linear_entropies(
             conditioned_state(triple, theta_t * cfg.verify_theta_scale)
         )
         disc = max(abs(x - y) for x, y in zip(analytic.as_tuple(), brute))
         if disc > worst:
-            worst, worst_at = disc, f"(alpha={a}, beta={b}, gamma={g}, theta_t={theta_t:.3f})"
+            worst, worst_at = disc, (f"(alpha={a}, beta={b}, gamma={g}, "
+                                     f"theta_t={theta_t:.3f}), dims {dims}")
     return CheckResult(
         name="entropy_oracle",
         passed=worst <= cfg.tol_entropy_oracle,
         residual=worst,
         tolerance=cfg.tol_entropy_oracle,
-        detail=f"worst at {worst_at}, dims {dims}",
+        detail=f"worst at {worst_at}",
     )
 
 
@@ -218,15 +220,19 @@ def check_cat_fidelity(cfg: RunConfig) -> CheckResult:
     fidelities are judged against those, not against 1.
     """
     triple = cfg.triple()
-    report = cat_state_check(triple)
+    report = cat_state_check(triple, oracle_dims(triple, cfg.oracle_dim))
     exp_term = math.exp(-2.0 * abs(triple.alpha) ** 2)
     p_even, p_odd = 0.5 * (1.0 + exp_term), 0.5 * (1.0 - exp_term)
     ov2 = math.exp(-4.0 * (abs(triple.beta) ** 2 + abs(triple.gamma) ** 2))
-    residuals = [abs(report.even_fidelity - p_even / (p_even + p_odd * ov2)),
+    even_target = p_even / (p_even + p_odd * ov2)
+    odd_target = p_odd / (p_odd + p_even * ov2)
+    residuals = [abs(report.even_fidelity - even_target),
                  abs(1.0 - report.reassembled_norm),
                  1.0 - report.reassembly_fidelity]
+    odd = "n/a"
     if report.odd_fidelity is not None:
-        residuals.append(abs(report.odd_fidelity - p_odd / (p_odd + p_even * ov2)))
+        residuals.append(abs(report.odd_fidelity - odd_target))
+        odd = f"{report.odd_fidelity:.12f} (closed form {odd_target:.12f})"
     residual = max(residuals)
     return CheckResult(
         name="cat_fidelity",
@@ -234,18 +240,17 @@ def check_cat_fidelity(cfg: RunConfig) -> CheckResult:
         residual=residual,
         tolerance=cfg.tol_cat_fidelity,
         detail=(
-            f"even {report.even_fidelity:.12f}, odd "
-            + (f"{report.odd_fidelity:.12f}" if report.odd_fidelity is not None else "n/a")
-            + f", weights ({report.even_weight:.6f}, {report.odd_weight:.6f})"
-            + f", dims {report.dims}"
+            f"even {report.even_fidelity:.12f} (closed form {even_target:.12f}), odd {odd}"
+            f", weights ({report.even_weight:.6f}, {report.odd_weight:.6f})"
+            f", dims {report.dims}"
         ),
     )
 
 
 def check_separability(cfg: RunConfig) -> CheckResult:
     """Brute-force rho_12 against the explicit separable mixture."""
-    dims = (cfg.oracle_dim, cfg.oracle_dim + 6, cfg.oracle_dim + 6)
-    report = separability_check_12(cfg.triple(), math.pi / 2, dims)
+    triple = cfg.triple()
+    report = separability_check_12(triple, math.pi / 2, oracle_dims(triple, cfg.oracle_dim))
     return CheckResult(
         name="separability_12",
         passed=report.max_abs_deviation <= cfg.tol_separability,

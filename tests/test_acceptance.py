@@ -26,10 +26,11 @@ from nemsqnd.config import load_config
 from nemsqnd.entanglement import (
     CoherentTriple,
     branch_amplitudes,
-    brute_force_compare,
+    brute_force_entropies,
     cat_state_check,
     conditioned_state,
     linear_entropies,
+    oracle_dims,
     separability_check_12,
 )
 from nemsqnd.fock import (
@@ -137,10 +138,12 @@ def test_analytic_entropies_match_brute_force_grid():
     for alpha, beta, gamma in ORACLE_TRIPLES:
         triple = CoherentTriple(alpha, beta, gamma)
         for phase in ORACLE_PHASES:
-            comp = brute_force_compare(triple, phase, dims=(30, 30, 30))
-            worst = max(worst, comp.max_discrepancy)
-            assert comp.max_discrepancy <= 1e-6, (
-                f"oracle mismatch {comp.max_discrepancy:.3e} at "
+            brute = brute_force_entropies(triple, phase, dims=(30, 30, 30))
+            analytic = linear_entropies(conditioned_state(triple, phase)).as_tuple()
+            disc = max(abs(a - b) for a, b in zip(analytic, brute))
+            worst = max(worst, disc)
+            assert disc <= 1e-6, (
+                f"oracle mismatch {disc:.3e} at "
                 f"({alpha}, {beta}, {gamma}), phase {phase}"
             )
     assert worst > 0.0  # the comparison actually compared something
@@ -155,14 +158,15 @@ def test_cat_generation_and_pair_separability():
     t_start = time.perf_counter()
     triple = CoherentTriple(2.0, 2.0, 2.0)
 
-    report = cat_state_check(triple)
+    dims = oracle_dims(triple, 30)
+    report = cat_state_check(triple, dims)
     assert report.even_fidelity == pytest.approx(1.0, abs=1e-10)
     assert report.odd_fidelity == pytest.approx(1.0, abs=1e-10)
     assert report.reassembled_norm == pytest.approx(1.0, abs=1e-10)
     assert report.reassembly_fidelity == pytest.approx(1.0, abs=1e-10)
 
     for phase in (math.pi, math.pi / 2):
-        sep = separability_check_12(triple, phase, dims=(30, 36, 36))
+        sep = separability_check_12(triple, phase, dims)
         assert sep.max_abs_deviation <= 1e-8
         assert sep.mixture_trace == pytest.approx(1.0, abs=1e-8)
     assert time.perf_counter() - t_start < 60.0

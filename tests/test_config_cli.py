@@ -1,5 +1,6 @@
 """Config parsing/validation and the `sim` command-line surface."""
 
+import cmath
 import csv
 import json
 import math
@@ -157,8 +158,9 @@ def test_dataclass_rejects_non_finite_floats():
 
 
 def test_dataclass_rejects_mistyped_values():
-    """Built directly, RunConfig refuses a bool or int field of another
-    type, before any range check can compare or allocate with it."""
+    """Built directly, RunConfig refuses a bool, int or float field of
+    another type, before any finiteness or range check can compare or
+    allocate with it."""
     for f in fields(RunConfig):
         kind = type(f.default)
         if kind is bool:
@@ -168,6 +170,10 @@ def test_dataclass_rejects_mistyped_values():
         elif kind is int:
             for value in (float(f.default), f.default + 0.5, str(f.default), True, None):
                 with pytest.raises(ConfigError, match=f"^{f.name} must be an integer$"):
+                    RunConfig(**{f.name: value})
+        else:
+            for value in ("1e-6", None, True):
+                with pytest.raises(ConfigError, match=f"^{f.name} must be a number$"):
                     RunConfig(**{f.name: value})
 
 
@@ -304,13 +310,19 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
         assert isinstance(check["detail"], str) and check["detail"]
 
 
-@pytest.mark.parametrize("amplitudes", [(1.5, 1.5, 1.5), (1.0, 1.2, 1.1)])
+@pytest.mark.parametrize("amplitudes", [
+    (1.5, 1.5, 1.5), (1.0, 1.2, 1.1), (2.5, 2.0, 2.0),
+    (2.0, 2.5 * cmath.exp(0.7j), 1.5 * cmath.exp(-1.1j)),
+])
 def test_verify_passes_off_the_default_amplitudes(tmp_path, capsys, amplitudes):
     """Where the cat branches still overlap visibly, the cat check judges the
-    exact overlapping-branch fidelities and every check passes."""
+    exact overlapping-branch fidelities; with cutoffs derived from the
+    amplitudes, a larger phonon amplitude and a complex resonator pair pass
+    too."""
     conf = tmp_path / "amplitudes.conf"
-    conf.write_text("".join(f"{name}_re = {value}\n" for name, value
-                            in zip(("alpha", "beta", "gamma"), amplitudes)))
+    conf.write_text("".join(
+        f"{name}_re = {complex(value).real!r}\n{name}_im = {complex(value).imag!r}\n"
+        for name, value in zip(("alpha", "beta", "gamma"), amplitudes)))
     assert main(["verify", "--config", str(conf), "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.count("[ ok ]") == 6
 

@@ -5,30 +5,33 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import annihilation, embed, evolve, number
+from dense_reference import annihilation, embed, evolve, number, partial_trace
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from nemsqnd.config import RunConfig
 from nemsqnd.entanglement import (
     ORACLE_BYTE_BUDGET,
     ORACLE_DIM_CAP,
     TERM_CAP,
     CoherentTriple,
     branch_amplitudes,
-    brute_force_compare,
+    brute_force_entropies,
     cat_state_check,
     conditioned_state,
     entropy_series,
     exchange_evolve,
     initial_product_state,
     linear_entropies,
+    oracle_dims,
     oracle_space,
     required_terms,
     separability_check_12,
     transmittance,
 )
 from nemsqnd.errors import ConditioningError, TruncationError
-from nemsqnd.fock import StateVector, TruncatedSpace
+from nemsqnd.fock import DensityMatrix, StateVector, TruncatedSpace, coherent_vector
+from nemsqnd.verify import check_cat_fidelity, check_separability
 
 amplitudes = st.complex_numbers(max_magnitude=2.5, allow_nan=False,
                                 allow_infinity=False)
@@ -228,20 +231,25 @@ def test_entropy_series_matches_pointwise():
 # brute-force oracle
 
 
+def _oracle_discrepancies(t, theta_t, dims, theta0_t=0.0):
+    """|analytic - brute force| for E_N|12, E_1|N2 and E_2|N1; the analytic
+    side is always the theta0-free branch solution."""
+    brute = brute_force_entropies(t, theta_t, dims, theta0_t)
+    analytic = linear_entropies(conditioned_state(t, theta_t)).as_tuple()
+    return [abs(a - b) for a, b in zip(analytic, brute)]
+
+
 def test_analytic_entropies_match_exact_evolution():
-    comp = brute_force_compare(CoherentTriple(1.3, 1.0, 1.1), 0.9,
-                               dims=(24, 24, 24))
-    assert comp.max_discrepancy <= 1e-8
+    assert max(_oracle_discrepancies(CoherentTriple(1.3, 1.0, 1.1), 0.9,
+                                     dims=(24, 24, 24))) <= 1e-8
 
 
 def test_uniform_rotation_cannot_entangle_mechanics():
     """Sector-uniform mixing moves photons between the resonators but leaves
     the mechanics' entanglement with the pair untouched."""
     t = CoherentTriple(1.0, 1.0, 0.5)
-    plain = brute_force_compare(t, 0.8, dims=(20, 16, 16))
-    assert plain.max_discrepancy <= 1e-8
-    mixed = brute_force_compare(t, 0.8, dims=(20, 16, 16), theta0_t=0.6)
-    d_n12, d_1n2, d_2n1 = mixed.discrepancies
+    assert max(_oracle_discrepancies(t, 0.8, dims=(20, 16, 16))) <= 1e-8
+    d_n12, d_1n2, d_2n1 = _oracle_discrepancies(t, 0.8, dims=(20, 16, 16), theta0_t=0.6)
     assert d_n12 <= 1e-8
     assert d_1n2 > 1e-3 and d_2n1 > 1e-3
 
@@ -300,14 +308,14 @@ def test_initial_product_state_polices_tails():
 
 
 def test_oracle_space_allocates_for_pair_matrices():
-    space = oracle_space((30, 36, 36))
+    space = oracle_space(oracle_dims(triple(), 30))
     assert space.labels == ("N", "TLR1", "TLR2")
-    assert space.density_cap >= (36 * 36) ** 2
-    # large enough for rho_12 of the verify sizes without tripping the cap,
-    # up to the largest configurable cutoff
+    assert space.density_cap >= (42 * 42) ** 2
+    # large enough for a pair matrix at the default cutoffs without
+    # tripping the cap, up to the largest configurable floor
     space.subspace(("TLR1", "TLR2")).check_matrix_alloc()
     top = ORACLE_DIM_CAP
-    oracle_space((top, top + 6, top + 6)).subspace(("TLR1", "TLR2")).check_matrix_alloc()
+    oracle_space((top,) * 3).subspace(("TLR1", "TLR2")).check_matrix_alloc()
 
 
 def test_oracle_space_refuses_oversized_pairs():
@@ -333,6 +341,47 @@ def test_resonator_pair_is_separable():
                                 dims=(16, 20, 20))
     assert rep.max_abs_deviation <= 1e-10
     assert rep.mixture_trace == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("theta_t", [0.9, math.pi / 2])
+def test_gram_residual_matches_the_dense_pair_state(theta_t):
+    """The signed Gram product gives max|rho_12 - mixture| of the dense
+    route: rho_12 by a full partial trace, the mixture summed branch by
+    branch, at small unequal cutoffs."""
+    t = CoherentTriple(0.3, 0.35j, 0.25 - 0.1j)
+    dims = (8, 12, 13)  # residual ~1e-11, so a slip in the mixture weights shows
+    rep = separability_check_12(t, theta_t, dims)
+
+    space = oracle_space(dims)
+    psi = exchange_evolve(initial_product_state(t, space), theta_t).vector
+    rho_12 = partial_trace(DensityMatrix(space, np.outer(psi, psi.conj())),
+                           ("TLR1", "TLR2")).matrix
+    state = conditioned_state(t, theta_t)
+    mixture = np.zeros_like(rho_12)
+    for c_n, b_n, g_n in zip(state.c_n, state.beta_n, state.gamma_n):
+        v = np.kron(coherent_vector(b_n, dims[1])[0], coherent_vector(g_n, dims[2])[0])
+        mixture += abs(c_n) ** 2 * np.outer(v, v.conj())
+    assert rep.dims == dims
+    assert rep.max_abs_deviation == pytest.approx(
+        float(np.max(np.abs(rho_12 - mixture))), abs=1e-14)
+    assert rep.mixture_trace == pytest.approx(float(np.trace(mixture).real), abs=1e-14)
+
+
+def test_separability_check_allocates_no_dense_pair_state():
+    """At the default pair cutoffs (30, 42, 42) the check holds one D x D
+    difference matrix (D = 42^2) and its modulus, not rho_12, the mixture
+    and a spectrum of rho_12 besides."""
+    dims = oracle_dims(triple(), 30)
+    assert dims == (30, 42, 42)
+    pair = dims[1] * dims[2]
+    tracemalloc.start()
+    try:
+        rep = separability_check_12(triple(), math.pi / 2, dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.max_abs_deviation <= 1e-8
+    assert peak < 2 * pair**2 * 16
 
 
 def test_half_period_cat_structure():
@@ -363,7 +412,7 @@ def test_half_period_cat_structure():
 
 def test_cat_cross_talk_dies_at_large_amplitude():
     # at the standard operating point the branch overlap is e^{-16}: gone
-    report = cat_state_check(triple())
+    report = cat_state_check(triple(), oracle_dims(triple(), 30))
     assert report.dims[0] >= 30
     assert report.even_fidelity == pytest.approx(1.0, abs=1e-10)
     assert report.odd_fidelity == pytest.approx(1.0, abs=1e-10)
@@ -388,7 +437,8 @@ def test_cat_fidelities_match_the_overlapping_branch_forms(ra, pa, rb, pb, rg, p
     the squared branch overlap, not 1."""
     ov = math.exp(-2.0 * (rb**2 + rg**2))  # <beta|-beta><gamma|-gamma>
     assume(ov <= 1e-2)
-    report = cat_state_check(CoherentTriple(_polar(ra, pa), _polar(rb, pb), _polar(rg, pg)))
+    t = CoherentTriple(_polar(ra, pa), _polar(rb, pb), _polar(rg, pg))
+    report = cat_state_check(t, oracle_dims(t, 30))
     even = 0.5 * (1.0 + math.exp(-2.0 * ra**2))
     odd = 0.5 * (1.0 - math.exp(-2.0 * ra**2))
     assert abs(report.even_fidelity - even / (even + odd * ov**2)) <= 1e-12
@@ -406,4 +456,21 @@ def test_cat_with_vacuum_mechanics_has_no_odd_branch():
 
 def test_cat_check_rejects_degenerate_projections():
     with pytest.raises(ConditioningError, match="overlap"):
-        cat_state_check(CoherentTriple(1.0, 0.05, 0.0))
+        cat_state_check(CoherentTriple(1.0, 0.05, 0.0), (8, 8, 8))
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(st.floats(0.0, 3.0), phases, st.floats(0.0, 2.5), phases,
+       st.floats(0.0, 2.5), phases)
+def test_oracle_checks_pass_with_derived_cutoffs(ra, pa, rb, pb, rg, pg):
+    """With cutoffs from ``oracle_dims`` the cat and pair-separability checks
+    of ``sim verify`` pass for every |alpha| <= 3 and every resonator pair
+    the overlap guard admits, at the default tolerances."""
+    assume(math.exp(-2.0 * (rb**2 + rg**2)) <= 1e-2)
+    amplitudes = {}
+    for name, z in (("alpha", _polar(ra, pa)), ("beta", _polar(rb, pb)),
+                    ("gamma", _polar(rg, pg))):
+        amplitudes[f"{name}_re"], amplitudes[f"{name}_im"] = z.real, z.imag
+    cfg = RunConfig(**amplitudes)
+    for check in (check_cat_fidelity(cfg), check_separability(cfg)):
+        assert check.passed, (check.name, check.residual, check.detail)
