@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import EstimationError, IntegrationError
 
@@ -279,6 +278,7 @@ def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> Trajectory:
     IntegrationError
         If the integrator reports failure.
     """
+    from scipy.integrate import solve_ivp
     p = cfg.params
     if abs(cfg.x0) >= p.d:
         raise ValueError(

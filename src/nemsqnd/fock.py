@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import TruncationError
 
@@ -191,6 +190,7 @@ def poisson_tail(mean: float, kept: int) -> float:
     Evaluated through the regularized incomplete gamma function, which
     stays accurate where a naive ``1 - sum`` would round to zero.
     """
+    from scipy.special import gammainc
     if mean < 0:
         raise ValueError("mean must be nonnegative")
     if kept < 1:

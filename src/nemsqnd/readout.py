@@ -37,8 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import gammaln
 
 from .circuit import HBAR
 from .errors import IntegrationError, RegimeError, RegimeWarning
@@ -199,6 +197,7 @@ class TwoModeTrace:
 
 
 def _solve_complex(rhs, t_span, y0, n_samples, rtol, scale):
+    from scipy.integrate import solve_ivp
     t_eval = np.linspace(t_span[0], t_span[1], n_samples)
     atol = rtol * max(scale, 1e-30) * 1e-2
     sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
@@ -364,6 +363,7 @@ class PhononDistribution:
         keeping mean and variance of the truncated distribution within
         ~1e-13 of the exact values.
         """
+        from scipy.special import gammaln
         if mean < 0:
             raise ValueError("mean must be nonnegative")
         if mean == 0:

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from classical_reference import reference_trajectory
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nemsqnd import circuit
 from nemsqnd.circuit import (
     DRIVE_PERIOD_CAP,
     EPS0,
@@ -177,7 +177,7 @@ def test_short_circuit_guard(monkeypatch):
     def no_integration(*args, **kwargs):
         raise AssertionError("integrated past the contact guard")
 
-    monkeypatch.setattr(circuit, "solve_ivp", no_integration)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", no_integration)
     for x0 in (1.5, 1.0, -1.0):
         run = ClassicalCircuitConfig(params=p, x0=x0, nu=1.0, q1=1.0, t_span=(0.0, 10.0))
         with pytest.raises(ValueError, match="short"):

@@ -423,16 +423,55 @@ def test_console_script_prints_defaults(tmp_path):
 
     # ... and that entry point, run in a fresh process on the very package
     # this test imported (not an installed copy), prints the full defaults.
-    src = str(Path(nemsqnd.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nemsqnd.cli", "defaults"],
-        capture_output=True, cwd=tmp_path, env=env,
+        capture_output=True, cwd=tmp_path, env=source_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == default_config_text().encode()
     assert proc.stderr == b""
+
+
+def source_env():
+    """The environment with this test's ``nemsqnd`` first on ``PYTHONPATH``."""
+    src = str(Path(nemsqnd.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# Runs ``python -m nemsqnd.cli ARGS`` (or, without ARGS, only imports the
+# module) and prints the scipy modules then loaded as its last stderr line.
+SCIPY_PROBE = """
+import runpy, sys
+if sys.argv[1:]:
+    try:
+        runpy.run_module("nemsqnd.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        if exc.code:
+            raise
+else:
+    import nemsqnd.cli
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command, unused", [
+    ((), ("scipy",)),
+    (("defaults",), ("scipy",)),
+    (("entropy", "--config", "{conf}", "--out", "{out}"), ("scipy.integrate", "scipy.linalg")),
+])
+def test_subcommands_import_only_the_scipy_they_call(tmp_path, command, unused):
+    """Start-up is mostly import time, so no fresh process loads a scipy
+    subpackage that its subcommand never calls."""
+    conf = tmp_path / "tiny.conf"
+    conf.write_text("entropy_points = 3\nalpha_points = 2\n")
+    args = [a.format(conf=conf, out=tmp_path) for a in command]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *args],
+                          capture_output=True, cwd=tmp_path, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stderr.decode().splitlines()[-1].split()
+    assert not [m for m in loaded for u in unused if m == u or m.startswith(u + ".")]
 
 
 def test_help_mentions_every_subcommand():

@@ -1,5 +1,6 @@
 """Layer decomposition, linear entropies, and the brute-force cross-checks."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from nemsqnd.config import RunConfig
 from nemsqnd.entanglement import (
+    ALPHA_CAP,
     ORACLE_BYTE_BUDGET,
     ORACLE_DIM_CAP,
+    SERIES_BLOCK,
     TERM_CAP,
     CoherentTriple,
     branch_amplitudes,
@@ -225,6 +228,52 @@ def test_entropy_series_matches_pointwise():
         rep = linear_entropies(conditioned_state(t, float(tt)))
         assert (e_n12[i], e_1n2[i], e_2n1[i]) == rep.as_tuple()
         assert bound >= rep.tail_bound
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.floats(0.0, ALPHA_CAP), st.floats(0.0, 4.0), st.floats(0.0, 4.0),
+       st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3),
+       st.integers(1, 40), st.floats(0.0, 3.5), st.integers(0, 2**32 - 1))
+@example(2.0, 2.0, 2.0, [0.3, 1.1, 2.0], 10, 3.4, 1)
+def test_blocked_series_equals_pointwise(ra, rb, rg, angles, extra, blocks, seed):
+    """Grids from one phase up to several blocks, under a raised term floor:
+    every blocked value is the pointwise one, bit for bit."""
+    t = CoherentTriple(*(cmath.rect(r, a) for r, a in zip((ra, rb, rg), angles)))
+    floor = required_terms(t.alpha) + extra
+    block = max(1, SERIES_BLOCK // floor**2)
+    size = max(1, round(blocks * block))
+    grid = np.random.default_rng(seed).uniform(-10.0, 10.0, size)
+    *curves, bound = entropy_series(t, grid, n_terms=floor)
+    for i, tt in enumerate(grid):
+        state = conditioned_state(t, float(tt), n_terms=floor)
+        assert tuple(c[i] for c in curves) == linear_entropies(state).as_tuple()
+    assert bound == 2.0 * state.tail
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_entropy_series_rejects_non_finite_phases(bad):
+    grid = np.linspace(0.0, 2.0, 50)
+    grid[37] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        entropy_series(triple(), grid)
+
+
+def test_entropy_series_memory_is_bounded_by_the_block():
+    """At the largest term count (|alpha| = ALPHA_CAP) over the largest
+    grid, the series holds one block of pair terms at a time; the whole
+    grid at once would take about 1.2 GB."""
+    t = CoherentTriple(ALPHA_CAP, 2.0, 1.5j)
+    assert required_terms(t.alpha) == 87
+    grid = np.linspace(0.0, 2.0 * math.pi, 10_000)
+    tracemalloc.start()
+    try:
+        e_n12 = entropy_series(t, grid)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all((e_n12 >= 0.0) & (e_n12 <= 1.0))
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
