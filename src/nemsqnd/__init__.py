@@ -66,7 +66,6 @@ from .fock import (
 )
 from .readout import (
     MeanTrace,
-    PhononDistribution,
     ReadoutParams,
     TwoModeTrace,
     adiabatic_elimination_error,
@@ -74,7 +73,6 @@ from .readout import (
     integrate_mean_qsde,
     mean_amplitude,
     mean_photocurrent,
-    stationary_current_statistics,
     stationary_mean_amplitude,
     stationary_two_mode,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "EstimationError",
     "IntegrationError",
     "MeanTrace",
-    "PhononDistribution",
     "PhysicalCircuitParams",
     "ReadoutParams",
     "RegimeError",
@@ -140,7 +137,6 @@ __all__ = [
     "run_all",
     "separability_check_12",
     "simulate_classical_circuit",
-    "stationary_current_statistics",
     "stationary_mean_amplitude",
     "stationary_two_mode",
     "transmittance",

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, IntegrationError
+from . import ode
+from .errors import EstimationError
 
 #: CODATA values; overridable only for unit tests via PhysicalCircuitParams.
 HBAR = 1.054571817e-34
@@ -196,6 +197,9 @@ def effective_params(
 #: most drive periods one run may span; each holds one M^m y0 vector
 DRIVE_PERIOD_CAP = 2**20
 
+#: samples stepped at once from their nearest nodes (3.4 MB of stages)
+SAMPLE_BLOCK = 2**13
+
 
 @dataclass
 class ClassicalCircuitConfig:
@@ -262,9 +266,11 @@ def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> Trajectory:
     with c(t) = (d^2 - x^2(t)) / (2 d eps0 A), x(t) = x0 cos(nu t) and the
     instantaneous 1/Ctilde_i(t) = 1/C_i + c(t).  The fundamental matrix
     is integrated over one period T = pi/nu (or the span, if shorter)
-    with DOP853 at ``rtol``, the step at most T/16 since the samples come
-    from its dense interpolant.  Each sample is then
-    Phi((t - t0) mod T) M^m y0, the M^m y0 built by a running product.
+    with DOP853 at ``rtol`` (``nemsqnd.ode``), the step at most T/16.
+    Each sample is then Phi((t - t0) mod T) M^m y0, the M^m y0 built by a
+    running product: one step from the accepted node s_k nearest to the
+    sample's phase, applied to the vector Phi(s_k) M^m y0, in blocks of
+    ``SAMPLE_BLOCK`` samples.
     The absolute tolerance of each entry of Phi is scaled by the ratio of
     its row and column variables' natural sizes (charge against momentum,
     P ~ omega L Q), so its floor means the same for coulomb and weber
@@ -278,7 +284,6 @@ def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> Trajectory:
     IntegrationError
         If the integrator reports failure.
     """
-    from scipy.integrate import solve_ivp
     p = cfg.params
     if abs(cfg.x0) >= p.d:
         raise ValueError(
@@ -293,51 +298,39 @@ def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> Trajectory:
     whole = np.floor(elapsed / period).astype(np.int64)
     # rounding may put a phase a hair outside [0, T]; Phi is known on all of it
     phase = np.clip(elapsed - whole * period, 0.0, period)
-    # a span shorter than T needs Phi only that far (and no M); otherwise T
-    # closes the grid, so M = Phi(T) is its last entry
+    # a span shorter than T needs Phi only that far (and no M)
     horizon = min(period, t1 - t0)
-    grid, slot = np.unique(np.append(phase, horizon), return_inverse=True)
 
     inv_l1, inv_l2 = 1.0 / p.L1, 1.0 / p.L2
     inv_c1, inv_c2 = 1.0 / p.C1, 1.0 / p.C2
     inv_2dea = 1.0 / (2.0 * p.d * p.eps0 * p.A)
     d2, x02, nu = p.d * p.d, cfg.x0 * cfg.x0, cfg.nu
 
-    def rhs(s, phi):
-        cos = math.cos(nu * (t0 + s))
+    def rhs(s, y):
+        # y[0:4] = (Q1, P1, Q2, P2); s broadcasts against the trailing axes
+        cos = np.cos(nu * (t0 + s))
         c = (d2 - x02 * cos * cos) * inv_2dea
-        q1, p1_, q2, p2_ = phi.reshape(4, 4)
-        return np.concatenate((
-            p1_ * inv_l1,
-            -(inv_c1 + c) * q1 - c * q2,
-            p2_ * inv_l2,
-            -(inv_c2 + c) * q2 - c * q1,
-        ))
+        q1, p1_, q2, p2_ = y
+        return np.array((p1_ * inv_l1, -(inv_c1 + c) * q1 - c * q2,
+                         p2_ * inv_l2, -(inv_c2 + c) * q2 - c * q1))
 
     c0 = d2 * inv_2dea
     size = np.array([1.0, math.sqrt(p.L1 * (inv_c1 + c0)), 1.0, math.sqrt(p.L2 * (inv_c2 + c0))])
-    atol = 1e-2 * cfg.rtol * np.outer(size, 1.0 / size).ravel()
-    sol = solve_ivp(
-        rhs,
-        (0.0, horizon),
-        np.eye(4).ravel(),
-        method="DOP853",
-        rtol=cfg.rtol,
-        atol=atol,
-        max_step=period / 16.0,
-        t_eval=grid,
-    )
-    if not sol.success:
-        raise IntegrationError(f"integrator failed: {sol.message}")
-    phi = sol.y.T.reshape(-1, 4, 4)
-    monodromy = phi[-1]
+    atol = 1e-2 * cfg.rtol * np.outer(size, 1.0 / size)
+    nodes, phi = ode.solve(rhs, (0.0, horizon), np.eye(4), cfg.rtol, atol,
+                           max_step=period / 16.0)
 
     starts = np.empty((int(whole[-1]) + 1, 4))
     starts[0] = (cfg.q1, cfg.p1, cfg.q2, cfg.p2)
     for m in range(1, starts.shape[0]):
-        starts[m] = monodromy @ starts[m - 1]
-    y = np.matmul(phi[slot[:-1]], starts[whole][:, :, None])[:, :, 0]
-    return Trajectory(t, y[:, 0], y[:, 1], y[:, 2], y[:, 3])
+        starts[m] = phi[-1] @ starts[m - 1]
+    y = np.empty((4, t.size))
+    for i in range(0, t.size, SAMPLE_BLOCK):
+        s = phase[i:i + SAMPLE_BLOCK]
+        near = ode.nearest(nodes, s)
+        v = np.einsum("kij,kj->ik", phi[near], starts[whole[i:i + SAMPLE_BLOCK]])
+        y[:, i:i + SAMPLE_BLOCK] = ode.step(rhs, nodes[near], v, s)
+    return Trajectory(t, *y)
 
 
 def circuit_energy(

@@ -46,6 +46,7 @@ from .fock import (
     _DEFAULT_TRIPLE_LABELS as _TRIPLE_LABELS,
     StateVector,
     TruncatedSpace,
+    coherent_amplitudes,
     coherent_vector,
     linear_entropy,
     min_fock_dim,
@@ -180,17 +181,6 @@ class EntropyReport:
         return (self.e_n_12, self.e_1_n2, self.e_2_n1)
 
 
-def _poisson_coefficients(alpha: complex, n_terms: int) -> np.ndarray:
-    from scipy.special import gammaln
-    if alpha == 0:
-        c = np.zeros(n_terms, dtype=complex)
-        c[0] = 1.0
-        return c
-    n = np.arange(n_terms)
-    log_c = -0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha)) - 0.5 * gammaln(n + 1)
-    return np.exp(log_c)
-
-
 def required_terms(alpha: complex) -> int:
     """Smallest layer count keeping the Poisson tail of alpha at most ``TAIL_TOL``."""
     try:
@@ -218,7 +208,7 @@ def conditioned_state(triple: CoherentTriple, theta_t: float,
             f"requested {n} layers exceeds the cap {TERM_CAP}",
             required_dim=needed,
         )
-    c = _poisson_coefficients(triple.alpha, n)
+    c = coherent_amplitudes(triple.alpha, n)
     beta_n, gamma_n = branch_amplitudes(np.arange(n), theta_t, triple.beta, triple.gamma)
     return ConditionedState(
         c_n=c, beta_n=beta_n, gamma_n=gamma_n, theta_t=theta_t,
@@ -348,7 +338,6 @@ def exchange_evolve(psi: StateVector, theta_t: float,
     (coupling rate times time); layer n of the phonon mode is rotated by
     ``theta0_t + n * theta_t``.
     """
-    from scipy.linalg import eigh_tridiagonal
     space = psi.space
     if tuple(space.labels) != _TRIPLE_LABELS:
         raise ValueError(
@@ -360,8 +349,8 @@ def exchange_evolve(psi: StateVector, theta_t: float,
     out = np.empty_like(tensor)
     for total in range(d_1 + d_2 - 1):
         n1 = np.arange(max(0, total - d_2 + 1), min(total, d_1 - 1) + 1)
-        w, v = eigh_tridiagonal(np.zeros(n1.size),
-                                np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1])))
+        hop = np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
+        w, v = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
         phases = np.exp(-1j * np.outer(layer_phase, w))
         out[:, n1, total - n1] = ((tensor[:, n1, total - n1] @ v) * phases) @ v.T
     return StateVector(space, out.reshape(-1), norm_tol=1e-10)
@@ -509,9 +498,8 @@ def cat_state_check(triple: CoherentTriple,
     f_odd = _fid(cond_minus, w_minus, cat_odd)
 
     # two-branch reassembly |psi(pi)> = N+ |cat+>|b>|g> + N- |cat->|-b>|-g>
-    exp_term = math.exp(-2.0 * abs(triple.alpha) ** 2)
-    n_plus = math.sqrt(0.5 * (1.0 + exp_term))
-    n_minus = math.sqrt(0.5 * (1.0 - exp_term))
+    odd_weight = -0.5 * math.expm1(-2.0 * abs(triple.alpha) ** 2)
+    n_plus, n_minus = math.sqrt(1.0 - odd_weight), math.sqrt(odd_weight)
     re = n_plus * np.kron(cat_even, proj_plus)
     if cat_odd is not None and n_minus > 0:
         re = re + n_minus * np.kron(cat_odd, proj_minus)

@@ -187,17 +187,31 @@ def poisson_tail(mean: float, kept: int) -> float:
 
     This is the photon-number weight a coherent state of
     ``|alpha|^2 = mean`` loses when truncated to ``kept`` Fock states.
-    Evaluated through the regularized incomplete gamma function, which
-    stays accurate where a naive ``1 - sum`` would round to zero.
+    For ``kept <= mean`` the tail is at least about one half, so it is
+    one minus the head sum; beyond the mean the terms fall off, and the
+    tail is summed forward from ``kept`` in log space, which stays
+    accurate where a naive ``1 - sum`` would round to zero.  The sum
+    stops on the first term that underflows or no longer moves it.
     """
-    from scipy.special import gammainc
     if mean < 0:
         raise ValueError("mean must be nonnegative")
     if kept < 1:
         return 1.0
     if mean == 0.0:
         return 0.0
-    return float(gammainc(kept, mean))
+    log_mean = math.log(mean)
+
+    def term(n):
+        return math.exp(n * log_mean - mean - math.lgamma(n + 1))
+
+    if kept <= mean:
+        return max(0.0, 1.0 - math.fsum(term(n) for n in range(kept)))
+    total, n, t = 0.0, kept, term(kept)
+    while t > total * 1e-17:
+        total += t
+        n += 1
+        t *= mean / n
+    return total
 
 
 def min_fock_dim(alpha: complex, tail_tol: float = 1e-12, cap: int = 4096) -> int:
@@ -215,19 +229,25 @@ def min_fock_dim(alpha: complex, tail_tol: float = 1e-12, cap: int = 4096) -> in
     )
 
 
-def coherent_vector(alpha: complex, dim: int) -> tuple[np.ndarray, float]:
-    """Truncated, renormalized coherent amplitudes plus the discarded tail mass.
+def coherent_amplitudes(alpha: complex, n_terms: int) -> np.ndarray:
+    """The first ``n_terms`` Fock amplitudes ``e^{-|alpha|^2/2} alpha^n / sqrt(n!)``.
 
     The recursion ``c_n = c_{n-1} * alpha / sqrt(n)`` starting from
     ``c_0 = exp(-|alpha|^2 / 2)`` is overflow-free because every partial
     amplitude is bounded by 1.
     """
+    c = np.empty(n_terms, dtype=complex)
+    c[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    for n in range(1, n_terms):
+        c[n] = c[n - 1] * alpha / math.sqrt(n)
+    return c
+
+
+def coherent_vector(alpha: complex, dim: int) -> tuple[np.ndarray, float]:
+    """Truncated, renormalized coherent amplitudes plus the discarded tail mass."""
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
-    c = np.zeros(dim, dtype=complex)
-    c[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, dim):
-        c[n] = c[n - 1] * alpha / math.sqrt(n)
+    c = coherent_amplitudes(alpha, dim)
     tail = poisson_tail(abs(alpha) ** 2, dim)
     nrm = float(np.linalg.norm(c))
     if nrm == 0.0:

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import HBAR
-from .errors import IntegrationError, RegimeError, RegimeWarning
-from .fock import poisson_tail
+from . import ode
+from .errors import RegimeError, RegimeWarning
 
 #: elimination is trusted while theta0/kappa2 and |theta|/kappa2 stay below this
 REGIME_LIMIT = 0.1
@@ -197,14 +197,16 @@ class TwoModeTrace:
 
 
 def _solve_complex(rhs, t_span, y0, n_samples, rtol, scale):
-    from scipy.integrate import solve_ivp
-    t_eval = np.linspace(t_span[0], t_span[1], n_samples)
+    """Complex samples, shape (len(y0), n_samples), on a uniform grid over ``t_span``.
+
+    DOP853 at ``rtol`` (``nemsqnd.ode``); each sample is one step from
+    the accepted node nearest to it.
+    """
+    t = np.linspace(t_span[0], t_span[1], n_samples)
     atol = rtol * max(scale, 1e-30) * 1e-2
-    sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                    t_eval=t_eval)
-    if not sol.success:
-        raise IntegrationError(f"mean-field integration failed: {sol.message}")
-    return sol
+    nodes, states = ode.solve(rhs, t_span, np.asarray(y0, dtype=complex), rtol, atol)
+    near = ode.nearest(nodes, t)
+    return t, ode.step(rhs, nodes[near], states[near].T, t)
 
 
 def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float],
@@ -226,15 +228,11 @@ def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float
     halfdecay = 0.5 * p.decay_total
 
     def rhs(_t, y):
-        a1 = y[0] + 1j * y[1]
-        da = forcing - halfdecay * a1
-        return (da.real, da.imag)
+        return forcing - halfdecay * y
 
     scale = max(abs(a1_init), abs(forcing) / max(halfdecay, 1e-300))
-    sol = _solve_complex(rhs, t_span, [a1_init.real, a1_init.imag],
-                         n_samples, rtol, scale)
-    a1 = sol.y[0] + 1j * sol.y[1]
-    return MeanTrace(sol.t, a1, current_from_amplitude(p, a1))
+    t, (a1,) = _solve_complex(rhs, t_span, [a1_init], n_samples, rtol, scale)
+    return MeanTrace(t, a1, current_from_amplitude(p, a1))
 
 
 def full_two_mode_mean_dynamics(p: ReadoutParams, n_b: float,
@@ -259,15 +257,11 @@ def full_two_mode_mean_dynamics(p: ReadoutParams, n_b: float,
     F = p.F
 
     def rhs(_t, y):
-        a1 = y[0] + 1j * y[1]
-        a2 = y[2] + 1j * y[3]
-        da1 = -1j * g * a2 - k1h * a1
-        da2 = -1j * g * a1 - 1j * F - k2h * a2
-        return (da1.real, da1.imag, da2.real, da2.imag)
+        a1, a2 = y
+        return np.array((-1j * g * a2 - k1h * a1, -1j * g * a1 - 1j * F - k2h * a2))
 
-    sol = _solve_complex(rhs, t_span, [0.0, 0.0, 0.0, 0.0],
-                         n_samples, rtol, abs(p.alpha2))
-    return TwoModeTrace(sol.t, sol.y[0] + 1j * sol.y[1], sol.y[2] + 1j * sol.y[3])
+    t, (a1, a2) = _solve_complex(rhs, t_span, [0.0, 0.0], n_samples, rtol, abs(p.alpha2))
+    return TwoModeTrace(t, a1, a2)
 
 
 def stationary_two_mode(p: ReadoutParams, n_b: float) -> tuple[complex, complex]:
@@ -318,85 +312,3 @@ def adiabatic_elimination_error(p: ReadoutParams, n_b: float = 1.0,
     if eliminated == 0:
         raise ValueError("eliminated-model signal is zero; nothing to compare")
     return abs(full - eliminated) / abs(eliminated)
-
-
-# ---------------------------------------------------------------------------
-# current statistics over a phonon-number distribution
-
-
-@dataclass(frozen=True)
-class PhononDistribution:
-    """Probabilities over phonon Fock states 0..N, normalized to 1."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        pr = np.asarray(self.probabilities, dtype=float).ravel()
-        if pr.size == 0:
-            raise ValueError("distribution needs at least one entry")
-        if float(pr.min()) < -1e-15:
-            raise ValueError(f"negative probability {pr.min()!r}")
-        pr = np.clip(pr, 0.0, None)
-        total = float(pr.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        pr.setflags(write=False)
-        object.__setattr__(self, "probabilities", pr)
-
-    @classmethod
-    def fock(cls, n: int, size: int | None = None) -> "PhononDistribution":
-        """Point mass at phonon number ``n``."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        size = n + 1 if size is None else size
-        if size <= n:
-            raise ValueError(f"size {size} cannot hold Fock state {n}")
-        pr = np.zeros(size)
-        pr[n] = 1.0
-        return cls(pr)
-
-    @classmethod
-    def poisson(cls, mean: float) -> "PhononDistribution":
-        """Poisson phonon statistics, truncated and renormalized.
-
-        The cutoff is chosen so the discarded tail is at most 1e-13,
-        keeping mean and variance of the truncated distribution within
-        ~1e-13 of the exact values.
-        """
-        from scipy.special import gammaln
-        if mean < 0:
-            raise ValueError("mean must be nonnegative")
-        if mean == 0:
-            return cls(np.array([1.0]))
-        size = 2
-        while poisson_tail(mean, size) > 1e-13:
-            size += 1
-            if size > 100000:
-                raise ValueError("Poisson cutoff search diverged")
-        n = np.arange(size)
-        logp = -mean + n * math.log(mean) - gammaln(n + 1)
-        pr = np.exp(logp)
-        return cls(pr / pr.sum())
-
-    def mean(self) -> float:
-        n = np.arange(self.probabilities.size)
-        return float(np.dot(n, self.probabilities))
-
-    def variance(self) -> float:
-        n = np.arange(self.probabilities.size)
-        mu = self.mean()
-        return float(np.dot((n - mu) ** 2, self.probabilities))
-
-
-def stationary_current_statistics(dist: PhononDistribution,
-                                  p: ReadoutParams) -> tuple[float, float]:
-    """Mean and variance of the stationary current over phonon statistics.
-
-    The stationary current is ``gain * n`` for phonon number n, so the
-    mean is ``gain * <n>`` and the signal variance ``gain^2 * Var(n)``.
-    Vacuum and measurement added noise are excluded by contract: this is
-    the spread of the phonon-conditioned current levels only.
-    """
-    p.enforce_regime()
-    g = p.gain
-    return g * dist.mean(), g * g * dist.variance()

@@ -221,8 +221,9 @@ def check_cat_fidelity(cfg: RunConfig) -> CheckResult:
     """
     triple = cfg.triple()
     report = cat_state_check(triple, oracle_dims(triple, cfg.oracle_dim))
-    exp_term = math.exp(-2.0 * abs(triple.alpha) ** 2)
-    p_even, p_odd = 0.5 * (1.0 + exp_term), 0.5 * (1.0 - exp_term)
+    # expm1 keeps P- accurate at small |alpha|, where 1 - exp cancels
+    p_odd = -0.5 * math.expm1(-2.0 * abs(triple.alpha) ** 2)
+    p_even = 1.0 - p_odd
     ov2 = math.exp(-4.0 * (abs(triple.beta) ** 2 + abs(triple.gamma) ** 2))
     even_target = p_even / (p_even + p_odd * ov2)
     odd_target = p_odd / (p_odd + p_even * ov2)

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.integrate
 from classical_reference import reference_trajectory
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from nemsqnd import circuit
 from nemsqnd.circuit import (
     DRIVE_PERIOD_CAP,
     EPS0,
@@ -177,7 +178,7 @@ def test_short_circuit_guard(monkeypatch):
     def no_integration(*args, **kwargs):
         raise AssertionError("integrated past the contact guard")
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", no_integration)
+    monkeypatch.setattr(circuit.ode, "solve", no_integration)
     for x0 in (1.5, 1.0, -1.0):
         run = ClassicalCircuitConfig(params=p, x0=x0, nu=1.0, q1=1.0, t_span=(0.0, 10.0))
         with pytest.raises(ValueError, match="short"):
@@ -231,6 +232,20 @@ def test_whole_period_sample_times():
         traj = simulate_classical_circuit(run)
         assert np.array_equal(traj.t, np.linspace(*t_span, n_samples))
         assert _worst_component_error(traj, _matched_reference(run, 1e-12)) < 1e-8
+
+
+def test_classical_run_memory_is_bounded_by_the_block():
+    """Samples are stepped ``SAMPLE_BLOCK`` at a time as 4-vectors; one
+    4x4 fundamental matrix per sample would take 32 MB at 2**18 samples."""
+    run = classical_scenario(parse_config_text("classical_samples = 262144\n"))[0]
+    tracemalloc.start()
+    try:
+        traj = simulate_classical_circuit(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.t.size == 2**18 and np.isfinite(traj.q1).all()
+    assert peak < 64 * 2**20
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

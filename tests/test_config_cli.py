@@ -440,38 +440,40 @@ def source_env():
     return env
 
 
-# Runs ``python -m nemsqnd.cli ARGS`` (or, without ARGS, only imports the
-# module) and prints the scipy modules then loaded as its last stderr line.
-SCIPY_PROBE = """
-import runpy, sys
-if sys.argv[1:]:
-    try:
-        runpy.run_module("nemsqnd.cli", run_name="__main__", alter_sys=True)
-    except SystemExit as exc:
-        if exc.code:
-            raise
-else:
-    import nemsqnd.cli
-print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")), file=sys.stderr)
+# Runs ``python -m nemsqnd.cli ARGS`` in a process where importing scipy,
+# or any module under it, fails as it would on an install without scipy,
+# then asserts that no scipy module got loaded.
+NO_SCIPY = """
+import importlib.abc, runpy, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"No module named {name!r} (blocked)")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    runpy.run_module("nemsqnd.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    if exc.code:
+        raise
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
 """
 
 
-@pytest.mark.parametrize("command, unused", [
-    ((), ("scipy",)),
-    (("defaults",), ("scipy",)),
-    (("entropy", "--config", "{conf}", "--out", "{out}"), ("scipy.integrate", "scipy.linalg")),
-])
-def test_subcommands_import_only_the_scipy_they_call(tmp_path, command, unused):
-    """Start-up is mostly import time, so no fresh process loads a scipy
-    subpackage that its subcommand never calls."""
+@pytest.mark.parametrize("command", ["params", "current", "entropy", "cat",
+                                     "classical", "verify", "defaults"])
+def test_subcommands_run_without_scipy(tmp_path, command):
+    """The runtime needs numpy only; scipy is a test-side reference."""
     conf = tmp_path / "tiny.conf"
-    conf.write_text("entropy_points = 3\nalpha_points = 2\n")
-    args = [a.format(conf=conf, out=tmp_path) for a in command]
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *args],
+    conf.write_text("entropy_points = 3\nalpha_points = 2\ncurrent_points = 16\n"
+                    "classical_periods = 20\nclassical_samples = 1024\noracle_dim = 8\n")
+    args = [command, "--config", str(conf), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, *args],
                           capture_output=True, cwd=tmp_path, env=source_env())
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stderr.decode().splitlines()[-1].split()
-    assert not [m for m in loaded for u in unused if m == u or m.startswith(u + ".")]
 
 
 def test_help_mentions_every_subcommand():

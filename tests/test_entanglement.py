@@ -511,6 +511,9 @@ def test_cat_check_rejects_degenerate_projections():
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(st.floats(0.0, 3.0), phases, st.floats(0.0, 2.5), phases,
        st.floats(0.0, 2.5), phases)
+# odd cat weight ~|alpha|^2 = 1e-12: the closed-form target needs expm1
+@example(1e-6, 6.2741596608108505, 1.865540507169515, 1.735227095292144,
+         1.587657481295446, 2.00001)
 def test_oracle_checks_pass_with_derived_cutoffs(ra, pa, rb, pb, rg, pg):
     """With cutoffs from ``oracle_dims`` the cat and pair-separability checks
     of ``sim verify`` pass for every |alpha| <= 3 and every resonator pair

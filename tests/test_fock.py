@@ -17,6 +17,7 @@ from dense_reference import (
     product_state,
 )
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammainc
 
 from nemsqnd.errors import TruncationError
 from nemsqnd.fock import (
@@ -109,6 +110,30 @@ def test_min_fock_dim_is_minimal():
         dim = min_fock_dim(alpha, tol)
         assert poisson_tail(abs(alpha) ** 2, dim) <= tol
         assert poisson_tail(abs(alpha) ** 2, dim - 1) > tol
+
+
+def test_poisson_tail_matches_the_incomplete_gamma_function():
+    """P(X >= kept) for X ~ Poisson(mean) is the regularized lower
+    incomplete gamma function P(kept, mean)."""
+    means = np.concatenate([np.linspace(0.001, 60.0, 121), np.arange(1.0, 61.0)])
+    kept = np.arange(1, 161)
+    want = gammainc(kept[None, :], means[:, None])
+    got = np.array([[poisson_tail(float(m), int(k)) for k in kept] for m in means])
+    normal = want > 1e-300  # relative precision ends in the subnormal range
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0)
+    assert np.all(got[~normal] < 1e-290)
+
+
+def test_poisson_tail_stops_where_every_term_underflows():
+    assert poisson_tail(36.0, 4096) == 0.0
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-15])
+def test_min_fock_dim_matches_the_incomplete_gamma_search(tol):
+    for alpha in np.arange(751) * 0.01:
+        lam = alpha**2
+        dims = np.arange(max(2, math.ceil(lam)), 400)
+        assert min_fock_dim(alpha, tol) == dims[np.argmax(gammainc(dims, lam) <= tol)], alpha
 
 
 def test_coherent_vacuum_exact():

@@ -1,0 +1,79 @@
+"""The package's DOP853 integrator against SciPy's tableau and closed forms."""
+
+import numpy as np
+import pytest
+from scipy.integrate._ivp import dop853_coefficients as reference
+
+from nemsqnd import ode
+from nemsqnd.errors import IntegrationError
+
+
+def test_tableau_is_scipys():
+    assert np.array_equal(ode.C, reference.C[:12])
+    assert np.array_equal(ode.A, reference.A[:12, :12])
+    assert np.array_equal(ode.B, reference.B)
+    assert np.array_equal(ode.E3, reference.E3)
+    assert np.array_equal(ode.E5, reference.E5)
+
+
+def test_tableau_order_conditions_up_to_four():
+    a, b, c = ode.A, ode.B, ode.C
+    np.testing.assert_allclose(a.sum(axis=1), c, atol=1e-15)
+    conditions = [
+        (b.sum(), 1.0),
+        (b @ c, 1 / 2),
+        (b @ c**2, 1 / 3), (b @ a @ c, 1 / 6),
+        (b @ c**3, 1 / 4), (b @ (c * (a @ c)), 1 / 8),
+        (b @ a @ c**2, 1 / 12), (b @ a @ a @ c, 1 / 24),
+    ]
+    for got, want in conditions:
+        assert got == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("lam", [-0.3 + 2j, 0.2 - 1.5j])
+@pytest.mark.parametrize("rtol", [1e-6, 1e-10])
+def test_linear_equation_within_a_few_rtol(lam, rtol):
+    def rhs(_t, y):
+        return lam * y
+
+    nodes, states = ode.solve(rhs, (0.0, 10.0), np.array([1.0 + 0j]), rtol, 1e-30)
+    assert nodes[0] == 0.0 and nodes[-1] == 10.0
+    exact = np.exp(lam * nodes)
+    assert np.max(np.abs(states[:, 0] - exact) / np.abs(exact)) <= 5 * rtol
+
+    t = np.linspace(0.0, 10.0, 1001)
+    near = ode.nearest(nodes, t)
+    gaps = np.abs(nodes[:, None] - t)
+    np.testing.assert_array_equal(gaps[near, np.arange(t.size)], gaps.min(axis=0))
+    y = ode.step(rhs, nodes[near], states[near].T, t)
+    assert y.shape == (1, t.size)
+    assert np.max(np.abs(y[0] - np.exp(lam * t)) / np.abs(np.exp(lam * t))) <= 5 * rtol
+
+    # one vectorised step per accepted step lands on the adaptive nodes
+    hops = ode.step(rhs, nodes[:-1], states[:-1].T, nodes[1:])
+    np.testing.assert_allclose(hops.T, states[1:], rtol=1e-13)
+    np.testing.assert_array_equal(ode.step(rhs, nodes, states.T, nodes), states.T)
+
+
+def test_non_finite_rhs_raises():
+    with pytest.raises(IntegrationError, match="non-finite"):
+        ode.solve(lambda t, y: y * np.nan, (0.0, 1.0), np.ones(2), 1e-8, 1e-12)
+
+    def blows_up(t, y):
+        return -y if t < 0.5 else y * np.inf
+
+    with pytest.raises(IntegrationError, match="step size"), np.errstate(invalid="ignore"):
+        ode.solve(blows_up, (0.0, 1.0), np.ones(2), 1e-8, 1e-12)
+
+
+def test_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_STEPS", 10)
+    with pytest.raises(IntegrationError, match="10 steps"):
+        ode.solve(lambda t, y: -y, (0.0, 1.0), np.ones(1), 1e-8, 1e-12, max_step=0.01)
+    nodes, _ = ode.solve(lambda t, y: -y, (0.0, 0.05), np.ones(1), 1e-8, 1e-12, max_step=0.01)
+    assert nodes[-1] == 0.05 and nodes.size <= 11
+
+
+def test_span_must_increase():
+    with pytest.raises(ValueError, match="increasing"):
+        ode.solve(lambda t, y: -y, (1.0, 1.0), np.ones(1), 1e-8, 1e-12)

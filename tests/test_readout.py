@@ -1,4 +1,4 @@
-"""Mean-field readout: closed forms vs numerics, regime policing, statistics."""
+"""Mean-field readout: closed forms vs numerics, regime policing."""
 
 import cmath
 import math
@@ -9,7 +9,6 @@ import pytest
 
 from nemsqnd.errors import RegimeError, RegimeWarning
 from nemsqnd.readout import (
-    PhononDistribution,
     ReadoutParams,
     adiabatic_elimination_error,
     current_from_amplitude,
@@ -17,7 +16,6 @@ from nemsqnd.readout import (
     integrate_mean_qsde,
     mean_amplitude,
     mean_photocurrent,
-    stationary_current_statistics,
     stationary_mean_amplitude,
     stationary_two_mode,
 )
@@ -307,60 +305,6 @@ def test_elimination_error_rejects_empty_signal():
         adiabatic_elimination_error(unit_chain(), 0.0)
     with pytest.raises(ValueError, match="zero"):
         adiabatic_elimination_error(unit_chain(theta=0.0), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# phonon statistics -> current statistics
-
-
-def test_fock_distribution_stats():
-    d = PhononDistribution.fock(3)
-    assert d.probabilities.shape == (4,)
-    assert d.mean() == 3.0
-    assert d.variance() == 0.0
-    padded = PhononDistribution.fock(1, size=6)
-    assert padded.probabilities.shape == (6,)
-    assert padded.mean() == 1.0
-    with pytest.raises(ValueError, match="size"):
-        PhononDistribution.fock(4, size=3)
-    with pytest.raises(ValueError):
-        PhononDistribution.fock(-1)
-
-
-def test_poisson_distribution_stats():
-    lam = 1.7
-    d = PhononDistribution.poisson(lam)
-    assert d.mean() == pytest.approx(lam, rel=1e-9)
-    assert d.variance() == pytest.approx(lam, rel=1e-9)
-    # spot-check a renormalized weight against the bare Poisson formula
-    p2 = math.exp(-lam) * lam**2 / 2.0
-    assert d.probabilities[2] == pytest.approx(p2, rel=1e-10)
-    vac = PhononDistribution.poisson(0.0)
-    assert vac.probabilities.tolist() == [1.0]
-    with pytest.raises(ValueError):
-        PhononDistribution.poisson(-0.5)
-
-
-def test_distribution_validation():
-    with pytest.raises(ValueError, match="negative"):
-        PhononDistribution([0.7, -0.2, 0.5])
-    with pytest.raises(ValueError, match="sum"):
-        PhononDistribution([0.5, 0.4])
-    with pytest.raises(ValueError, match="entry"):
-        PhononDistribution([])
-    d = PhononDistribution([0.25, 0.75])
-    assert not d.probabilities.flags.writeable
-
-
-def test_stationary_current_statistics():
-    p = unit_chain()
-    mean, var = stationary_current_statistics(PhononDistribution.fock(3), p)
-    assert mean == pytest.approx(3.0 * p.gain, rel=1e-14)
-    assert var == 0.0
-    lam = 2.2
-    mean, var = stationary_current_statistics(PhononDistribution.poisson(lam), p)
-    assert mean == pytest.approx(p.gain * lam, rel=1e-9)
-    assert var == pytest.approx(p.gain**2 * lam, rel=1e-9)
 
 
 def test_negative_inputs_rejected():

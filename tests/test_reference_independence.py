@@ -5,7 +5,9 @@ oracle of ``nemsqnd.entanglement`` is compared against, and
 ``classical_reference`` the step-by-step integrator the Floquet path of
 ``simulate_classical_circuit`` is compared against.  A reference that
 imported what it judges would agree with it by construction; and the
-package must run without the tests beside it.
+package must run without the tests beside it.  The references keep
+scipy's integrator and special functions, so neither may import the
+package's own integrator, and the package itself imports no scipy.
 """
 
 import ast
@@ -50,3 +52,18 @@ def test_package_imports_nothing_from_the_tests():
     for path in sources:
         for module, _ in _imports(path):
             assert module.split(".")[0] not in test_modules, (path.name, module)
+
+
+def test_references_do_not_import_the_package_integrator():
+    for ref in ("classical_reference.py", "dense_reference.py"):
+        for module, name in _imports(TESTS / ref):
+            assert not module.startswith("nemsqnd.ode"), (ref, module)
+            assert (module, name) != ("nemsqnd", "ode"), (ref, module, name)
+
+
+def test_package_imports_no_scipy():
+    sources = sorted(SRC.rglob("*.py"))
+    assert sources
+    for path in sources:
+        for module, _ in _imports(path):
+            assert module.split(".")[0] != "scipy", (path.name, module)
