@@ -36,13 +36,13 @@ from .entanglement import (
     brute_force_entropies,
     cat_state_check,
     conditioned_state,
+    entropy_n12_series,
     entropy_series,
     exchange_evolve,
     initial_product_state,
     linear_entropies,
     oracle_dims,
     separability_check_12,
-    transmittance,
 )
 from .errors import (
     ConditioningError,
@@ -117,6 +117,7 @@ __all__ = [
     "conditioned_state",
     "default_config_text",
     "effective_params",
+    "entropy_n12_series",
     "entropy_series",
     "equilibrium_capacitance",
     "estimate_dominant_frequency",
@@ -139,6 +140,5 @@ __all__ = [
     "simulate_classical_circuit",
     "stationary_mean_amplitude",
     "stationary_two_mode",
-    "transmittance",
     "x_rms",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .circuit import estimate_dominant_frequency, simulate_classical_circuit
 from .config import RunConfig, default_config_text, load_config
-from .entanglement import cat_state_check, entropy_series, oracle_dims
+from .entanglement import cat_state_check, entropy_n12_series, entropy_series, oracle_dims
 from .errors import ConfigError, SimulationError, VerificationFailure
 from .readout import integrate_mean_qsde, mean_photocurrent
 from .verify import classical_scenario, run_all
@@ -164,7 +164,7 @@ def cmd_entropy(cfg: RunConfig, out: Path, strict: bool) -> int:
     grid_rows = []
     for abs_alpha in np.linspace(0.0, cfg.alpha_max, cfg.alpha_points):
         triple = cfg.triple(alpha=complex(abs_alpha))
-        e_n_12 = entropy_series(triple, theta_t, n_terms=cfg.n_terms)[0]
+        e_n_12 = entropy_n12_series(triple, theta_t, n_terms=cfg.n_terms)[0]
         grid_rows.extend((phase, abs_alpha, e) for phase, e in zip(theta_t, e_n_12))
     _write_csv(out / "entropy_alpha_grid.csv", ("theta_t", "abs_alpha", "E_N12"), grid_rows)
 

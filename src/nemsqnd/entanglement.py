@@ -23,15 +23,33 @@ brute-force entropies of ``brute_force_entropies`` accept it back as an
 explicit opt-in.
 
 The three bipartite linear entropies of the pure tripartite state are
-closed double sums over branch overlaps; with ``p_n = |C_n|^2``:
+sums over branch overlaps; with ``p_n = |C_n|^2``:
 
     E_N|12 = 1 - sum_{n,m} p_n p_m exp(-|beta_n-beta_m|^2 - |gamma_n-gamma_m|^2)
     E_1|N2 = 1 - sum_{n,m} p_n p_m exp(-|beta_n-beta_m|^2)
     E_2|N1 = 1 - sum_{n,m} p_n p_m exp(-|gamma_n-gamma_m|^2)
 
+Layer n applies the beam splitter U(phi) = exp(-i phi K) n times, U(n
+phi) = U(phi)^n (SU(2) beam-splitter algebra; Campos, Saleh & Teich, PRA
+40, 1371 (1989)), so the pair distance between layers n and m depends
+only on k = n - m and E_N|12 is one sum over layer differences,
+
+    E_N|12 = 1 - sum_{|k|<n} A_k exp(-4 (|beta|^2 + |gamma|^2) sin^2(k phi/2)),
+
+with ``A_k = sum_m p_m p_{m+|k|}``, the autocorrelation of the kept
+weights.  It does not depend on the phase; untruncated it is the Skellam
+pmf ``exp(-2|alpha|^2) I_k(2|alpha|^2)`` (Skellam, J. R. Stat. Soc. 109,
+296 (1946)).  The single-resonator sums run over the triangle n <= m:
+with ``u = (beta - gamma)/2`` and ``w = (beta + gamma)/2``,
+
+    |beta_n - beta_m|^2 = 4 sin^2(k phi/2) (|u|^2 + |w|^2 - 2 Re(u w* e^{i(n+m) phi})),
+
+and ``|gamma_n - gamma_m|^2`` flips the sign of the cross term, so each
+pair reads one sine table over k and one cross-term table over n + m.
+
 Every reported entropy carries an additive truncation bound of twice the
 discarded Poisson tail (the exponentials are bounded by 1, so a tail of
-mass ``eps`` can move each double sum by at most ``2*eps``).
+mass ``eps`` can move each sum by at most ``2*eps``).
 """
 
 from __future__ import annotations
@@ -114,15 +132,6 @@ def branch_amplitudes(n, theta_t, beta: complex, gamma: complex):
     return beta_n, gamma_n
 
 
-def transmittance(theta0: float, theta: float, n_b: float, t):
-    """Phonon-conditioned beam-splitter transmittance sin^2((theta0 + theta*n_b) t)."""
-    t = np.asarray(t)
-    if t.size and t.min() < 0:
-        raise ValueError("t must be nonnegative")
-    out = np.sin((theta0 + theta * n_b) * t) ** 2
-    return float(out) if t.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # analytic conditioned state and entropies
 
@@ -157,14 +166,6 @@ class ConditionedState:
     @property
     def n_terms(self) -> int:
         return self.c_n.size
-
-    def weight(self) -> float:
-        """Kept probability mass, sum |c_n|^2 = 1 - tail."""
-        return float(np.sum(np.abs(self.c_n) ** 2))
-
-    def branch_energy(self) -> np.ndarray:
-        """|beta_n|^2 + |gamma_n|^2 per layer; constant in n for exact branches."""
-        return np.abs(self.beta_n) ** 2 + np.abs(self.gamma_n) ** 2
 
 
 @dataclass(frozen=True)
@@ -216,47 +217,158 @@ def conditioned_state(triple: CoherentTriple, theta_t: float,
     )
 
 
-def _entropy_block(p: np.ndarray, beta_n: np.ndarray, gamma_n: np.ndarray) -> np.ndarray:
-    """Entropies, shape (3, k), from layer weights ``p`` and (k, n) branch amplitudes."""
-    w = np.outer(p, p)
-    d1 = np.abs(beta_n[:, :, None] - beta_n[:, None, :]) ** 2
-    d2 = np.abs(gamma_n[:, :, None] - gamma_n[:, None, :]) ** 2
-    sums = [np.sum(w * np.exp(-d), axis=(1, 2)) for d in (d1 + d2, d1, d2)]
+#: terms per block of an entropy series (triangle pairs n <= m for the
+#: single-resonator sums, layer differences k for E_N|12): the fastest
+#: block measured, with a ~0.8 MB peak at 87 terms (2**13 and 2**15 are
+#: slower)
+SERIES_BLOCK = 2**14
+
+
+def _multiples(phi: np.ndarray, count: int) -> np.ndarray:
+    """``j * phi`` for j < count, one row per phase of the (r, 1) ``phi``.
+
+    A non-finite phase, or a finite one whose multiple overflows, raises
+    ``ValueError`` before any sine is taken.
+    """
+    angle = phi * np.arange(count)
+    finite = np.isfinite(angle).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite phase multiples near theta_t = {phi[~finite, 0][0]!r}")
+    return angle
+
+
+def _layer_distance(angle: np.ndarray, n: int) -> np.ndarray:
+    """4 sin^2(k phi / 2) for k < n: the squared distance |U(k phi) - 1|^2."""
+    return 4.0 * np.sin(0.5 * angle[:, :n]) ** 2
+
+
+def _pair_weights(state: ConditionedState) -> tuple[np.ndarray, float]:
+    """E_N|12 weights ``A_0, 2 A_1, 2 A_2, ...`` over layer differences, and
+    the joint intensity |beta|^2 + |gamma|^2 of the stationary layer 0.
+
+    ``A_k = sum_m p_m p_{m+k}`` is the autocorrelation of the kept weights.
+    """
+    p = np.abs(state.c_n) ** 2
+    a = np.correlate(p, p, "full")[p.size - 1:]
+    a[1:] *= 2.0
+    return a, abs(complex(state.beta_n[0])) ** 2 + abs(complex(state.gamma_n[0])) ** 2
+
+
+def _pair_block(phi: np.ndarray, a: np.ndarray, energy: float) -> np.ndarray:
+    """E_N|12 at the (r, 1) phases from ``_pair_weights``."""
+    d = _layer_distance(_multiples(phi, a.size), a.size)
+    return np.clip(1.0 - np.sum(np.exp(-energy * d) * a, axis=-1), 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class _Triangle:
+    """Phase-independent terms of the two single-resonator sums.
+
+    The pairs n <= m of the upper triangle, with layer difference
+    ``k = m - n``, layer sum ``s = n + m`` and weight ``(2 - delta_nm)
+    p_n p_m``; ``h = |u|^2 + |w|^2`` and ``cross = 2 u conj(w)`` for
+    ``u = (beta - gamma)/2`` and ``w = (beta + gamma)/2``, with beta and
+    gamma read from the stationary layer 0.
+    """
+
+    n: int
+    k: np.ndarray
+    s: np.ndarray
+    weight: np.ndarray
+    h: float
+    cross: complex
+
+    @classmethod
+    def of(cls, state: ConditionedState) -> "_Triangle":
+        p = np.abs(state.c_n) ** 2
+        i, j = np.triu_indices(p.size)
+        beta, gamma = complex(state.beta_n[0]), complex(state.gamma_n[0])
+        u, w = 0.5 * (beta - gamma), 0.5 * (beta + gamma)
+        return cls(n=p.size, k=j - i, s=i + j,
+                   weight=np.where(i == j, 1.0, 2.0) * p[i] * p[j],
+                   h=0.5 * (abs(beta) ** 2 + abs(gamma) ** 2),
+                   cross=2.0 * u * w.conjugate())
+
+
+def _single_block(phi: np.ndarray, tri: _Triangle) -> np.ndarray:
+    """E_1|N2 and E_2|N1, shape (2, r), at the (r, 1) phases.
+
+    ``|beta_n - beta_m|^2 = d_k (h - c_s)`` and ``|gamma_n - gamma_m|^2 =
+    d_k (h + c_s)``, with ``d_k = 4 sin^2(k phi/2)`` and ``c_s = Re(cross
+    e^{i s phi})`` read from per-phase tables of n and 2n - 1 entries.
+    """
+    angle = _multiples(phi, 2 * tri.n - 1)
+    # np.take keeps the rows C-contiguous (``x[:, idx]`` would not), so each
+    # row sums in the same order whatever the block's row count
+    d = np.take(_layer_distance(angle, tri.n), tri.k, axis=1)
+    c = np.take(tri.cross.real * np.cos(angle) - tri.cross.imag * np.sin(angle),
+                tri.s, axis=1)
+    sums = []
+    # x = -(h - c) and -(h + c): the two negated squared distances over d_k
+    for x in (c - tri.h, np.subtract(-tri.h, c, out=c)):
+        x *= d
+        np.exp(x, out=x)
+        x *= tri.weight
+        sums.append(np.sum(x, axis=-1))
     return np.clip(1.0 - np.array(sums), 0.0, 1.0)
 
 
+def _blocked(theta_ts: np.ndarray, terms: int, rows: int, block) -> np.ndarray:
+    """``block`` (``rows`` values per phase) over max(1, SERIES_BLOCK // terms)
+    phases at a time, so that no more than one block of terms is held."""
+    out = np.empty((rows, theta_ts.size))
+    k = max(1, SERIES_BLOCK // terms)
+    for i in range(0, theta_ts.size, k):
+        out[:, i:i + k] = block(theta_ts[i:i + k, None])
+    return out
+
+
+def _n12_blocks(theta_ts: np.ndarray, state: ConditionedState) -> np.ndarray:
+    """E_N|12 at every phase of ``theta_ts``, a block of phases at a time."""
+    a, energy = _pair_weights(state)
+    return _blocked(theta_ts, a.size, 1, lambda phi: _pair_block(phi, a, energy))[0]
+
+
 def linear_entropies(state: ConditionedState) -> EntropyReport:
-    """Closed-form linear entropies of the three bipartitions."""
-    e = _entropy_block(np.abs(state.c_n) ** 2, state.beta_n[None], state.gamma_n[None])
-    return EntropyReport(*(float(x) for x in e[:, 0]), tail_bound=2.0 * state.tail,
-                         n_terms=state.n_terms)
+    """Closed-form linear entropies of the three bipartitions.
+
+    Evaluated at ``state.theta_t`` by the same sums as ``entropy_series``,
+    with beta and gamma read from the stationary layer 0.
+    """
+    phi = np.array([[float(state.theta_t)]])
+    e_n_12 = _pair_block(phi, *_pair_weights(state))[0]
+    e_1, e_2 = _single_block(phi, _Triangle.of(state))[:, 0]
+    return EntropyReport(float(e_n_12), float(e_1), float(e_2),
+                         tail_bound=2.0 * state.tail, n_terms=state.n_terms)
 
 
-#: pair terms per block of ``entropy_series``: the fastest block measured,
-#: with a ~1 MB peak at 87 terms (2**20 peaks at 42 MB and is slower)
-SERIES_BLOCK = 2**14
+def entropy_n12_series(triple: CoherentTriple, theta_ts, n_terms: int | None = None):
+    """E_N|12 along a grid of phases; returns (E_N|12, tail_bound).
+
+    One ``conditioned_state`` serves the grid.  Each value equals the
+    ``linear_entropies`` one: a sum of n terms per phase, over
+    max(1, SERIES_BLOCK // n) phases at a time.
+    """
+    theta_ts = np.asarray(theta_ts, dtype=float).reshape(-1)
+    state = conditioned_state(triple, 0.0, n_terms)
+    return _n12_blocks(theta_ts, state), 2.0 * state.tail
 
 
 def entropy_series(triple: CoherentTriple, theta_ts, n_terms: int | None = None):
     """Entropies along a grid of phases; returns (E_N|12, E_1|N2, E_2|N1, tail_bound).
 
     The layers, weights and tail do not depend on the phase, so one
-    ``conditioned_state`` serves the grid.  The double sums then run over
-    k = max(1, SERIES_BLOCK // n^2) phases at a time, as (k, n, n) blocks
-    (the whole grid at once would take gigabytes); each value equals the
-    ``linear_entropies`` one, and non-finite amplitudes raise ``ValueError``.
+    ``conditioned_state`` serves the grid.  E_N|12 runs as in
+    ``entropy_n12_series``; the single-resonator sums run over the
+    n(n + 1)/2 triangle pairs, max(1, SERIES_BLOCK // pairs) phases at a
+    time.  Each value equals the ``linear_entropies`` one, and a phase
+    whose multiples are not finite raises ``ValueError``.
     """
     theta_ts = np.asarray(theta_ts, dtype=float).reshape(-1)
     state = conditioned_state(triple, 0.0, n_terms)
-    p, k = np.abs(state.c_n) ** 2, max(1, SERIES_BLOCK // state.n_terms ** 2)
-    out = np.empty((3, theta_ts.size))
-    for i in range(0, theta_ts.size, k):
-        b, g = branch_amplitudes(np.arange(state.n_terms), theta_ts[i:i + k, None],
-                                 triple.beta, triple.gamma)
-        if not (np.isfinite(b).all() and np.isfinite(g).all()):
-            raise ValueError(f"non-finite branch amplitudes near theta_t = {theta_ts[i]!r}")
-        out[:, i:i + k] = _entropy_block(p, b, g)
-    return out[0], out[1], out[2], 2.0 * state.tail
+    tri = _Triangle.of(state)
+    e_1, e_2 = _blocked(theta_ts, tri.k.size, 2, lambda phi: _single_block(phi, tri))
+    return _n12_blocks(theta_ts, state), e_1, e_2, 2.0 * state.tail
 
 
 # ---------------------------------------------------------------------------

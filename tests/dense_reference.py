@@ -8,7 +8,9 @@ on the library's ``TruncatedSpace``/``StateVector``/``DensityMatrix``
 types, which enforce the allocation cap and the state invariants; in
 particular ``evolve`` shares no code with
 ``nemsqnd.entanglement.exchange_evolve``, the sector-by-sector
-propagator it judges.
+propagator it judges.  ``layer_entropies`` is the three full double sums
+over branch overlaps that the factored entropy kernel of
+``nemsqnd.entanglement`` is judged against.
 
 Dimensionless throughout (hbar = 1): ``evolve(H, t, psi)`` applies
 ``exp(-1j * H * t)``.
@@ -235,3 +237,29 @@ def partial_trace(rho: DensityMatrix, keep: tuple[str, ...]) -> DensityMatrix:
 def fidelity(psi: StateVector, phi: StateVector) -> float:
     """Squared overlap ``|<psi|phi>|^2`` of two pure states."""
     return float(abs(psi.overlap(phi)) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# analytic entropies by the three full double sums
+
+
+def _entropy_block(p: np.ndarray, beta_n: np.ndarray, gamma_n: np.ndarray) -> np.ndarray:
+    """Entropies, shape (3, k), from layer weights ``p`` and (k, n) branch amplitudes."""
+    w = np.outer(p, p)
+    d1 = np.abs(beta_n[:, :, None] - beta_n[:, None, :]) ** 2
+    d2 = np.abs(gamma_n[:, :, None] - gamma_n[:, None, :]) ** 2
+    sums = [np.sum(w * np.exp(-d), axis=(1, 2)) for d in (d1 + d2, d1, d2)]
+    return np.clip(1.0 - np.array(sums), 0.0, 1.0)
+
+
+def layer_entropies(p: np.ndarray, beta: complex, gamma: complex, theta_ts) -> np.ndarray:
+    """(E_N|12, E_1|N2, E_2|N1), shape (3, k), at the k phases ``theta_ts``.
+
+    Branch amplitudes ``beta_n = beta cos(n theta_t) - i gamma sin(n theta_t)``
+    and ``gamma_n = gamma cos(n theta_t) - i beta sin(n theta_t)`` of the
+    layers n < len(p), every pair (n, m) summed in full.
+    """
+    phi = np.arange(p.size) * np.asarray(theta_ts, dtype=float).reshape(-1, 1)
+    beta_n = beta * np.cos(phi) - 1j * gamma * np.sin(phi)
+    gamma_n = gamma * np.cos(phi) - 1j * beta * np.sin(phi)
+    return _entropy_block(p, beta_n, gamma_n)

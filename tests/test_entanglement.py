@@ -6,9 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import annihilation, embed, evolve, number, partial_trace
+from dense_reference import annihilation, embed, evolve, layer_entropies, number, partial_trace
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ive
 
 from nemsqnd.config import RunConfig
 from nemsqnd.entanglement import (
@@ -18,10 +19,12 @@ from nemsqnd.entanglement import (
     SERIES_BLOCK,
     TERM_CAP,
     CoherentTriple,
+    _pair_weights,
     branch_amplitudes,
     brute_force_entropies,
     cat_state_check,
     conditioned_state,
+    entropy_n12_series,
     entropy_series,
     exchange_evolve,
     initial_product_state,
@@ -30,7 +33,6 @@ from nemsqnd.entanglement import (
     oracle_space,
     required_terms,
     separability_check_12,
-    transmittance,
 )
 from nemsqnd.errors import ConditioningError, TruncationError
 from nemsqnd.fock import DensityMatrix, StateVector, TruncatedSpace, coherent_vector
@@ -87,21 +89,21 @@ def test_branch_mixing_is_unitary(beta, gamma, n, theta_t):
 
 
 def test_transmittance_values():
-    assert transmittance(0.3, -0.01, 2.0, 0.0) == 0.0
+    """Layer n transmits sin^2(n theta_t) of resonator 1's photons into
+    resonator 2: none on layer 0 or at theta_t = 0, all of them on layer 1
+    at the quarter period."""
+    beta = 1.3 - 0.4j
+    n = np.arange(6)
+    theta_t = np.linspace(0.0, 5.0, 11)[:, None]
+    b, g = branch_amplitudes(n, theta_t, beta, 0.0)
+    transmitted = np.abs(g) ** 2 / abs(beta) ** 2
+    np.testing.assert_allclose(transmitted, np.sin(n * theta_t) ** 2, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(transmitted + np.abs(b) ** 2 / abs(beta) ** 2, 1.0, rtol=1e-14)
+    assert np.all(transmitted[0] == 0.0) and np.all(transmitted[:, 0] == 0.0)
     # full swap when the accumulated phase hits pi/2
-    theta0, theta, n_b = 0.4, -0.02, 3.0
-    t_swap = (math.pi / 2) / (theta0 + theta * n_b)
-    assert transmittance(theta0, theta, n_b, t_swap) == pytest.approx(1.0, abs=1e-12)
-    # without the phonon-dependent part the answer cannot depend on n_b
-    for n_b in (0.0, 1.0, 7.5):
-        assert transmittance(0.25, 0.0, n_b, 1.7) == pytest.approx(
-            math.sin(0.25 * 1.7) ** 2, rel=1e-15)
-    t = np.linspace(0.0, 5.0, 11)
-    out = transmittance(0.3, -0.01, 1.0, t)
-    assert out.shape == t.shape
-    assert np.all((out >= 0) & (out <= 1))
-    with pytest.raises(ValueError):
-        transmittance(0.3, -0.01, 1.0, -1.0)
+    b1, g1 = branch_amplitudes(1, math.pi / 2, beta, 0.0)
+    assert abs(g1) ** 2 / abs(beta) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert abs(b1) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +122,19 @@ def test_conditioned_state_vacuum_mechanics():
     assert state.n_terms == 2  # the floor: one level is no ladder at all
     assert np.abs(state.c_n).tolist() == [1.0, 0.0]
     assert state.tail == 0.0
-    assert state.weight() == pytest.approx(1.0, rel=1e-15)
+    assert np.sum(np.abs(state.c_n) ** 2) == pytest.approx(1.0, rel=1e-15)
     assert state.beta_n[0] == 2.0 + 0j  # layer 0 is stationary
 
 
 def test_conditioned_state_tail_and_weight():
     state = conditioned_state(triple(), 0.7)
     assert state.tail <= 1e-12
-    assert state.weight() == pytest.approx(1.0 - state.tail, abs=1e-15)
+    # the kept layers carry all but the discarded tail
+    assert np.sum(np.abs(state.c_n) ** 2) == pytest.approx(1.0 - state.tail, abs=1e-15)
     # each branch keeps the combined resonator energy
-    np.testing.assert_allclose(state.branch_energy(), 8.0, rtol=1e-12)
+    b, g = branch_amplitudes(np.arange(state.n_terms), 0.7, 2.0, 2.0)
+    np.testing.assert_array_equal(state.beta_n, b)
+    np.testing.assert_allclose(np.abs(b) ** 2 + np.abs(g) ** 2, 8.0, rtol=1e-12)
 
 
 def test_term_count_is_a_floor():
@@ -274,6 +279,91 @@ def test_entropy_series_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert np.all((e_n12 >= 0.0) & (e_n12 <= 1.0))
     assert peak < 4e6
+
+
+def test_entropy_n12_series_memory_is_bounded_by_the_block():
+    """The E_N|12 series holds one block of layer differences at a time;
+    the whole (10,000 x 87) table would take 7 MB per array."""
+    t = CoherentTriple(ALPHA_CAP, 2.0, 1.5j)
+    grid = np.linspace(0.0, 2.0 * math.pi, 10_000)
+    tracemalloc.start()
+    try:
+        e_n12 = entropy_n12_series(t, grid)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all((e_n12 >= 0.0) & (e_n12 <= 1.0))
+    assert peak < 4e6
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_entropy_n12_series_rejects_non_finite_phases(bad):
+    grid = np.linspace(0.0, 2.0, 50)
+    grid[37] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        entropy_n12_series(triple(), grid)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_phase_multiples_raise():
+    """With |alpha| = 0 two layers suffice, so theta_t = 1e308 leaves every
+    branch amplitude finite; the cross-term table reaches (2n - 2) theta_t,
+    which overflows, and must raise rather than return NaN."""
+    state = conditioned_state(triple(alpha=0.0), 1e308)
+    with pytest.raises(ValueError, match="non-finite"):
+        linear_entropies(state)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.floats(0.0, ALPHA_CAP), st.floats(0.0, 4.0), st.floats(0.0, 4.0),
+       st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3),
+       st.integers(0, 40), st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
+@example(ALPHA_CAP, 4.0, 4.0, [0.3, 1.1, 2.0], 40, [-10.0, 9.7, 6.26])
+def test_factored_sums_match_the_full_double_sums(ra, rb, rg, angles, extra, grid):
+    """The layer-difference and triangle sums agree with the three full
+    double sums over branch overlaps, under raised term floors too."""
+    t = CoherentTriple(*(cmath.rect(r, a) for r, a in zip((ra, rb, rg), angles)))
+    floor = required_terms(t.alpha) + extra
+    *curves, _ = entropy_series(t, grid, n_terms=floor)
+    p = np.abs(conditioned_state(t, 0.0, n_terms=floor).c_n) ** 2
+    np.testing.assert_allclose(curves, layer_entropies(p, t.beta, t.gamma, grid),
+                               rtol=0.0, atol=5e-14)
+    np.testing.assert_array_equal(entropy_n12_series(t, grid, n_terms=floor)[0], curves[0])
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.floats(0.0, ALPHA_CAP), st.floats(0.0, 4.0), st.floats(0.0, 4.0),
+       st.floats(0.0, math.pi / 2),
+       st.lists(st.floats(0.0, 2.0 * math.pi), min_size=4, max_size=4),
+       st.floats(-10.0, 10.0))
+def test_e_n12_depends_only_on_the_joint_intensity(ra, rb, rg, chi, angles, theta_t):
+    """E_N|12 sees the resonators only through |beta|^2 + |gamma|^2: another
+    split and other phases of the same joint intensity give the same value,
+    in the kernel and in the full double sums."""
+    r = math.hypot(rb, rg)
+    t = CoherentTriple(ra, cmath.rect(rb, angles[0]), cmath.rect(rg, angles[1]))
+    moved = CoherentTriple(ra, cmath.rect(r * math.cos(chi), angles[2]),
+                           cmath.rect(r * math.sin(chi), angles[3]))
+    e = linear_entropies(conditioned_state(t, theta_t)).e_n_12
+    state = conditioned_state(moved, theta_t)
+    assert abs(linear_entropies(state).e_n_12 - e) <= 1e-14
+    p = np.abs(state.c_n) ** 2
+    assert abs(layer_entropies(p, moved.beta, moved.gamma, [theta_t])[0, 0] - e) <= 5e-14
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0 * cmath.exp(0.3j), 4.0, ALPHA_CAP])
+def test_layer_difference_weights_are_the_skellam_pmf(alpha):
+    """A_k = sum_m p_m p_{m+k} is the Skellam pmf exp(-2|alpha|^2) I_k(2|alpha|^2)
+    up to the discarded tail, and the weights over |k| < n sum to the squared
+    kept mass."""
+    state = conditioned_state(CoherentTriple(alpha, 1.0, 1.0), 0.0)
+    p = np.abs(state.c_n) ** 2
+    a, _ = _pair_weights(state)
+    k = np.arange(a.size)
+    a_k = a / np.where(k == 0, 1.0, 2.0)
+    assert np.max(np.abs(a_k - ive(k, 2.0 * abs(alpha) ** 2))) <= 2.0 * state.tail + 1e-15
+    assert np.sum(a) == pytest.approx(np.sum(p) ** 2, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +604,12 @@ def test_cat_check_rejects_degenerate_projections():
 # odd cat weight ~|alpha|^2 = 1e-12: the closed-form target needs expm1
 @example(1e-6, 6.2741596608108505, 1.865540507169515, 1.735227095292144,
          1.587657481295446, 2.00001)
+# the triples `sim verify` is documented to pass: the defaults, |alpha| =
+# 2.5 and 3.0, and a complex resonator pair
+@example(2.0, 0.0, 2.0, 0.0, 2.0, 0.0)
+@example(2.5, 0.0, 2.0, 0.0, 2.0, 0.0)
+@example(3.0, 0.0, 2.0, 0.0, 2.0, 0.0)
+@example(2.0, 0.0, 2.5, 0.7, 1.5, -1.1)
 def test_oracle_checks_pass_with_derived_cutoffs(ra, pa, rb, pb, rg, pg):
     """With cutoffs from ``oracle_dims`` the cat and pair-separability checks
     of ``sim verify`` pass for every |alpha| <= 3 and every resonator pair

@@ -1,7 +1,8 @@
 """The test-side references share no code with the fast paths they judge.
 
 ``dense_reference`` is the dense operator algebra the sector-by-sector
-oracle of ``nemsqnd.entanglement`` is compared against, and
+oracle of ``nemsqnd.entanglement`` is compared against, with the three
+full double sums its factored entropy kernel is compared against, and
 ``classical_reference`` the step-by-step integrator the Floquet path of
 ``simulate_classical_circuit`` is compared against.  A reference that
 imported what it judges would agree with it by construction; and the
@@ -35,6 +36,13 @@ def test_dense_reference_imports_nothing_from_entanglement():
         assert not module.startswith("nemsqnd.entanglement"), (module, name)
         if module == "nemsqnd":
             assert name != "entanglement" and name not in vars(nemsqnd.entanglement), name
+    # nor reaches it as an attribute of a package it does import
+    tree = ast.parse((TESTS / "dense_reference.py").read_text(encoding="utf-8"))
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "entanglement" not in attrs
+    # the entropy reference is defined there, not bound to the kernel
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert {"_entropy_block", "layer_entropies"} <= defined
 
 
 def test_classical_reference_does_not_use_the_floquet_path():
