@@ -11,134 +11,83 @@ sector (``entanglement.exchange_evolve``); the dense operator algebra it
 is tested against is not part of the package.
 """
 
-from .circuit import (
-    EPS0,
-    HBAR,
-    ClassicalCircuitConfig,
-    EffectiveParams,
-    PhysicalCircuitParams,
-    circuit_energy,
-    effective_params,
-    equilibrium_capacitance,
-    estimate_dominant_frequency,
-    simulate_classical_circuit,
-    Trajectory,
-    x_rms,
-)
-from .config import RunConfig, default_config_text, load_config, parse_config_text
-from .entanglement import (
-    CatStateReport,
-    CoherentTriple,
-    ConditionedState,
-    EntropyReport,
-    SeparabilityReport,
-    branch_amplitudes,
-    brute_force_entropies,
-    cat_state_check,
-    conditioned_state,
-    entropy_n12_series,
-    entropy_series,
-    exchange_evolve,
-    initial_product_state,
-    linear_entropies,
-    oracle_dims,
-    separability_check_12,
-)
-from .errors import (
-    ConditioningError,
-    ConfigError,
-    EstimationError,
-    IntegrationError,
-    RegimeError,
-    RegimeWarning,
-    SimulationError,
-    TruncationError,
-    VerificationFailure,
-)
-from .fock import (
-    DensityMatrix,
-    StateVector,
-    TruncatedSpace,
-    linear_entropy,
-    min_fock_dim,
-    poisson_tail,
-    reduced_density,
-)
-from .readout import (
-    MeanTrace,
-    ReadoutParams,
-    TwoModeTrace,
-    adiabatic_elimination_error,
-    full_two_mode_mean_dynamics,
-    integrate_mean_qsde,
-    mean_amplitude,
-    mean_photocurrent,
-    stationary_mean_amplitude,
-    stationary_two_mode,
-)
-from .verify import CheckResult, run_all
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EPS0",
-    "HBAR",
-    "CatStateReport",
-    "CheckResult",
-    "ClassicalCircuitConfig",
-    "CoherentTriple",
-    "ConditionedState",
-    "ConditioningError",
-    "ConfigError",
-    "DensityMatrix",
-    "EffectiveParams",
-    "EntropyReport",
-    "EstimationError",
-    "IntegrationError",
-    "MeanTrace",
-    "PhysicalCircuitParams",
-    "ReadoutParams",
-    "RegimeError",
-    "RegimeWarning",
-    "RunConfig",
-    "SeparabilityReport",
-    "SimulationError",
-    "StateVector",
-    "Trajectory",
-    "TruncatedSpace",
-    "TruncationError",
-    "TwoModeTrace",
-    "VerificationFailure",
-    "adiabatic_elimination_error",
-    "branch_amplitudes",
-    "brute_force_entropies",
-    "cat_state_check",
-    "circuit_energy",
-    "conditioned_state",
-    "default_config_text",
-    "effective_params",
-    "entropy_n12_series",
-    "entropy_series",
-    "equilibrium_capacitance",
-    "estimate_dominant_frequency",
-    "exchange_evolve",
-    "full_two_mode_mean_dynamics",
-    "initial_product_state",
-    "integrate_mean_qsde",
-    "linear_entropies",
-    "linear_entropy",
-    "load_config",
-    "mean_amplitude",
-    "mean_photocurrent",
-    "min_fock_dim",
-    "oracle_dims",
-    "parse_config_text",
-    "poisson_tail",
-    "reduced_density",
-    "run_all",
-    "separability_check_12",
-    "simulate_classical_circuit",
-    "stationary_mean_amplitude",
-    "stationary_two_mode",
-    "x_rms",
-]
+#: public name -> submodule defining it, imported on first use (SPEC 1 lazy loading)
+_SOURCE = {
+    "EPS0": "circuit",
+    "HBAR": "circuit",
+    "CatStateReport": "entanglement",
+    "CheckResult": "verify",
+    "ClassicalCircuitConfig": "circuit",
+    "CoherentTriple": "entanglement",
+    "ConditionedState": "entanglement",
+    "ConditioningError": "errors",
+    "ConfigError": "errors",
+    "DensityMatrix": "fock",
+    "EffectiveParams": "circuit",
+    "EntropyReport": "entanglement",
+    "EstimationError": "errors",
+    "IntegrationError": "errors",
+    "MeanTrace": "readout",
+    "PhysicalCircuitParams": "circuit",
+    "ReadoutParams": "readout",
+    "RegimeError": "errors",
+    "RegimeWarning": "errors",
+    "RunConfig": "config",
+    "SeparabilityReport": "entanglement",
+    "SimulationError": "errors",
+    "StateVector": "fock",
+    "Trajectory": "circuit",
+    "TruncatedSpace": "fock",
+    "TruncationError": "errors",
+    "TwoModeTrace": "readout",
+    "VerificationFailure": "errors",
+    "adiabatic_elimination_error": "readout",
+    "branch_amplitudes": "entanglement",
+    "brute_force_entropies": "entanglement",
+    "cat_state_check": "entanglement",
+    "conditioned_state": "entanglement",
+    "default_config_text": "config",
+    "effective_params": "circuit",
+    "entropy_n12_series": "entanglement",
+    "entropy_series": "entanglement",
+    "equilibrium_capacitance": "circuit",
+    "estimate_dominant_frequency": "circuit",
+    "exchange_evolve": "entanglement",
+    "full_two_mode_mean_dynamics": "readout",
+    "initial_product_state": "entanglement",
+    "integrate_mean_qsde": "readout",
+    "linear_entropies": "entanglement",
+    "linear_entropy": "fock",
+    "load_config": "config",
+    "mean_photocurrent": "readout",
+    "min_fock_dim": "fock",
+    "oracle_dims": "entanglement",
+    "parse_config_text": "config",
+    "poisson_tail": "fock",
+    "reduced_density": "fock",
+    "run_all": "verify",
+    "separability_check_12": "entanglement",
+    "simulate_classical_circuit": "circuit",
+    "stationary_two_mode": "readout",
+    "x_rms": "circuit",
+}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name):
+    # PEP 562: a public name is looked up in its submodule on each access,
+    # so importing the package (and the scalar `sim` subcommands) loads no numpy
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -47,11 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import ode
 from .errors import EstimationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: CODATA values; overridable only for unit tests via PhysicalCircuitParams.
 HBAR = 1.054571817e-34
@@ -284,6 +285,10 @@ def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> Trajectory:
     IntegrationError
         If the integrator reports failure.
     """
+    import numpy as np
+
+    from . import ode
+
     p = cfg.params
     if abs(cfg.x0) >= p.d:
         raise ValueError(
@@ -333,25 +338,6 @@ def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> Trajectory:
     return Trajectory(t, *y)
 
 
-def circuit_energy(
-    p: PhysicalCircuitParams,
-    q1: np.ndarray,
-    p1: np.ndarray,
-    q2: np.ndarray,
-    p2: np.ndarray,
-    x: float | np.ndarray = 0.0,
-):
-    """Instantaneous circuit Hamiltonian along a trajectory."""
-    c = (p.d**2 - np.asarray(x) ** 2) / (2.0 * p.d * p.eps0 * p.A)
-    return (
-        p1**2 / (2.0 * p.L1)
-        + p2**2 / (2.0 * p.L2)
-        + 0.5 * (1.0 / p.C1 + c) * q1**2
-        + 0.5 * (1.0 / p.C2 + c) * q2**2
-        + c * q1 * q2
-    )
-
-
 # ---------------------------------------------------------------------------
 # spectral estimation
 
@@ -367,6 +353,8 @@ def estimate_dominant_frequency(series: np.ndarray, dt: float) -> float:
 
     Returns rad/s for a sampling interval ``dt`` in seconds.
     """
+    import numpy as np
+
     y = np.asarray(series, dtype=float)
     n = y.size
     if n < 1024:

@@ -8,6 +8,10 @@ place — so a crashed run never leaves a half-written CSV behind.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input or a
 simulation that refused to run.
+
+``params``, ``defaults``, ``--help`` and every config error run on the
+standard library alone: each array subcommand imports numpy and the
+modules it calls inside its own ``cmd_*`` body.
 """
 
 from __future__ import annotations
@@ -21,14 +25,8 @@ import tempfile
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-import numpy as np
-
-from .circuit import estimate_dominant_frequency, simulate_classical_circuit
 from .config import RunConfig, default_config_text, load_config
-from .entanglement import cat_state_check, entropy_n12_series, entropy_series, oracle_dims
 from .errors import ConfigError, SimulationError, VerificationFailure
-from .readout import integrate_mean_qsde, mean_photocurrent
-from .verify import classical_scenario, run_all
 
 __all__ = ["main"]
 
@@ -108,6 +106,10 @@ def cmd_params(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def cmd_current(cfg: RunConfig, out: Path, strict: bool) -> int:
+    import numpy as np
+
+    from .readout import integrate_mean_qsde, mean_photocurrent
+
     ro = cfg.readout(strict=strict)
     if ro.gain == 0.0:
         raise ValueError("current gain is zero; normalized curves are undefined")
@@ -144,6 +146,10 @@ def cmd_current(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def cmd_entropy(cfg: RunConfig, out: Path, strict: bool) -> int:
+    import numpy as np
+
+    from .entanglement import entropy_n12_series, entropy_series
+
     alpha = complex(cfg.alpha_re, cfg.alpha_im)
     theta_t = np.linspace(0.0, cfg.theta_t_max, cfg.entropy_points)
 
@@ -174,6 +180,8 @@ def cmd_entropy(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def cmd_cat(cfg: RunConfig, out: Path, strict: bool) -> int:
+    from .entanglement import cat_state_check, oracle_dims
+
     triple = cfg.triple()
     report = cat_state_check(triple, oracle_dims(triple, cfg.oracle_dim))
     odd = math.nan if report.odd_fidelity is None else report.odd_fidelity
@@ -201,6 +209,9 @@ def cmd_cat(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def cmd_classical(cfg: RunConfig, out: Path, strict: bool) -> int:
+    from .circuit import estimate_dominant_frequency, simulate_classical_circuit
+    from .verify import classical_scenario
+
     run, omega_ref, nu_drive = classical_scenario(cfg)
     traj = simulate_classical_circuit(run)
     _write_csv(
@@ -227,6 +238,8 @@ def cmd_classical(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: Path, strict: bool) -> int:
+    from .verify import run_all
+
     results = run_all(cfg, strict=strict)
     payload = {
         "passed": all(r.passed for r in results),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .circuit import (
     DRIVE_PERIOD_CAP,
@@ -27,9 +28,23 @@ from .circuit import (
     PhysicalCircuitParams,
     effective_params,
 )
-from .entanglement import ALPHA_CAP, ORACLE_DIM_CAP, TERM_CAP, CoherentTriple
 from .errors import ConfigError
 from .readout import ReadoutParams
+
+if TYPE_CHECKING:
+    from .entanglement import CoherentTriple
+
+# Size caps of the entanglement layer, defined here so that reading a
+# config needs no numpy; ``nemsqnd.entanglement`` imports them from here.
+
+#: cap on |alpha|; keeps the automatic term counts in the tens
+ALPHA_CAP = 6.0
+
+#: hard ceiling for the automatic term-count growth
+TERM_CAP = 512
+
+#: largest configurable floor of the oracle cutoffs (``oracle_dims``)
+ORACLE_DIM_CAP = 60
 
 
 def _desk_defaults() -> dict[str, float]:
@@ -192,6 +207,8 @@ class RunConfig:
         gamma: complex | None = None,
     ) -> CoherentTriple:
         """Coherent amplitudes from the config, with optional overrides."""
+        from .entanglement import CoherentTriple
+
         return CoherentTriple(
             alpha=complex(self.alpha_re, self.alpha_im) if alpha is None else alpha,
             beta=complex(self.beta_re, self.beta_im) if beta is None else beta,

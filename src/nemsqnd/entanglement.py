@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ALPHA_CAP, ORACLE_DIM_CAP, TERM_CAP  # noqa: F401 (re-exported)
 from .errors import ConditioningError, TruncationError
 from .fock import (
     _DEFAULT_TRIPLE_LABELS as _TRIPLE_LABELS,
@@ -72,18 +73,9 @@ from .fock import (
     reduced_density,
 )
 
-#: cap on |alpha|; keeps the automatic term counts in the tens
-ALPHA_CAP = 6.0
-
-#: hard ceiling for the automatic term-count growth
-TERM_CAP = 512
-
 #: Poisson tail mass a truncated coherent mode may discard, on the
 #: analytic layer sums and on every oracle cutoff alike
 TAIL_TOL = 1e-12
-
-#: largest configurable floor of the oracle cutoffs (``oracle_dims``)
-ORACLE_DIM_CAP = 60
 
 #: bytes one dense matrix on the resonator pair of an oracle space may
 #: take (the rho_12 - mixture difference of ``separability_check_12``);

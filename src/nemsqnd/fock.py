@@ -19,6 +19,7 @@ against.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -193,6 +194,8 @@ def poisson_tail(mean: float, kept: int) -> float:
     accurate where a naive ``1 - sum`` would round to zero.  The sum
     stops on the first term that underflows or no longer moves it.
     """
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean!r}")
     if mean < 0:
         raise ValueError("mean must be nonnegative")
     if kept < 1:
@@ -218,8 +221,14 @@ def min_fock_dim(alpha: complex, tail_tol: float = 1e-12, cap: int = 4096) -> in
     """Smallest cutoff keeping the coherent tail mass at or below ``tail_tol``."""
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
-    lam = abs(alpha) ** 2
-    dim = max(2, int(math.ceil(lam)))
+    z = complex(alpha)
+    if not cmath.isfinite(z):
+        raise ValueError(f"amplitude {alpha!r} is not finite")
+    # hypot and * give inf past the float range, where abs and ** raise
+    modulus = math.hypot(z.real, z.imag)
+    lam = modulus * modulus
+    # no cutoff up to the cap fits a mean above it; skip straight to the error
+    dim = max(2, math.ceil(lam)) if lam <= cap else cap + 1
     while dim <= cap:
         if poisson_tail(lam, dim) <= tail_tol:
             return dim

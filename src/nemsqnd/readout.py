@@ -35,12 +35,13 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .circuit import HBAR
-from . import ode
 from .errors import RegimeError, RegimeWarning
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: elimination is trusted while theta0/kappa2 and |theta|/kappa2 stay below this
 REGIME_LIMIT = 0.1
@@ -131,27 +132,18 @@ class ReadoutParams:
 
 
 def _check_nonneg(name, value):
+    import numpy as np
+
     arr = np.asarray(value, dtype=float)
     if arr.size and float(arr.min()) < 0:
         raise ValueError(f"{name} must be nonnegative")
     return arr
 
 
-def mean_amplitude(p: ReadoutParams, n_b, t):
-    """Closed-form ``<a1>(t)`` of the eliminated model, from ``<a1>(0) = 0``.
-
-    Broadcasts over ``n_b`` and ``t``.
-    """
-    p.enforce_regime()
-    tt = _check_nonneg("t", t)
-    nn = _check_nonneg("n_b", n_b)
-    g = p.decay_total
-    out = (-2j * p.alpha2 * p.theta / g) * nn * (1.0 - np.exp(-0.5 * g * tt))
-    return complex(out) if np.isscalar(t) and np.isscalar(n_b) else out
-
-
 def current_from_amplitude(p: ReadoutParams, a1):
     """Drive-phase-locked current of resonator 1 for a mean amplitude."""
+    import numpy as np
+
     phase = cmath.phase(p.alpha2) if p.alpha2 != 0 else 0.0
     locked = np.asarray(a1) * cmath.exp(-1j * phase)
     out = p.current_scale * locked.imag
@@ -164,18 +156,13 @@ def mean_photocurrent(t, n_b, p: ReadoutParams):
     Equal to ``p.gain * n_b * (1 - exp(-(Gamma + kappa1) t / 2))``: linear
     in the phonon number at every instant, monotonically saturating in t.
     """
+    import numpy as np
+
     p.enforce_regime()
     tt = _check_nonneg("t", t)
     nn = _check_nonneg("n_b", n_b)
     out = p.gain * nn * (1.0 - np.exp(-0.5 * p.decay_total * tt))
     return float(out) if np.isscalar(t) and np.isscalar(n_b) else out
-
-
-def stationary_mean_amplitude(p: ReadoutParams, n_b: float) -> complex:
-    """Long-time limit -2i alpha2 theta n_b / (Gamma + kappa1)."""
-    p.enforce_regime()
-    _check_nonneg("n_b", n_b)
-    return -2j * p.alpha2 * p.theta * n_b / p.decay_total
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +189,10 @@ def _solve_complex(rhs, t_span, y0, n_samples, rtol, scale):
     DOP853 at ``rtol`` (``nemsqnd.ode``); each sample is one step from
     the accepted node nearest to it.
     """
+    import numpy as np
+
+    from . import ode
+
     t = np.linspace(t_span[0], t_span[1], n_samples)
     atol = rtol * max(scale, 1e-30) * 1e-2
     nodes, states = ode.solve(rhs, t_span, np.asarray(y0, dtype=complex), rtol, atol)
@@ -216,9 +207,9 @@ def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float
 
         d<a1>/dt = -i theta alpha2 n_b - (Gamma + kappa1)/2 <a1>
 
-    numerically.  This duplicates :func:`mean_amplitude` on purpose — the
-    integrator never sees the closed form, so agreement between the two
-    is a real check, not a tautology.
+    numerically.  This duplicates the closed-form ``<a1>(t)`` of the
+    module docstring on purpose — the integrator never sees the closed
+    form, so agreement between the two is a real check, not a tautology.
     """
     p.enforce_regime()
     _check_nonneg("n_b", n_b)
@@ -252,6 +243,8 @@ def full_two_mode_mean_dynamics(p: ReadoutParams, n_b: float,
     _check_nonneg("n_b", n_b)
     if not t_span[1] > t_span[0] >= 0:
         raise ValueError("t_span must be increasing and nonnegative")
+    import numpy as np
+
     g = p.theta0 + p.theta * n_b
     k1h, k2h = 0.5 * p.kappa1, 0.5 * p.kappa2
     F = p.F

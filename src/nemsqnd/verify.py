@@ -208,25 +208,32 @@ def check_entropy_oracle(cfg: RunConfig) -> CheckResult:
     )
 
 
-def check_cat_fidelity(cfg: RunConfig) -> CheckResult:
-    """Half-period conditional states against the even/odd superpositions.
+def cat_fidelity_targets(triple: CoherentTriple) -> tuple[float, float]:
+    """Exact even and odd half-period conditional-state fidelities.
 
     The projection products ``|beta, gamma>`` and ``|-beta, -gamma>``
     overlap by ``ov = exp(-2|beta|^2 - 2|gamma|^2)``, so each conditional
     state carries an ``ov^2`` admixture of the other cat.  With the
     even/odd cat weights ``P+- = (1 +- exp(-2|alpha|^2)) / 2`` (Dodonov,
-    Malkin & Man'ko, Physica 72, 597 (1974)) the exact fidelities are
-    ``P+ / (P+ + P- ov^2)`` and ``P- / (P- + P+ ov^2)``; the brute-force
-    fidelities are judged against those, not against 1.
+    Malkin & Man'ko, Physica 72, 597 (1974)) the fidelities are
+    ``P+ / (P+ + P- ov^2)`` and ``P- / (P- + P+ ov^2)``.
     """
-    triple = cfg.triple()
-    report = cat_state_check(triple, oracle_dims(triple, cfg.oracle_dim))
     # expm1 keeps P- accurate at small |alpha|, where 1 - exp cancels
     p_odd = -0.5 * math.expm1(-2.0 * abs(triple.alpha) ** 2)
     p_even = 1.0 - p_odd
     ov2 = math.exp(-4.0 * (abs(triple.beta) ** 2 + abs(triple.gamma) ** 2))
-    even_target = p_even / (p_even + p_odd * ov2)
-    odd_target = p_odd / (p_odd + p_even * ov2)
+    return p_even / (p_even + p_odd * ov2), p_odd / (p_odd + p_even * ov2)
+
+
+def check_cat_fidelity(cfg: RunConfig) -> CheckResult:
+    """Half-period conditional states against the even/odd superpositions.
+
+    The brute-force fidelities are judged against the exact ones of
+    ``cat_fidelity_targets``, not against 1.
+    """
+    triple = cfg.triple()
+    report = cat_state_check(triple, oracle_dims(triple, cfg.oracle_dim))
+    even_target, odd_target = cat_fidelity_targets(triple)
     residuals = [abs(report.even_fidelity - even_target),
                  abs(1.0 - report.reassembled_norm),
                  1.0 - report.reassembly_fidelity]

@@ -5,6 +5,8 @@ The independent reference the Floquet path of
 takes the plate displacement x(t) and the reference voltage V(t) as
 callables and integrates the whole span with DOP853, sharing no code
 with the library's integrator beyond the ``Trajectory`` it returns.
+``circuit_energy`` is the circuit Hamiltonian the energy-conservation
+tests evaluate along either integrator's trajectory.
 """
 
 from __future__ import annotations
@@ -74,3 +76,15 @@ def reference_trajectory(
                     rtol=rtol, atol=atol, t_eval=t_eval)
     assert sol.success, sol.message
     return Trajectory(sol.t, *sol.y)
+
+
+def circuit_energy(p: PhysicalCircuitParams, q1, p1, q2, p2, x=0.0):
+    """Instantaneous circuit Hamiltonian along a trajectory, plate at ``x``."""
+    c = (p.d**2 - np.asarray(x) ** 2) / (2.0 * p.d * p.eps0 * p.A)
+    return (
+        p1**2 / (2.0 * p.L1)
+        + p2**2 / (2.0 * p.L2)
+        + 0.5 * (1.0 / p.C1 + c) * q1**2
+        + 0.5 * (1.0 / p.C2 + c) * q2**2
+        + c * q1 * q2
+    )

@@ -13,11 +13,11 @@ import time
 
 import numpy as np
 import pytest
+from classical_reference import circuit_energy
 from dense_reference import Operator, annihilation, creation, evolve
 
 from nemsqnd.circuit import (
     ClassicalCircuitConfig,
-    circuit_energy,
     effective_params,
     estimate_dominant_frequency,
     simulate_classical_circuit,
@@ -45,7 +45,6 @@ from nemsqnd.readout import (
     current_from_amplitude,
     integrate_mean_qsde,
     mean_photocurrent,
-    stationary_mean_amplitude,
 )
 from nemsqnd.verify import classical_scenario, toy_weak_coupling_circuit
 
@@ -57,8 +56,9 @@ def test_current_saturation_with_exact_ratios():
     t_start = time.perf_counter()
     ro = load_config(None).readout()
 
+    # the long-time limit of the closed-form <a1>(t) of nemsqnd.readout
     stationary = {
-        n: current_from_amplitude(ro, stationary_mean_amplitude(ro, n))
+        n: current_from_amplitude(ro, -2j * ro.alpha2 * ro.theta * n / ro.decay_total)
         for n in (1.0, 2.0, 3.0)
     }
     assert abs(stationary[2.0] / stationary[1.0] - 2.0) <= 1e-12

@@ -3,11 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from classical_reference import reference_trajectory
+from classical_reference import circuit_energy, reference_trajectory
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nemsqnd import circuit
+from nemsqnd import ode
 from nemsqnd.circuit import (
     DRIVE_PERIOD_CAP,
     EPS0,
@@ -15,7 +15,6 @@ from nemsqnd.circuit import (
     ClassicalCircuitConfig,
     PhysicalCircuitParams,
     Trajectory,
-    circuit_energy,
     effective_params,
     equilibrium_capacitance,
     estimate_dominant_frequency,
@@ -178,7 +177,7 @@ def test_short_circuit_guard(monkeypatch):
     def no_integration(*args, **kwargs):
         raise AssertionError("integrated past the contact guard")
 
-    monkeypatch.setattr(circuit.ode, "solve", no_integration)
+    monkeypatch.setattr(ode, "solve", no_integration)
     for x0 in (1.5, 1.0, -1.0):
         run = ClassicalCircuitConfig(params=p, x0=x0, nu=1.0, q1=1.0, t_span=(0.0, 10.0))
         with pytest.raises(ValueError, match="short"):

@@ -2,13 +2,14 @@
 
 import cmath
 import csv
+import importlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from nemsqnd.config import (
     parse_config_text,
 )
 from nemsqnd.errors import ConfigError
+from nemsqnd.verify import run_all
 
 
 def read_csv(path):
@@ -342,6 +344,85 @@ def test_verify_catches_tampered_physics(tmp_path, capsys):
     assert by_name["cat_fidelity"]["passed"] is True
 
 
+# Each mutation moves the closed-form side of one `sim verify` check by about
+# ten times its tolerance, at the name the check reads it from, and leaves the
+# numerical side alone.  The separability mixture is built inside
+# `separability_check_12`, from `entanglement.conditioned_state`.
+
+def _shift_averaged_resonance(classical_scenario, tol):
+    def scenario(cfg):
+        run, omega_ref, nu_drive = classical_scenario(cfg)
+        return run, omega_ref * (1 + 10 * tol), nu_drive
+    return scenario
+
+
+def _scale_closed_form_current(mean_photocurrent, tol):
+    return lambda t, n_b, p: mean_photocurrent(t, n_b, p) * (1 + 10 * tol)
+
+
+def _slow_eliminated_decay(readout_params, tol):
+    class Mutated(readout_params):
+        @property
+        def decay_total(self):  # read by the eliminated model only
+            return super().decay_total * (1 + 10 * tol)
+    return Mutated
+
+
+def _raise_analytic_e_n_12(linear_entropies, tol):
+    def entropies(state):
+        report = linear_entropies(state)
+        return replace(report, e_n_12=report.e_n_12 + 10 * tol)
+    return entropies
+
+
+def _lower_even_cat_target(cat_fidelity_targets, tol):
+    def targets(triple):
+        even, odd = cat_fidelity_targets(triple)
+        return even - 10 * tol, odd
+    return targets
+
+
+#: largest |entry| of rho_12 at the default amplitudes
+RHO12_PEAK = 0.038
+
+
+def _raise_mixture_weights(conditioned_state, tol):
+    def state(*args, **kwargs):
+        exact = conditioned_state(*args, **kwargs)
+        return replace(exact, c_n=exact.c_n * math.sqrt(1 + 10 * tol / RHO12_PEAK))
+    return state
+
+
+CLOSED_FORM_MUTATIONS = {
+    "classical_averaging": ("verify", "classical_scenario", "tol_classical_peak",
+                            _shift_averaged_resonance),
+    "current_ode": ("verify", "mean_photocurrent", "tol_current_ode",
+                    _scale_closed_form_current),
+    "adiabatic_elimination": ("verify", "ReadoutParams", "tol_elimination",
+                              _slow_eliminated_decay),
+    "entropy_oracle": ("verify", "linear_entropies", "tol_entropy_oracle",
+                       _raise_analytic_e_n_12),
+    "cat_fidelity": ("verify", "cat_fidelity_targets", "tol_cat_fidelity",
+                     _lower_even_cat_target),
+    "separability_12": ("entanglement", "conditioned_state", "tol_separability",
+                        _raise_mixture_weights),
+}
+
+
+@pytest.mark.parametrize("check", list(CLOSED_FORM_MUTATIONS))
+def test_each_verify_check_fails_alone_on_its_mutation(monkeypatch, check):
+    """Every check can fail: its own mutation trips it and no other."""
+    cfg = parse_config_text("current_points = 16\nclassical_periods = 20\n"
+                            "classical_samples = 1024\noracle_dim = 8\n")
+    module, name, tol_key, mutate = CLOSED_FORM_MUTATIONS[check]
+    holder = importlib.import_module(f"nemsqnd.{module}")
+    monkeypatch.setattr(holder, name, mutate(getattr(holder, name), getattr(cfg, tol_key)))
+    results = run_all(cfg)
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == [check]
+    assert 5.0 < failed[0].residual / failed[0].tolerance < 20.0
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["params", "--config", str(tmp_path / "absent.conf"),
                  "--out", str(tmp_path)]) == 2
@@ -373,9 +454,42 @@ def test_artifacts_get_the_plain_file_mode(tmp_path):
     assert set(modes.values()) == {modes["plain.txt"]}
 
 
+# The submodule each public name was imported from when the package still
+# imported them all eagerly; the lazy table must reproduce it.
+EXPORTED_FROM = {
+    "circuit": """EPS0 HBAR ClassicalCircuitConfig EffectiveParams PhysicalCircuitParams
+        effective_params equilibrium_capacitance estimate_dominant_frequency
+        simulate_classical_circuit Trajectory x_rms""".split(),
+    "config": "RunConfig default_config_text load_config parse_config_text".split(),
+    "entanglement": """CatStateReport CoherentTriple ConditionedState EntropyReport
+        SeparabilityReport branch_amplitudes brute_force_entropies cat_state_check
+        conditioned_state entropy_n12_series entropy_series exchange_evolve
+        initial_product_state linear_entropies oracle_dims separability_check_12""".split(),
+    "errors": """ConditioningError ConfigError EstimationError IntegrationError RegimeError
+        RegimeWarning SimulationError TruncationError VerificationFailure""".split(),
+    "fock": """DensityMatrix StateVector TruncatedSpace linear_entropy min_fock_dim
+        poisson_tail reduced_density""".split(),
+    "readout": """MeanTrace ReadoutParams TwoModeTrace adiabatic_elimination_error
+        full_two_mode_mean_dynamics integrate_mean_qsde mean_photocurrent
+        stationary_two_mode""".split(),
+    "verify": "CheckResult run_all".split(),
+}
+
+
 def test_exports_resolve():
+    assert set(nemsqnd.__all__) <= set(dir(nemsqnd))
+    source = {name: module for module, names in EXPORTED_FROM.items() for name in names}
+    assert sorted(nemsqnd.__all__) == sorted(source)
     for name in nemsqnd.__all__:
-        getattr(nemsqnd, name)
+        submodule = importlib.import_module(f"nemsqnd.{source[name]}")
+        assert getattr(nemsqnd, name) is getattr(submodule, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nemsqnd.no_such_name
+    namespace = {}
+    exec("from nemsqnd import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(nemsqnd.__all__)
+    assert all(namespace[name] is getattr(nemsqnd, name) for name in namespace)
 
 
 def test_out_directory_is_created(tmp_path):
@@ -440,27 +554,36 @@ def source_env():
     return env
 
 
-# Runs ``python -m nemsqnd.cli ARGS`` in a process where importing scipy,
-# or any module under it, fails as it would on an install without scipy,
-# then asserts that no scipy module got loaded.
-NO_SCIPY = """
+# ``python -c BLOCKED PACKAGE ARGS`` runs ``python -m nemsqnd.cli ARGS`` in a
+# process where importing PACKAGE, or any module under it, fails as it would
+# on an install without it, asserts that no module of PACKAGE got loaded and
+# exits with the command's exit code.
+BLOCKED = """
 import importlib.abc, runpy, sys
 
-class NoScipy(importlib.abc.MetaPathFinder):
+blocked = sys.argv.pop(1)
+
+class Blocker(importlib.abc.MetaPathFinder):
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
+        if name.split(".")[0] == blocked:
             raise ImportError(f"No module named {name!r} (blocked)")
         return None
 
-sys.meta_path.insert(0, NoScipy())
+sys.meta_path.insert(0, Blocker())
 try:
     runpy.run_module("nemsqnd.cli", run_name="__main__", alter_sys=True)
+    code = 0
 except SystemExit as exc:
-    if exc.code:
-        raise
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    code = exc.code
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == blocked)
 assert not loaded, loaded
+sys.exit(code)
 """
+
+
+def run_blocked(package, args, cwd):
+    return subprocess.run([sys.executable, "-c", BLOCKED, package, *args],
+                          capture_output=True, cwd=cwd, env=source_env())
 
 
 @pytest.mark.parametrize("command", ["params", "current", "entropy", "cat",
@@ -471,9 +594,23 @@ def test_subcommands_run_without_scipy(tmp_path, command):
     conf.write_text("entropy_points = 3\nalpha_points = 2\ncurrent_points = 16\n"
                     "classical_periods = 20\nclassical_samples = 1024\noracle_dim = 8\n")
     args = [command, "--config", str(conf), "--out", str(tmp_path / "out")]
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, *args],
-                          capture_output=True, cwd=tmp_path, env=source_env())
+    proc = run_blocked("scipy", args, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("args,code,out,err", [
+    (["defaults"], 0, b"L1 = ", b""),
+    (["params"], 0, b"effective circuit parameters\n", b""),
+    (["--help"], 0, b"usage: sim", b""),
+    (["params", "--config", "range.conf"], 2, b"", b"config error: n_terms must be in [1, 512]"),
+], ids=["defaults", "params", "help", "config-error"])
+def test_scalar_subcommands_start_without_numpy(tmp_path, args, code, out, err):
+    """Only the array subcommands import numpy, inside their own bodies."""
+    (tmp_path / "range.conf").write_text("n_terms = 513\n")
+    proc = run_blocked("numpy", args, tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.startswith(out), proc.stdout
+    assert proc.stderr.startswith(err) if err else proc.stderr == b"", proc.stderr
 
 
 def test_help_mentions_every_subcommand():

@@ -112,6 +112,28 @@ def test_min_fock_dim_is_minimal():
         assert poisson_tail(abs(alpha) ** 2, dim - 1) > tol
 
 
+@pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+def test_poisson_tail_rejects_a_non_finite_mean(mean):
+    # a NaN or infinite mean used to report 0.0, "nothing truncated"
+    with pytest.raises(ValueError, match="finite"):
+        poisson_tail(mean, 5)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(math.nan, 0.0),
+                                   complex(1.0, -math.inf)])
+def test_min_fock_dim_names_a_non_finite_amplitude(alpha):
+    with pytest.raises(ValueError, match=r"amplitude .*(nan|inf).* is not finite"):
+        min_fock_dim(alpha)
+
+
+@pytest.mark.parametrize("alpha,cap", [(64.0 + 1e-9, 4096), (11.0, 100), (1e300, 4096),
+                                       (complex(1.7e308, 1.7e308), 4096), (-1e200j, 60)])
+def test_min_fock_dim_refuses_a_mean_above_the_cap(alpha, cap):
+    """|alpha|^2 > cap needs no search; huge amplitudes must not overflow."""
+    with pytest.raises(TruncationError, match=f"no cutoff below {cap}"):
+        min_fock_dim(alpha, cap=cap)
+
+
 def test_poisson_tail_matches_the_incomplete_gamma_function():
     """P(X >= kept) for X ~ Poisson(mean) is the regularized lower
     incomplete gamma function P(kept, mean)."""

@@ -14,9 +14,7 @@ from nemsqnd.readout import (
     current_from_amplitude,
     full_two_mode_mean_dynamics,
     integrate_mean_qsde,
-    mean_amplitude,
     mean_photocurrent,
-    stationary_mean_amplitude,
     stationary_two_mode,
 )
 
@@ -31,6 +29,21 @@ def unit_chain(**over):
                 omega_tilde=2.0, L=1.0, hbar=1.0)
     base.update(over)
     return ReadoutParams(**base)
+
+
+def mean_amplitude(p, n_b, t):
+    """Closed-form ``<a1>(t)`` of the eliminated model from ``<a1>(0) = 0``.
+
+    The reference the integrator is judged against; broadcasts over
+    ``n_b`` and ``t``.
+    """
+    g = p.decay_total
+    return (-2j * p.alpha2 * p.theta / g) * np.asarray(n_b) * (1.0 - np.exp(-0.5 * g * np.asarray(t)))
+
+
+def stationary_mean_amplitude(p, n_b):
+    """Long-time limit -2i alpha2 theta n_b / (Gamma + kappa1) of ``mean_amplitude``."""
+    return -2j * p.alpha2 * p.theta * n_b / p.decay_total
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +111,12 @@ def test_bad_regime_warns_then_raises():
     """theta0/kappa2 = 0.2 is outside the trusted window."""
     loose = unit_chain(theta0=8.0)
     with pytest.warns(RegimeWarning, match="theta0/kappa2"):
-        mean_amplitude(loose, 1.0, 1.0)
+        mean_photocurrent(1.0, 1.0, loose)
+    with pytest.warns(RegimeWarning, match="theta0/kappa2"):
+        integrate_mean_qsde(loose, 1.0, (0.0, 1.0))
     strict = unit_chain(theta0=8.0, strict=True)
     with pytest.raises(RegimeError, match="outside the adiabatic-elimination"):
         mean_photocurrent(1.0, 1.0, strict)
-    with pytest.raises(RegimeError):
-        stationary_mean_amplitude(strict, 1.0)
     with pytest.raises(RegimeError):
         integrate_mean_qsde(strict, 1.0, (0.0, 1.0))
 
@@ -125,17 +138,18 @@ def test_full_model_is_exempt_from_regime_check():
 
 
 def test_mean_amplitude_closed_form_and_broadcast():
+    """The library's current is the locked quadrature of the closed-form
+    amplitude, broadcast over n_b and t, and a float for scalar inputs."""
     p = unit_chain()
     t = np.linspace(0.0, 12.0, 7)
     n_b = np.array([[0.0], [1.0], [3.0]])
-    out = mean_amplitude(p, n_b, t)
+    out = mean_photocurrent(t, n_b, p)
     assert out.shape == (3, 7)
-    g = p.decay_total
-    expected = (-2j * p.alpha2 * p.theta / g) * n_b * (1.0 - np.exp(-0.5 * g * t))
-    np.testing.assert_allclose(out, expected, rtol=1e-15)
+    np.testing.assert_allclose(out, current_from_amplitude(p, mean_amplitude(p, n_b, t)),
+                               rtol=1e-14)
     assert np.all(out[0] == 0)
-    scalar = mean_amplitude(p, 2.0, 5.0)
-    assert isinstance(scalar, complex)
+    scalar = mean_photocurrent(5.0, 2.0, p)
+    assert isinstance(scalar, float)
 
 
 def test_mean_photocurrent_saturates_at_gain_times_nb():
@@ -200,7 +214,7 @@ def test_drive_phase_gauge_invariance(phi):
 def test_decoupled_chain_carries_no_signal():
     p = unit_chain(theta0=0.0, theta=0.0)
     assert p.gain == 0.0
-    assert np.all(mean_amplitude(p, 3.0, np.linspace(0, 10, 5)) == 0)
+    assert np.all(mean_photocurrent(np.linspace(0, 10, 5), 3.0, p) == 0)
     trace = full_two_mode_mean_dynamics(p, 3.0, (0.0, 400.0))
     assert abs(trace.a1[-1]) == 0.0
     assert trace.a2[-1] == pytest.approx(p.alpha2, rel=1e-10)
@@ -310,7 +324,7 @@ def test_elimination_error_rejects_empty_signal():
 def test_negative_inputs_rejected():
     p = unit_chain()
     with pytest.raises(ValueError, match="nonnegative"):
-        mean_amplitude(p, -1.0, 1.0)
+        mean_photocurrent(1.0, -1.0, p)
     with pytest.raises(ValueError, match="nonnegative"):
         mean_photocurrent(-0.5, 1.0, p)
     with pytest.raises(ValueError, match="t_span"):
