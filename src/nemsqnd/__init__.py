@@ -73,7 +73,6 @@ _SOURCE = {
     "separability_check_12": "entanglement",
     "simulate_classical_circuit": "circuit",
     "stationary_two_mode": "readout",
-    "x_rms": "circuit",
 }
 
 __all__ = list(_SOURCE)

@@ -20,8 +20,7 @@ The effective resonator frequencies satisfy
 where omega_i^2 = 1/(L_i C_i) and omega_eq_i^2 = 1/(C_eq L_i).  The
 mechanical zero-point motion enters through x_rms^2 = hbar (n_b + 1/2) / (m nu);
 its fractional correction x_rms^2/d^2 (about 1e-6 at the default desk
-values) is reported but, by convention, dropped from the frequencies
-unless explicitly requested.
+values) is reported but, by convention, dropped from the frequencies.
 
 The classical validator integrates the unaveraged Kirchhoff equations
 with the plate on a declared harmonic drive x(t) = x0 cos(nu t).  The
@@ -125,17 +124,9 @@ def equilibrium_capacitance(p: PhysicalCircuitParams) -> float:
     return p.eps0 * p.A / p.d
 
 
-def x_rms(p: PhysicalCircuitParams, n_b: float = 0.0) -> float:
-    """Root-mean-square mechanical displacement at mean phonon number n_b."""
-    if n_b < 0:
-        raise ValueError("n_b must be nonnegative")
-    return math.sqrt(p.hbar * (n_b + 0.5) / (p.m * p.nu))
-
-
 def effective_params(
     p: PhysicalCircuitParams,
     n_b: float = 0.0,
-    apply_xrms_correction: bool = False,
     resonance_rtol: float | None = None,
 ) -> EffectiveParams:
     """Reduce SI circuit values to the effective coupled-mode parameters.
@@ -143,28 +134,23 @@ def effective_params(
     Parameters
     ----------
     n_b
-        Mean phonon number used for the reported ``x_rms_sq_over_d_sq``.
-    apply_xrms_correction
-        When True the capacitance renormalization keeps the factor
-        ``(1 - x_rms^2/d^2)``; the default drops it, which is the
-        convention the rest of the package relies on (the correction is
-        of order 1e-6 at the desk values).
+        Mean phonon number used for the reported ``x_rms_sq_over_d_sq``;
+        the frequencies drop that correction by convention.
     resonance_rtol
         When given, reject parameter sets whose effective frequencies
         differ by more than this relative tolerance.
     """
     c_eq = equilibrium_capacitance(p)
     r = p.hbar * (n_b + 0.5) / (p.m * p.nu * p.d**2)
-    shrink = (1.0 - r) if apply_xrms_correction else 1.0
 
-    c_tilde1 = 1.0 / (1.0 / p.C1 + shrink / (2.0 * c_eq))
-    c_tilde2 = 1.0 / (1.0 / p.C2 + shrink / (2.0 * c_eq))
+    c_tilde1 = 1.0 / (1.0 / p.C1 + 1.0 / (2.0 * c_eq))
+    c_tilde2 = 1.0 / (1.0 / p.C2 + 1.0 / (2.0 * c_eq))
     omega1 = 1.0 / math.sqrt(p.L1 * p.C1)
     omega2 = 1.0 / math.sqrt(p.L2 * p.C2)
     omega_eq1 = 1.0 / math.sqrt(c_eq * p.L1)
     omega_eq2 = 1.0 / math.sqrt(c_eq * p.L2)
-    omega_tilde1 = math.sqrt(omega1**2 + shrink * omega_eq1**2 / 2.0)
-    omega_tilde2 = math.sqrt(omega2**2 + shrink * omega_eq2**2 / 2.0)
+    omega_tilde1 = math.sqrt(omega1**2 + omega_eq1**2 / 2.0)
+    omega_tilde2 = math.sqrt(omega2**2 + omega_eq2**2 / 2.0)
 
     theta0 = omega_tilde1 * c_tilde1 / (4.0 * c_eq)
     theta = -(p.hbar / (p.d**2 * p.m * p.nu)) * theta0

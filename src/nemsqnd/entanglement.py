@@ -77,10 +77,16 @@ from .fock import (
 #: analytic layer sums and on every oracle cutoff alike
 TAIL_TOL = 1e-12
 
-#: bytes one dense matrix on the resonator pair of an oracle space may
-#: take (the rho_12 - mixture difference of ``separability_check_12``);
-#: 512 MiB admits resonator cutoffs up to 76, above the cap's 60
-ORACLE_BYTE_BUDGET = 2**29
+#: bytes the arrays of one brute-force check may take (``oracle_space``);
+#: 64 MiB admits the cutoffs (60, 86, 86) of every ``sim entropy``
+#: amplitude set at the largest floor, and resonator cutoffs up to 95
+#: at that floor
+ORACLE_BYTE_BUDGET = 2**26
+
+#: rows of the signed Gram product ``separability_check_12`` forms at
+#: once; 32 to 256 rows take the same time at the default cutoffs, so
+#: the block stays small
+PAIR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -396,18 +402,25 @@ def oracle_dims(triple: CoherentTriple, floor: int) -> tuple[int, int, int]:
 def oracle_space(dims: tuple[int, int, int]) -> TruncatedSpace:
     """Three-mode space sized for the brute-force checks.
 
-    Its allocation cap is the fixed ``ORACLE_BYTE_BUDGET`` in complex
-    entries, room for one dense matrix on the resonator pair (the
-    rho_12 - mixture difference of ``separability_check_12``).  Cutoffs
-    whose pair matrix would not fit are refused with ``ValueError``
-    before anything is allocated.
+    Cutoffs are refused with ``ValueError``, before anything is
+    allocated, when the arrays a check holds could exceed the fixed
+    ``ORACLE_BYTE_BUDGET``.  With D = d_1 d_2 those are, in complex
+    entries: the initial state and its evolved copy, d_N D each; the
+    stacked ``G`` of ``separability_check_12`` and its conjugate,
+    (d_N + n) D each, where the n <= d_N layers fit the phonon cutoff
+    because ``initial_product_state`` refuses any smaller one; and one
+    ``PAIR_BLOCK``-row block of the product with its real modulus.  The
+    partial traces and the cat check's two-branch reassembly hold at
+    most five state-size arrays at once, within the six counted.
     """
     d_n, d_1, d_2 = (int(d) for d in dims)
-    pair_bytes = 16 * (d_1 * d_2) ** 2
-    if pair_bytes > ORACLE_BYTE_BUDGET:
+    pair = d_1 * d_2
+    # two states; G and G^* at n = d_N; a complex block and its modulus
+    held = 16 * pair * (2 * d_n + 4 * d_n) + (16 + 8) * pair * PAIR_BLOCK
+    if held > ORACLE_BYTE_BUDGET:
         raise ValueError(
-            f"cutoffs {(d_n, d_1, d_2)}: a resonator-pair matrix would take "
-            f"{pair_bytes:.3e} bytes, above the oracle budget of "
+            f"cutoffs {(d_n, d_1, d_2)}: the oracle arrays could take "
+            f"{held:.3e} bytes, above the oracle budget of "
             f"{ORACLE_BYTE_BUDGET} bytes"
         )
     return TruncatedSpace((d_n, d_1, d_2), _TRIPLE_LABELS, ORACLE_BYTE_BUDGET // 16)
@@ -496,11 +509,14 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
 
     Neither side is formed on its own.  With the evolved state's phonon
     layers A (d_N x D, D = d_1 d_2) stacked over the branch vectors B,
-    ``rho_12 - mixture = G^T diag(1, ..., 1, -p_n) G^*``, one product.
-    rho_12 = A^T A^* shares its nonzero spectrum and trace with the
-    d_N x d_N Gram matrix A A^dagger (Schmidt decomposition), which is
-    the phonon state, so validating that as a density matrix checks the
-    trace and positivity of rho_12.
+    ``rho_12 - mixture = G^T diag(1, ..., 1, -p_n) G^*``, one product,
+    taken ``PAIR_BLOCK`` rows at a time so that only its largest modulus
+    is kept and no D x D matrix exists (a blocked matrix product, Golub
+    & Van Loan, Matrix Computations, sec. 1.3).  rho_12 = A^T A^* shares
+    its nonzero spectrum and trace with the d_N x d_N Gram matrix
+    A A^dagger (Schmidt decomposition), which is the phonon state, so
+    validating that as a density matrix checks the trace and positivity
+    of rho_12.
     """
     space = oracle_space(dims)
     psi_t = exchange_evolve(initial_product_state(triple, space), theta_t)
@@ -508,16 +524,21 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
 
     state = conditioned_state(triple, theta_t)
     p = np.abs(state.c_n) ** 2
-    branches = np.array([
-        np.kron(coherent_vector(b_n, dims[1])[0], coherent_vector(g_n, dims[2])[0])
-        for b_n, g_n in zip(state.beta_n, state.gamma_n)
-    ])
-    g = np.vstack([psi_t.vector.reshape(dims[0], -1), branches])
-    sign = np.concatenate([np.ones(dims[0]), -p])
-    deviation = (g.T * sign) @ g.conj()
+    d_n = dims[0]
+    g = np.empty((d_n + state.n_terms, dims[1] * dims[2]), dtype=complex)
+    g[:d_n] = psi_t.vector.reshape(d_n, -1)
+    for row, b_n, g_n in zip(g[d_n:], state.beta_n, state.gamma_n):
+        row[:] = np.kron(coherent_vector(b_n, dims[1])[0], coherent_vector(g_n, dims[2])[0])
+    mixture_trace = float(p @ np.sum(np.abs(g[d_n:]) ** 2, axis=1))
+    g_conj = g.conj()
+    g[d_n:] *= -p[:, None]  # signed in place: G^T diag(s) is g.T
+    worst = 0.0
+    for start in range(0, g.shape[1], PAIR_BLOCK):
+        block = g.T[start:start + PAIR_BLOCK] @ g_conj
+        worst = max(worst, float(np.max(np.abs(block))))
     return SeparabilityReport(
-        max_abs_deviation=float(np.max(np.abs(deviation))),
-        mixture_trace=float(p @ np.sum(np.abs(branches) ** 2, axis=1)),
+        max_abs_deviation=worst,
+        mixture_trace=mixture_trace,
         dims=tuple(int(d) for d in dims),
     )
 

@@ -143,11 +143,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
 
-    def overlap(self, other: "StateVector") -> complex:
-        if self.space != other.space:
-            raise ValueError("states live on different spaces")
-        return complex(np.vdot(self.vector, other.vector))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

@@ -236,7 +236,9 @@ def partial_trace(rho: DensityMatrix, keep: tuple[str, ...]) -> DensityMatrix:
 
 def fidelity(psi: StateVector, phi: StateVector) -> float:
     """Squared overlap ``|<psi|phi>|^2`` of two pure states."""
-    return float(abs(psi.overlap(phi)) ** 2)
+    if psi.space != phi.space:
+        raise ValueError("states live on different spaces")
+    return float(abs(np.vdot(psi.vector, phi.vector)) ** 2)
 
 
 # ---------------------------------------------------------------------------

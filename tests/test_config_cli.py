@@ -459,7 +459,7 @@ def test_artifacts_get_the_plain_file_mode(tmp_path):
 EXPORTED_FROM = {
     "circuit": """EPS0 HBAR ClassicalCircuitConfig EffectiveParams PhysicalCircuitParams
         effective_params equilibrium_capacitance estimate_dominant_frequency
-        simulate_classical_circuit Trajectory x_rms""".split(),
+        simulate_classical_circuit Trajectory""".split(),
     "config": "RunConfig default_config_text load_config parse_config_text".split(),
     "entanglement": """CatStateReport CoherentTriple ConditionedState EntropyReport
         SeparabilityReport branch_amplitudes brute_force_entropies cat_state_check

@@ -11,11 +11,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ive
 
+from nemsqnd.cli import ENTROPY_CURVE_SETS
 from nemsqnd.config import RunConfig
 from nemsqnd.entanglement import (
     ALPHA_CAP,
     ORACLE_BYTE_BUDGET,
     ORACLE_DIM_CAP,
+    PAIR_BLOCK,
     SERIES_BLOCK,
     TERM_CAP,
     CoherentTriple,
@@ -446,29 +448,63 @@ def test_initial_product_state_polices_tails():
         pytest.fail("undersized resonator cutoff was accepted")
 
 
-def test_oracle_space_allocates_for_pair_matrices():
-    space = oracle_space(oracle_dims(triple(), 30))
-    assert space.labels == ("N", "TLR1", "TLR2")
-    assert space.density_cap >= (42 * 42) ** 2
-    # large enough for a pair matrix at the default cutoffs without
-    # tripping the cap, up to the largest configurable floor
-    space.subspace(("TLR1", "TLR2")).check_matrix_alloc()
+def test_analytic_entropies_match_the_oracle_on_every_curve_set():
+    """The two ``sim entropy`` amplitude sets with the largest resonator
+    cutoffs, (30, 77, 77) and (30, 86, 86), agree with the brute-force
+    partial traces at the default oracle tolerance."""
+    cfg = RunConfig()
+    for beta, gamma, dims in ((3.0, 4.0, (30, 77, 77)), (3 + 4j, 1 + 2j, (30, 86, 86))):
+        t = triple(2.0, beta, gamma)
+        assert oracle_dims(t, cfg.oracle_dim) == dims
+        assert max(_oracle_discrepancies(t, 1.0, dims)) <= cfg.tol_entropy_oracle
+
+
+def test_oracle_space_admits_the_curve_sets_at_the_cap():
+    """At the largest configurable floor the budget admits the cutoffs of
+    every amplitude set ``sim entropy`` writes, and the cubic cap itself."""
     top = ORACLE_DIM_CAP
-    oracle_space((top,) * 3).subspace(("TLR1", "TLR2")).check_matrix_alloc()
+    cfg = RunConfig(oracle_dim=top)
+    widest = max(oracle_dims(cfg.triple(beta=b, gamma=g), top) for b, g in ENTROPY_CURVE_SETS)
+    assert widest == (60, 86, 86)
+    for dims in (widest, (top,) * 3):
+        space = oracle_space(dims)
+        assert space.dims == dims
+        assert space.labels == ("N", "TLR1", "TLR2")
 
 
 def test_oracle_space_refuses_oversized_pairs():
-    """The guard is a fixed budget that the requested cutoffs cannot raise."""
-    assert oracle_space((2, 76, 76)).density_cap == ORACLE_BYTE_BUDGET // 16
+    """The guard is a fixed budget that the requested cutoffs cannot raise,
+    and a check with oversized cutoffs is refused before it allocates."""
+    assert oracle_space((60, 95, 95)).density_cap == ORACLE_BYTE_BUDGET // 16
     tracemalloc.start()
     try:
-        for dims in ((400, 406, 406), (2, 77, 77)):
+        for dims in ((400, 406, 406), (60, 96, 96), (2, 400, 400)):
             with pytest.raises(ValueError, match="oracle budget"):
                 oracle_space(dims)
+        with pytest.raises(ValueError, match="oracle budget"):
+            separability_check_12(triple(), 1.0, (60, 96, 96))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_oracle_checks_stay_within_the_budget():
+    """At the largest admitted resonator cutoffs of the top floor, no
+    brute-force check holds more than the budget."""
+    dims = (60, 95, 95)
+    t = triple()
+    checks = (lambda: brute_force_entropies(t, 1.0, dims),
+              lambda: separability_check_12(t, 1.0, dims),
+              lambda: cat_state_check(t, dims))
+    for check in checks:
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ORACLE_BYTE_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +542,35 @@ def test_gram_residual_matches_the_dense_pair_state(theta_t):
     assert rep.mixture_trace == pytest.approx(float(np.trace(mixture).real), abs=1e-14)
 
 
+@pytest.mark.parametrize("t", [
+    triple(),
+    triple(2.0, cmath.rect(2.5, 0.7), cmath.rect(1.5, -1.1)),
+    triple(3.0, 2.0, 2.0),
+])
+def test_blocked_pair_residual_is_the_full_products_maximum(t):
+    """Row blocks of the signed Gram product give, bit for bit, the maximum
+    of the whole D x D product, at cutoffs (30, 42, 42), (30, 43, 43) and
+    (38, 42, 42); no D is a multiple of the block, so a partial last
+    block is always among them."""
+    dims = oracle_dims(t, 30)
+    pair = dims[1] * dims[2]
+    assert pair % PAIR_BLOCK
+    psi = exchange_evolve(initial_product_state(t, oracle_space(dims)), math.pi / 2)
+    state = conditioned_state(t, math.pi / 2)
+    branches = np.array([
+        np.kron(coherent_vector(b_n, dims[1])[0], coherent_vector(g_n, dims[2])[0])
+        for b_n, g_n in zip(state.beta_n, state.gamma_n)
+    ])
+    g = np.vstack([psi.vector.reshape(dims[0], -1), branches])
+    sign = np.concatenate([np.ones(dims[0]), -np.abs(state.c_n) ** 2])
+    full = float(np.max(np.abs((g.T * sign) @ g.conj())))
+    assert separability_check_12(t, math.pi / 2, dims).max_abs_deviation == full
+
+
 def test_separability_check_allocates_no_dense_pair_state():
-    """At the default pair cutoffs (30, 42, 42) the check holds one D x D
-    difference matrix (D = 42^2) and its modulus, not rho_12, the mixture
-    and a spectrum of rho_12 besides."""
+    """At the default pair cutoffs (30, 42, 42) the check holds less than
+    one D x D complex matrix (D = 42^2): the product is taken in row
+    blocks, and neither rho_12 nor the mixture is formed."""
     dims = oracle_dims(triple(), 30)
     assert dims == (30, 42, 42)
     pair = dims[1] * dims[2]
@@ -520,7 +581,7 @@ def test_separability_check_allocates_no_dense_pair_state():
     finally:
         tracemalloc.stop()
     assert rep.max_abs_deviation <= 1e-8
-    assert peak < 2 * pair**2 * 16
+    assert peak < pair**2 * 16
 
 
 def test_half_period_cat_structure():
