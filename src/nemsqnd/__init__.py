@@ -72,7 +72,6 @@ _SOURCE = {
     "run_all": "verify",
     "separability_check_12": "entanglement",
     "simulate_classical_circuit": "circuit",
-    "stationary_two_mode": "readout",
 }
 
 __all__ = list(_SOURCE)

@@ -106,41 +106,21 @@ def cmd_params(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def cmd_current(cfg: RunConfig, out: Path, strict: bool) -> int:
-    import numpy as np
+    from .readout import current_transients
 
-    from .readout import integrate_mean_qsde, mean_photocurrent
-
-    ro = cfg.readout(strict=strict)
-    if ro.gain == 0.0:
-        raise ValueError("current gain is zero; normalized curves are undefined")
-    decay = ro.decay_total
-    tau = np.linspace(0.0, cfg.current_tau_max, cfg.current_points)
-    t = 2.0 * tau / decay
-    occupations = (0.0, 1.0, 2.0, 3.0)
-    analytic = [mean_photocurrent(t, n, ro) / ro.gain for n in occupations]
-    residual = np.zeros_like(tau)
-    for n, ref in zip(occupations, analytic):
-        if n == 0.0:
-            continue  # empty NEMS drives nothing; the column stays zero
-        trace = integrate_mean_qsde(
-            ro, n, (0.0, float(t[-1])), n_samples=cfg.current_points, rtol=1e-11
-        )
-        residual = np.maximum(residual, np.abs(trace.current / ro.gain - ref) / n)
-    rows = [
-        (tau[i], analytic[0][i], analytic[1][i], analytic[2][i], analytic[3][i], residual[i])
-        for i in range(len(tau))
-    ]
+    curves = current_transients(cfg.readout(strict=strict), cfg.current_tau_max,
+                                cfg.current_points)
     _write_csv(
         out / "current.csv",
         ("tau", "I_nb0", "I_nb1", "I_nb2", "I_nb3", "residual"),
-        rows,
+        zip(curves.tau, *curves.normalized, curves.residual),
     )
-    print(f"wrote {out / 'current.csv'} ({len(tau)} samples)")
+    print(f"wrote {out / 'current.csv'} ({len(curves.tau)} samples)")
     _print_table([
-        ("stationary I/gain (n_b=1)", f"{analytic[1][-1]:.12e}"),
-        ("stationary I/gain (n_b=2)", f"{analytic[2][-1]:.12e}"),
-        ("stationary I/gain (n_b=3)", f"{analytic[3][-1]:.12e}"),
-        ("max ODE residual", f"{float(residual.max()):.3e}"),
+        ("stationary I/gain (n_b=1)", f"{curves.normalized[1][-1]:.12e}"),
+        ("stationary I/gain (n_b=2)", f"{curves.normalized[2][-1]:.12e}"),
+        ("stationary I/gain (n_b=3)", f"{curves.normalized[3][-1]:.12e}"),
+        ("max ODE residual", f"{float(curves.residual.max()):.3e}"),
     ])
     return 0
 
@@ -209,30 +189,28 @@ def cmd_cat(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def cmd_classical(cfg: RunConfig, out: Path, strict: bool) -> int:
-    from .circuit import estimate_dominant_frequency, simulate_classical_circuit
-    from .verify import classical_scenario
+    from .circuit import classical_averaging
 
-    run, omega_ref, nu_drive = classical_scenario(cfg)
-    traj = simulate_classical_circuit(run)
+    run = cfg.classical()
+    report = classical_averaging(run)
+    traj = report.trajectory
     _write_csv(
         out / "trajectory.csv",
         ("t", "Q1", "P1", "Q2", "P2"),
         zip(traj.t, traj.q1, traj.p1, traj.q2, traj.p2),
     )
-    dt = traj.t[1] - traj.t[0]
-    est = estimate_dominant_frequency(traj.q1, dt)
-    rel_error = abs(est - omega_ref) / omega_ref
     _write_csv(
         out / "classical_report.csv",
         ("estimated_omega", "predicted_omega", "rel_error", "drive_nu", "x0_over_d"),
-        [(est, omega_ref, rel_error, nu_drive, cfg.classical_x0_over_d)],
+        [(report.estimated_omega, report.predicted_omega, report.rel_error, run.nu,
+          cfg.classical_x0_over_d)],
     )
     print(f"wrote {out / 'trajectory.csv'} ({traj.t.size} samples)")
     print(f"wrote {out / 'classical_report.csv'}")
     _print_table([
-        ("spectral peak [rad/s]", f"{est:.12e}"),
-        ("averaged prediction [rad/s]", f"{omega_ref:.12e}"),
-        ("relative error", f"{rel_error:.3e}"),
+        ("spectral peak [rad/s]", f"{report.estimated_omega:.12e}"),
+        ("averaged prediction [rad/s]", f"{report.predicted_omega:.12e}"),
+        ("relative error", f"{report.rel_error:.3e}"),
     ])
     return 0
 

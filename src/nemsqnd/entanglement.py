@@ -62,7 +62,6 @@ import numpy as np
 from .config import ALPHA_CAP, ORACLE_DIM_CAP, TERM_CAP  # noqa: F401 (re-exported)
 from .errors import ConditioningError, TruncationError
 from .fock import (
-    _DEFAULT_TRIPLE_LABELS as _TRIPLE_LABELS,
     StateVector,
     TruncatedSpace,
     coherent_amplitudes,
@@ -76,6 +75,9 @@ from .fock import (
 #: Poisson tail mass a truncated coherent mode may discard, on the
 #: analytic layer sums and on every oracle cutoff alike
 TAIL_TOL = 1e-12
+
+#: modes of the oracle's three-mode space, phonons first
+_TRIPLE_LABELS = ("N", "TLR1", "TLR2")
 
 #: bytes the arrays of one brute-force check may take (``oracle_space``);
 #: 64 MiB admits the cutoffs (60, 86, 86) of every ``sim entropy``
@@ -410,8 +412,9 @@ def oracle_space(dims: tuple[int, int, int]) -> TruncatedSpace:
     (d_N + n) D each, where the n <= d_N layers fit the phonon cutoff
     because ``initial_product_state`` refuses any smaller one; and one
     ``PAIR_BLOCK``-row block of the product with its real modulus.  The
-    partial traces and the cat check's two-branch reassembly hold at
-    most five state-size arrays at once, within the six counted.
+    partial traces hold at most four state-size arrays at once and the
+    cat check, which reassembles its two branches from the projections,
+    two; both fit within the six counted.
     """
     d_n, d_1, d_2 = (int(d) for d in dims)
     pair = d_1 * d_2
@@ -423,7 +426,7 @@ def oracle_space(dims: tuple[int, int, int]) -> TruncatedSpace:
             f"{held:.3e} bytes, above the oracle budget of "
             f"{ORACLE_BYTE_BUDGET} bytes"
         )
-    return TruncatedSpace((d_n, d_1, d_2), _TRIPLE_LABELS, ORACLE_BYTE_BUDGET // 16)
+    return TruncatedSpace((d_n, d_1, d_2), _TRIPLE_LABELS)
 
 
 def initial_product_state(triple: CoherentTriple, space: TruncatedSpace) -> StateVector:
@@ -593,8 +596,7 @@ def cat_state_check(triple: CoherentTriple,
             "beta/gamma too small to separate the branches"
         )
     space = oracle_space(dims)
-    psi = initial_product_state(triple, space)
-    psi_t = exchange_evolve(psi, math.pi)
+    psi_t = exchange_evolve(initial_product_state(triple, space), math.pi)
     tensor = psi_t.vector.reshape(space.dims[0], -1)
 
     vb, _ = coherent_vector(triple.beta, dims[1])
@@ -622,14 +624,19 @@ def cat_state_check(triple: CoherentTriple,
         raise ConditioningError("even projection branch carries no weight")
     f_odd = _fid(cond_minus, w_minus, cat_odd)
 
-    # two-branch reassembly |psi(pi)> = N+ |cat+>|b>|g> + N- |cat->|-b>|-g>
+    # two-branch reassembly |re> = N+ |cat+>|b>|g> + N- |cat->|-b>|-g>, taken
+    # through the projections: <re|psi(pi)> = N+ <cat+|cond+> + N- <cat-|cond->,
+    # and the cats' disjoint (even/odd) Fock support leaves no cross term in
+    # <re|re> = N+^2 |proj+|^2 + N-^2 |proj-|^2
     odd_weight = -0.5 * math.expm1(-2.0 * abs(triple.alpha) ** 2)
     n_plus, n_minus = math.sqrt(1.0 - odd_weight), math.sqrt(odd_weight)
-    re = n_plus * np.kron(cat_even, proj_plus)
+    re_overlap = n_plus * np.vdot(cat_even, cond_plus)
+    norm_sq = n_plus**2 * float(np.vdot(proj_plus, proj_plus).real)
     if cat_odd is not None and n_minus > 0:
-        re = re + n_minus * np.kron(cat_odd, proj_minus)
-    re_norm = float(np.linalg.norm(re))
-    re_fid = float(abs(np.vdot(re / re_norm, psi_t.vector)) ** 2)
+        re_overlap += n_minus * np.vdot(cat_odd, cond_minus)
+        norm_sq += n_minus**2 * float(np.vdot(proj_minus, proj_minus).real)
+    re_norm = math.sqrt(norm_sq)
+    re_fid = float(abs(re_overlap) ** 2 / norm_sq)
 
     return CatStateReport(
         even_fidelity=f_even, odd_fidelity=f_odd,

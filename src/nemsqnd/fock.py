@@ -9,8 +9,8 @@ purity-based entanglement measures.
 Everything here is dimensionless (hbar = 1).  Storage is dense
 ``numpy`` throughout; the intended working sizes are a mechanical mode
 of a few tens of Fock states and two field modes of comparable size.
-A configurable allocation cap guards against accidentally
-materializing matrices that do not fit that profile.  The dense
+A fixed allocation cap (``DEFAULT_DENSITY_CAP``) guards against
+accidentally materializing matrices that do not fit that profile.  The dense
 operator algebra (ladder operators, embedding, eigendecomposition
 evolution, full partial traces) is in ``tests/dense_reference.py``,
 the reference the oracle's sector-by-sector evolution is checked
@@ -27,10 +27,9 @@ import numpy as np
 
 from .errors import TruncationError
 
-#: complex entries allowed for one dense matrix (operator or density matrix)
+#: complex entries allowed for one dense matrix (operator or density
+#: matrix) and for one state vector
 DEFAULT_DENSITY_CAP = 2**20
-
-_DEFAULT_TRIPLE_LABELS = ("N", "TLR1", "TLR2")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -48,16 +47,14 @@ class TruncatedSpace:
     dims
         Cutoff dimension of each mode, every entry >= 2.
     labels
-        Unique name per mode.  Defaults to ``("N", "TLR1", "TLR2")`` for
-        three modes and ``("m0", "m1", ...)`` otherwise.
-    density_cap
-        Maximum number of complex entries a dense matrix on this space
-        may allocate.  State vectors are capped at the same entry count.
+        Unique name per mode.
+
+    States and dense matrices on the space are capped at
+    ``DEFAULT_DENSITY_CAP`` complex entries.
     """
 
     dims: tuple[int, ...]
-    labels: tuple[str, ...] = ()
-    density_cap: int = DEFAULT_DENSITY_CAP
+    labels: tuple[str, ...]
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -67,22 +64,15 @@ class TruncatedSpace:
         if any(d < 2 for d in dims):
             raise ValueError(f"every mode dimension must be >= 2, got {dims}")
         labels = tuple(self.labels)
-        if not labels:
-            if len(dims) == 3:
-                labels = _DEFAULT_TRIPLE_LABELS
-            else:
-                labels = tuple(f"m{i}" for i in range(len(dims)))
         object.__setattr__(self, "labels", labels)
         if len(labels) != len(dims):
             raise ValueError("labels and dims must have equal length")
         if len(set(labels)) != len(labels):
             raise ValueError(f"mode labels must be unique, got {labels}")
-        if self.density_cap < 4:
-            raise ValueError("density_cap too small")
-        if self.dim > self.density_cap:
+        if self.dim > DEFAULT_DENSITY_CAP:
             raise ValueError(
                 f"state of dimension {self.dim} exceeds the allocation cap "
-                f"{self.density_cap}; raise density_cap explicitly if intended"
+                f"{DEFAULT_DENSITY_CAP}"
             )
 
     @property
@@ -101,12 +91,12 @@ class TruncatedSpace:
             ) from None
 
     def check_matrix_alloc(self) -> None:
-        """Reject dense matrix allocation beyond the configured cap."""
-        if self.dim * self.dim > self.density_cap:
+        """Reject dense matrix allocation beyond the cap."""
+        if self.dim * self.dim > DEFAULT_DENSITY_CAP:
             raise ValueError(
                 f"dense {self.dim}x{self.dim} matrix would allocate "
                 f"{self.dim * self.dim} complex entries, above the cap "
-                f"{self.density_cap}; raise density_cap explicitly if intended"
+                f"{DEFAULT_DENSITY_CAP}"
             )
 
     def subspace(self, keep: tuple[str, ...]) -> "TruncatedSpace":
@@ -114,7 +104,6 @@ class TruncatedSpace:
         return TruncatedSpace(
             tuple(self.dims[a] for a in axes),
             tuple(self.labels[a] for a in axes),
-            self.density_cap,
         )
 
 

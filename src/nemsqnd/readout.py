@@ -35,7 +35,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .circuit import HBAR
 from .errors import RegimeError, RegimeWarning
@@ -201,11 +201,10 @@ def _solve_complex(rhs, t_span, y0, n_samples, rtol, scale):
 
 
 def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float],
-                        a1_init: complex = 0j, n_samples: int = 200,
-                        rtol: float = 1e-10) -> MeanTrace:
-    """Integrate the eliminated mean equation
+                        n_samples: int = 200, rtol: float = 1e-10) -> MeanTrace:
+    """Integrate the eliminated mean equation from rest
 
-        d<a1>/dt = -i theta alpha2 n_b - (Gamma + kappa1)/2 <a1>
+        d<a1>/dt = -i theta alpha2 n_b - (Gamma + kappa1)/2 <a1>,  <a1>(0) = 0
 
     numerically.  This duplicates the closed-form ``<a1>(t)`` of the
     module docstring on purpose — the integrator never sees the closed
@@ -221,9 +220,44 @@ def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float
     def rhs(_t, y):
         return forcing - halfdecay * y
 
-    scale = max(abs(a1_init), abs(forcing) / max(halfdecay, 1e-300))
-    t, (a1,) = _solve_complex(rhs, t_span, [a1_init], n_samples, rtol, scale)
+    scale = abs(forcing) / max(halfdecay, 1e-300)
+    t, (a1,) = _solve_complex(rhs, t_span, [0j], n_samples, rtol, scale)
     return MeanTrace(t, a1, current_from_amplitude(p, a1))
+
+
+# a NamedTuple: a frozen dataclass costs about 1 ms more at `sim` start-up
+class CurrentTransients(NamedTuple):
+    """Normalized current transients on a grid of ``tau = (Gamma + kappa1) t / 2``.
+
+    ``normalized[k]`` is the closed-form ``I / gain`` at ``n_b = k`` for
+    k = 0, 1, 2, 3; ``residual`` is, per sample, the largest deviation of
+    the integrated mean equation from it over n_b = 1, 2, 3, in units of
+    ``gain * n_b``.
+    """
+
+    tau: np.ndarray
+    normalized: tuple[np.ndarray, ...]
+    residual: np.ndarray
+
+
+def current_transients(p: ReadoutParams, tau_max: float, n_samples: int) -> CurrentTransients:
+    """Closed-form transients of ``sim current`` and their ODE residual.
+
+    The mean equation is integrated at rtol 1e-11 on the same
+    ``n_samples`` points the closed form is evaluated on.
+    """
+    import numpy as np
+
+    if p.gain == 0.0:
+        raise ValueError("current gain is zero; normalized curves are undefined")
+    tau = np.linspace(0.0, tau_max, n_samples)
+    t = 2.0 * tau / p.decay_total
+    normalized = tuple(mean_photocurrent(t, n, p) / p.gain for n in (0.0, 1.0, 2.0, 3.0))
+    residual = np.zeros_like(tau)
+    for n, ref in zip((1.0, 2.0, 3.0), normalized[1:]):
+        trace = integrate_mean_qsde(p, n, (0.0, float(t[-1])), n_samples=n_samples, rtol=1e-11)
+        residual = np.maximum(residual, np.abs(trace.current / p.gain - ref) / n)
+    return CurrentTransients(tau, normalized, residual)
 
 
 def full_two_mode_mean_dynamics(p: ReadoutParams, n_b: float,
@@ -257,27 +291,7 @@ def full_two_mode_mean_dynamics(p: ReadoutParams, n_b: float,
     return TwoModeTrace(t, a1, a2)
 
 
-def stationary_two_mode(p: ReadoutParams, n_b: float) -> tuple[complex, complex]:
-    """Exact fixed point of the coupled mean equations.
-
-    Solving the stationary linear system gives
-
-        <a1>_inf = -2i g kappa2 alpha2 / (kappa1 kappa2 + 4 g^2)
-        <a2>_inf = alpha2 kappa1 kappa2 / (kappa1 kappa2 + 4 g^2)
-
-    with g = theta0 + theta n_b.  Algebra only — used to cross-check the
-    long-time limit of :func:`full_two_mode_mean_dynamics`.
-    """
-    _check_nonneg("n_b", n_b)
-    g = p.theta0 + p.theta * n_b
-    denom = p.kappa1 * p.kappa2 + 4.0 * g * g
-    a2 = p.alpha2 * p.kappa1 * p.kappa2 / denom
-    a1 = -2j * g * p.kappa2 * p.alpha2 / denom
-    return a1, a2
-
-
-def adiabatic_elimination_error(p: ReadoutParams, n_b: float = 1.0,
-                                from_ode: bool = False) -> float:
+def adiabatic_elimination_error(p: ReadoutParams, n_b: float = 1.0) -> float:
     """Relative error of the eliminated model's stationary phonon signal.
 
     The full model's stationary ``<a1>`` contains a phonon-independent
@@ -287,20 +301,16 @@ def adiabatic_elimination_error(p: ReadoutParams, n_b: float = 1.0,
         full:        <a1>_inf(n_b) - <a1>_inf(0)
         eliminated:  -2i alpha2 theta n_b / (Gamma + kappa1)
 
-    and returns |full - eliminated| / |eliminated|.  With ``from_ode``
-    the full-model values come from integrations of the coupled mean
-    equations over 80 of the slower decay times, at rtol 1e-12, instead
-    of the algebraic fixed point.
+    and returns |full - eliminated| / |eliminated|.  The full-model
+    values come from integrations of the coupled mean equations over 80
+    of the slower decay times, at rtol 1e-12.
     """
     if n_b <= 0:
         raise ValueError("n_b must be positive to carry a signal")
-    if from_ode:
-        t_end = 80.0 / min(p.kappa1, p.kappa2)
-        on = full_two_mode_mean_dynamics(p, n_b, (0.0, t_end), n_samples=3, rtol=1e-12)
-        off = full_two_mode_mean_dynamics(p, 0.0, (0.0, t_end), n_samples=3, rtol=1e-12)
-        full = on.a1[-1] - off.a1[-1]
-    else:
-        full = stationary_two_mode(p, n_b)[0] - stationary_two_mode(p, 0.0)[0]
+    t_end = 80.0 / min(p.kappa1, p.kappa2)
+    on = full_two_mode_mean_dynamics(p, n_b, (0.0, t_end), n_samples=3, rtol=1e-12)
+    off = full_two_mode_mean_dynamics(p, 0.0, (0.0, t_end), n_samples=3, rtol=1e-12)
+    full = on.a1[-1] - off.a1[-1]
     eliminated = -2j * p.alpha2 * p.theta * n_b / p.decay_total
     if eliminated == 0:
         raise ValueError("eliminated-model signal is zero; nothing to compare")

@@ -11,15 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .circuit import (
-    ClassicalCircuitConfig,
-    PhysicalCircuitParams,
-    effective_params,
-    estimate_dominant_frequency,
-    simulate_classical_circuit,
-)
+from .circuit import classical_averaging
 from .config import RunConfig
 from .entanglement import (
     CoherentTriple,
@@ -30,7 +22,7 @@ from .entanglement import (
     oracle_dims,
     separability_check_12,
 )
-from .readout import ReadoutParams, adiabatic_elimination_error, integrate_mean_qsde, mean_photocurrent
+from .readout import ReadoutParams, adiabatic_elimination_error, current_transients
 
 
 @dataclass(frozen=True)
@@ -52,80 +44,29 @@ class CheckResult:
         }
 
 
-def toy_weak_coupling_circuit(nu: float) -> PhysicalCircuitParams:
-    """Unit-scale circuit with a coupling capacitor 50x the resonator C.
-
-    With the coupling this weak the two normal modes sit within 0.5% of
-    the effective single-resonator frequency, so a spectral peak of
-    either charge coordinate lands on it well inside the 2% gate no
-    matter how the modes are excited.  Dimensionless units throughout
-    (the ODEs are unit-agnostic).
-    """
-    return PhysicalCircuitParams(
-        L1=1.0, L2=1.0, C1=1.0, C2=1.0, d=1.0, A=50.0, m=1.0, nu=nu,
-        eps0=1.0, hbar=1.0,
-    )
-
-
-def classical_scenario(cfg: RunConfig) -> tuple[ClassicalCircuitConfig, float, float]:
-    """Assemble the averaging-validation run from the configuration.
-
-    Returns ``(run_config, omega_reference, nu_drive)``; the reference is
-    the effective resonator frequency the spectral peak is judged
-    against.  Initial charges are equal on both resonators so a single
-    normal mode dominates the spectrum.
-    """
-    if cfg.classical_toy:
-        base = toy_weak_coupling_circuit(nu=1.0)
-        nu_drive = cfg.classical_nu_factor * effective_params(base).omega_tilde1
-        params = toy_weak_coupling_circuit(nu=nu_drive)
-    else:
-        params = cfg.physical()
-        nu_drive = cfg.classical_nu_factor * effective_params(params).omega_tilde1
-    eff = effective_params(params)
-    period = 2.0 * math.pi / eff.omega_tilde1
-    run = ClassicalCircuitConfig(
-        params=params,
-        x0=cfg.classical_x0_over_d * params.d,
-        nu=nu_drive,
-        q1=params.C1, q2=params.C1,
-        t_span=(0.0, cfg.classical_periods * period),
-        n_samples=cfg.classical_samples,
-        rtol=cfg.classical_rtol,
-    )
-    return run, eff.omega_tilde1, nu_drive
-
-
 def check_classical_averaging(cfg: RunConfig) -> CheckResult:
     """Fast plate motion must leave the resonance where averaging puts it."""
-    run, omega_ref, nu_drive = classical_scenario(cfg)
-    traj = simulate_classical_circuit(run)
-    dt = traj.t[1] - traj.t[0]
-    est = estimate_dominant_frequency(traj.q1, dt)
-    residual = abs(est - omega_ref) / omega_ref
+    run = cfg.classical()
+    report = classical_averaging(run)
     return CheckResult(
         name="classical_averaging",
-        passed=residual <= cfg.tol_classical_peak,
-        residual=residual,
+        passed=report.rel_error <= cfg.tol_classical_peak,
+        residual=report.rel_error,
         tolerance=cfg.tol_classical_peak,
         detail=(
-            f"peak {est:.6e} vs effective {omega_ref:.6e} rad/s "
-            f"(drive at {nu_drive:.3e}, x0/d = {cfg.classical_x0_over_d:.3e})"
+            f"peak {report.estimated_omega:.6e} vs effective "
+            f"{report.predicted_omega:.6e} rad/s "
+            f"(drive at {run.nu:.3e}, x0/d = {cfg.classical_x0_over_d:.3e})"
         ),
     )
 
 
 def check_current_ode(cfg: RunConfig, strict: bool = False) -> CheckResult:
-    """Closed-form mean current against direct integration of the mean equation."""
-    p = cfg.readout(strict)
-    t_max = 2.0 * cfg.current_tau_max / p.decay_total
-    worst = 0.0
-    for n_b in (1.0, 2.0, 3.0):
-        trace = integrate_mean_qsde(p, n_b, (0.0, t_max),
-                                    n_samples=cfg.current_points, rtol=1e-11)
-        analytic = mean_photocurrent(trace.t, n_b, p)
-        scale = abs(p.gain) * n_b
-        worst = max(worst, float(np.max(np.abs(trace.current - analytic)) / scale))
+    """Closed-form mean current against direct integration of the mean
+    equation: the largest residual ``sim current`` writes."""
+    transients = current_transients(cfg.readout(strict), cfg.current_tau_max,
+                                     cfg.current_points)
+    worst = float(transients.residual.max())
     return CheckResult(
         name="current_ode",
         passed=worst <= cfg.tol_current_ode,
@@ -151,7 +92,7 @@ def check_elimination(cfg: RunConfig) -> CheckResult:
             F=2.5j * kappa2, kappa1=kappa1, kappa2=kappa2,
             theta0=theta0, theta=-1e-3 * theta0, omega_tilde=1.0, L=1.0,
         )
-        errors.append(adiabatic_elimination_error(p, n_b=1.0, from_ode=True))
+        errors.append(adiabatic_elimination_error(p, n_b=1.0))
     slopes = [
         math.log10(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)
     ]

@@ -24,7 +24,6 @@ import numpy as np
 
 from nemsqnd.errors import TruncationError
 from nemsqnd.fock import (
-    DEFAULT_DENSITY_CAP,
     DensityMatrix,
     StateVector,
     TruncatedSpace,
@@ -86,8 +85,8 @@ class Operator:
 # single-mode operators
 
 
-def _mode_space(dim: int, cap: int = DEFAULT_DENSITY_CAP) -> TruncatedSpace:
-    return TruncatedSpace((int(dim),), ("mode",), cap)
+def _mode_space(dim: int) -> TruncatedSpace:
+    return TruncatedSpace((int(dim),), ("mode",))
 
 
 def annihilation(dim: int) -> Operator:
@@ -176,8 +175,7 @@ def embed(op: Operator, label: str, space: TruncatedSpace) -> Operator:
     return Operator(space, m)
 
 
-def product_state(states: tuple[StateVector, ...], labels: tuple[str, ...] = (),
-                  density_cap: int = DEFAULT_DENSITY_CAP) -> StateVector:
+def product_state(states: tuple[StateVector, ...], labels: tuple[str, ...]) -> StateVector:
     """Tensor product of single-mode states in the given order."""
     if not states:
         raise ValueError("need at least one state")
@@ -186,7 +184,7 @@ def product_state(states: tuple[StateVector, ...], labels: tuple[str, ...] = (),
         if len(s.space.dims) != 1:
             raise ValueError("product_state expects single-mode factors")
         dims.append(s.space.dims[0])
-    space = TruncatedSpace(tuple(dims), labels, density_cap)
+    space = TruncatedSpace(tuple(dims), labels)
     v = states[0].vector
     for s in states[1:]:
         v = np.kron(v, s.vector)

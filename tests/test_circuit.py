@@ -23,7 +23,6 @@ from nemsqnd.circuit import (
 from nemsqnd.cli import main
 from nemsqnd.config import parse_config_text
 from nemsqnd.errors import EstimationError
-from nemsqnd.verify import classical_scenario
 
 
 def desk_params() -> PhysicalCircuitParams:
@@ -251,7 +250,7 @@ def test_whole_period_sample_times():
 def test_classical_run_memory_is_bounded_by_the_block():
     """Samples are stepped ``SAMPLE_BLOCK`` at a time as 4-vectors; one
     4x4 fundamental matrix per sample would take 32 MB at 2**18 samples."""
-    run = classical_scenario(parse_config_text("classical_samples = 262144\n"))[0]
+    run = parse_config_text("classical_samples = 262144\n").classical()
     tracemalloc.start()
     try:
         traj = simulate_classical_circuit(run)
@@ -319,7 +318,7 @@ def test_trajectory_csv(tmp_path):
     conf = tmp_path / "short.conf"
     conf.write_text(text)
     assert main(["classical", "--config", str(conf), "--out", str(tmp_path)]) == 0
-    traj = simulate_classical_circuit(classical_scenario(parse_config_text(text))[0])
+    traj = simulate_classical_circuit(parse_config_text(text).classical())
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,Q1,P1,Q2,P2"
     assert len(lines) == 1025

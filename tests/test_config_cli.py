@@ -62,15 +62,8 @@ def test_default_text_roundtrips():
     assert keys == list(KEYS) == [f.name for f in fields(RunConfig)]
 
 
-def _render(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value)
-
-
 # per field type, values most keys accept mixed with values many reject
 _FIELD_VALUES = {
-    bool: st.booleans(),
     int: st.integers(2, 512) | st.integers(-3, 10_000),
     float: (st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
             | st.floats(allow_nan=False, allow_infinity=False)),
@@ -86,7 +79,7 @@ def test_parsed_overrides_match_the_dataclass(data):
     names = data.draw(st.lists(st.sampled_from(list(_FIELD_TYPES)), unique=True, max_size=8))
     overrides = {name: data.draw(_FIELD_VALUES[_FIELD_TYPES[name]], label=name)
                  for name in names}
-    text = "".join(f"{k} = {_render(v)}\n" for k, v in overrides.items())
+    text = "".join(f"{k} = {v!r}\n" for k, v in overrides.items())
     try:
         expected = RunConfig(**overrides)
     except ConfigError as exc:
@@ -104,12 +97,10 @@ def test_comments_blanks_and_overrides():
         "\n"
         "kappa1 = 2e7   # trailing comment\n"
         "n_terms = 40\n"
-        "classical_toy = off\n"
         "oracle_dim = 60   # the cap\n"
     )
     assert cfg.kappa1 == 2e7
     assert cfg.n_terms == 40
-    assert cfg.classical_toy is False
     assert cfg.oracle_dim == 60
 
 
@@ -118,7 +109,7 @@ def test_comments_blanks_and_overrides():
     ("L1 = 1e-6\nL1 = 2e-6\n", "line 2: duplicate key"),
     ("L1 1e-6\n", "line 1: expected 'key = value'"),
     ("n_terms = soup\n", "line 1: bad value for n_terms"),
-    ("classical_toy = maybe\n", "line 1: bad value for classical_toy"),
+    ("classical_toy = true\n", "line 1: unknown key 'classical_toy'"),
     ("n_b = nan\n", "line 1: n_b must be finite"),
     ("L1 = 1e-6\ntheta_t_max = inf\n", "line 2: theta_t_max must be finite"),
     ("F_re = -inf\n", "line 1: F_re must be finite"),
@@ -160,16 +151,11 @@ def test_dataclass_rejects_non_finite_floats():
 
 
 def test_dataclass_rejects_mistyped_values():
-    """Built directly, RunConfig refuses a bool, int or float field of
-    another type, before any finiteness or range check can compare or
-    allocate with it."""
+    """Built directly, RunConfig refuses an int or float field of another
+    type, before any finiteness or range check can compare or allocate
+    with it."""
     for f in fields(RunConfig):
-        kind = type(f.default)
-        if kind is bool:
-            for value in ("false", 0, 1.0, None):
-                with pytest.raises(ConfigError, match=f"^{f.name} must be a boolean$"):
-                    RunConfig(**{f.name: value})
-        elif kind is int:
+        if type(f.default) is int:
             for value in (float(f.default), f.default + 0.5, str(f.default), True, None):
                 with pytest.raises(ConfigError, match=f"^{f.name} must be an integer$"):
                     RunConfig(**{f.name: value})
@@ -329,6 +315,22 @@ def test_verify_passes_off_the_default_amplitudes(tmp_path, capsys, amplitudes):
     assert capsys.readouterr().out.count("[ ok ]") == 6
 
 
+def test_verify_reports_what_the_subcommands_write(tmp_path):
+    """The current and classical checks judge the very numbers `sim current`
+    and `sim classical` write: one run each, not a second computation."""
+    conf = tmp_path / "short.conf"
+    conf.write_text("current_points = 64\nclassical_periods = 20\nclassical_samples = 1024\n")
+    assert main(["current", "--config", str(conf), "--out", str(tmp_path)]) == 0
+    assert main(["classical", "--config", str(conf), "--out", str(tmp_path)]) == 0
+    checks = {r.name: r for r in run_all(load_config(conf))}
+    _, rows = read_csv(tmp_path / "current.csv")
+    written = max(float(row[5]) for row in rows)
+    assert float(f"{checks['current_ode'].residual:.12e}") == written
+    header, (row,) = read_csv(tmp_path / "classical_report.csv")
+    written = float(row[header.index("rel_error")])
+    assert float(f"{checks['classical_averaging'].residual:.12e}") == written
+
+
 def test_verify_catches_tampered_physics(tmp_path, capsys):
     """Scaling the conditioned coupling on one side of the oracle comparison
     must be flagged — the cross-check is not allowed to be a tautology."""
@@ -347,13 +349,16 @@ def test_verify_catches_tampered_physics(tmp_path, capsys):
 # Each mutation moves the closed-form side of one `sim verify` check by about
 # ten times its tolerance, at the name the check reads it from, and leaves the
 # numerical side alone.  The separability mixture is built inside
-# `separability_check_12`, from `entanglement.conditioned_state`.
+# `separability_check_12`, from `entanglement.conditioned_state`; the averaged
+# resonance and the closed-form current are read by the runs `sim classical`
+# and `sim current` share with `verify`, `circuit.classical_averaging` and
+# `readout.current_transients`.
 
-def _shift_averaged_resonance(classical_scenario, tol):
-    def scenario(cfg):
-        run, omega_ref, nu_drive = classical_scenario(cfg)
-        return run, omega_ref * (1 + 10 * tol), nu_drive
-    return scenario
+def _shift_averaged_resonance(effective_params, tol):
+    def shifted(*args, **kwargs):
+        eff = effective_params(*args, **kwargs)
+        return replace(eff, omega_tilde1=eff.omega_tilde1 * (1 + 10 * tol))
+    return shifted
 
 
 def _scale_closed_form_current(mean_photocurrent, tol):
@@ -394,9 +399,9 @@ def _raise_mixture_weights(conditioned_state, tol):
 
 
 CLOSED_FORM_MUTATIONS = {
-    "classical_averaging": ("verify", "classical_scenario", "tol_classical_peak",
+    "classical_averaging": ("circuit", "effective_params", "tol_classical_peak",
                             _shift_averaged_resonance),
-    "current_ode": ("verify", "mean_photocurrent", "tol_current_ode",
+    "current_ode": ("readout", "mean_photocurrent", "tol_current_ode",
                     _scale_closed_form_current),
     "adiabatic_elimination": ("verify", "ReadoutParams", "tol_elimination",
                               _slow_eliminated_decay),
@@ -470,8 +475,7 @@ EXPORTED_FROM = {
     "fock": """DensityMatrix StateVector TruncatedSpace linear_entropy min_fock_dim
         poisson_tail reduced_density""".split(),
     "readout": """MeanTrace ReadoutParams TwoModeTrace adiabatic_elimination_error
-        full_two_mode_mean_dynamics integrate_mean_qsde mean_photocurrent
-        stationary_two_mode""".split(),
+        full_two_mode_mean_dynamics integrate_mean_qsde mean_photocurrent""".split(),
     "verify": "CheckResult run_all".split(),
 }
 
@@ -554,18 +558,21 @@ def source_env():
     return env
 
 
-# ``python -c BLOCKED PACKAGE ARGS`` runs ``python -m nemsqnd.cli ARGS`` in a
-# process where importing PACKAGE, or any module under it, fails as it would
-# on an install without it, asserts that no module of PACKAGE got loaded and
-# exits with the command's exit code.
+# ``python -c BLOCKED MODULES ARGS`` runs ``python -m nemsqnd.cli ARGS`` in a
+# process where importing any of the comma-separated MODULES, or any module
+# under one, fails as it would on an install without it, asserts that none of
+# them got loaded and exits with the command's exit code.
 BLOCKED = """
 import importlib.abc, runpy, sys
 
-blocked = sys.argv.pop(1)
+prefixes = sys.argv.pop(1).split(",")
+
+def blocked(name):
+    return any(name == p or name.startswith(p + ".") for p in prefixes)
 
 class Blocker(importlib.abc.MetaPathFinder):
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == blocked:
+        if blocked(name):
             raise ImportError(f"No module named {name!r} (blocked)")
         return None
 
@@ -575,14 +582,14 @@ try:
     code = 0
 except SystemExit as exc:
     code = exc.code
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == blocked)
+loaded = sorted(m for m in sys.modules if blocked(m))
 assert not loaded, loaded
 sys.exit(code)
 """
 
 
-def run_blocked(package, args, cwd):
-    return subprocess.run([sys.executable, "-c", BLOCKED, package, *args],
+def run_blocked(modules, args, cwd):
+    return subprocess.run([sys.executable, "-c", BLOCKED, modules, *args],
                           capture_output=True, cwd=cwd, env=source_env())
 
 
@@ -595,6 +602,15 @@ def test_subcommands_run_without_scipy(tmp_path, command):
                     "classical_periods = 20\nclassical_samples = 1024\noracle_dim = 8\n")
     args = [command, "--config", str(conf), "--out", str(tmp_path / "out")]
     proc = run_blocked("scipy", args, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_classical_loads_no_oracle_module(tmp_path):
+    """`sim classical` runs on the circuit and its config alone."""
+    conf = tmp_path / "short.conf"
+    conf.write_text("classical_periods = 20\nclassical_samples = 1024\n")
+    args = ["classical", "--config", str(conf), "--out", str(tmp_path / "out")]
+    proc = run_blocked("nemsqnd.verify,nemsqnd.entanglement,nemsqnd.fock", args, tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import annihilation, embed, evolve, layer_entropies, number, partial_trace
+from dense_reference import annihilation, embed, evolve, layer_entropies, number
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ive
@@ -37,7 +37,12 @@ from nemsqnd.entanglement import (
     separability_check_12,
 )
 from nemsqnd.errors import ConditioningError, TruncationError
-from nemsqnd.fock import DensityMatrix, StateVector, TruncatedSpace, coherent_vector
+from nemsqnd.fock import (
+    DEFAULT_DENSITY_CAP,
+    StateVector,
+    TruncatedSpace,
+    coherent_vector,
+)
 from nemsqnd.verify import check_cat_fidelity, check_separability
 
 amplitudes = st.complex_numbers(max_magnitude=2.5, allow_nan=False,
@@ -475,7 +480,8 @@ def test_oracle_space_admits_the_curve_sets_at_the_cap():
 def test_oracle_space_refuses_oversized_pairs():
     """The guard is a fixed budget that the requested cutoffs cannot raise,
     and a check with oversized cutoffs is refused before it allocates."""
-    assert oracle_space((60, 95, 95)).density_cap == ORACLE_BYTE_BUDGET // 16
+    # the budget admits fewer state entries than the state cap of the space
+    assert ORACLE_BYTE_BUDGET // 96 < DEFAULT_DENSITY_CAP
     tracemalloc.start()
     try:
         for dims in ((400, 406, 406), (60, 96, 96), (2, 400, 400)):
@@ -491,20 +497,23 @@ def test_oracle_space_refuses_oversized_pairs():
 
 def test_oracle_checks_stay_within_the_budget():
     """At the largest admitted resonator cutoffs of the top floor, no
-    brute-force check holds more than the budget."""
+    brute-force check holds more than the budget, and the cat check, which
+    reassembles its two branches from the projections, no more than three
+    states."""
     dims = (60, 95, 95)
+    state_bytes = 16 * math.prod(dims)
     t = triple()
-    checks = (lambda: brute_force_entropies(t, 1.0, dims),
-              lambda: separability_check_12(t, 1.0, dims),
-              lambda: cat_state_check(t, dims))
-    for check in checks:
+    checks = ((lambda: brute_force_entropies(t, 1.0, dims), ORACLE_BYTE_BUDGET),
+              (lambda: separability_check_12(t, 1.0, dims), ORACLE_BYTE_BUDGET),
+              (lambda: cat_state_check(t, dims), 3 * state_bytes))
+    for check, bound in checks:
         tracemalloc.start()
         try:
             check()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= ORACLE_BYTE_BUDGET
+        assert peak <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +531,17 @@ def test_resonator_pair_is_separable():
 def test_gram_residual_matches_the_dense_pair_state(theta_t):
     """The signed Gram product gives max|rho_12 - mixture| of the dense
     route: rho_12 by a full partial trace, the mixture summed branch by
-    branch, at small unequal cutoffs."""
+    branch, at small unequal cutoffs.  The 1248 x 1248 density matrix is
+    above the cap of the library's ``DensityMatrix``, so it is traced as a
+    plain array."""
     t = CoherentTriple(0.3, 0.35j, 0.25 - 0.1j)
     dims = (8, 12, 13)  # residual ~1e-11, so a slip in the mixture weights shows
     rep = separability_check_12(t, theta_t, dims)
 
-    space = oracle_space(dims)
-    psi = exchange_evolve(initial_product_state(t, space), theta_t).vector
-    rho_12 = partial_trace(DensityMatrix(space, np.outer(psi, psi.conj())),
-                           ("TLR1", "TLR2")).matrix
+    psi = exchange_evolve(initial_product_state(t, oracle_space(dims)), theta_t).vector
+    pair = dims[1] * dims[2]
+    rho = np.outer(psi, psi.conj()).reshape(dims + dims)
+    rho_12 = np.trace(rho, axis1=0, axis2=3).reshape(pair, pair)
     state = conditioned_state(t, theta_t)
     mixture = np.zeros_like(rho_12)
     for c_n, b_n, g_n in zip(state.c_n, state.beta_n, state.gamma_n):
@@ -592,7 +603,8 @@ def test_half_period_cat_structure():
     catches an o^2 admixture of the other cat — the exact fidelities and
     weights below include that cross-talk rather than rounding it to 1.
     """
-    report = cat_state_check(CoherentTriple(1.0, 1.2, 1.2), dims=(16, 22, 22))
+    t, dims = CoherentTriple(1.0, 1.2, 1.2), (16, 22, 22)
+    report = cat_state_check(t, dims)
     o = math.exp(-2.0 * 2.88)  # <beta|-beta><gamma|-gamma>
     n_plus2 = 0.5 * (1.0 + math.exp(-2.0))
     n_minus2 = 0.5 * (1.0 - math.exp(-2.0))
@@ -608,6 +620,20 @@ def test_half_period_cat_structure():
     # the cross term) and reproduces the evolved state
     assert report.reassembled_norm == pytest.approx(1.0, abs=1e-10)
     assert report.reassembly_fidelity == pytest.approx(1.0, abs=1e-10)
+    # ... as the explicitly assembled state-size vector does
+    psi_t = exchange_evolve(initial_product_state(t, oracle_space(dims)), math.pi).vector
+    branches = []
+    for sign, weight in ((1, n_plus2), (-1, n_minus2)):
+        cat = (coherent_vector(1.0, dims[0])[0]
+               + sign * coherent_vector(-1.0, dims[0])[0])
+        branch = np.kron(coherent_vector(sign * 1.2, dims[1])[0],
+                         coherent_vector(sign * 1.2, dims[2])[0])
+        branches.append(math.sqrt(weight) * np.kron(cat / np.linalg.norm(cat), branch))
+    explicit = branches[0] + branches[1]
+    norm = np.linalg.norm(explicit)
+    assert report.reassembled_norm == pytest.approx(norm, abs=1e-14)
+    assert report.reassembly_fidelity == pytest.approx(
+        abs(np.vdot(explicit / norm, psi_t)) ** 2, abs=1e-14)
 
 
 def test_cat_cross_talk_dies_at_large_amplitude():

@@ -213,27 +213,30 @@ def test_coherent_tail_small_disk_dim30(mod, phase):
 
 
 def test_space_labels_and_axis():
-    space = TruncatedSpace((3, 4, 5))
+    space = TruncatedSpace((3, 4, 5), ("N", "TLR1", "TLR2"))
     assert space.labels == ("N", "TLR1", "TLR2")
     assert space.axis("TLR2") == 2
     with pytest.raises(ValueError):
         space.axis("nope")
+    with pytest.raises(TypeError, match="labels"):
+        TruncatedSpace((3, 4, 5))  # every space names its modes
 
 
 def test_space_cap_enforced():
     with pytest.raises(ValueError):
-        TruncatedSpace((2048, 2048))  # 4M-dim state > 2^20 cap
-    TruncatedSpace((2048, 2048), density_cap=2**23)
+        TruncatedSpace((2048, 2048), ("A", "B"))  # 4M-dim state > 2^20 cap
+    with pytest.raises(TypeError, match="density_cap"):
+        TruncatedSpace((2048, 2048), ("A", "B"), density_cap=2**23)  # no way to raise it
 
 
 def test_matrix_alloc_cap():
-    space = TruncatedSpace((40, 40))  # 1600-dim: state fine, matrix 2.56M > cap
+    space = TruncatedSpace((40, 40), ("A", "B"))  # 1600-dim: state fine, matrix 2.56M > cap
     with pytest.raises(ValueError):
         identity(space)
 
 
 def test_embed_identity_and_commutation():
-    space = TruncatedSpace((3, 3, 3))
+    space = TruncatedSpace((3, 3, 3), ("N", "TLR1", "TLR2"))
     eye3 = identity(TruncatedSpace((3,), ("mode",)))
     assert np.array_equal(embed(eye3, "TLR1", space).matrix, np.eye(27))
     a1 = embed(annihilation(3), "TLR1", space)
@@ -242,7 +245,7 @@ def test_embed_identity_and_commutation():
 
 
 def test_embedded_number_eigenvalues():
-    space = TruncatedSpace((4, 2, 3))
+    space = TruncatedSpace((4, 2, 3), ("N", "TLR1", "TLR2"))
     n_op = embed(number(4), "N", space)
     for occ in [(0, 0, 0), (1, 1, 2), (3, 0, 1)]:
         psi = basis_state(space, occ)
@@ -250,7 +253,7 @@ def test_embedded_number_eigenvalues():
 
 
 def test_embed_dimension_mismatch():
-    space = TruncatedSpace((4, 2, 3))
+    space = TruncatedSpace((4, 2, 3), ("N", "TLR1", "TLR2"))
     with pytest.raises(ValueError):
         embed(number(3), "N", space)
 
@@ -293,7 +296,7 @@ def test_evolve_rejects_non_hermitian():
 def test_exchange_hamiltonian_conserved_quantities():
     """The phonon-conditioned exchange keeps b+b and a1+a1 + a2+a2 fixed."""
     dims = (4, 6, 6)
-    space = TruncatedSpace(dims)
+    space = TruncatedSpace(dims, ("N", "TLR1", "TLR2"))
     nb = embed(number(dims[0]), "N", space)
     a1 = embed(annihilation(dims[1]), "TLR1", space)
     a2 = embed(annihilation(dims[2]), "TLR2", space)
