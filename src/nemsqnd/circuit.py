@@ -184,8 +184,8 @@ def effective_params(
 #: most drive periods one run may span; each holds one M^m y0 vector
 DRIVE_PERIOD_CAP = 2**20
 
-#: samples stepped at once from their nearest nodes (3.4 MB of stages)
-SAMPLE_BLOCK = 2**13
+#: samples stepped at once from their nearest nodes (0.85 MB of stages)
+SAMPLE_BLOCK = 2**11
 
 
 @dataclass

@@ -80,15 +80,15 @@ TAIL_TOL = 1e-12
 _TRIPLE_LABELS = ("N", "TLR1", "TLR2")
 
 #: bytes the arrays of one brute-force check may take (``oracle_space``);
-#: 64 MiB admits the cutoffs (60, 86, 86) of every ``sim entropy``
-#: amplitude set at the largest floor, and resonator cutoffs up to 95
+#: 32 MiB admits the cutoffs (60, 86, 86) of every ``sim entropy``
+#: amplitude set at the largest floor, and resonator cutoffs up to 101
 #: at that floor
-ORACLE_BYTE_BUDGET = 2**26
+ORACLE_BYTE_BUDGET = 2**25
 
 #: rows of the signed Gram product ``separability_check_12`` forms at
-#: once; 32 to 256 rows take the same time at the default cutoffs, so
-#: the block stays small
-PAIR_BLOCK = 64
+#: once; 16 to 256 rows take about the same time at the default
+#: cutoffs, so the block stays small
+PAIR_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -406,20 +406,22 @@ def oracle_space(dims: tuple[int, int, int]) -> TruncatedSpace:
 
     Cutoffs are refused with ``ValueError``, before anything is
     allocated, when the arrays a check holds could exceed the fixed
-    ``ORACLE_BYTE_BUDGET``.  With D = d_1 d_2 those are, in complex
-    entries: the initial state and its evolved copy, d_N D each; the
-    stacked ``G`` of ``separability_check_12`` and its conjugate,
-    (d_N + n) D each, where the n <= d_N layers fit the phonon cutoff
-    because ``initial_product_state`` refuses any smaller one; and one
-    ``PAIR_BLOCK``-row block of the product with its real modulus.  The
-    partial traces hold at most four state-size arrays at once and the
-    cat check, which reassembles its two branches from the projections,
-    two; both fit within the six counted.
+    ``ORACLE_BYTE_BUDGET``.  With D = d_1 d_2 a state is d_N D complex
+    entries, and no check holds more than three at once: the evolution
+    holds the initial state and its evolved copy; the partial traces
+    hold the evolved state and at most two matricized copies; the cat
+    check, which reassembles its two branches from the projections, the
+    evolved state alone; and ``separability_check_12`` the evolved state
+    while it is copied into the stacked ``G`` of (d_N + n) D entries,
+    where the n <= d_N layers fit the phonon cutoff because
+    ``initial_product_state`` refuses any smaller one.  On top of those
+    comes one ``PAIR_BLOCK``-row block of the product with its real
+    modulus.
     """
     d_n, d_1, d_2 = (int(d) for d in dims)
     pair = d_1 * d_2
-    # two states; G and G^* at n = d_N; a complex block and its modulus
-    held = 16 * pair * (2 * d_n + 4 * d_n) + (16 + 8) * pair * PAIR_BLOCK
+    # three states; a complex block and its modulus
+    held = 16 * pair * 3 * d_n + (16 + 8) * pair * PAIR_BLOCK
     if held > ORACLE_BYTE_BUDGET:
         raise ValueError(
             f"cutoffs {(d_n, d_1, d_2)}: the oracle arrays could take "
@@ -515,7 +517,10 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
     ``rho_12 - mixture = G^T diag(1, ..., 1, -p_n) G^*``, one product,
     taken ``PAIR_BLOCK`` rows at a time so that only its largest modulus
     is kept and no D x D matrix exists (a blocked matrix product, Golub
-    & Van Loan, Matrix Computations, sec. 1.3).  rho_12 = A^T A^* shares
+    & Van Loan, Matrix Computations, sec. 1.3).  Each block is formed
+    as its complex conjugate, ``(G^dagger diag(s))[rows] G``, from a
+    signed copy of the block's columns alone, so ``G^*`` is never held;
+    conjugation leaves the modulus unchanged.  rho_12 = A^T A^* shares
     its nonzero spectrum and trace with the d_N x d_N Gram matrix
     A A^dagger (Schmidt decomposition), which is the phonon state, so
     validating that as a density matrix checks the trace and positivity
@@ -530,15 +535,15 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
     d_n = dims[0]
     g = np.empty((d_n + state.n_terms, dims[1] * dims[2]), dtype=complex)
     g[:d_n] = psi_t.vector.reshape(d_n, -1)
+    del psi_t
     for row, b_n, g_n in zip(g[d_n:], state.beta_n, state.gamma_n):
         row[:] = np.kron(coherent_vector(b_n, dims[1])[0], coherent_vector(g_n, dims[2])[0])
     mixture_trace = float(p @ np.sum(np.abs(g[d_n:]) ** 2, axis=1))
-    g_conj = g.conj()
-    g[d_n:] *= -p[:, None]  # signed in place: G^T diag(s) is g.T
+    sign = np.concatenate([np.ones(d_n), -p])
     worst = 0.0
     for start in range(0, g.shape[1], PAIR_BLOCK):
-        block = g.T[start:start + PAIR_BLOCK] @ g_conj
-        worst = max(worst, float(np.max(np.abs(block))))
+        left = g[:, start:start + PAIR_BLOCK].conj().T * sign
+        worst = max(worst, float(np.max(np.abs(left @ g))))
     return SeparabilityReport(
         max_abs_deviation=worst,
         mixture_trace=mixture_trace,

@@ -267,14 +267,18 @@ def _kept_axes(space: TruncatedSpace, keep: tuple[str, ...]) -> list[int]:
 
 
 def reduced_density(psi: StateVector, keep: tuple[str, ...]) -> DensityMatrix:
-    """Reduced density matrix of a pure state without forming the full matrix."""
+    """Reduced density matrix of a pure state without forming the full matrix.
+
+    The state is matricized with the kept modes as rows, ``x`` (K x T),
+    and ``rho = x x^dagger``.  That holds at most two state-size arrays
+    beside the state: ``x``, a copy unless the kept modes lead, and its
+    conjugate.
+    """
     space = psi.space
     axes = _kept_axes(space, tuple(keep))
-    traced = tuple(a for a in range(len(space.dims)) if a not in axes)
-    tensor = psi.vector.reshape(space.dims)
-    rho = np.tensordot(tensor, tensor.conj(), axes=(traced, traced))
     sub = space.subspace(tuple(keep))
-    return DensityMatrix(sub, rho.reshape(sub.dim, sub.dim))
+    x = np.moveaxis(psi.vector.reshape(space.dims), axes, range(len(axes))).reshape(sub.dim, -1)
+    return DensityMatrix(sub, x @ x.conj().T)
 
 
 def linear_entropy(rho: DensityMatrix) -> float:

@@ -307,11 +307,11 @@ def adiabatic_elimination_error(p: ReadoutParams, n_b: float = 1.0) -> float:
     """
     if n_b <= 0:
         raise ValueError("n_b must be positive to carry a signal")
+    eliminated = -2j * p.alpha2 * p.theta * n_b / p.decay_total
+    if eliminated == 0:
+        raise ValueError("eliminated-model signal is zero; nothing to compare")
     t_end = 80.0 / min(p.kappa1, p.kappa2)
     on = full_two_mode_mean_dynamics(p, n_b, (0.0, t_end), n_samples=3, rtol=1e-12)
     off = full_two_mode_mean_dynamics(p, 0.0, (0.0, t_end), n_samples=3, rtol=1e-12)
     full = on.a1[-1] - off.a1[-1]
-    eliminated = -2j * p.alpha2 * p.theta * n_b / p.decay_total
-    if eliminated == 0:
-        raise ValueError("eliminated-model signal is zero; nothing to compare")
     return abs(full - eliminated) / abs(eliminated)

@@ -15,13 +15,14 @@ from nemsqnd.circuit import (
     ClassicalCircuitConfig,
     PhysicalCircuitParams,
     Trajectory,
+    classical_averaging,
     effective_params,
     equilibrium_capacitance,
     estimate_dominant_frequency,
     simulate_classical_circuit,
 )
 from nemsqnd.cli import main
-from nemsqnd.config import parse_config_text
+from nemsqnd.config import RunConfig, parse_config_text
 from nemsqnd.errors import EstimationError
 
 
@@ -259,6 +260,21 @@ def test_classical_run_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert traj.t.size == 2**18 and np.isfinite(traj.q1).all()
     assert peak < 64 * 2**20
+
+
+def test_classical_averaging_memory_at_the_defaults():
+    """The default averaging run (its trajectory, the stage vectors of one
+    ``SAMPLE_BLOCK`` and the spectrum) holds at most 2.5 MiB at once
+    (traced on a second run, after the lazy imports are loaded)."""
+    run = RunConfig().classical()
+    classical_averaging(run)
+    tracemalloc.start()
+    try:
+        classical_averaging(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nemsqnd
-from nemsqnd.circuit import DRIVE_PERIOD_CAP
+from nemsqnd.circuit import DRIVE_PERIOD_CAP, classical_averaging
 from nemsqnd.cli import main
 from nemsqnd.config import (
     KEYS,
@@ -426,6 +427,20 @@ def test_each_verify_check_fails_alone_on_its_mutation(monkeypatch, check):
     failed = [r for r in results if not r.passed]
     assert [r.name for r in failed] == [check]
     assert 5.0 < failed[0].residual / failed[0].tolerance < 20.0
+
+
+def test_verify_memory_at_the_defaults():
+    """All six checks at the defaults hold at most 3 MiB at once (traced
+    after a classical run has loaded the integrator and the FFT)."""
+    cfg = RunConfig()
+    classical_averaging(cfg.classical())
+    tracemalloc.start()
+    try:
+        run_all(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -481,14 +481,15 @@ def test_oracle_space_refuses_oversized_pairs():
     """The guard is a fixed budget that the requested cutoffs cannot raise,
     and a check with oversized cutoffs is refused before it allocates."""
     # the budget admits fewer state entries than the state cap of the space
-    assert ORACLE_BYTE_BUDGET // 96 < DEFAULT_DENSITY_CAP
+    assert ORACLE_BYTE_BUDGET // 48 < DEFAULT_DENSITY_CAP
+    assert oracle_space((60, 101, 101)).dims == (60, 101, 101)
     tracemalloc.start()
     try:
-        for dims in ((400, 406, 406), (60, 96, 96), (2, 400, 400)):
+        for dims in ((400, 406, 406), (60, 102, 102), (2, 400, 400)):
             with pytest.raises(ValueError, match="oracle budget"):
                 oracle_space(dims)
         with pytest.raises(ValueError, match="oracle budget"):
-            separability_check_12(triple(), 1.0, (60, 96, 96))
+            separability_check_12(triple(), 1.0, (60, 102, 102))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -496,16 +497,21 @@ def test_oracle_space_refuses_oversized_pairs():
 
 
 def test_oracle_checks_stay_within_the_budget():
-    """At the largest admitted resonator cutoffs of the top floor, no
-    brute-force check holds more than the budget, and the cat check, which
-    reassembles its two branches from the projections, no more than three
-    states."""
-    dims = (60, 95, 95)
+    """At the largest admitted resonator cutoffs of the top floor, each
+    brute-force check holds no more than the budget and no more than its
+    own count of states: the partial traces three (the evolved state and
+    two matricized copies), the cat check, which reassembles its two
+    branches from the projections, two (the evolution's input and
+    output), and the separability check three (the evolved state while
+    it is copied into ``G``) plus one block of the product with its
+    modulus."""
+    dims = (60, 101, 101)
     state_bytes = 16 * math.prod(dims)
+    block_bytes = 24 * dims[1] * dims[2] * PAIR_BLOCK
     t = triple()
-    checks = ((lambda: brute_force_entropies(t, 1.0, dims), ORACLE_BYTE_BUDGET),
-              (lambda: separability_check_12(t, 1.0, dims), ORACLE_BYTE_BUDGET),
-              (lambda: cat_state_check(t, dims), 3 * state_bytes))
+    checks = ((lambda: brute_force_entropies(t, 1.0, dims), 3.1 * state_bytes),
+              (lambda: separability_check_12(t, 1.0, dims), 3 * state_bytes + block_bytes),
+              (lambda: cat_state_check(t, dims), 2.25 * state_bytes))
     for check, bound in checks:
         tracemalloc.start()
         try:
@@ -513,7 +519,7 @@ def test_oracle_checks_stay_within_the_budget():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound
+        assert peak <= min(bound, ORACLE_BYTE_BUDGET)
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,20 @@ def test_partial_trace_product_factor():
     assert linear_entropy(rho_a) < 1e-12
 
 
+@pytest.mark.parametrize("keep", [("A",), ("B",), ("C",)], ids=["A", "B", "C"])
+def test_reduced_density_matches_the_dense_partial_trace(keep):
+    """Each single-mode reduction of a random three-mode state with unequal
+    cutoffs equals the full partial trace of its outer product."""
+    rng = np.random.default_rng(7)
+    space = TruncatedSpace((7, 9, 11), ("A", "B", "C"))
+    v = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    psi = StateVector(space, v / np.linalg.norm(v))
+    dense = partial_trace(DensityMatrix(space, np.outer(psi.vector, psi.vector.conj())), keep)
+    red = reduced_density(psi, keep)
+    assert red.space == dense.space
+    assert np.max(np.abs(red.matrix - dense.matrix)) <= 1e-15
+
+
 def test_partial_trace_bell_state():
     space = TruncatedSpace((2, 2), ("A", "B"))
     bell = StateVector(space, np.array([1, 0, 0, 1]) / math.sqrt(2))

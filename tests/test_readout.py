@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nemsqnd import readout
 from nemsqnd.errors import RegimeError, RegimeWarning
 from nemsqnd.readout import (
     ReadoutParams,
@@ -333,6 +334,18 @@ def test_elimination_error_rejects_empty_signal():
         adiabatic_elimination_error(unit_chain(), 0.0)
     with pytest.raises(ValueError, match="zero"):
         adiabatic_elimination_error(unit_chain(theta=0.0), 1.0)
+
+
+@pytest.mark.parametrize("over", [dict(theta=0.0), dict(F=0.0)], ids=["theta=0", "F=0"])
+def test_elimination_error_refuses_a_zero_signal_before_integrating(monkeypatch, over):
+    """A zero eliminated signal (no phonon coupling, or no drive) is refused
+    without integrating either two-mode run."""
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated a run whose signal is zero")
+
+    monkeypatch.setattr(readout, "full_two_mode_mean_dynamics", integrate)
+    with pytest.raises(ValueError, match="signal is zero"):
+        adiabatic_elimination_error(unit_chain(**over), 1.0)
 
 
 def test_negative_inputs_rejected():
