@@ -41,7 +41,6 @@ _SOURCE = {
     "SimulationError": "errors",
     "StateVector": "fock",
     "Trajectory": "circuit",
-    "TruncatedSpace": "fock",
     "TruncationError": "errors",
     "TwoModeTrace": "readout",
     "VerificationFailure": "errors",

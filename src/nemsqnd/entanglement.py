@@ -63,7 +63,7 @@ from .config import ALPHA_CAP, ORACLE_DIM_CAP, TERM_CAP  # noqa: F401 (re-export
 from .errors import ConditioningError, TruncationError
 from .fock import (
     StateVector,
-    TruncatedSpace,
+    _readonly,
     coherent_amplitudes,
     coherent_vector,
     linear_entropy,
@@ -76,10 +76,7 @@ from .fock import (
 #: analytic layer sums and on every oracle cutoff alike
 TAIL_TOL = 1e-12
 
-#: modes of the oracle's three-mode space, phonons first
-_TRIPLE_LABELS = ("N", "TLR1", "TLR2")
-
-#: bytes the arrays of one brute-force check may take (``oracle_space``);
+#: bytes one brute-force check may hold (``initial_product_state``);
 #: 32 MiB admits the cutoffs (60, 86, 86) of every ``sim entropy``
 #: amplitude set at the largest floor, and resonator cutoffs up to 101
 #: at that floor
@@ -159,9 +156,7 @@ class ConditionedState:
         for name, arr in (("c_n", c), ("beta_n", b), ("gamma_n", g)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        for name, arr in (("c_n", c), ("beta_n", b), ("gamma_n", g)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(arr))
 
     @property
     def n_terms(self) -> int:
@@ -401,22 +396,25 @@ def oracle_dims(triple: CoherentTriple, floor: int) -> tuple[int, int, int]:
     return (d_n, d_r, d_r)
 
 
-def oracle_space(dims: tuple[int, int, int]) -> TruncatedSpace:
-    """Three-mode space sized for the brute-force checks.
+def initial_product_state(triple: CoherentTriple,
+                          dims: tuple[int, int, int]) -> StateVector:
+    """Truncated ``|alpha>|beta>|gamma>`` at cutoffs ``(d_N, d_1, d_2)``.
 
-    Cutoffs are refused with ``ValueError``, before anything is
-    allocated, when the arrays a check holds could exceed the fixed
-    ``ORACLE_BYTE_BUDGET``.  With D = d_1 d_2 a state is d_N D complex
-    entries, and no check holds more than three at once: the evolution
-    holds the initial state and its evolved copy; the partial traces
-    hold the evolved state and at most two matricized copies; the cat
-    check, which reassembles its two branches from the projections, the
-    evolved state alone; and ``separability_check_12`` the evolved state
-    while it is copied into the stacked ``G`` of (d_N + n) D entries,
-    where the n <= d_N layers fit the phonon cutoff because
-    ``initial_product_state`` refuses any smaller one.  On top of those
-    comes one ``PAIR_BLOCK``-row block of the product with its real
-    modulus.
+    Every brute-force check starts here, so the cutoffs are refused with
+    ``ValueError``, before anything is allocated, when the arrays a
+    check holds could exceed the fixed ``ORACLE_BYTE_BUDGET``.  With
+    D = d_1 d_2 a state is d_N D complex entries, and no check holds
+    more than three at once: the evolution holds the initial state and
+    its evolved copy; the partial traces hold the evolved state and at
+    most two matricized copies; the cat check, which reassembles its two
+    branches from the projections, the evolved state alone; and
+    ``separability_check_12`` the evolved state while it is copied into
+    the stacked ``G`` of (d_N + n) D entries, where the n <= d_N layers
+    fit the phonon cutoff because the tail check below refuses any
+    smaller one.  On top of those comes one ``PAIR_BLOCK``-row block of
+    the product with its real modulus.
+
+    Each mode's discarded Poisson tail must then be at most ``TAIL_TOL``.
     """
     d_n, d_1, d_2 = (int(d) for d in dims)
     pair = d_1 * d_2
@@ -428,17 +426,9 @@ def oracle_space(dims: tuple[int, int, int]) -> TruncatedSpace:
             f"{held:.3e} bytes, above the oracle budget of "
             f"{ORACLE_BYTE_BUDGET} bytes"
         )
-    return TruncatedSpace((d_n, d_1, d_2), _TRIPLE_LABELS)
-
-
-def initial_product_state(triple: CoherentTriple, space: TruncatedSpace) -> StateVector:
-    """Truncated ``|alpha>|beta>|gamma>`` on ``space``, tail-checked per mode.
-
-    Each mode's discarded Poisson tail must be at most ``TAIL_TOL``.
-    """
     vecs = []
     for amp, dim, name in zip((triple.alpha, triple.beta, triple.gamma),
-                              space.dims, _TRIPLE_LABELS):
+                              (d_n, d_1, d_2), ("N", "TLR1", "TLR2")):
         tail = poisson_tail(abs(amp) ** 2, dim)
         if tail > TAIL_TOL:
             raise TruncationError(
@@ -446,10 +436,9 @@ def initial_product_state(triple: CoherentTriple, space: TruncatedSpace) -> Stat
                 f"amplitude {amp}",
                 required_dim=min_fock_dim(amp, TAIL_TOL),
             )
-        v, _ = coherent_vector(amp, dim)
-        vecs.append(v)
+        vecs.append(coherent_vector(amp, dim))
     full = np.kron(np.kron(vecs[0], vecs[1]), vecs[2])
-    return StateVector(space, full)
+    return StateVector(full.reshape(d_n, d_1, d_2))
 
 
 def exchange_evolve(psi: StateVector, theta_t: float,
@@ -460,14 +449,14 @@ def exchange_evolve(psi: StateVector, theta_t: float,
     (coupling rate times time); layer n of the phonon mode is rotated by
     ``theta0_t + n * theta_t``.
     """
-    space = psi.space
-    if tuple(space.labels) != _TRIPLE_LABELS:
+    tensor = psi.amplitudes
+    if tensor.ndim != 3:
         raise ValueError(
-            f"exchange_evolve expects modes {_TRIPLE_LABELS}, got {space.labels}"
+            f"exchange_evolve expects three modes (phonons, TLR1, TLR2), "
+            f"got {tensor.ndim}"
         )
-    d_n, d_1, d_2 = space.dims
+    d_n, d_1, d_2 = tensor.shape
     layer_phase = theta0_t + np.arange(d_n) * theta_t
-    tensor = psi.vector.reshape(space.dims)
     out = np.empty_like(tensor)
     for total in range(d_1 + d_2 - 1):
         n1 = np.arange(max(0, total - d_2 + 1), min(total, d_1 - 1) + 1)
@@ -475,7 +464,7 @@ def exchange_evolve(psi: StateVector, theta_t: float,
         w, v = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
         phases = np.exp(-1j * np.outer(layer_phase, w))
         out[:, n1, total - n1] = ((tensor[:, n1, total - n1] @ v) * phases) @ v.T
-    return StateVector(space, out.reshape(-1), norm_tol=1e-10)
+    return StateVector(out, norm_tol=1e-10)
 
 
 def brute_force_entropies(triple: CoherentTriple, theta_t: float,
@@ -487,10 +476,8 @@ def brute_force_entropies(triple: CoherentTriple, theta_t: float,
     that it only mixes the two resonators internally: E_N|12 must be
     unchanged while the two single-resonator entropies may move.
     """
-    space = oracle_space(dims)
-    psi_t = exchange_evolve(initial_product_state(triple, space), theta_t, theta0_t)
-    return tuple(linear_entropy(reduced_density(psi_t, keep))
-                 for keep in (("N",), ("TLR1",), ("TLR2",)))
+    psi_t = exchange_evolve(initial_product_state(triple, dims), theta_t, theta0_t)
+    return tuple(linear_entropy(reduced_density(psi_t, axis)) for axis in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -526,18 +513,17 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
     validating that as a density matrix checks the trace and positivity
     of rho_12.
     """
-    space = oracle_space(dims)
-    psi_t = exchange_evolve(initial_product_state(triple, space), theta_t)
-    reduced_density(psi_t, ("N",))  # raises unless rho_12 is a valid state
+    psi_t = exchange_evolve(initial_product_state(triple, dims), theta_t)
+    reduced_density(psi_t, 0)  # raises unless rho_12 is a valid state
 
     state = conditioned_state(triple, theta_t)
     p = np.abs(state.c_n) ** 2
     d_n = dims[0]
     g = np.empty((d_n + state.n_terms, dims[1] * dims[2]), dtype=complex)
-    g[:d_n] = psi_t.vector.reshape(d_n, -1)
+    g[:d_n] = psi_t.amplitudes.reshape(d_n, -1)
     del psi_t
     for row, b_n, g_n in zip(g[d_n:], state.beta_n, state.gamma_n):
-        row[:] = np.kron(coherent_vector(b_n, dims[1])[0], coherent_vector(g_n, dims[2])[0])
+        row[:] = np.kron(coherent_vector(b_n, dims[1]), coherent_vector(g_n, dims[2]))
     mixture_trace = float(p @ np.sum(np.abs(g[d_n:]) ** 2, axis=1))
     sign = np.concatenate([np.ones(d_n), -p])
     worst = 0.0
@@ -566,9 +552,7 @@ class CatStateReport:
 
 def _cat_vector(alpha: complex, dim: int, sign: int) -> np.ndarray | None:
     """Normalized even (+1) / odd (-1) coherent superposition, or None if empty."""
-    plus, _ = coherent_vector(alpha, dim)
-    minus, _ = coherent_vector(-alpha, dim)
-    v = plus + sign * minus
+    v = coherent_vector(alpha, dim) + sign * coherent_vector(-alpha, dim)
     nrm = float(np.linalg.norm(v))
     if nrm < 1e-8:
         return None
@@ -600,16 +584,13 @@ def cat_state_check(triple: CoherentTriple,
             f"projection products overlap at {overlap:.3e} (guard 0.01); "
             "beta/gamma too small to separate the branches"
         )
-    space = oracle_space(dims)
-    psi_t = exchange_evolve(initial_product_state(triple, space), math.pi)
-    tensor = psi_t.vector.reshape(space.dims[0], -1)
+    psi_t = exchange_evolve(initial_product_state(triple, dims), math.pi)
+    tensor = psi_t.amplitudes.reshape(len(psi_t.amplitudes), -1)
 
-    vb, _ = coherent_vector(triple.beta, dims[1])
-    vg, _ = coherent_vector(triple.gamma, dims[2])
-    proj_plus = np.kron(vb, vg)
-    vbm, _ = coherent_vector(-triple.beta, dims[1])
-    vgm, _ = coherent_vector(-triple.gamma, dims[2])
-    proj_minus = np.kron(vbm, vgm)
+    proj_plus = np.kron(coherent_vector(triple.beta, dims[1]),
+                        coherent_vector(triple.gamma, dims[2]))
+    proj_minus = np.kron(coherent_vector(-triple.beta, dims[1]),
+                         coherent_vector(-triple.gamma, dims[2]))
 
     cond_plus = tensor @ proj_plus.conj()
     cond_minus = tensor @ proj_minus.conj()

@@ -1,10 +1,10 @@
-"""Truncated Fock spaces, coherent states and reduced states.
+"""Truncated Fock states, coherent states and reduced states.
 
 The state types the brute-force oracle of ``nemsqnd.entanglement`` works
-on: labelled tensor-product spaces with an allocation cap, normalized
-state vectors and validated density matrices, coherent amplitudes with
-their discarded Poisson tail, and reductions of pure states to
-purity-based entanglement measures.
+on: normalized pure states held as arrays with one axis per mode, each
+as long as its cutoff, validated density matrices, coherent amplitudes
+with their discarded Poisson tail, and reductions of pure states to
+purity-based entanglement measures.  A mode is addressed by its axis.
 
 Everything here is dimensionless (hbar = 1).  Storage is dense
 ``numpy`` throughout; the intended working sizes are a mechanical mode
@@ -33,120 +33,63 @@ DEFAULT_DENSITY_CAP = 2**20
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+    """A read-only contiguous view; the caller's own array stays writeable."""
+    arr = np.ascontiguousarray(arr).view()
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
-class TruncatedSpace:
-    """Ordered tensor product of truncated Fock spaces with labelled modes.
-
-    Parameters
-    ----------
-    dims
-        Cutoff dimension of each mode, every entry >= 2.
-    labels
-        Unique name per mode.
-
-    States and dense matrices on the space are capped at
-    ``DEFAULT_DENSITY_CAP`` complex entries.
-    """
-
-    dims: tuple[int, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if not dims:
-            raise ValueError("space needs at least one mode")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"every mode dimension must be >= 2, got {dims}")
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
-        if len(labels) != len(dims):
-            raise ValueError("labels and dims must have equal length")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"mode labels must be unique, got {labels}")
-        if self.dim > DEFAULT_DENSITY_CAP:
-            raise ValueError(
-                f"state of dimension {self.dim} exceeds the allocation cap "
-                f"{DEFAULT_DENSITY_CAP}"
-            )
-
-    @property
-    def dim(self) -> int:
-        total = 1
-        for d in self.dims:
-            total *= d
-        return total
-
-    def axis(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(
-                f"unknown mode label {label!r}; this space has {self.labels}"
-            ) from None
-
-    def check_matrix_alloc(self) -> None:
-        """Reject dense matrix allocation beyond the cap."""
-        if self.dim * self.dim > DEFAULT_DENSITY_CAP:
-            raise ValueError(
-                f"dense {self.dim}x{self.dim} matrix would allocate "
-                f"{self.dim * self.dim} complex entries, above the cap "
-                f"{DEFAULT_DENSITY_CAP}"
-            )
-
-    def subspace(self, keep: tuple[str, ...]) -> "TruncatedSpace":
-        axes = [self.axis(lbl) for lbl in keep]
-        return TruncatedSpace(
-            tuple(self.dims[a] for a in axes),
-            tuple(self.labels[a] for a in axes),
+def _check_cap(entries: int, what: str) -> None:
+    if entries > DEFAULT_DENSITY_CAP:
+        raise ValueError(
+            f"{what} of {entries} complex entries exceeds the allocation cap "
+            f"{DEFAULT_DENSITY_CAP}"
         )
 
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized pure state.  The norm is validated at construction."""
+    """Normalized pure state of one or more truncated modes.
 
-    space: TruncatedSpace
-    vector: np.ndarray
+    ``amplitudes`` has one axis per mode, each as long as that mode's
+    cutoff (>= 2); the oracle's modes are axis 0 = phonons, 1 = TLR1 and
+    2 = TLR2.  The entry count is capped at ``DEFAULT_DENSITY_CAP`` and
+    the norm is validated at construction.
+    """
+
+    amplitudes: np.ndarray
     norm_tol: float = field(default=1e-12, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=complex).ravel()
-        if v.size != self.space.dim:
-            raise ValueError(
-                f"vector length {v.size} does not match space dimension {self.space.dim}"
-            )
+        dims = np.shape(self.amplitudes)
+        if not dims or min(dims) < 2:
+            raise ValueError(f"every mode dimension must be >= 2, got {dims}")
+        _check_cap(math.prod(dims), "state")
+        v = np.asarray(self.amplitudes, dtype=complex)
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > self.norm_tol:
             raise ValueError(
                 f"state vector norm {nrm!r} deviates from 1 by more than {self.norm_tol}"
             )
-        object.__setattr__(self, "vector", _readonly(v))
+        object.__setattr__(self, "amplitudes", _readonly(v))
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
+        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive (to tolerance) dense state."""
 
-    space: TruncatedSpace
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.space.check_matrix_alloc()
+        shape = np.shape(self.matrix)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {shape}")
+        _check_cap(shape[0] * shape[1], "density matrix")
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.space.dim, self.space.dim):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match space dimension {self.space.dim}"
-            )
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
         if herm_dev > 1e-12:
             raise ValueError(f"density matrix is not Hermitian (deviation {herm_dev:.3e})")
@@ -236,53 +179,40 @@ def coherent_amplitudes(alpha: complex, n_terms: int) -> np.ndarray:
     return c
 
 
-def coherent_vector(alpha: complex, dim: int) -> tuple[np.ndarray, float]:
-    """Truncated, renormalized coherent amplitudes plus the discarded tail mass."""
+def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
+    """Truncated coherent amplitudes, renormalized (``poisson_tail`` is the loss)."""
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
     c = coherent_amplitudes(alpha, dim)
-    tail = poisson_tail(abs(alpha) ** 2, dim)
     nrm = float(np.linalg.norm(c))
     if nrm == 0.0:
         raise TruncationError(
             f"coherent amplitude {alpha} has no support below cutoff {dim}",
             required_dim=min_fock_dim(alpha),
         )
-    return c / nrm, tail
+    return c / nrm
 
 
 # ---------------------------------------------------------------------------
 # reductions and measures
 
 
-def _kept_axes(space: TruncatedSpace, keep: tuple[str, ...]) -> list[int]:
-    if not keep:
-        raise ValueError("keep must name at least one mode; use .trace for the full trace")
-    axes = [space.axis(lbl) for lbl in keep]
-    if len(set(axes)) != len(axes):
-        raise ValueError(f"duplicate labels in keep: {keep}")
-    if sorted(axes) != axes:
-        raise ValueError(f"keep must follow the mode order of the space, got {keep}")
-    return axes
+def reduced_density(psi: StateVector, axis: int) -> DensityMatrix:
+    """Reduced density matrix of mode ``axis`` of a pure state, without
+    forming the full matrix.
 
-
-def reduced_density(psi: StateVector, keep: tuple[str, ...]) -> DensityMatrix:
-    """Reduced density matrix of a pure state without forming the full matrix.
-
-    The state is matricized with the kept modes as rows, ``x`` (K x T),
+    The state is matricized with the kept mode as rows, ``x`` (K x T),
     and ``rho = x x^dagger``.  That holds at most two state-size arrays
-    beside the state: ``x``, a copy unless the kept modes lead, and its
+    beside the state: ``x``, a copy unless the kept mode leads, and its
     conjugate.
     """
-    space = psi.space
-    axes = _kept_axes(space, tuple(keep))
-    sub = space.subspace(tuple(keep))
-    x = np.moveaxis(psi.vector.reshape(space.dims), axes, range(len(axes))).reshape(sub.dim, -1)
-    return DensityMatrix(sub, x @ x.conj().T)
+    x = np.moveaxis(psi.amplitudes, axis, 0)
+    x = x.reshape(x.shape[0], -1)
+    return DensityMatrix(x @ x.conj().T)
 
 
 def linear_entropy(rho: DensityMatrix) -> float:
     """``1 - Tr(rho^2)``, clamped to the valid range ``[0, 1 - 1/D]``."""
     purity = float(np.real(np.vdot(rho.matrix, rho.matrix)))
-    d = rho.space.dim
+    d = rho.matrix.shape[0]
     return float(np.clip(1.0 - purity, 0.0, 1.0 - 1.0 / d))

@@ -3,11 +3,12 @@
 The independent reference the library's fast paths are checked against:
 ladder operators, coherent states, embedding and products of single-mode
 objects, exact unitary evolution by Hermitian eigendecomposition, full
-partial traces and pure-state fidelity.  Everything is dense ``numpy``
-on the library's ``TruncatedSpace``/``StateVector``/``DensityMatrix``
-types, which enforce the allocation cap and the state invariants; in
-particular ``evolve`` shares no code with
-``nemsqnd.entanglement.exchange_evolve``, the sector-by-sector
+partial traces and pure-state fidelity.  Everything is dense ``numpy``.
+An ``Operator`` acts on modes of the cutoffs ``dims`` and enforces the
+allocation cap itself; states are the library's ``StateVector`` and
+``DensityMatrix``, which enforce the cap and the state invariants.  A
+mode is addressed by its axis, as in the library.  ``evolve`` shares no
+code with ``nemsqnd.entanglement.exchange_evolve``, the sector-by-sector
 propagator it judges.  ``layer_entropies`` is the three full double sums
 over branch overlaps that the factored entropy kernel of
 ``nemsqnd.entanglement`` is judged against.
@@ -18,16 +19,16 @@ Dimensionless throughout (hbar = 1): ``evolve(H, t, psi)`` applies
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from nemsqnd.errors import TruncationError
 from nemsqnd.fock import (
+    DEFAULT_DENSITY_CAP,
     DensityMatrix,
     StateVector,
-    TruncatedSpace,
-    _kept_axes,
     _readonly,
     coherent_vector,
     min_fock_dim,
@@ -37,56 +38,58 @@ from nemsqnd.fock import (
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense operator on a :class:`TruncatedSpace`.  Immutable."""
+    """Dense operator on modes with cutoffs ``dims``.  Immutable."""
 
-    space: TruncatedSpace
+    dims: tuple[int, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.space.check_matrix_alloc()
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.space.dim, self.space.dim):
+        dims = tuple(int(d) for d in self.dims)
+        object.__setattr__(self, "dims", dims)
+        dim = math.prod(dims)
+        if dim * dim > DEFAULT_DENSITY_CAP:
             raise ValueError(
-                f"matrix shape {m.shape} does not match space dimension {self.space.dim}"
+                f"dense {dim}x{dim} matrix would allocate {dim * dim} complex "
+                f"entries, above the cap {DEFAULT_DENSITY_CAP}"
             )
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.shape != (dim, dim):
+            raise ValueError(f"matrix shape {m.shape} does not match modes {dims}")
         object.__setattr__(self, "matrix", _readonly(m))
 
     def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
+        return Operator(self.dims, self.matrix.conj().T)
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        self._same_space(other)
-        return Operator(self.space, self.matrix @ other.matrix)
+        self._same_modes(other)
+        return Operator(self.dims, self.matrix @ other.matrix)
 
     def __add__(self, other: "Operator") -> "Operator":
-        self._same_space(other)
-        return Operator(self.space, self.matrix + other.matrix)
+        self._same_modes(other)
+        return Operator(self.dims, self.matrix + other.matrix)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        self._same_space(other)
-        return Operator(self.space, self.matrix - other.matrix)
+        self._same_modes(other)
+        return Operator(self.dims, self.matrix - other.matrix)
 
     def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.space, self.matrix * scalar)
+        return Operator(self.dims, self.matrix * scalar)
 
     __rmul__ = __mul__
 
-    def expectation(self, psi: "StateVector") -> complex:
-        if psi.space != self.space:
-            raise ValueError("state and operator live on different spaces")
-        return complex(np.vdot(psi.vector, self.matrix @ psi.vector))
+    def expectation(self, psi: StateVector) -> complex:
+        if psi.amplitudes.shape != self.dims:
+            raise ValueError("state and operator live on different modes")
+        v = psi.amplitudes.reshape(-1)
+        return complex(np.vdot(v, self.matrix @ v))
 
-    def _same_space(self, other: "Operator") -> None:
-        if self.space != other.space:
-            raise ValueError("operators live on different spaces")
+    def _same_modes(self, other: "Operator") -> None:
+        if self.dims != other.dims:
+            raise ValueError("operators live on different modes")
 
 
 # ---------------------------------------------------------------------------
 # single-mode operators
-
-
-def _mode_space(dim: int) -> TruncatedSpace:
-    return TruncatedSpace((int(dim),), ("mode",))
 
 
 def annihilation(dim: int) -> Operator:
@@ -100,7 +103,7 @@ def annihilation(dim: int) -> Operator:
     m = np.zeros((dim, dim), dtype=complex)
     ns = np.arange(1, dim)
     m[ns - 1, ns] = np.sqrt(ns)
-    return Operator(_mode_space(dim), m)
+    return Operator((dim,), m)
 
 
 def creation(dim: int) -> Operator:
@@ -111,23 +114,23 @@ def number(dim: int) -> Operator:
     """Exact diagonal number operator ``diag(0, 1, ..., dim-1)``."""
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
-    return Operator(_mode_space(dim), np.diag(np.arange(dim, dtype=float)).astype(complex))
+    return Operator((dim,), np.diag(np.arange(dim, dtype=float)).astype(complex))
 
 
-def identity(space: TruncatedSpace) -> Operator:
-    return Operator(space, np.eye(space.dim, dtype=complex))
+def identity(dims: tuple[int, ...]) -> Operator:
+    return Operator(dims, np.eye(math.prod(dims), dtype=complex))
 
 
-def basis_state(space: TruncatedSpace, occupations: tuple[int, ...]) -> StateVector:
+def basis_state(dims: tuple[int, ...], occupations: tuple[int, ...]) -> StateVector:
     """Product Fock state ``|n_0, n_1, ...>``."""
-    if len(occupations) != len(space.dims):
+    if len(occupations) != len(dims):
         raise ValueError("one occupation number per mode required")
-    for n, d in zip(occupations, space.dims):
+    for n, d in zip(occupations, dims):
         if not 0 <= n < d:
             raise ValueError(f"occupation {n} outside [0, {d})")
-    v = np.zeros(space.dim, dtype=complex)
-    v[int(np.ravel_multi_index(occupations, space.dims))] = 1.0
-    return StateVector(space, v)
+    v = np.zeros(dims, dtype=complex)
+    v[tuple(occupations)] = 1.0
+    return StateVector(v)
 
 
 # ---------------------------------------------------------------------------
@@ -151,44 +154,39 @@ def coherent_state(alpha: complex, dim: int, tail_tol: float = 1e-12) -> StateVe
             f"need dim >= {need} for tail {tail_tol}",
             required_dim=need,
         )
-    v, _ = coherent_vector(alpha, dim)
-    return StateVector(_mode_space(dim), v)
+    return StateVector(coherent_vector(alpha, dim))
 
 
 # ---------------------------------------------------------------------------
 # composition
 
 
-def embed(op: Operator, label: str, space: TruncatedSpace) -> Operator:
-    """Lift a single-mode operator to ``space`` acting on mode ``label``."""
-    if len(op.space.dims) != 1:
+def embed(op: Operator, axis: int, dims: tuple[int, ...]) -> Operator:
+    """Lift a single-mode operator to mode ``axis`` of modes with cutoffs ``dims``."""
+    if len(op.dims) != 1:
         raise ValueError("embed expects a single-mode operator")
-    axis = space.axis(label)
-    if op.space.dims[0] != space.dims[axis]:
+    if not 0 <= axis < len(dims):
+        raise ValueError(f"no mode at axis {axis} of {len(dims)} modes")
+    if op.dims[0] != dims[axis]:
         raise ValueError(
-            f"operator dimension {op.space.dims[0]} does not match mode "
-            f"{label!r} of dimension {space.dims[axis]}"
+            f"operator dimension {op.dims[0]} does not match mode "
+            f"{axis} of dimension {dims[axis]}"
         )
-    left = int(np.prod(space.dims[:axis], dtype=np.int64)) if axis else 1
-    right = int(np.prod(space.dims[axis + 1 :], dtype=np.int64)) if axis + 1 < len(space.dims) else 1
+    left, right = math.prod(dims[:axis]), math.prod(dims[axis + 1:])
     m = np.kron(np.kron(np.eye(left), op.matrix), np.eye(right))
-    return Operator(space, m)
+    return Operator(dims, m)
 
 
-def product_state(states: tuple[StateVector, ...], labels: tuple[str, ...]) -> StateVector:
-    """Tensor product of single-mode states in the given order."""
+def product_state(states: tuple[StateVector, ...]) -> StateVector:
+    """Tensor product of single-mode states, one axis per factor in order."""
     if not states:
         raise ValueError("need at least one state")
-    dims = []
-    for s in states:
-        if len(s.space.dims) != 1:
-            raise ValueError("product_state expects single-mode factors")
-        dims.append(s.space.dims[0])
-    space = TruncatedSpace(tuple(dims), labels)
-    v = states[0].vector
+    if any(s.amplitudes.ndim != 1 for s in states):
+        raise ValueError("product_state expects single-mode factors")
+    v = states[0].amplitudes
     for s in states[1:]:
-        v = np.kron(v, s.vector)
-    return StateVector(space, v)
+        v = np.kron(v, s.amplitudes)
+    return StateVector(v.reshape([len(s.amplitudes) for s in states]))
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +199,8 @@ def evolve(H: Operator, t: float, psi0: StateVector) -> StateVector:
     ``H`` must be Hermitian within 1e-10 (absolute, scaled by the largest
     entry).  The result keeps the input norm to 1e-10.
     """
-    if psi0.space != H.space:
-        raise ValueError("state and Hamiltonian live on different spaces")
+    if psi0.amplitudes.shape != H.dims:
+        raise ValueError("state and Hamiltonian live on different modes")
     m = H.matrix
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
     dev = float(np.max(np.abs(m - m.conj().T)))
@@ -210,33 +208,33 @@ def evolve(H: Operator, t: float, psi0: StateVector) -> StateVector:
         raise ValueError(f"Hamiltonian is not Hermitian (deviation {dev:.3e})")
     evals, evecs = np.linalg.eigh(m)
     phases = np.exp(-1j * evals * t)
-    v = evecs @ (phases * (evecs.conj().T @ psi0.vector))
-    return StateVector(psi0.space, v, norm_tol=1e-10)
+    v = evecs @ (phases * (evecs.conj().T @ psi0.amplitudes.reshape(-1)))
+    return StateVector(v.reshape(H.dims), norm_tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
 # reductions and measures
 
 
-def partial_trace(rho: DensityMatrix, keep: tuple[str, ...]) -> DensityMatrix:
-    """Trace out every mode not named in ``keep``."""
-    space = rho.space
-    axes = _kept_axes(space, tuple(keep))
-    nmodes = len(space.dims)
-    tensor = rho.matrix.reshape(space.dims + space.dims)
-    traced = [a for a in range(nmodes) if a not in axes]
-    for a in reversed(traced):
-        tensor = np.trace(tensor, axis1=a, axis2=a + nmodes)
-        nmodes -= 1
-    sub = space.subspace(tuple(keep))
-    return DensityMatrix(sub, tensor.reshape(sub.dim, sub.dim))
+def partial_trace(rho: DensityMatrix, dims: tuple[int, ...], axis: int) -> DensityMatrix:
+    """Trace every mode but ``axis`` out of ``rho`` on modes with cutoffs ``dims``."""
+    dims = tuple(int(d) for d in dims)
+    nmodes = len(dims)
+    if not 0 <= axis < nmodes:
+        raise ValueError(f"no mode at axis {axis} of {nmodes} modes")
+    tensor = rho.matrix.reshape(dims + dims)
+    for a in reversed(range(nmodes)):
+        if a != axis:
+            tensor = np.trace(tensor, axis1=a, axis2=a + nmodes)
+            nmodes -= 1
+    return DensityMatrix(tensor)
 
 
 def fidelity(psi: StateVector, phi: StateVector) -> float:
     """Squared overlap ``|<psi|phi>|^2`` of two pure states."""
-    if psi.space != phi.space:
-        raise ValueError("states live on different spaces")
-    return float(abs(np.vdot(psi.vector, phi.vector)) ** 2)
+    if psi.amplitudes.shape != phi.amplitudes.shape:
+        raise ValueError("states live on different modes")
+    return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
 
 
 # ---------------------------------------------------------------------------

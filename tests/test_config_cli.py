@@ -487,7 +487,7 @@ EXPORTED_FROM = {
         initial_product_state linear_entropies oracle_dims separability_check_12""".split(),
     "errors": """ConditioningError ConfigError EstimationError IntegrationError RegimeError
         RegimeWarning SimulationError TruncationError VerificationFailure""".split(),
-    "fock": """DensityMatrix StateVector TruncatedSpace linear_entropy min_fock_dim
+    "fock": """DensityMatrix StateVector linear_entropy min_fock_dim
         poisson_tail reduced_density""".split(),
     "readout": """MeanTrace ReadoutParams TwoModeTrace adiabatic_elimination_error
         full_two_mode_mean_dynamics integrate_mean_qsde mean_photocurrent""".split(),

@@ -21,6 +21,7 @@ from nemsqnd.entanglement import (
     SERIES_BLOCK,
     TERM_CAP,
     CoherentTriple,
+    ConditionedState,
     _pair_weights,
     branch_amplitudes,
     brute_force_entropies,
@@ -32,15 +33,14 @@ from nemsqnd.entanglement import (
     initial_product_state,
     linear_entropies,
     oracle_dims,
-    oracle_space,
     required_terms,
     separability_check_12,
 )
 from nemsqnd.errors import ConditioningError, TruncationError
 from nemsqnd.fock import (
     DEFAULT_DENSITY_CAP,
+    DensityMatrix,
     StateVector,
-    TruncatedSpace,
     coherent_vector,
 )
 from nemsqnd.verify import check_cat_fidelity, check_separability
@@ -164,6 +164,22 @@ def test_conditioned_state_arrays_are_readonly():
     state = conditioned_state(triple(), 0.5)
     with pytest.raises(ValueError):
         state.c_n[0] = 0.0
+
+
+def test_validating_types_leave_the_callers_arrays_writeable():
+    """The validated types hold read-only views of the arrays they are
+    given, not copies, and leave the caller's own arrays writeable."""
+    c, b, g = np.array([1.0 + 0j]), np.array([0.5j]), np.array([-0.5 + 0j])
+    state = ConditionedState(c, b, g, 0.0, 0.0)
+    amps = np.zeros((2, 3), dtype=complex)
+    amps[0, 0] = 1.0
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    held = ((c, state.c_n), (b, state.beta_n), (g, state.gamma_n),
+            (amps, StateVector(amps).amplitudes), (rho, DensityMatrix(rho).matrix))
+    for given, kept in held:
+        assert given.flags.writeable
+        assert not kept.flags.writeable
+        assert np.shares_memory(given, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -411,41 +427,40 @@ def test_exchange_evolve_agrees_with_dense_propagator(d_n, d_1, d_2, theta_t,
                                                       theta0_t, seed):
     """The per-sector propagator equals dense evolution under the full
     generator theta0_t K + theta_t N K, on unequal cutoffs too."""
-    space = oracle_space((d_n, d_1, d_2))
+    dims = (d_n, d_1, d_2)
     rng = np.random.default_rng(seed)
-    raw = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    psi = StateVector(space, raw / np.linalg.norm(raw))
+    raw = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    psi = StateVector(raw / np.linalg.norm(raw))
 
-    a1 = embed(annihilation(d_1), "TLR1", space)
-    a2 = embed(annihilation(d_2), "TLR2", space)
+    a1 = embed(annihilation(d_1), 1, dims)
+    a2 = embed(annihilation(d_2), 2, dims)
     k = a1.dagger() @ a2 + a2.dagger() @ a1
-    n_op = embed(number(d_n), "N", space)
+    n_op = embed(number(d_n), 0, dims)
     h = k * theta0_t + (n_op @ k) * theta_t
 
     fast = exchange_evolve(psi, theta_t, theta0_t)
     dense = evolve(h, 1.0, psi)
-    np.testing.assert_allclose(fast.vector, dense.vector, atol=1e-12)
+    np.testing.assert_allclose(fast.amplitudes, dense.amplitudes, atol=1e-12)
 
 
 def test_exchange_evolve_norm_at_large_phase():
-    space = oracle_space((12, 14, 14))
-    psi = initial_product_state(CoherentTriple(0.6, 0.7, 0.5), space)
+    psi = initial_product_state(CoherentTriple(0.6, 0.7, 0.5), (12, 14, 14))
     out = exchange_evolve(psi, 1e3)
-    assert abs(np.linalg.norm(out.vector) - 1.0) <= 1e-10
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
 
 
-def test_exchange_evolve_rejects_foreign_spaces():
-    odd = TruncatedSpace((4, 5, 5), labels=("a", "b", "c"))
-    psi = StateVector(odd, np.eye(100)[0])
-    with pytest.raises(ValueError, match="expects modes"):
-        exchange_evolve(psi, 0.5)
+def test_exchange_evolve_refuses_a_state_without_three_modes():
+    for dims in ((100,), (4, 25), (2, 2, 5, 5)):
+        psi = StateVector(np.eye(100)[0].reshape(dims))
+        with pytest.raises(ValueError, match="expects three modes"):
+            exchange_evolve(psi, 0.5)
 
 
 def test_initial_product_state_polices_tails():
     with pytest.raises(TruncationError, match="mode N"):
-        initial_product_state(triple(2.0, 0.5, 0.5), oracle_space((10, 8, 8)))
+        initial_product_state(triple(2.0, 0.5, 0.5), (10, 8, 8))
     try:
-        initial_product_state(triple(0.5, 2.0, 0.5), oracle_space((10, 8, 8)))
+        initial_product_state(triple(0.5, 2.0, 0.5), (10, 8, 8))
     except TruncationError as err:
         assert "mode TLR1" in str(err)
         assert err.required_dim > 8
@@ -469,27 +484,32 @@ def test_oracle_space_admits_the_curve_sets_at_the_cap():
     every amplitude set ``sim entropy`` writes, and the cubic cap itself."""
     top = ORACLE_DIM_CAP
     cfg = RunConfig(oracle_dim=top)
-    widest = max(oracle_dims(cfg.triple(beta=b, gamma=g), top) for b, g in ENTROPY_CURVE_SETS)
-    assert widest == (60, 86, 86)
-    for dims in (widest, (top,) * 3):
-        space = oracle_space(dims)
-        assert space.dims == dims
-        assert space.labels == ("N", "TLR1", "TLR2")
+    widest = max((cfg.triple(beta=b, gamma=g) for b, g in ENTROPY_CURVE_SETS),
+                 key=lambda t: oracle_dims(t, top))
+    assert oracle_dims(widest, top) == (60, 86, 86)
+    for t, dims in ((widest, (60, 86, 86)), (cfg.triple(), (top,) * 3)):
+        assert initial_product_state(t, dims).amplitudes.shape == dims
 
 
 def test_oracle_space_refuses_oversized_pairs():
     """The guard is a fixed budget that the requested cutoffs cannot raise,
-    and a check with oversized cutoffs is refused before it allocates."""
-    # the budget admits fewer state entries than the state cap of the space
+    and every oracle check with oversized cutoffs is refused before it
+    allocates."""
+    # the budget admits fewer state entries than the state cap
     assert ORACLE_BYTE_BUDGET // 48 < DEFAULT_DENSITY_CAP
-    assert oracle_space((60, 101, 101)).dims == (60, 101, 101)
+    t = triple()
+    assert initial_product_state(t, (60, 101, 101)).amplitudes.shape == (60, 101, 101)
+    over = (60, 102, 102)
     tracemalloc.start()
     try:
-        for dims in ((400, 406, 406), (60, 102, 102), (2, 400, 400)):
+        for dims in ((400, 406, 406), over, (2, 400, 400)):
             with pytest.raises(ValueError, match="oracle budget"):
-                oracle_space(dims)
-        with pytest.raises(ValueError, match="oracle budget"):
-            separability_check_12(triple(), 1.0, (60, 102, 102))
+                initial_product_state(t, dims)
+        for check in (lambda: brute_force_entropies(t, 1.0, over),
+                      lambda: separability_check_12(t, 1.0, over),
+                      lambda: cat_state_check(t, over)):
+            with pytest.raises(ValueError, match="oracle budget"):
+                check()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -544,14 +564,14 @@ def test_gram_residual_matches_the_dense_pair_state(theta_t):
     dims = (8, 12, 13)  # residual ~1e-11, so a slip in the mixture weights shows
     rep = separability_check_12(t, theta_t, dims)
 
-    psi = exchange_evolve(initial_product_state(t, oracle_space(dims)), theta_t).vector
+    psi = exchange_evolve(initial_product_state(t, dims), theta_t).amplitudes.reshape(-1)
     pair = dims[1] * dims[2]
     rho = np.outer(psi, psi.conj()).reshape(dims + dims)
     rho_12 = np.trace(rho, axis1=0, axis2=3).reshape(pair, pair)
     state = conditioned_state(t, theta_t)
     mixture = np.zeros_like(rho_12)
     for c_n, b_n, g_n in zip(state.c_n, state.beta_n, state.gamma_n):
-        v = np.kron(coherent_vector(b_n, dims[1])[0], coherent_vector(g_n, dims[2])[0])
+        v = np.kron(coherent_vector(b_n, dims[1]), coherent_vector(g_n, dims[2]))
         mixture += abs(c_n) ** 2 * np.outer(v, v.conj())
     assert rep.dims == dims
     assert rep.max_abs_deviation == pytest.approx(
@@ -572,13 +592,13 @@ def test_blocked_pair_residual_is_the_full_products_maximum(t):
     dims = oracle_dims(t, 30)
     pair = dims[1] * dims[2]
     assert pair % PAIR_BLOCK
-    psi = exchange_evolve(initial_product_state(t, oracle_space(dims)), math.pi / 2)
+    psi = exchange_evolve(initial_product_state(t, dims), math.pi / 2)
     state = conditioned_state(t, math.pi / 2)
     branches = np.array([
-        np.kron(coherent_vector(b_n, dims[1])[0], coherent_vector(g_n, dims[2])[0])
+        np.kron(coherent_vector(b_n, dims[1]), coherent_vector(g_n, dims[2]))
         for b_n, g_n in zip(state.beta_n, state.gamma_n)
     ])
-    g = np.vstack([psi.vector.reshape(dims[0], -1), branches])
+    g = np.vstack([psi.amplitudes.reshape(dims[0], -1), branches])
     sign = np.concatenate([np.ones(dims[0]), -np.abs(state.c_n) ** 2])
     full = float(np.max(np.abs((g.T * sign) @ g.conj())))
     assert separability_check_12(t, math.pi / 2, dims).max_abs_deviation == full
@@ -627,13 +647,12 @@ def test_half_period_cat_structure():
     assert report.reassembled_norm == pytest.approx(1.0, abs=1e-10)
     assert report.reassembly_fidelity == pytest.approx(1.0, abs=1e-10)
     # ... as the explicitly assembled state-size vector does
-    psi_t = exchange_evolve(initial_product_state(t, oracle_space(dims)), math.pi).vector
+    psi_t = exchange_evolve(initial_product_state(t, dims), math.pi).amplitudes.reshape(-1)
     branches = []
     for sign, weight in ((1, n_plus2), (-1, n_minus2)):
-        cat = (coherent_vector(1.0, dims[0])[0]
-               + sign * coherent_vector(-1.0, dims[0])[0])
-        branch = np.kron(coherent_vector(sign * 1.2, dims[1])[0],
-                         coherent_vector(sign * 1.2, dims[2])[0])
+        cat = coherent_vector(1.0, dims[0]) + sign * coherent_vector(-1.0, dims[0])
+        branch = np.kron(coherent_vector(sign * 1.2, dims[1]),
+                         coherent_vector(sign * 1.2, dims[2]))
         branches.append(math.sqrt(weight) * np.kron(cat / np.linalg.norm(cat), branch))
     explicit = branches[0] + branches[1]
     norm = np.linalg.norm(explicit)

@@ -23,8 +23,6 @@ from nemsqnd.errors import TruncationError
 from nemsqnd.fock import (
     DensityMatrix,
     StateVector,
-    TruncatedSpace,
-    coherent_vector,
     linear_entropy,
     min_fock_dim,
     poisson_tail,
@@ -160,7 +158,7 @@ def test_min_fock_dim_matches_the_incomplete_gamma_search(tol):
 
 def test_coherent_vacuum_exact():
     st0 = coherent_state(0.0, 5)
-    assert np.array_equal(st0.vector, [1, 0, 0, 0, 0])
+    assert np.array_equal(st0.amplitudes, [1, 0, 0, 0, 0])
 
 
 def test_coherent_closed_form_overlaps():
@@ -168,7 +166,7 @@ def test_coherent_closed_form_overlaps():
     dim = min_fock_dim(alpha, 1e-14)
     st1 = coherent_state(alpha, dim, tail_tol=1e-13)
     assert st1.norm == pytest.approx(1.0, abs=1e-12)
-    assert abs(st1.vector[0]) == pytest.approx(math.exp(-abs(alpha) ** 2 / 2), abs=1e-10)
+    assert abs(st1.amplitudes[0]) == pytest.approx(math.exp(-abs(alpha) ** 2 / 2), abs=1e-10)
     # |<-a|a>|^2 = exp(-4|a|^2)
     st2 = coherent_state(-alpha, dim, tail_tol=1e-13)
     assert fidelity(st1, st2) == pytest.approx(math.exp(-4 * abs(alpha) ** 2), abs=1e-10)
@@ -176,7 +174,7 @@ def test_coherent_closed_form_overlaps():
 
 def test_coherent_tail_at_dim_30():
     # amplitude 2 (Poisson mean 4): the 30-state cutoff is comfortable
-    _, tail = coherent_vector(2.0, 30)
+    tail = poisson_tail(abs(2.0) ** 2, 30)
     assert tail <= 1e-12
     assert tail == pytest.approx(9.2e-17, rel=0.05)
 
@@ -204,65 +202,64 @@ def test_coherent_tail_dim30_whole_disk():
 def test_coherent_tail_small_disk_dim30(mod, phase):
     """Within |alpha| <= 2 the 30-state truncated mass stays >= 1 - 1e-12."""
     alpha = mod * complex(math.cos(phase), math.sin(phase))
-    _, tail = coherent_vector(alpha, 30)
+    tail = poisson_tail(abs(alpha) ** 2, 30)
     assert tail <= 1e-12
 
 
 # ---------------------------------------------------------------------------
-# spaces, embedding, products
-
-
-def test_space_labels_and_axis():
-    space = TruncatedSpace((3, 4, 5), ("N", "TLR1", "TLR2"))
-    assert space.labels == ("N", "TLR1", "TLR2")
-    assert space.axis("TLR2") == 2
-    with pytest.raises(ValueError):
-        space.axis("nope")
-    with pytest.raises(TypeError, match="labels"):
-        TruncatedSpace((3, 4, 5))  # every space names its modes
+# caps, embedding, products
 
 
 def test_space_cap_enforced():
-    with pytest.raises(ValueError):
-        TruncatedSpace((2048, 2048), ("A", "B"))  # 4M-dim state > 2^20 cap
+    # 4M entries > 2^20 cap; a broadcast view, so the refusal allocates nothing
+    big = np.broadcast_to(np.complex128(1 / 2048), (2048, 2048))
+    with pytest.raises(ValueError, match="allocation cap"):
+        StateVector(big)
     with pytest.raises(TypeError, match="density_cap"):
-        TruncatedSpace((2048, 2048), ("A", "B"), density_cap=2**23)  # no way to raise it
+        StateVector(big, density_cap=2**23)  # no way to raise it
+    with pytest.raises(ValueError, match=">= 2"):
+        StateVector(np.ones((1, 1)))  # every mode keeps at least two Fock states
 
 
 def test_matrix_alloc_cap():
-    space = TruncatedSpace((40, 40), ("A", "B"))  # 1600-dim: state fine, matrix 2.56M > cap
+    dims = (40, 40)  # 1600-dim: state fine, matrix 2.56M > cap
     with pytest.raises(ValueError):
-        identity(space)
+        identity(dims)
+    with pytest.raises(ValueError, match="allocation cap"):
+        DensityMatrix(np.broadcast_to(np.complex128(0), (1600, 1600)))
 
 
 def test_embed_identity_and_commutation():
-    space = TruncatedSpace((3, 3, 3), ("N", "TLR1", "TLR2"))
-    eye3 = identity(TruncatedSpace((3,), ("mode",)))
-    assert np.array_equal(embed(eye3, "TLR1", space).matrix, np.eye(27))
-    a1 = embed(annihilation(3), "TLR1", space)
-    a2dag = embed(creation(3), "TLR2", space)
+    dims = (3, 3, 3)
+    eye3 = identity((3,))
+    assert np.array_equal(embed(eye3, 1, dims).matrix, np.eye(27))
+    a1 = embed(annihilation(3), 1, dims)
+    a2dag = embed(creation(3), 2, dims)
     assert np.allclose((a1 @ a2dag).matrix, (a2dag @ a1).matrix)
 
 
 def test_embedded_number_eigenvalues():
-    space = TruncatedSpace((4, 2, 3), ("N", "TLR1", "TLR2"))
-    n_op = embed(number(4), "N", space)
+    dims = (4, 2, 3)
+    n_op = embed(number(4), 0, dims)
     for occ in [(0, 0, 0), (1, 1, 2), (3, 0, 1)]:
-        psi = basis_state(space, occ)
+        psi = basis_state(dims, occ)
         assert n_op.expectation(psi) == pytest.approx(occ[0], abs=1e-14)
 
 
 def test_embed_dimension_mismatch():
-    space = TruncatedSpace((4, 2, 3), ("N", "TLR1", "TLR2"))
+    dims = (4, 2, 3)
     with pytest.raises(ValueError):
-        embed(number(3), "N", space)
+        embed(number(3), 0, dims)
+    with pytest.raises(ValueError, match="no mode at axis 3"):
+        embed(number(3), 3, dims)
 
 
 def test_product_state_matches_manual_kron():
     s1 = coherent_state(0.8, 14)
     s2 = coherent_state(-0.5j, 14)
-    prod = product_state((s1, s2), labels=("TLR1", "TLR2"))
-    assert np.allclose(prod.vector, np.kron(s1.vector, s2.vector))
+    prod = product_state((s1, s2))
+    assert prod.amplitudes.shape == (14, 14)
+    assert np.allclose(prod.amplitudes.reshape(-1), np.kron(s1.amplitudes, s2.amplitudes))
 
 
 # ---------------------------------------------------------------------------
@@ -270,47 +267,41 @@ def test_product_state_matches_manual_kron():
 
 
 def test_evolve_time_zero_identity():
-    space = TruncatedSpace((5,), ("mode",))
     psi = coherent_state(1.0, 5, tail_tol=1e-2)
-    H = Operator(space, number(5).matrix)
-    out = evolve(H, 0.0, StateVector(space, psi.vector))
-    assert np.array_equal(out.vector, psi.vector)
+    H = Operator((5,), number(5).matrix)
+    out = evolve(H, 0.0, psi)
+    assert np.array_equal(out.amplitudes, psi.amplitudes)
 
 
 def test_evolve_diagonal_phases():
-    space = TruncatedSpace((4,), ("mode",))
-    H = Operator(space, np.diag([0.0, 1.0, 2.5, -3.0]).astype(complex))
+    H = Operator((4,), np.diag([0.0, 1.0, 2.5, -3.0]).astype(complex))
     v = np.full(4, 0.5, dtype=complex)
-    out = evolve(H, 1.7, StateVector(space, v))
+    out = evolve(H, 1.7, StateVector(v))
     expected = 0.5 * np.exp(-1j * np.array([0.0, 1.0, 2.5, -3.0]) * 1.7)
-    assert np.allclose(out.vector, expected, atol=1e-14)
+    assert np.allclose(out.amplitudes, expected, atol=1e-14)
 
 
 def test_evolve_rejects_non_hermitian():
-    space = TruncatedSpace((2,), ("mode",))
-    H = Operator(space, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    H = Operator((2,), np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        evolve(H, 1.0, basis_state(space, (0,)))
+        evolve(H, 1.0, basis_state((2,), (0,)))
 
 
 def test_exchange_hamiltonian_conserved_quantities():
     """The phonon-conditioned exchange keeps b+b and a1+a1 + a2+a2 fixed."""
     dims = (4, 6, 6)
-    space = TruncatedSpace(dims, ("N", "TLR1", "TLR2"))
-    nb = embed(number(dims[0]), "N", space)
-    a1 = embed(annihilation(dims[1]), "TLR1", space)
-    a2 = embed(annihilation(dims[2]), "TLR2", space)
+    nb = embed(number(dims[0]), 0, dims)
+    a1 = embed(annihilation(dims[1]), 1, dims)
+    a2 = embed(annihilation(dims[2]), 2, dims)
     swap = a1.dagger() @ a2 + a1 @ a2.dagger()
-    H = Operator(space, (nb @ swap).matrix * 0.31)
+    H = Operator(dims, (nb @ swap).matrix * 0.31)
     ntot = a1.dagger() @ a1 + a2.dagger() @ a2
 
     psi0 = product_state(
         (coherent_state(1.2, dims[0], tail_tol=0.1),
          coherent_state(0.9, dims[1], tail_tol=1e-2),
          coherent_state(-0.4, dims[2], tail_tol=1e-2)),
-        labels=space.labels,
     )
-    psi0 = StateVector(space, psi0.vector)
     before = (nb.expectation(psi0), ntot.expectation(psi0))
     psit = evolve(H, 2.4, psi0)
     after = (nb.expectation(psit), ntot.expectation(psit))
@@ -325,10 +316,9 @@ def test_evolve_unitary_norm(dim, t, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = (m + m.conj().T) / 2
-    space = TruncatedSpace((dim,), ("mode",))
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    psi = StateVector(space, v / np.linalg.norm(v))
-    out = evolve(Operator(space, h), t, psi)
+    psi = StateVector(v / np.linalg.norm(v))
+    out = evolve(Operator((dim,), h), t, psi)
     assert abs(out.norm - 1.0) <= 1e-10
 
 
@@ -339,43 +329,42 @@ def test_evolve_unitary_norm(dim, t, seed):
 def test_partial_trace_product_factor():
     s1 = coherent_state(0.7, 14)
     s2 = coherent_state(1.1j, 20)
-    prod = product_state((s1, s2), labels=("A", "B"))
-    rho_a = reduced_density(prod, ("A",))
-    assert np.allclose(rho_a.matrix, np.outer(s1.vector, s1.vector.conj()), atol=1e-14)
+    prod = product_state((s1, s2))
+    rho_a = reduced_density(prod, 0)
+    assert np.allclose(rho_a.matrix, np.outer(s1.amplitudes, s1.amplitudes.conj()), atol=1e-14)
     assert linear_entropy(rho_a) < 1e-12
 
 
-@pytest.mark.parametrize("keep", [("A",), ("B",), ("C",)], ids=["A", "B", "C"])
-def test_reduced_density_matches_the_dense_partial_trace(keep):
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=["A", "B", "C"])
+def test_reduced_density_matches_the_dense_partial_trace(axis):
     """Each single-mode reduction of a random three-mode state with unequal
     cutoffs equals the full partial trace of its outer product."""
     rng = np.random.default_rng(7)
-    space = TruncatedSpace((7, 9, 11), ("A", "B", "C"))
-    v = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    psi = StateVector(space, v / np.linalg.norm(v))
-    dense = partial_trace(DensityMatrix(space, np.outer(psi.vector, psi.vector.conj())), keep)
-    red = reduced_density(psi, keep)
-    assert red.space == dense.space
+    dims = (7, 9, 11)
+    v = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    psi = StateVector(v / np.linalg.norm(v))
+    flat = psi.amplitudes.reshape(-1)
+    dense = partial_trace(DensityMatrix(np.outer(flat, flat.conj())), dims, axis)
+    red = reduced_density(psi, axis)
+    assert red.matrix.shape == dense.matrix.shape == (dims[axis],) * 2
     assert np.max(np.abs(red.matrix - dense.matrix)) <= 1e-15
 
 
 def test_partial_trace_bell_state():
-    space = TruncatedSpace((2, 2), ("A", "B"))
-    bell = StateVector(space, np.array([1, 0, 0, 1]) / math.sqrt(2))
-    rho = DensityMatrix(space, np.outer(bell.vector, bell.vector.conj()))
-    red = partial_trace(rho, ("A",))
+    bell = StateVector(np.array([[1, 0], [0, 1]]) / math.sqrt(2))
+    flat = bell.amplitudes.reshape(-1)
+    red = partial_trace(DensityMatrix(np.outer(flat, flat.conj())), (2, 2), 0)
     assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-15)
     assert linear_entropy(red) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_partial_trace_validation():
-    space = TruncatedSpace((2, 3), ("A", "B"))
-    rho = DensityMatrix(space, np.eye(6) / 6)
-    assert partial_trace(rho, ("B",)).trace == pytest.approx(1.0, abs=1e-12)
+    rho = DensityMatrix(np.eye(6) / 6)
+    assert partial_trace(rho, (2, 3), 1).trace == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="no mode at axis 2"):
+        partial_trace(rho, (2, 3), 2)
     with pytest.raises(ValueError):
-        partial_trace(rho, ())
-    with pytest.raises(ValueError):
-        partial_trace(rho, ("B", "A"))  # must follow mode order
+        partial_trace(rho, (3, 3), 0)  # cutoffs that do not fit the matrix
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -384,41 +373,36 @@ def test_bipartite_reductions_equal_entropy(seed):
     rng = np.random.default_rng(seed)
     da, db = rng.integers(2, 7, size=2)
     v = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
-    space = TruncatedSpace((int(da), int(db)), ("A", "B"))
-    psi = StateVector(space, v / np.linalg.norm(v))
-    ea = linear_entropy(reduced_density(psi, ("A",)))
-    eb = linear_entropy(reduced_density(psi, ("B",)))
+    psi = StateVector(v.reshape(da, db) / np.linalg.norm(v))
+    ea = linear_entropy(reduced_density(psi, 0))
+    eb = linear_entropy(reduced_density(psi, 1))
     assert abs(ea - eb) <= 1e-10
 
 
 def test_linear_entropy_maximally_mixed():
-    space = TruncatedSpace((5,), ("mode",))
-    rho = DensityMatrix(space, np.eye(5) / 5)
+    rho = DensityMatrix(np.eye(5) / 5)
     assert linear_entropy(rho) == pytest.approx(1 - 1 / 5, abs=1e-14)
 
 
 def test_fidelity_basics():
-    space = TruncatedSpace((4,), ("mode",))
-    f0 = basis_state(space, (0,))
-    f1 = basis_state(space, (1,))
+    f0 = basis_state((4,), (0,))
+    f1 = basis_state((4,), (1,))
     assert fidelity(f0, f0) == 1.0
     assert fidelity(f0, f1) == 0.0
     # symmetric, and invariant under a global phase
-    psi = StateVector(space, np.exp(0.4j) * f0.vector)
+    psi = StateVector(np.exp(0.4j) * f0.amplitudes)
     assert fidelity(psi, f0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_density_matrix_validation():
-    space = TruncatedSpace((3,), ("mode",))
     with pytest.raises(ValueError):
-        DensityMatrix(space, np.diag([0.5, 0.5, 0.5]))  # trace 1.5
-    with pytest.raises(ValueError):
-        DensityMatrix(space, np.array([[1, 1], [0, 0]]))  # shape
+        DensityMatrix(np.diag([0.5, 0.5, 0.5]))  # trace 1.5
+    with pytest.raises(ValueError, match="square"):
+        DensityMatrix(np.full((2, 3), 1 / 3))  # shape
     ok = np.diag([0.9, 0.1, 0.0])
-    DensityMatrix(space, ok)
+    DensityMatrix(ok)
 
 
 def test_state_vector_norm_guard():
-    space = TruncatedSpace((3,), ("mode",))
     with pytest.raises(ValueError):
-        StateVector(space, np.array([1.0, 1.0, 0.0]))
+        StateVector(np.array([1.0, 1.0, 0.0]))
