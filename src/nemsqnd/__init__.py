@@ -28,7 +28,6 @@ _SOURCE = {
     "ConfigError": "errors",
     "DensityMatrix": "fock",
     "EffectiveParams": "circuit",
-    "EntropyReport": "entanglement",
     "EstimationError": "errors",
     "IntegrationError": "errors",
     "MeanTrace": "readout",
@@ -52,7 +51,6 @@ _SOURCE = {
     "default_config_text": "config",
     "effective_params": "circuit",
     "entropy_n12_series": "entanglement",
-    "entropy_series": "entanglement",
     "equilibrium_capacitance": "circuit",
     "estimate_dominant_frequency": "circuit",
     "exchange_evolve": "entanglement",

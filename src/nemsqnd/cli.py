@@ -17,6 +17,7 @@ modules it calls inside its own ``cmd_*`` body.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -42,13 +43,13 @@ ENTROPY_CURVE_SETS: tuple[tuple[complex, complex], ...] = (
 )
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     umask = os.umask(0)
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         # mkstemp creates 0600; give the artifact the mode open() would
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
@@ -61,10 +62,9 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{float(v):.12e}" for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    """Write the rows as they arrive, so a generator's rows are never all held."""
+    lines = (",".join(f"{float(v):.12e}" for v in row) + "\n" for row in rows)
+    _write_atomic(path, itertools.chain([",".join(header) + "\n"], lines))
 
 
 def _print_table(pairs: Sequence[tuple[str, str]]) -> None:
@@ -128,34 +128,37 @@ def cmd_current(cfg: RunConfig, out: Path, strict: bool) -> int:
 def cmd_entropy(cfg: RunConfig, out: Path, strict: bool) -> int:
     import numpy as np
 
-    from .entanglement import entropy_n12_series, entropy_series
+    from .entanglement import entropy_n12_series, linear_entropies
 
     alpha = complex(cfg.alpha_re, cfg.alpha_im)
     theta_t = np.linspace(0.0, cfg.theta_t_max, cfg.entropy_points)
+    abs_alphas = np.linspace(0.0, cfg.alpha_max, cfg.alpha_points)
 
-    rows = []
-    for beta, gamma in ENTROPY_CURVE_SETS:
-        triple = cfg.triple(beta=beta, gamma=gamma)
-        curves = entropy_series(triple, theta_t, n_terms=cfg.n_terms)[:3]
-        rows.extend(
-            (alpha.real, alpha.imag, beta.real, beta.imag, gamma.real, gamma.imag, *point)
-            for point in zip(theta_t, *curves)
-        )
+    # one series at a time: each is written before the next is computed
+    def curve_rows():
+        for beta, gamma in ENTROPY_CURVE_SETS:
+            curves = linear_entropies(cfg.triple(beta=beta, gamma=gamma), theta_t,
+                                      n_terms=cfg.n_terms)[:3]
+            for point in zip(theta_t, *curves):
+                yield (alpha.real, alpha.imag, beta.real, beta.imag, gamma.real,
+                       gamma.imag, *point)
+
+    def grid_rows():
+        for abs_alpha in abs_alphas:
+            e_n_12 = entropy_n12_series(cfg.triple(alpha=complex(abs_alpha)), theta_t,
+                                        n_terms=cfg.n_terms)[0]
+            for phase, e in zip(theta_t, e_n_12):
+                yield phase, abs_alpha, e
+
     curve_header = (
         "alpha_re", "alpha_im", "beta_re", "beta_im", "gamma_re", "gamma_im",
         "theta_t", "E_N12", "E_1N2", "E_2N1",
     )
-    _write_csv(out / "entropy_curves.csv", curve_header, rows)
+    _write_csv(out / "entropy_curves.csv", curve_header, curve_rows())
+    _write_csv(out / "entropy_alpha_grid.csv", ("theta_t", "abs_alpha", "E_N12"), grid_rows())
 
-    grid_rows = []
-    for abs_alpha in np.linspace(0.0, cfg.alpha_max, cfg.alpha_points):
-        triple = cfg.triple(alpha=complex(abs_alpha))
-        e_n_12 = entropy_n12_series(triple, theta_t, n_terms=cfg.n_terms)[0]
-        grid_rows.extend((phase, abs_alpha, e) for phase, e in zip(theta_t, e_n_12))
-    _write_csv(out / "entropy_alpha_grid.csv", ("theta_t", "abs_alpha", "E_N12"), grid_rows)
-
-    print(f"wrote {out / 'entropy_curves.csv'} ({len(rows)} rows)")
-    print(f"wrote {out / 'entropy_alpha_grid.csv'} ({len(grid_rows)} rows)")
+    print(f"wrote {out / 'entropy_curves.csv'} ({len(ENTROPY_CURVE_SETS) * theta_t.size} rows)")
+    print(f"wrote {out / 'entropy_alpha_grid.csv'} ({abs_alphas.size * theta_t.size} rows)")
     return 0
 
 
@@ -223,7 +226,7 @@ def cmd_verify(cfg: RunConfig, out: Path, strict: bool) -> int:
         "passed": all(r.passed for r in results),
         "checks": [r.as_dict() for r in results],
     }
-    _write_atomic(out / "verify.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out / "verify.json", [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     for r in results:
         mark = " ok " if r.passed else "FAIL"
         print(f"[{mark}] {r.name}: residual {r.residual:.3e} (tolerance {r.tolerance:.3e})")

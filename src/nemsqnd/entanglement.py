@@ -144,7 +144,6 @@ class ConditionedState:
     c_n: np.ndarray
     beta_n: np.ndarray
     gamma_n: np.ndarray
-    theta_t: float
     tail: float
 
     def __post_init__(self):
@@ -161,20 +160,6 @@ class ConditionedState:
     @property
     def n_terms(self) -> int:
         return self.c_n.size
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """The three bipartite linear entropies with their truncation bound."""
-
-    e_n_12: float
-    e_1_n2: float
-    e_2_n1: float
-    tail_bound: float
-    n_terms: int
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.e_n_12, self.e_1_n2, self.e_2_n1)
 
 
 def required_terms(alpha: complex) -> int:
@@ -207,8 +192,7 @@ def conditioned_state(triple: CoherentTriple, theta_t: float,
     c = coherent_amplitudes(triple.alpha, n)
     beta_n, gamma_n = branch_amplitudes(np.arange(n), theta_t, triple.beta, triple.gamma)
     return ConditionedState(
-        c_n=c, beta_n=beta_n, gamma_n=gamma_n, theta_t=theta_t,
-        tail=poisson_tail(abs(triple.alpha) ** 2, n),
+        c_n=c, beta_n=beta_n, gamma_n=gamma_n, tail=poisson_tail(abs(triple.alpha) ** 2, n),
     )
 
 
@@ -324,24 +308,11 @@ def _n12_blocks(theta_ts: np.ndarray, state: ConditionedState) -> np.ndarray:
     return _blocked(theta_ts, a.size, 1, lambda phi: _pair_block(phi, a, energy))[0]
 
 
-def linear_entropies(state: ConditionedState) -> EntropyReport:
-    """Closed-form linear entropies of the three bipartitions.
-
-    Evaluated at ``state.theta_t`` by the same sums as ``entropy_series``,
-    with beta and gamma read from the stationary layer 0.
-    """
-    phi = np.array([[float(state.theta_t)]])
-    e_n_12 = _pair_block(phi, *_pair_weights(state))[0]
-    e_1, e_2 = _single_block(phi, _Triangle.of(state))[:, 0]
-    return EntropyReport(float(e_n_12), float(e_1), float(e_2),
-                         tail_bound=2.0 * state.tail, n_terms=state.n_terms)
-
-
 def entropy_n12_series(triple: CoherentTriple, theta_ts, n_terms: int | None = None):
     """E_N|12 along a grid of phases; returns (E_N|12, tail_bound).
 
-    One ``conditioned_state`` serves the grid.  Each value equals the
-    ``linear_entropies`` one: a sum of n terms per phase, over
+    The first curve of ``linear_entropies``, bit for bit, without the
+    single-resonator sums: a sum of n terms per phase, over
     max(1, SERIES_BLOCK // n) phases at a time.
     """
     theta_ts = np.asarray(theta_ts, dtype=float).reshape(-1)
@@ -349,15 +320,17 @@ def entropy_n12_series(triple: CoherentTriple, theta_ts, n_terms: int | None = N
     return _n12_blocks(theta_ts, state), 2.0 * state.tail
 
 
-def entropy_series(triple: CoherentTriple, theta_ts, n_terms: int | None = None):
-    """Entropies along a grid of phases; returns (E_N|12, E_1|N2, E_2|N1, tail_bound).
+def linear_entropies(triple: CoherentTriple, theta_ts, n_terms: int | None = None):
+    """Closed-form linear entropies of the three bipartitions along a grid
+    of phases; returns the arrays (E_N|12, E_1|N2, E_2|N1) and tail_bound.
 
     The layers, weights and tail do not depend on the phase, so one
-    ``conditioned_state`` serves the grid.  E_N|12 runs as in
-    ``entropy_n12_series``; the single-resonator sums run over the
-    n(n + 1)/2 triangle pairs, max(1, SERIES_BLOCK // pairs) phases at a
-    time.  Each value equals the ``linear_entropies`` one, and a phase
-    whose multiples are not finite raises ``ValueError``.
+    ``conditioned_state`` serves the grid, with beta and gamma read from
+    its stationary layer 0.  E_N|12 runs as in ``entropy_n12_series``;
+    the single-resonator sums run over the n(n + 1)/2 triangle pairs,
+    max(1, SERIES_BLOCK // pairs) phases at a time.  A one-phase grid
+    gives the value of that phase in any longer grid, bit for bit, and a
+    phase whose multiples are not finite raises ``ValueError``.
     """
     theta_ts = np.asarray(theta_ts, dtype=float).reshape(-1)
     state = conditioned_state(triple, 0.0, n_terms)

@@ -17,7 +17,6 @@ from .entanglement import (
     CoherentTriple,
     brute_force_entropies,
     cat_state_check,
-    conditioned_state,
     linear_entropies,
     oracle_dims,
     separability_check_12,
@@ -133,10 +132,8 @@ def check_entropy_oracle(cfg: RunConfig) -> CheckResult:
         triple = CoherentTriple(a, b, g)
         dims = oracle_dims(triple, cfg.oracle_dim)
         brute = brute_force_entropies(triple, theta_t, dims)
-        analytic = linear_entropies(
-            conditioned_state(triple, theta_t * cfg.verify_theta_scale)
-        )
-        disc = max(abs(x - y) for x, y in zip(analytic.as_tuple(), brute))
+        *analytic, _ = linear_entropies(triple, [theta_t * cfg.verify_theta_scale])
+        disc = max(abs(x[0] - y) for x, y in zip(analytic, brute))
         if disc > worst:
             worst, worst_at = disc, (f"(alpha={a}, beta={b}, gamma={g}, "
                                      f"theta_t={theta_t:.3f}), dims {dims}")

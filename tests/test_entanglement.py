@@ -28,7 +28,6 @@ from nemsqnd.entanglement import (
     cat_state_check,
     conditioned_state,
     entropy_n12_series,
-    entropy_series,
     exchange_evolve,
     initial_product_state,
     linear_entropies,
@@ -51,6 +50,13 @@ amplitudes = st.complex_numbers(max_magnitude=2.5, allow_nan=False,
 
 def triple(alpha=2.0, beta=2.0, gamma=2.0):
     return CoherentTriple(alpha, beta, gamma)
+
+
+def entropies_at(t, theta_t, n_terms=None):
+    """``linear_entropies`` on the one-phase grid ``[theta_t]``: the three
+    entropies as floats, and the tail bound."""
+    *curves, bound = linear_entropies(t, [theta_t], n_terms)
+    return tuple(float(c[0]) for c in curves), bound
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +176,7 @@ def test_validating_types_leave_the_callers_arrays_writeable():
     """The validated types hold read-only views of the arrays they are
     given, not copies, and leave the caller's own arrays writeable."""
     c, b, g = np.array([1.0 + 0j]), np.array([0.5j]), np.array([-0.5 + 0j])
-    state = ConditionedState(c, b, g, 0.0, 0.0)
+    state = ConditionedState(c, b, g, 0.0)
     amps = np.zeros((2, 3), dtype=complex)
     amps[0, 0] = 1.0
     rho = np.diag([0.5, 0.5]).astype(complex)
@@ -187,75 +193,74 @@ def test_validating_types_leave_the_callers_arrays_writeable():
 
 
 def test_entropies_vanish_without_mixing():
-    rep = linear_entropies(conditioned_state(triple(), 0.0))
+    entropies, bound = entropies_at(triple(), 0.0)
     # the only residue is the squared truncation deficit, covered by the bound
-    for e in rep.as_tuple():
-        assert 0.0 <= e <= rep.tail_bound + 1e-15
-    assert rep.tail_bound <= 2.1e-12
+    for e in entropies:
+        assert 0.0 <= e <= bound + 1e-15
+    assert bound <= 2.1e-12
 
 
 def test_entropies_vanish_for_empty_resonators():
-    rep = linear_entropies(conditioned_state(triple(beta=0.0, gamma=0.0), 1.3))
-    for e in rep.as_tuple():
+    for e in entropies_at(triple(beta=0.0, gamma=0.0), 1.3)[0]:
         assert e <= 3e-12
 
 
 def test_symmetric_input_gives_equal_resonator_entropies():
-    rep = linear_entropies(conditioned_state(triple(), 0.7))
-    assert rep.e_1_n2 == rep.e_2_n1  # identical formulas, bitwise equal
+    (e_n_12, e_1_n2, e_2_n1), _ = entropies_at(triple(), 0.7)
+    assert e_1_n2 == e_2_n1  # identical formulas, bitwise equal
     # regression anchor for the standard operating point
-    assert rep.e_n_12 == pytest.approx(0.8479975833067072, rel=1e-12)
-    assert rep.e_1_n2 == pytest.approx(0.812155815645554, rel=1e-12)
+    assert e_n_12 == pytest.approx(0.8479975833067072, rel=1e-12)
+    assert e_1_n2 == pytest.approx(0.812155815645554, rel=1e-12)
 
 
 def test_swapping_resonators_swaps_their_entropies():
-    a = linear_entropies(conditioned_state(CoherentTriple(1.5, 2.0, 0.8j), 0.9))
-    b = linear_entropies(conditioned_state(CoherentTriple(1.5, 0.8j, 2.0), 0.9))
-    assert a.e_1_n2 == b.e_2_n1
-    assert a.e_2_n1 == b.e_1_n2
-    assert a.e_n_12 == b.e_n_12
+    a, _ = entropies_at(CoherentTriple(1.5, 2.0, 0.8j), 0.9)
+    b, _ = entropies_at(CoherentTriple(1.5, 0.8j, 2.0), 0.9)
+    assert a[1] == b[2]
+    assert a[2] == b[1]
+    assert a[0] == b[0]
 
 
 @pytest.mark.parametrize("theta_t", [0.3, 1.1, math.pi - 0.2])
 def test_entropy_periodicity(theta_t):
     t = triple()
-    base = linear_entropies(conditioned_state(t, theta_t)).as_tuple()
-    shifted = linear_entropies(conditioned_state(t, theta_t + 2 * math.pi)).as_tuple()
+    base, _ = entropies_at(t, theta_t)
+    shifted, _ = entropies_at(t, theta_t + 2 * math.pi)
     np.testing.assert_allclose(shifted, base, atol=1e-10)
 
 
 def test_entropy_phase_invariance():
     """A global phase on any input amplitude is unobservable."""
-    base = linear_entropies(conditioned_state(CoherentTriple(1.7, 1.2, 0.9), 0.8))
+    base, _ = entropies_at(CoherentTriple(1.7, 1.2, 0.9), 0.8)
     rot = CoherentTriple(1.7 * np.exp(0.4j), 1.2 * np.exp(1.1j),
                          0.9 * np.exp(1.1j))
-    moved = linear_entropies(conditioned_state(rot, 0.8))
-    np.testing.assert_allclose(moved.as_tuple(), base.as_tuple(), atol=1e-13)
+    moved, _ = entropies_at(rot, 0.8)
+    np.testing.assert_allclose(moved, base, atol=1e-13)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(alpha=amplitudes, beta=amplitudes, gamma=amplitudes,
        theta_t=st.floats(0.0, 7.0))
 def test_entropy_bounds(alpha, beta, gamma, theta_t):
-    state = conditioned_state(CoherentTriple(alpha, beta, gamma), theta_t)
-    rep = linear_entropies(state)
-    p = np.abs(state.c_n) ** 2
+    t = CoherentTriple(alpha, beta, gamma)
+    (e_n_12, e_1_n2, e_2_n1), _ = entropies_at(t, theta_t)
+    p = np.abs(conditioned_state(t, theta_t).c_n) ** 2
     purity_floor = float(np.sum(p * p))
-    for e in rep.as_tuple():
+    for e in (e_n_12, e_1_n2, e_2_n1):
         assert 0.0 <= e <= 1.0
     # the pair cannot know less about the mechanics than either resonator alone
-    assert rep.e_n_12 >= max(rep.e_1_n2, rep.e_2_n1) - 1e-15
-    assert rep.e_n_12 <= 1.0 - purity_floor + 1e-12
+    assert e_n_12 >= max(e_1_n2, e_2_n1) - 1e-15
+    assert e_n_12 <= 1.0 - purity_floor + 1e-12
 
 
 def test_entropy_series_matches_pointwise():
     t = triple()
     grid = np.linspace(0.0, 2.0, 7)
-    e_n12, e_1n2, e_2n1, bound = entropy_series(t, grid)
+    e_n12, e_1n2, e_2n1, bound = linear_entropies(t, grid)
     for i, tt in enumerate(grid):
-        rep = linear_entropies(conditioned_state(t, float(tt)))
-        assert (e_n12[i], e_1n2[i], e_2n1[i]) == rep.as_tuple()
-        assert bound >= rep.tail_bound
+        entropies, tail_bound = entropies_at(t, float(tt))
+        assert (e_n12[i], e_1n2[i], e_2n1[i]) == entropies
+        assert bound >= tail_bound
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -265,17 +270,16 @@ def test_entropy_series_matches_pointwise():
 @example(2.0, 2.0, 2.0, [0.3, 1.1, 2.0], 10, 3.4, 1)
 def test_blocked_series_equals_pointwise(ra, rb, rg, angles, extra, blocks, seed):
     """Grids from one phase up to several blocks, under a raised term floor:
-    every blocked value is the pointwise one, bit for bit."""
+    every blocked value is the one of its phase alone, bit for bit."""
     t = CoherentTriple(*(cmath.rect(r, a) for r, a in zip((ra, rb, rg), angles)))
     floor = required_terms(t.alpha) + extra
     block = max(1, SERIES_BLOCK // floor**2)
     size = max(1, round(blocks * block))
     grid = np.random.default_rng(seed).uniform(-10.0, 10.0, size)
-    *curves, bound = entropy_series(t, grid, n_terms=floor)
+    *curves, bound = linear_entropies(t, grid, n_terms=floor)
     for i, tt in enumerate(grid):
-        state = conditioned_state(t, float(tt), n_terms=floor)
-        assert tuple(c[i] for c in curves) == linear_entropies(state).as_tuple()
-    assert bound == 2.0 * state.tail
+        assert tuple(c[i] for c in curves) == entropies_at(t, float(tt), floor)[0]
+    assert bound == 2.0 * conditioned_state(t, 0.0, n_terms=floor).tail
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -284,7 +288,7 @@ def test_entropy_series_rejects_non_finite_phases(bad):
     grid = np.linspace(0.0, 2.0, 50)
     grid[37] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        entropy_series(triple(), grid)
+        linear_entropies(triple(), grid)
 
 
 def test_entropy_series_memory_is_bounded_by_the_block():
@@ -296,7 +300,7 @@ def test_entropy_series_memory_is_bounded_by_the_block():
     grid = np.linspace(0.0, 2.0 * math.pi, 10_000)
     tracemalloc.start()
     try:
-        e_n12 = entropy_series(t, grid)[0]
+        e_n12 = linear_entropies(t, grid)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -330,12 +334,11 @@ def test_entropy_n12_series_rejects_non_finite_phases(bad):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_phase_multiples_raise():
-    """With |alpha| = 0 two layers suffice, so theta_t = 1e308 leaves every
-    branch amplitude finite; the cross-term table reaches (2n - 2) theta_t,
+    """With |alpha| = 0 two layers suffice, so theta_t = 1e308 and its first
+    multiple are finite; the cross-term table reaches (2n - 2) theta_t,
     which overflows, and must raise rather than return NaN."""
-    state = conditioned_state(triple(alpha=0.0), 1e308)
     with pytest.raises(ValueError, match="non-finite"):
-        linear_entropies(state)
+        linear_entropies(triple(alpha=0.0), [1e308])
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -348,7 +351,7 @@ def test_factored_sums_match_the_full_double_sums(ra, rb, rg, angles, extra, gri
     double sums over branch overlaps, under raised term floors too."""
     t = CoherentTriple(*(cmath.rect(r, a) for r, a in zip((ra, rb, rg), angles)))
     floor = required_terms(t.alpha) + extra
-    *curves, _ = entropy_series(t, grid, n_terms=floor)
+    *curves, _ = linear_entropies(t, grid, n_terms=floor)
     p = np.abs(conditioned_state(t, 0.0, n_terms=floor).c_n) ** 2
     np.testing.assert_allclose(curves, layer_entropies(p, t.beta, t.gamma, grid),
                                rtol=0.0, atol=5e-14)
@@ -368,9 +371,9 @@ def test_e_n12_depends_only_on_the_joint_intensity(ra, rb, rg, chi, angles, thet
     t = CoherentTriple(ra, cmath.rect(rb, angles[0]), cmath.rect(rg, angles[1]))
     moved = CoherentTriple(ra, cmath.rect(r * math.cos(chi), angles[2]),
                            cmath.rect(r * math.sin(chi), angles[3]))
-    e = linear_entropies(conditioned_state(t, theta_t)).e_n_12
+    e = entropies_at(t, theta_t)[0][0]
     state = conditioned_state(moved, theta_t)
-    assert abs(linear_entropies(state).e_n_12 - e) <= 1e-14
+    assert abs(entropies_at(moved, theta_t)[0][0] - e) <= 1e-14
     p = np.abs(state.c_n) ** 2
     assert abs(layer_entropies(p, moved.beta, moved.gamma, [theta_t])[0, 0] - e) <= 5e-14
 
@@ -397,7 +400,7 @@ def _oracle_discrepancies(t, theta_t, dims, theta0_t=0.0):
     """|analytic - brute force| for E_N|12, E_1|N2 and E_2|N1; the analytic
     side is always the theta0-free branch solution."""
     brute = brute_force_entropies(t, theta_t, dims, theta0_t)
-    analytic = linear_entropies(conditioned_state(t, theta_t)).as_tuple()
+    analytic, _ = entropies_at(t, theta_t)
     return [abs(a - b) for a, b in zip(analytic, brute)]
 
 
