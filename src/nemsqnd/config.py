@@ -10,7 +10,10 @@ resonators whose coupling capacitor is ten times their own capacitance,
 a 10 nm gap, and a mechanical mass tuned so the zero-point spread is
 1e-3 of the gap (making the phonon-conditioned coupling a millionth of
 the bare one).  The drive keeps the steady amplitude of resonator 2 at
-5 and its decay a hundred times the exchange rate.
+5 and its decay a hundred times the exchange rate.  The defaults are
+written out as the literals that derivation gives, so reading a config
+imports no domain module; a test re-derives each one through
+``circuit.effective_params`` and compares them bit for bit.
 """
 
 from __future__ import annotations
@@ -20,23 +23,15 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .circuit import (
-    DRIVE_PERIOD_CAP,
-    EPS0,
-    HBAR,
-    ClassicalCircuitConfig,
-    EffectiveParams,
-    PhysicalCircuitParams,
-    effective_params,
-)
 from .errors import ConfigError
-from .readout import ReadoutParams
 
 if TYPE_CHECKING:
+    from .circuit import ClassicalCircuitConfig, EffectiveParams, PhysicalCircuitParams
     from .entanglement import CoherentTriple
+    from .readout import ReadoutParams
 
-# Size caps of the entanglement layer, defined here so that reading a
-# config needs no numpy; ``nemsqnd.entanglement`` imports them from here.
+# Every input cap, defined here so that reading a config needs no numpy
+# and no domain module; ``circuit`` and ``entanglement`` import theirs.
 
 #: cap on |alpha|; keeps the automatic term counts in the tens
 ALPHA_CAP = 6.0
@@ -47,22 +42,8 @@ TERM_CAP = 512
 #: largest configurable floor of the oracle cutoffs (``oracle_dims``)
 ORACLE_DIM_CAP = 60
 
-
-def _desk_defaults() -> dict[str, float]:
-    d = 1e-8
-    area = 1e-10
-    nu = 2.0 * math.pi * 1e9
-    c1 = EPS0 * area / d / 10.0
-    omega = 6e9
-    l1 = 1.0 / (omega**2 * c1)
-    m = HBAR / (d**2 * nu * 1e-6)  # pins |theta/theta0| to 1e-6
-    circuit = {"L1": l1, "L2": l1, "C1": c1, "C2": c1,
-               "d": d, "A": area, "m": m, "nu": nu}
-    kappa2 = 100.0 * effective_params(PhysicalCircuitParams(**circuit)).theta0
-    return {**circuit, "kappa1": 1e7, "kappa2": kappa2, "F_im": 2.5 * kappa2}
-
-
-_DESK = _desk_defaults()
+#: most drive periods one classical run may span; it keeps one state per period
+DRIVE_PERIOD_CAP = 2**20
 
 
 def toy_weak_coupling_circuit(nu: float) -> PhysicalCircuitParams:
@@ -76,6 +57,8 @@ def toy_weak_coupling_circuit(nu: float) -> PhysicalCircuitParams:
     more than that gate.  Dimensionless units throughout (the ODEs are
     unit-agnostic).
     """
+    from .circuit import PhysicalCircuitParams
+
     return PhysicalCircuitParams(
         L1=1.0, L2=1.0, C1=1.0, C2=1.0, d=1.0, A=50.0, m=1.0, nu=nu,
         eps0=1.0, hbar=1.0,
@@ -103,21 +86,21 @@ class RunConfig:
     made with ``_within`` must lie in their range.
     """
 
-    # circuit, SI units
-    L1: float = _positive(_DESK["L1"])
-    L2: float = _positive(_DESK["L2"])
-    C1: float = _positive(_DESK["C1"])
-    C2: float = _positive(_DESK["C2"])
-    d: float = _positive(_DESK["d"])
-    A: float = _positive(_DESK["A"])
-    m: float = _positive(_DESK["m"])
-    nu: float = _positive(_DESK["nu"])
+    # circuit, SI units; the desk values of the module docstring
+    L1: float = _positive(3.1372474093694975e-06)
+    L2: float = _positive(3.1372474093694975e-06)
+    C1: float = _positive(8.8541878128e-15)
+    C2: float = _positive(8.8541878128e-15)
+    d: float = _positive(1e-08)
+    A: float = _positive(1e-10)
+    m: float = _positive(1.6784031752095163e-22)
+    nu: float = _positive(6283185307.179586)
     n_b: float = 0.0
     # readout drive and decay rates (rad/s); F as a re/im pair
-    kappa1: float = _positive(_DESK["kappa1"])
-    kappa2: float = _positive(_DESK["kappa2"])
+    kappa1: float = _positive(10000000.0)
+    kappa2: float = _positive(14638501094.227997)
     F_re: float = 0.0
-    F_im: float = _DESK["F_im"]
+    F_im: float = 36596252735.56999
     # coherent amplitudes as re/im pairs
     alpha_re: float = 2.0
     alpha_im: float = 0.0
@@ -186,17 +169,23 @@ class RunConfig:
     # -- assembled domain objects ------------------------------------
 
     def physical(self) -> PhysicalCircuitParams:
+        from .circuit import PhysicalCircuitParams
+
         return PhysicalCircuitParams(
             L1=self.L1, L2=self.L2, C1=self.C1, C2=self.C2,
             d=self.d, A=self.A, m=self.m, nu=self.nu,
         )
 
     def effective(self) -> EffectiveParams:
+        from .circuit import effective_params
+
         return effective_params(
             self.physical(), n_b=self.n_b, resonance_rtol=self.resonance_rtol
         )
 
     def readout(self, strict: bool = False) -> ReadoutParams:
+        from .readout import ReadoutParams
+
         eff = self.effective()
         return ReadoutParams(
             F=complex(self.F_re, self.F_im),
@@ -228,6 +217,8 @@ class RunConfig:
         Initial charges are equal on both resonators so a single normal
         mode dominates the spectrum.
         """
+        from .circuit import ClassicalCircuitConfig, effective_params
+
         # omega_tilde1 does not depend on the mechanical frequency
         omega = effective_params(toy_weak_coupling_circuit(nu=1.0)).omega_tilde1
         nu_drive = self.classical_nu_factor * omega
@@ -243,11 +234,8 @@ class RunConfig:
         )
 
 
-#: key -> (caster, default), in field order; derived from RunConfig
-KEYS: dict[str, tuple] = {
-    f.name: ({int: int, float: float}[type(f.default)], f.default)
-    for f in fields(RunConfig)
-}
+#: key -> default, in field order; the default's type parses the key
+KEYS: dict[str, int | float] = {f.name: f.default for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -264,7 +252,7 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        caster = KEYS[key][0]
+        caster = type(KEYS[key])
         try:
             values[key] = caster(val)
         except ValueError as exc:
@@ -290,11 +278,4 @@ def load_config(path: str | Path | None) -> RunConfig:
 
 def default_config_text() -> str:
     """The effective defaults, serialized in config-file syntax."""
-    lines = []
-    for name, (_, default) in KEYS.items():
-        if isinstance(default, int):
-            rendered = str(default)
-        else:
-            rendered = repr(float(default))
-        lines.append(f"{name} = {rendered}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {default!r}\n" for key, default in KEYS.items())

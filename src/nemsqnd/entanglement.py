@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ALPHA_CAP, ORACLE_DIM_CAP, TERM_CAP  # noqa: F401 (re-exported)
+from .config import ALPHA_CAP, TERM_CAP
 from .errors import ConditioningError, TruncationError
 from .fock import (
     StateVector,
@@ -430,6 +430,10 @@ def exchange_evolve(psi: StateVector, theta_t: float,
         )
     d_n, d_1, d_2 = tensor.shape
     layer_phase = theta0_t + np.arange(d_n) * theta_t
+    if not np.isfinite(layer_phase).all():
+        raise ValueError(
+            f"non-finite layer phase for theta_t = {theta_t!r}, theta0_t = {theta0_t!r}"
+        )
     out = np.empty_like(tensor)
     for total in range(d_1 + d_2 - 1):
         n1 = np.arange(max(0, total - d_2 + 1), min(total, d_1 - 1) + 1)

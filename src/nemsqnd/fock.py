@@ -67,7 +67,8 @@ class StateVector:
         _check_cap(math.prod(dims), "state")
         v = np.asarray(self.amplitudes, dtype=complex)
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > self.norm_tol:
+        # every check here is written so that NaN, which compares false, fails it
+        if not abs(nrm - 1.0) <= self.norm_tol:
             raise ValueError(
                 f"state vector norm {nrm!r} deviates from 1 by more than {self.norm_tol}"
             )
@@ -91,13 +92,13 @@ class DensityMatrix:
         _check_cap(shape[0] * shape[1], "density matrix")
         m = np.asarray(self.matrix, dtype=complex)
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > 1e-12:
+        if not herm_dev <= 1e-12:
             raise ValueError(f"density matrix is not Hermitian (deviation {herm_dev:.3e})")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1")
         lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -1e-10:
+        if not lo >= -1e-10:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", _readonly(m))
 

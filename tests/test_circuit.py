@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from nemsqnd import ode
 from nemsqnd.circuit import (
-    DRIVE_PERIOD_CAP,
     EPS0,
     HBAR,
     ClassicalCircuitConfig,
@@ -22,7 +21,7 @@ from nemsqnd.circuit import (
     simulate_classical_circuit,
 )
 from nemsqnd.cli import main
-from nemsqnd.config import RunConfig, parse_config_text
+from nemsqnd.config import DRIVE_PERIOD_CAP, RunConfig, parse_config_text
 from nemsqnd.errors import EstimationError
 
 

@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nemsqnd
-from nemsqnd.circuit import DRIVE_PERIOD_CAP, classical_averaging
+from nemsqnd.circuit import EPS0, HBAR, PhysicalCircuitParams, classical_averaging, effective_params
 from nemsqnd.cli import main
 from nemsqnd.config import (
+    DRIVE_PERIOD_CAP,
     KEYS,
     RunConfig,
     default_config_text,
@@ -44,7 +45,15 @@ def read_csv(path):
 
 def test_defaults_are_self_consistent():
     cfg = load_config(None)
-    assert cfg.C1 == pytest.approx(8.8541878128e-15, rel=1e-12)
+    # the literal desk defaults are exactly what their derivation gives
+    d, area, nu, omega = 1e-8, 1e-10, 2.0 * math.pi * 1e9, 6e9
+    c1 = EPS0 * area / d / 10.0
+    l1 = 1.0 / (omega**2 * c1)
+    m = HBAR / (d**2 * nu * 1e-6)  # pins |theta/theta0| to 1e-6
+    circuit = {"L1": l1, "L2": l1, "C1": c1, "C2": c1, "d": d, "A": area, "m": m, "nu": nu}
+    kappa2 = 100.0 * effective_params(PhysicalCircuitParams(**circuit)).theta0
+    desk = {**circuit, "kappa1": 1e7, "kappa2": kappa2, "F_im": 2.5 * kappa2}
+    assert {key: getattr(cfg, key) for key in desk} == desk
     assert cfg.alpha_re == 2.0 and cfg.alpha_im == 0.0
     eff = cfg.effective()
     # the defaults pin kappa2 at a hundred exchange rates and the
@@ -432,6 +441,32 @@ def test_each_verify_check_fails_alone_on_its_mutation(monkeypatch, check):
     assert 5.0 < failed[0].residual / failed[0].tolerance < 20.0
 
 
+@pytest.mark.parametrize("point", [0, 2, 5])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_entropy_oracle_fails_on_a_nan_discrepancy(monkeypatch, point, which):
+    """A NaN analytic entropy fails the check at any oracle point and in
+    any of the three entropies; ``max`` and ``>`` alone would drop it."""
+    import nemsqnd.verify as verify
+
+    linear_entropies = verify.linear_entropies
+    calls = []
+
+    def entropies(*args, **kwargs):
+        *curves, bound = linear_entropies(*args, **kwargs)
+        if len(calls) == point:
+            curves[which] = np.full_like(curves[which], np.nan)
+        calls.append(args)
+        return (*curves, bound)
+
+    monkeypatch.setattr(verify, "linear_entropies", entropies)
+    result = verify.check_entropy_oracle(parse_config_text("oracle_dim = 8\n"))
+    assert len(calls) == len(verify._ORACLE_POINTS)
+    assert not result.passed
+    assert math.isnan(result.residual)
+    a, b, g, theta_t = verify._ORACLE_POINTS[point]
+    assert result.detail.startswith(f"worst at (alpha={a}, beta={b}, gamma={g}, ")
+
+
 def test_verify_memory_at_the_defaults():
     """All six checks at the defaults hold at most 3 MiB at once (traced
     after a classical run has loaded the integrator and the FFT)."""
@@ -680,6 +715,22 @@ def test_classical_loads_no_oracle_module(tmp_path):
     conf.write_text("classical_periods = 20\nclassical_samples = 1024\n")
     args = ["classical", "--config", str(conf), "--out", str(tmp_path / "out")]
     proc = run_blocked("nemsqnd.verify,nemsqnd.entanglement,nemsqnd.fock", args, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command,modules", [
+    ("defaults", "nemsqnd.circuit,nemsqnd.readout"),
+    ("entropy", "nemsqnd.circuit,nemsqnd.readout"),
+    ("classical", "nemsqnd.readout"),
+])
+def test_subcommands_load_no_unused_domain_module(tmp_path, command, modules):
+    """The config is a leaf: a subcommand loads the domain modules it
+    calls and no other."""
+    conf = tmp_path / "tiny.conf"
+    conf.write_text("entropy_points = 3\nalpha_points = 2\n"
+                    "classical_periods = 20\nclassical_samples = 1024\n")
+    args = [command, "--config", str(conf), "--out", str(tmp_path / "out")]
+    proc = run_blocked(modules, args, tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 

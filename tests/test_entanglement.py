@@ -12,14 +12,11 @@ from hypothesis import strategies as st
 from scipy.special import ive
 
 from nemsqnd.cli import ENTROPY_CURVE_SETS
-from nemsqnd.config import RunConfig
+from nemsqnd.config import ALPHA_CAP, ORACLE_DIM_CAP, TERM_CAP, RunConfig
 from nemsqnd.entanglement import (
-    ALPHA_CAP,
     ORACLE_BYTE_BUDGET,
-    ORACLE_DIM_CAP,
     PAIR_BLOCK,
     SERIES_BLOCK,
-    TERM_CAP,
     CoherentTriple,
     ConditionedState,
     _pair_weights,
@@ -457,6 +454,23 @@ def test_exchange_evolve_refuses_a_state_without_three_modes():
         psi = StateVector(np.eye(100)[0].reshape(dims))
         with pytest.raises(ValueError, match="expects three modes"):
             exchange_evolve(psi, 0.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("theta_t,theta0_t", [
+    (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1e308, 0.0), (0.5, math.nan),
+])
+def test_exchange_evolve_refuses_non_finite_layer_phases(monkeypatch, theta_t, theta0_t):
+    """A layer phase that is not finite is refused before any sector is
+    diagonalised, as the analytic side refuses its phase multiples."""
+    psi = initial_product_state(CoherentTriple(0.6, 0.7, 0.5), (12, 14, 14))
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(ValueError, match="non-finite layer phase"):
+        exchange_evolve(psi, theta_t, theta0_t)
 
 
 def test_initial_product_state_polices_tails():

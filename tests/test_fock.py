@@ -401,8 +401,21 @@ def test_density_matrix_validation():
         DensityMatrix(np.full((2, 3), 1 / 3))  # shape
     ok = np.diag([0.9, 0.1, 0.0])
     DensityMatrix(ok)
+    # a NaN entry, anywhere, makes the Hermiticity deviation NaN
+    for where in ((0, 0), (0, 1)):
+        bad = ok.copy()
+        bad[where] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(bad)
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(np.diag([1.5, -0.5]))
 
 
 def test_state_vector_norm_guard():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 1.0, 0.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="norm"):
+            StateVector(np.full((2, 2, 2), bad))
