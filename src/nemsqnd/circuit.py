@@ -186,20 +186,19 @@ def effective_params(
 SAMPLE_BLOCK = 2**11
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassicalCircuitConfig:
     """Inputs for a classical simulation of the coupled circuit.
 
-    The plate follows the declared drive x(t) = x0 cos(nu t): ``x0`` in
-    meters (0, the default, holds the plate at rest) and ``nu`` in rad/s,
-    defaulting to the plate's mechanical frequency ``params.nu``.
-    Initial conditions at ``t_span[0]`` are charges (coulomb) and their
-    conjugate momenta (weber).
+    The plate follows the declared drive x(t) = x0 cos(nu t) at the
+    mechanical frequency ``nu = params.nu``, with ``x0`` in meters (0,
+    the default, holds the plate at rest).  Initial conditions at
+    ``t_span[0]`` are charges (coulomb) and their conjugate momenta
+    (weber).
     """
 
     params: PhysicalCircuitParams
     x0: float = 0.0
-    nu: float | None = None
     q1: float = 0.0
     p1: float = 0.0
     q2: float = 0.0
@@ -209,19 +208,15 @@ class ClassicalCircuitConfig:
     rtol: float = 1e-10
 
     def __post_init__(self):
-        if self.nu is None:
-            self.nu = self.params.nu
         if not math.isfinite(self.x0):
             raise ValueError("x0 must be finite")
-        if not (math.isfinite(self.nu) and self.nu > 0):
-            raise ValueError("nu must be a finite positive number")
         if self.n_samples < 2:
             raise ValueError("n_samples must be at least 2")
         if not self.t_span[1] > self.t_span[0]:
             raise ValueError("t_span must be increasing")
         if self.rtol <= 0:
             raise ValueError("rtol must be positive")
-        periods = (self.t_span[1] - self.t_span[0]) * self.nu / math.pi
+        periods = (self.t_span[1] - self.t_span[0]) * self.params.nu / math.pi
         if not periods <= DRIVE_PERIOD_CAP:
             raise ValueError(
                 f"t_span covers {periods:.3e} drive periods, above the cap "
@@ -281,7 +276,7 @@ def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> Trajectory:
         )
 
     t0, t1 = cfg.t_span
-    period = math.pi / cfg.nu
+    period = math.pi / p.nu
     t = np.linspace(t0, t1, cfg.n_samples)
     elapsed = t - t0
     whole = np.floor(elapsed / period).astype(np.int64)
@@ -293,7 +288,7 @@ def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> Trajectory:
     inv_l1, inv_l2 = 1.0 / p.L1, 1.0 / p.L2
     inv_c1, inv_c2 = 1.0 / p.C1, 1.0 / p.C2
     inv_2dea = 1.0 / (2.0 * p.d * p.eps0 * p.A)
-    d2, x02, nu = p.d * p.d, cfg.x0 * cfg.x0, cfg.nu
+    d2, x02, nu = p.d * p.d, cfg.x0 * cfg.x0, p.nu
 
     def rhs(s, y):
         # y[0:4] = (Q1, P1, Q2, P2); s broadcasts against the trailing axes

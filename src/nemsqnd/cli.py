@@ -137,16 +137,14 @@ def cmd_entropy(cfg: RunConfig, out: Path, strict: bool) -> int:
     # one series at a time: each is written before the next is computed
     def curve_rows():
         for beta, gamma in ENTROPY_CURVE_SETS:
-            curves = linear_entropies(cfg.triple(beta=beta, gamma=gamma), theta_t,
-                                      n_terms=cfg.n_terms)[:3]
+            curves = linear_entropies(cfg.triple(beta=beta, gamma=gamma), theta_t)[:3]
             for point in zip(theta_t, *curves):
                 yield (alpha.real, alpha.imag, beta.real, beta.imag, gamma.real,
                        gamma.imag, *point)
 
     def grid_rows():
         for abs_alpha in abs_alphas:
-            e_n_12 = entropy_n12_series(cfg.triple(alpha=complex(abs_alpha)), theta_t,
-                                        n_terms=cfg.n_terms)[0]
+            e_n_12 = entropy_n12_series(cfg.triple(alpha=complex(abs_alpha)), theta_t)[0]
             for phase, e in zip(theta_t, e_n_12):
                 yield phase, abs_alpha, e
 
@@ -205,7 +203,7 @@ def cmd_classical(cfg: RunConfig, out: Path, strict: bool) -> int:
     _write_csv(
         out / "classical_report.csv",
         ("estimated_omega", "predicted_omega", "rel_error", "drive_nu", "x0_over_d"),
-        [(report.estimated_omega, report.predicted_omega, report.rel_error, run.nu,
+        [(report.estimated_omega, report.predicted_omega, report.rel_error, run.params.nu,
           cfg.classical_x0_over_d)],
     )
     print(f"wrote {out / 'trajectory.csv'} ({traj.t.size} samples)")
@@ -226,7 +224,8 @@ def cmd_verify(cfg: RunConfig, out: Path, strict: bool) -> int:
         "passed": all(r.passed for r in results),
         "checks": [r.as_dict() for r in results],
     }
-    _write_atomic(out / "verify.json", [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    _write_atomic(out / "verify.json", [text + "\n"])
     for r in results:
         mark = " ok " if r.passed else "FAIL"
         print(f"[{mark}] {r.name}: residual {r.residual:.3e} (tolerance {r.tolerance:.3e})")

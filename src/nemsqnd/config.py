@@ -36,9 +36,6 @@ if TYPE_CHECKING:
 #: cap on |alpha|; keeps the automatic term counts in the tens
 ALPHA_CAP = 6.0
 
-#: hard ceiling for the automatic term-count growth
-TERM_CAP = 512
-
 #: largest configurable floor of the oracle cutoffs (``oracle_dims``)
 ORACLE_DIM_CAP = 60
 
@@ -108,7 +105,6 @@ class RunConfig:
     beta_im: float = 0.0
     gamma_re: float = 2.0
     gamma_im: float = 0.0
-    n_terms: int = _within(30, 1, TERM_CAP)
     # output grids
     entropy_points: int = _within(201, 2, 10_000)
     theta_t_max: float = _positive(2.0 * math.pi)
@@ -221,12 +217,10 @@ class RunConfig:
 
         # omega_tilde1 does not depend on the mechanical frequency
         omega = effective_params(toy_weak_coupling_circuit(nu=1.0)).omega_tilde1
-        nu_drive = self.classical_nu_factor * omega
-        params = toy_weak_coupling_circuit(nu=nu_drive)
+        params = toy_weak_coupling_circuit(nu=self.classical_nu_factor * omega)
         return ClassicalCircuitConfig(
             params=params,
             x0=self.classical_x0_over_d * params.d,
-            nu=nu_drive,
             q1=params.C1, q2=params.C1,
             t_span=(0.0, self.classical_periods * (2.0 * math.pi / omega)),
             n_samples=self.classical_samples,

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ALPHA_CAP, TERM_CAP
+from .config import ALPHA_CAP
 from .errors import ConditioningError, TruncationError
 from .fock import (
     StateVector,
@@ -162,33 +162,13 @@ class ConditionedState:
         return self.c_n.size
 
 
-def required_terms(alpha: complex) -> int:
-    """Smallest layer count keeping the Poisson tail of alpha at most ``TAIL_TOL``."""
-    try:
-        return min_fock_dim(alpha, TAIL_TOL, cap=TERM_CAP)
-    except TruncationError:
-        raise TruncationError(
-            f"more than {TERM_CAP} layers needed for tail {TAIL_TOL} at "
-            f"alpha = {alpha}",
-            required_dim=TERM_CAP,
-        ) from None
-
-
-def conditioned_state(triple: CoherentTriple, theta_t: float,
-                      n_terms: int | None = None) -> ConditionedState:
+def conditioned_state(triple: CoherentTriple, theta_t: float) -> ConditionedState:
     """Evaluate the layer decomposition at dimensionless phase ``theta_t``.
 
-    ``n_terms`` is a floor: the count is raised automatically until the
-    discarded Poisson tail is at most ``TAIL_TOL``, and the call fails
-    with a truncation error only if that would exceed the hard cap.
+    The layer count is the smallest that keeps the discarded Poisson tail
+    of alpha at most ``TAIL_TOL``: 26 at |alpha| = 2, 87 at ``ALPHA_CAP``.
     """
-    needed = required_terms(triple.alpha)
-    n = max(needed, 0 if n_terms is None else int(n_terms))
-    if n > TERM_CAP:
-        raise TruncationError(
-            f"requested {n} layers exceeds the cap {TERM_CAP}",
-            required_dim=needed,
-        )
+    n = min_fock_dim(triple.alpha, TAIL_TOL)
     c = coherent_amplitudes(triple.alpha, n)
     beta_n, gamma_n = branch_amplitudes(np.arange(n), theta_t, triple.beta, triple.gamma)
     return ConditionedState(
@@ -207,13 +187,13 @@ def _multiples(phi: np.ndarray, count: int) -> np.ndarray:
     """``j * phi`` for j < count, one row per phase of the (r, 1) ``phi``.
 
     A non-finite phase, or a finite one whose multiple overflows, raises
-    ``ValueError`` before any sine is taken.
+    ``ValueError`` before any multiple is formed: the largest one is
+    checked as a Python float, which overflows without a warning.
     """
-    angle = phi * np.arange(count)
-    finite = np.isfinite(angle).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite phase multiples near theta_t = {phi[~finite, 0][0]!r}")
-    return angle
+    if not math.isfinite(float(np.max(np.abs(phi))) * (count - 1)):
+        bad = next(x for x in phi[:, 0].tolist() if not math.isfinite(x * (count - 1)))
+        raise ValueError(f"non-finite phase multiples near theta_t = {bad!r}")
+    return phi * np.arange(count)
 
 
 def _layer_distance(angle: np.ndarray, n: int) -> np.ndarray:
@@ -308,7 +288,7 @@ def _n12_blocks(theta_ts: np.ndarray, state: ConditionedState) -> np.ndarray:
     return _blocked(theta_ts, a.size, 1, lambda phi: _pair_block(phi, a, energy))[0]
 
 
-def entropy_n12_series(triple: CoherentTriple, theta_ts, n_terms: int | None = None):
+def entropy_n12_series(triple: CoherentTriple, theta_ts):
     """E_N|12 along a grid of phases; returns (E_N|12, tail_bound).
 
     The first curve of ``linear_entropies``, bit for bit, without the
@@ -316,11 +296,11 @@ def entropy_n12_series(triple: CoherentTriple, theta_ts, n_terms: int | None = N
     max(1, SERIES_BLOCK // n) phases at a time.
     """
     theta_ts = np.asarray(theta_ts, dtype=float).reshape(-1)
-    state = conditioned_state(triple, 0.0, n_terms)
+    state = conditioned_state(triple, 0.0)
     return _n12_blocks(theta_ts, state), 2.0 * state.tail
 
 
-def linear_entropies(triple: CoherentTriple, theta_ts, n_terms: int | None = None):
+def linear_entropies(triple: CoherentTriple, theta_ts):
     """Closed-form linear entropies of the three bipartitions along a grid
     of phases; returns the arrays (E_N|12, E_1|N2, E_2|N1) and tail_bound.
 
@@ -333,7 +313,7 @@ def linear_entropies(triple: CoherentTriple, theta_ts, n_terms: int | None = Non
     phase whose multiples are not finite raises ``ValueError``.
     """
     theta_ts = np.asarray(theta_ts, dtype=float).reshape(-1)
-    state = conditioned_state(triple, 0.0, n_terms)
+    state = conditioned_state(triple, 0.0)
     tri = _Triangle.of(state)
     e_1, e_2 = _blocked(theta_ts, tri.k.size, 2, lambda phi: _single_block(phi, tri))
     return _n12_blocks(theta_ts, state), e_1, e_2, 2.0 * state.tail
@@ -429,11 +409,14 @@ def exchange_evolve(psi: StateVector, theta_t: float,
             f"got {tensor.ndim}"
         )
     d_n, d_1, d_2 = tensor.shape
-    layer_phase = theta0_t + np.arange(d_n) * theta_t
-    if not np.isfinite(layer_phase).all():
+    # the largest angle, layer phase times sector eigenvalue (|w| <= N <
+    # d_1 + d_2), bounded as a Python float before numpy forms any
+    top = abs(float(theta0_t)) + abs(float(theta_t)) * (d_n - 1)
+    if not math.isfinite(top * (d_1 + d_2)):
         raise ValueError(
-            f"non-finite layer phase for theta_t = {theta_t!r}, theta0_t = {theta0_t!r}"
+            f"non-finite layer phase angles for theta_t = {theta_t!r}, theta0_t = {theta0_t!r}"
         )
+    layer_phase = theta0_t + np.arange(d_n) * theta_t
     out = np.empty_like(tensor)
     for total in range(d_1 + d_2 - 1):
         n1 = np.arange(max(0, total - d_2 + 1), min(total, d_1 - 1) + 1)

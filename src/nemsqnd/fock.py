@@ -74,10 +74,6 @@ class StateVector:
             )
         object.__setattr__(self, "amplitudes", _readonly(v))
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -101,10 +97,6 @@ class DensityMatrix:
         if not lo >= -1e-10:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", _readonly(m))
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,13 @@ class CheckResult:
     detail: str
 
     def as_dict(self) -> dict:
-        # numpy scalars sneak in through comparisons; JSON wants natives
+        # numpy scalars sneak in through comparisons; JSON wants natives,
+        # and strict JSON has no NaN or infinity, so those residuals are null
+        residual = float(self.residual)
         return {
             "name": str(self.name),
             "passed": bool(self.passed),
-            "residual": float(self.residual),
+            "residual": residual if math.isfinite(residual) else None,
             "tolerance": float(self.tolerance),
             "detail": str(self.detail),
         }
@@ -55,7 +57,7 @@ def check_classical_averaging(cfg: RunConfig) -> CheckResult:
         detail=(
             f"peak {report.estimated_omega:.6e} vs effective "
             f"{report.predicted_omega:.6e} rad/s "
-            f"(drive at {run.nu:.3e}, x0/d = {cfg.classical_x0_over_d:.3e})"
+            f"(drive at {run.params.nu:.3e}, x0/d = {cfg.classical_x0_over_d:.3e})"
         ),
     )
 

@@ -96,13 +96,14 @@ def test_adiabatic_elimination_validity_window():
 
 
 def test_entropy_curves_at_the_operating_point():
-    """alpha = beta = gamma = 2 over a full period with 30-term sums."""
+    """alpha = beta = gamma = 2 over a full period with the automatic
+    26-term sums."""
     t_start = time.perf_counter()
     triple = CoherentTriple(2.0, 2.0, 2.0)
     grid = np.linspace(0.0, 2.0 * math.pi, 201)
 
-    assert conditioned_state(triple, 0.0, n_terms=30).n_terms == 30
-    reports = [linear_entropies(triple, [float(tt)], n_terms=30) for tt in grid]
+    assert conditioned_state(triple, 0.0).n_terms == 26
+    reports = [linear_entropies(triple, [float(tt)]) for tt in grid]
     for e_n_12, e_1_n2, e_2_n1, tail_bound in reports:
         assert abs(e_1_n2[0] - e_2_n1[0]) <= 1e-12
         assert tail_bound <= 1e-12

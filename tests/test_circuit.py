@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -193,18 +194,26 @@ def test_short_circuit_guard(monkeypatch):
 
     monkeypatch.setattr(ode, "solve", no_integration)
     for x0 in (1.5, 1.0, -1.0):
-        run = ClassicalCircuitConfig(params=p, x0=x0, nu=1.0, q1=1.0, t_span=(0.0, 10.0))
+        run = ClassicalCircuitConfig(params=p, x0=x0, q1=1.0, t_span=(0.0, 10.0))
         with pytest.raises(ValueError, match="short"):
             simulate_classical_circuit(run)
 
 
 def test_drive_period_cap():
     p = unit_params()
-    ClassicalCircuitConfig(params=p, nu=1.0, t_span=(0.0, DRIVE_PERIOD_CAP * math.pi))
+    ClassicalCircuitConfig(params=p, t_span=(0.0, DRIVE_PERIOD_CAP * math.pi))
     with pytest.raises(ValueError, match="drive periods"):
-        ClassicalCircuitConfig(params=p, nu=1.0, t_span=(0.0, 1.01 * DRIVE_PERIOD_CAP * math.pi))
+        ClassicalCircuitConfig(params=p, t_span=(0.0, 1.01 * DRIVE_PERIOD_CAP * math.pi))
     with pytest.raises(ValueError, match="nu"):
-        ClassicalCircuitConfig(params=p, nu=0.0)
+        ClassicalCircuitConfig(params=dataclasses.replace(p, nu=0.0))
+
+
+def test_classical_run_is_frozen():
+    run = ClassicalCircuitConfig(params=unit_params())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        run.x0 = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        run.params = dataclasses.replace(unit_params(), nu=2.0)
 
 
 def _matched_reference(run: ClassicalCircuitConfig, rtol: float) -> Trajectory:
@@ -216,7 +225,7 @@ def _matched_reference(run: ClassicalCircuitConfig, rtol: float) -> Trajectory:
     y0 = np.array([run.q1, run.p1, run.q2, run.p2])
     return reference_trajectory(
         p, tuple(y0), run.t_span, run.n_samples,
-        x_drive=lambda t: run.x0 * math.cos(run.nu * t), rtol=rtol,
+        x_drive=lambda t: run.x0 * math.cos(run.params.nu * t), rtol=rtol,
         atol=1e-2 * rtol * size * np.max(np.abs(y0) / size),
     )
 
@@ -240,7 +249,8 @@ def test_whole_period_sample_times():
                                          (7.66, (3, 43), 161)):  # shifted start
         period = math.pi / nu
         t_span = (first * period, last * period)
-        run = ClassicalCircuitConfig(params=p, x0=0.5, nu=nu, q1=1.0, p2=0.3,
+        run = ClassicalCircuitConfig(params=dataclasses.replace(p, nu=nu), x0=0.5,
+                                     q1=1.0, p2=0.3,
                                      t_span=t_span, n_samples=n_samples, rtol=1e-11)
         traj = simulate_classical_circuit(run)
         assert np.array_equal(traj.t, np.linspace(*t_span, n_samples))
@@ -293,7 +303,7 @@ def test_floquet_matches_step_by_step_reference(si, x0_over_d, nu_ratio, t0_peri
     circuit_period = 2 * math.pi / eff.omega_tilde1
     scale = (p.C1, p.C1 * math.sqrt(p.L1 / eff.c_tilde1))
     run = ClassicalCircuitConfig(
-        params=p, x0=x0_over_d * p.d, nu=nu_ratio * eff.omega_tilde1,
+        params=dataclasses.replace(p, nu=nu_ratio * eff.omega_tilde1), x0=x0_over_d * p.d,
         q1=y0[0] * scale[0], p1=y0[1] * scale[1], q2=y0[2] * scale[0], p2=y0[3] * scale[1],
         t_span=(t0_periods * circuit_period, (t0_periods + 4) * circuit_period),
         n_samples=257,
@@ -316,8 +326,8 @@ def test_averaging_beyond_leading_order():
     omega_avg = math.sqrt(2.0 - x0**2 / 2.0)
     omega_frozen = math.sqrt(2.0)
     run = ClassicalCircuitConfig(
-        params=p,
-        x0=x0, nu=25.0 * omega_avg,
+        params=dataclasses.replace(p, nu=25.0 * omega_avg),
+        x0=x0,
         q1=1.0, q2=1.0,
         t_span=(0.0, 250 * 2 * math.pi / omega_avg),
         n_samples=8192, rtol=1e-10,

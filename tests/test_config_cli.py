@@ -106,11 +106,11 @@ def test_comments_blanks_and_overrides():
         "# a comment line\n"
         "\n"
         "kappa1 = 2e7   # trailing comment\n"
-        "n_terms = 40\n"
+        "alpha_points = 40\n"
         "oracle_dim = 60   # the cap\n"
     )
     assert cfg.kappa1 == 2e7
-    assert cfg.n_terms == 40
+    assert cfg.alpha_points == 40
     assert cfg.oracle_dim == 60
 
 
@@ -118,8 +118,9 @@ def test_comments_blanks_and_overrides():
     ("L1 = 1e-6\nbogus = 3\n", "line 2: unknown key 'bogus'"),
     ("L1 = 1e-6\nL1 = 2e-6\n", "line 2: duplicate key"),
     ("L1 1e-6\n", "line 1: expected 'key = value'"),
-    ("n_terms = soup\n", "line 1: bad value for n_terms"),
+    ("alpha_points = soup\n", "line 1: bad value for alpha_points"),
     ("classical_toy = true\n", "line 1: unknown key 'classical_toy'"),
+    ("n_terms = 30\n", "line 1: unknown key 'n_terms'"),
     ("n_b = nan\n", "line 1: n_b must be finite"),
     ("L1 = 1e-6\ntheta_t_max = inf\n", "line 2: theta_t_max must be finite"),
     ("F_re = -inf\n", "line 1: F_re must be finite"),
@@ -133,7 +134,7 @@ def test_parse_errors_carry_line_numbers(text, msg):
 @pytest.mark.parametrize("text,msg", [
     ("L1 = -1e-6\n", "must be positive"),
     ("n_b = -0.5\n", "n_b must be nonnegative"),
-    ("n_terms = 0\n", "n_terms must be in"),
+    ("alpha_points = 1\n", "alpha_points must be in"),
     ("alpha_max = 6.5\n", "alpha_max must be in"),
     pytest.param("entropy_points = 1\n", r"entropy_points must be in \[2, 10000\]",
                  id="entropy_points = 1\n-must be >= 2"),
@@ -443,9 +444,11 @@ def test_each_verify_check_fails_alone_on_its_mutation(monkeypatch, check):
 
 @pytest.mark.parametrize("point", [0, 2, 5])
 @pytest.mark.parametrize("which", [0, 1, 2])
-def test_entropy_oracle_fails_on_a_nan_discrepancy(monkeypatch, point, which):
+def test_entropy_oracle_fails_on_a_nan_discrepancy(monkeypatch, tmp_path, point, which):
     """A NaN analytic entropy fails the check at any oracle point and in
-    any of the three entropies; ``max`` and ``>`` alone would drop it."""
+    any of the three entropies; ``max`` and ``>`` alone would drop it.
+    ``sim verify`` then exits 1 and writes the residual as a strict-JSON
+    null."""
     import nemsqnd.verify as verify
 
     linear_entropies = verify.linear_entropies
@@ -465,6 +468,18 @@ def test_entropy_oracle_fails_on_a_nan_discrepancy(monkeypatch, point, which):
     assert math.isnan(result.residual)
     a, b, g, theta_t = verify._ORACLE_POINTS[point]
     assert result.detail.startswith(f"worst at (alpha={a}, beta={b}, gamma={g}, ")
+
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    calls.clear()
+    conf = tmp_path / "small.conf"
+    conf.write_text("current_points = 16\nclassical_periods = 20\n"
+                    "classical_samples = 1024\noracle_dim = 8\n")
+    assert main(["verify", "--config", str(conf), "--out", str(tmp_path)]) == 1
+    payload = json.loads((tmp_path / "verify.json").read_text(), parse_constant=refuse)
+    assert [c["residual"] is None for c in payload["checks"]] == [
+        c["name"] == "entropy_oracle" for c in payload["checks"]]
 
 
 def test_verify_memory_at_the_defaults():
@@ -738,11 +753,11 @@ def test_subcommands_load_no_unused_domain_module(tmp_path, command, modules):
     (["defaults"], 0, b"L1 = ", b""),
     (["params"], 0, b"effective circuit parameters\n", b""),
     (["--help"], 0, b"usage: sim", b""),
-    (["params", "--config", "range.conf"], 2, b"", b"config error: n_terms must be in [1, 512]"),
+    (["params", "--config", "range.conf"], 2, b"", b"config error: alpha_points must be in [2, 1000]"),
 ], ids=["defaults", "params", "help", "config-error"])
 def test_scalar_subcommands_start_without_numpy(tmp_path, args, code, out, err):
     """Only the array subcommands import numpy, inside their own bodies."""
-    (tmp_path / "range.conf").write_text("n_terms = 513\n")
+    (tmp_path / "range.conf").write_text("alpha_points = 1001\n")
     proc = run_blocked("numpy", args, tmp_path)
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.startswith(out), proc.stdout

@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ive
 
+import nemsqnd.entanglement
 from nemsqnd.cli import ENTROPY_CURVE_SETS
-from nemsqnd.config import ALPHA_CAP, ORACLE_DIM_CAP, TERM_CAP, RunConfig
+from nemsqnd.config import ALPHA_CAP, ORACLE_DIM_CAP, RunConfig
 from nemsqnd.entanglement import (
     ORACLE_BYTE_BUDGET,
     PAIR_BLOCK,
     SERIES_BLOCK,
+    TAIL_TOL,
     CoherentTriple,
     ConditionedState,
     _pair_weights,
@@ -29,7 +32,6 @@ from nemsqnd.entanglement import (
     initial_product_state,
     linear_entropies,
     oracle_dims,
-    required_terms,
     separability_check_12,
 )
 from nemsqnd.errors import ConditioningError, TruncationError
@@ -38,21 +40,26 @@ from nemsqnd.fock import (
     DensityMatrix,
     StateVector,
     coherent_vector,
+    min_fock_dim,
+    poisson_tail,
 )
 from nemsqnd.verify import check_cat_fidelity, check_separability
 
 amplitudes = st.complex_numbers(max_magnitude=2.5, allow_nan=False,
                                 allow_infinity=False)
 
+#: moduli of alpha up to the cap, with room for the rounding of ``cmath.rect``
+alpha_moduli = st.floats(0.0, ALPHA_CAP * (1.0 - 1e-12))
+
 
 def triple(alpha=2.0, beta=2.0, gamma=2.0):
     return CoherentTriple(alpha, beta, gamma)
 
 
-def entropies_at(t, theta_t, n_terms=None):
+def entropies_at(t, theta_t):
     """``linear_entropies`` on the one-phase grid ``[theta_t]``: the three
     entropies as floats, and the tail bound."""
-    *curves, bound = linear_entropies(t, [theta_t], n_terms)
+    *curves, bound = linear_entropies(t, [theta_t])
     return tuple(float(c[0]) for c in curves), bound
 
 
@@ -147,20 +154,20 @@ def test_conditioned_state_tail_and_weight():
     np.testing.assert_allclose(np.abs(b) ** 2 + np.abs(g) ** 2, 8.0, rtol=1e-12)
 
 
-def test_term_count_is_a_floor():
-    auto = conditioned_state(triple(), 0.5)
-    floored = conditioned_state(triple(), 0.5, n_terms=5)
-    assert floored.n_terms == auto.n_terms  # too-small request gets raised
-    wide = conditioned_state(triple(), 0.5, n_terms=60)
-    assert wide.n_terms == 60
-
-
-def test_term_caps():
-    assert required_terms(0.0) == 2
-    with pytest.raises(TruncationError, match=f"more than {TERM_CAP} layers"):
-        required_terms(30.0)
-    with pytest.raises(TruncationError, match="cap"):
-        conditioned_state(triple(), 0.5, n_terms=TERM_CAP + 1)
+def test_term_count_is_the_smallest_within_the_tail_tolerance():
+    """The layer count is a function of |alpha| alone: the smallest whose
+    discarded tail is at most ``TAIL_TOL`` (two layers at the least)."""
+    counts = []
+    for r in np.linspace(0.0, ALPHA_CAP, 121):
+        t = triple(alpha=cmath.rect(r, 0.7 * r))
+        state = conditioned_state(t, 0.5)
+        n, lam = state.n_terms, abs(t.alpha) ** 2
+        assert n == min_fock_dim(t.alpha, TAIL_TOL)
+        assert state.tail == poisson_tail(lam, n) <= TAIL_TOL
+        assert n == 2 or poisson_tail(lam, n - 1) > TAIL_TOL
+        counts.append(n)
+    assert counts[0] == 2 and counts[-1] == 87
+    assert conditioned_state(triple(), 0.5).n_terms == 26
 
 
 def test_conditioned_state_arrays_are_readonly():
@@ -261,25 +268,31 @@ def test_entropy_series_matches_pointwise():
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
-@given(st.floats(0.0, ALPHA_CAP), st.floats(0.0, 4.0), st.floats(0.0, 4.0),
+@given(alpha_moduli, st.floats(0.0, 4.0), st.floats(0.0, 4.0),
        st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3),
-       st.integers(1, 40), st.floats(0.0, 3.5), st.integers(0, 2**32 - 1))
-@example(2.0, 2.0, 2.0, [0.3, 1.1, 2.0], 10, 3.4, 1)
-def test_blocked_series_equals_pointwise(ra, rb, rg, angles, extra, blocks, seed):
-    """Grids from one phase up to several blocks, under a raised term floor:
-    every blocked value is the one of its phase alone, bit for bit."""
+       st.floats(0.0, 3.5), st.integers(0, 2**32 - 1))
+@example(2.0, 2.0, 2.0, [0.3, 1.1, 2.0], 3.4, 1)
+@example(ALPHA_CAP, 2.0, 2.0, [0.3, 1.1, 2.0], 3.4, 1)
+def test_blocked_series_equals_pointwise(ra, rb, rg, angles, blocks, seed):
+    """Grids from one phase up to several blocks: every blocked value is
+    the one of its phase alone, bit for bit.  A one-phase grid is one
+    block of one row, so every phase is compared with the grid run one
+    row per block, and the first, middle and last with their one-phase
+    grids."""
     t = CoherentTriple(*(cmath.rect(r, a) for r, a in zip((ra, rb, rg), angles)))
-    floor = required_terms(t.alpha) + extra
-    block = max(1, SERIES_BLOCK // floor**2)
+    state = conditioned_state(t, 0.0)
+    block = max(1, SERIES_BLOCK // state.n_terms**2)
     size = max(1, round(blocks * block))
     grid = np.random.default_rng(seed).uniform(-10.0, 10.0, size)
-    *curves, bound = linear_entropies(t, grid, n_terms=floor)
-    for i, tt in enumerate(grid):
-        assert tuple(c[i] for c in curves) == entropies_at(t, float(tt), floor)[0]
-    assert bound == 2.0 * conditioned_state(t, 0.0, n_terms=floor).tail
+    *curves, bound = linear_entropies(t, grid)
+    with mock.patch.object(nemsqnd.entanglement, "SERIES_BLOCK", 1):
+        *rows, _ = linear_entropies(t, grid)
+    np.testing.assert_array_equal(curves, rows)
+    for i in (0, size // 2, size - 1):
+        assert tuple(c[i] for c in curves) == entropies_at(t, float(grid[i]))[0]
+    assert bound == 2.0 * state.tail
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
 def test_entropy_series_rejects_non_finite_phases(bad):
     grid = np.linspace(0.0, 2.0, 50)
@@ -293,7 +306,7 @@ def test_entropy_series_memory_is_bounded_by_the_block():
     grid, the series holds one block of pair terms at a time; the whole
     grid at once would take about 1.2 GB."""
     t = CoherentTriple(ALPHA_CAP, 2.0, 1.5j)
-    assert required_terms(t.alpha) == 87
+    assert conditioned_state(t, 0.0).n_terms == 87
     grid = np.linspace(0.0, 2.0 * math.pi, 10_000)
     tracemalloc.start()
     try:
@@ -320,7 +333,6 @@ def test_entropy_n12_series_memory_is_bounded_by_the_block():
     assert peak < 4e6
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
 def test_entropy_n12_series_rejects_non_finite_phases(bad):
     grid = np.linspace(0.0, 2.0, 50)
@@ -329,7 +341,6 @@ def test_entropy_n12_series_rejects_non_finite_phases(bad):
         entropy_n12_series(triple(), grid)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_phase_multiples_raise():
     """With |alpha| = 0 two layers suffice, so theta_t = 1e308 and its first
     multiple are finite; the cross-term table reaches (2n - 2) theta_t,
@@ -339,20 +350,19 @@ def test_overflowing_phase_multiples_raise():
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
-@given(st.floats(0.0, ALPHA_CAP), st.floats(0.0, 4.0), st.floats(0.0, 4.0),
+@given(alpha_moduli, st.floats(0.0, 4.0), st.floats(0.0, 4.0),
        st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3),
-       st.integers(0, 40), st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
-@example(ALPHA_CAP, 4.0, 4.0, [0.3, 1.1, 2.0], 40, [-10.0, 9.7, 6.26])
-def test_factored_sums_match_the_full_double_sums(ra, rb, rg, angles, extra, grid):
+       st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
+@example(ALPHA_CAP, 4.0, 4.0, [0.3, 1.1, 2.0], [-10.0, 9.7, 6.26])
+def test_factored_sums_match_the_full_double_sums(ra, rb, rg, angles, grid):
     """The layer-difference and triangle sums agree with the three full
-    double sums over branch overlaps, under raised term floors too."""
+    double sums over branch overlaps."""
     t = CoherentTriple(*(cmath.rect(r, a) for r, a in zip((ra, rb, rg), angles)))
-    floor = required_terms(t.alpha) + extra
-    *curves, _ = linear_entropies(t, grid, n_terms=floor)
-    p = np.abs(conditioned_state(t, 0.0, n_terms=floor).c_n) ** 2
+    *curves, _ = linear_entropies(t, grid)
+    p = np.abs(conditioned_state(t, 0.0).c_n) ** 2
     np.testing.assert_allclose(curves, layer_entropies(p, t.beta, t.gamma, grid),
                                rtol=0.0, atol=5e-14)
-    np.testing.assert_array_equal(entropy_n12_series(t, grid, n_terms=floor)[0], curves[0])
+    np.testing.assert_array_equal(entropy_n12_series(t, grid)[0], curves[0])
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -456,13 +466,14 @@ def test_exchange_evolve_refuses_a_state_without_three_modes():
             exchange_evolve(psi, 0.5)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("theta_t,theta0_t", [
     (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1e308, 0.0), (0.5, math.nan),
+    (1.0, 1e308),
 ])
 def test_exchange_evolve_refuses_non_finite_layer_phases(monkeypatch, theta_t, theta0_t):
-    """A layer phase that is not finite is refused before any sector is
-    diagonalised, as the analytic side refuses its phase multiples."""
+    """A layer phase, or its product with a sector eigenvalue, that is not
+    finite is refused before any sector is diagonalised, as the analytic
+    side refuses its phase multiples."""
     psi = initial_product_state(CoherentTriple(0.6, 0.7, 0.5), (12, 14, 14))
 
     def no_eigh(*args, **kwargs):
