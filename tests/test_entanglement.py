@@ -154,10 +154,10 @@ def test_conditioned_state_tail_and_weight():
     np.testing.assert_allclose(np.abs(b) ** 2 + np.abs(g) ** 2, 8.0, rtol=1e-12)
 
 
-def test_term_count_is_the_smallest_within_the_tail_tolerance():
-    """The layer count is a function of |alpha| alone: the smallest whose
-    discarded tail is at most ``TAIL_TOL`` (two layers at the least)."""
-    counts = []
+def test_term_count_is_a_floor():
+    """The layer count is a function of |alpha| alone, and a floor: the
+    smallest whose discarded tail is at most ``TAIL_TOL``, so one layer
+    fewer would leave more (two layers at the least)."""
     for r in np.linspace(0.0, ALPHA_CAP, 121):
         t = triple(alpha=cmath.rect(r, 0.7 * r))
         state = conditioned_state(t, 0.5)
@@ -165,9 +165,17 @@ def test_term_count_is_the_smallest_within_the_tail_tolerance():
         assert n == min_fock_dim(t.alpha, TAIL_TOL)
         assert state.tail == poisson_tail(lam, n) <= TAIL_TOL
         assert n == 2 or poisson_tail(lam, n - 1) > TAIL_TOL
-        counts.append(n)
-    assert counts[0] == 2 and counts[-1] == 87
+        assert conditioned_state(t, 2.9).n_terms == n  # the phase plays no part
     assert conditioned_state(triple(), 0.5).n_terms == 26
+
+
+def test_term_caps():
+    """Two layers at |alpha| = 0, 87 at ``ALPHA_CAP``, and no triple past it."""
+    assert conditioned_state(triple(alpha=0.0), 0.5).n_terms == 2
+    assert conditioned_state(triple(alpha=ALPHA_CAP), 0.5).n_terms == 87
+    assert conditioned_state(triple(alpha=-1j * ALPHA_CAP), 0.5).n_terms == 87
+    with pytest.raises(ValueError, match=f"exceeds the cap {ALPHA_CAP}"):
+        triple(alpha=ALPHA_CAP * (1.0 + 1e-12))
 
 
 def test_conditioned_state_arrays_are_readonly():
