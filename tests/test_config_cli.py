@@ -2,6 +2,7 @@
 
 import cmath
 import csv
+import fnmatch
 import importlib
 import json
 import math
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from nemsqnd.config import (
     load_config,
     parse_config_text,
 )
-from nemsqnd.errors import ConfigError
+from nemsqnd.errors import ConfigError, RegimeWarning
 from nemsqnd.verify import run_all
 
 
@@ -70,6 +72,22 @@ def test_default_text_roundtrips():
     # every key appears exactly once
     keys = [line.split("=")[0].strip() for line in text.strip().splitlines()]
     assert keys == list(KEYS) == [f.name for f in fields(RunConfig)]
+
+
+def test_readme_config_table_names_every_key():
+    """The README's config table names exactly the keys: each key matches
+    a backticked token (a key or a glob such as ``tol_*``) of the keys
+    column, and each token matches some key."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| ")]
+    assert rows[0][2].strip() == "keys"
+    tokens = [tok for row in rows[1:] for span in re.findall(r"`([^`]*)`", row[2])
+              for tok in span.split()]
+    for key in KEYS:
+        assert any(fnmatch.fnmatchcase(key, tok) for tok in tokens), key
+    for tok in tokens:
+        assert any(fnmatch.fnmatchcase(key, tok) for key in KEYS), tok
 
 
 # per field type, values most keys accept mixed with values many reject
@@ -525,6 +543,30 @@ def test_exit_codes(tmp_path, capsys):
         main(["no-such-command"])
     with pytest.raises(SystemExit):
         main([])
+
+
+REGIME_ERROR = ("error: theta0/kappa2 = 1.464e-01 is outside the "
+                "adiabatic-elimination regime (limit 0.1)\n")
+
+
+@pytest.mark.parametrize("command", ["current", "verify"])
+def test_strict_refuses_a_run_outside_the_elimination_regime(tmp_path, capsys, command):
+    """At kappa2 = 1e9 (theta0/kappa2 = 0.146) ``--strict`` exits 2 with the
+    regime message and writes nothing; it leaves the caller's warning
+    filters as it found them.  Without it the same run warns and exits 0."""
+    conf = tmp_path / "bad.conf"
+    conf.write_text("kappa2 = 1e9\ncurrent_points = 16\n"
+                    "classical_periods = 20\nclassical_samples = 1024\n")
+    strict_out = tmp_path / "strict"
+    filters = list(warnings.filters)
+    assert main([command, "--strict", "--config", str(conf), "--out", str(strict_out)]) == 2
+    assert warnings.filters == filters
+    assert capsys.readouterr().err == REGIME_ERROR
+    assert list(strict_out.iterdir()) == []
+    if command == "current":
+        with pytest.warns(RegimeWarning, match=r"^theta0/kappa2 = 1\.464e-01 is outside"):
+            assert main([command, "--config", str(conf), "--out", str(tmp_path / "loose")]) == 0
+        assert (tmp_path / "loose" / "current.csv").is_file()
 
 
 def test_artifacts_get_the_plain_file_mode(tmp_path):
