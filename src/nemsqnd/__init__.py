@@ -33,7 +33,6 @@ _SOURCE = {
     "MeanTrace": "readout",
     "PhysicalCircuitParams": "circuit",
     "ReadoutParams": "readout",
-    "RegimeError": "errors",
     "RegimeWarning": "errors",
     "RunConfig": "config",
     "SeparabilityReport": "entanglement",

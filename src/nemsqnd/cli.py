@@ -7,7 +7,8 @@ atomic — content lands under a temporary name and is renamed into
 place — so a crashed run never leaves a half-written CSV behind.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input or a
-simulation that refused to run.
+simulation that refused to run; ``--strict`` makes a ``RegimeWarning``
+such a refusal.
 
 ``params``, ``defaults``, ``--help`` and every config error run on the
 standard library alone: each array subcommand imports numpy and the
@@ -23,11 +24,12 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from .config import RunConfig, default_config_text, load_config
-from .errors import ConfigError, SimulationError, VerificationFailure
+from .errors import ConfigError, RegimeWarning, SimulationError, VerificationFailure
 
 __all__ = ["main"]
 
@@ -73,9 +75,9 @@ def _print_table(pairs: Sequence[tuple[str, str]]) -> None:
         print(f"  {key:<{width}}  {value}")
 
 
-def cmd_params(cfg: RunConfig, out: Path, strict: bool) -> int:
+def cmd_params(cfg: RunConfig, out: Path) -> int:
     eff = cfg.effective()
-    ro = cfg.readout(strict=strict)
+    ro = cfg.readout()
     ratios = ro.regime_ratios()
     print("effective circuit parameters")
     _print_table([
@@ -105,10 +107,10 @@ def cmd_params(cfg: RunConfig, out: Path, strict: bool) -> int:
     return 0
 
 
-def cmd_current(cfg: RunConfig, out: Path, strict: bool) -> int:
+def cmd_current(cfg: RunConfig, out: Path) -> int:
     from .readout import current_transients
 
-    curves = current_transients(cfg.readout(strict=strict), cfg.current_tau_max,
+    curves = current_transients(cfg.readout(), cfg.current_tau_max,
                                 cfg.current_points)
     _write_csv(
         out / "current.csv",
@@ -125,7 +127,7 @@ def cmd_current(cfg: RunConfig, out: Path, strict: bool) -> int:
     return 0
 
 
-def cmd_entropy(cfg: RunConfig, out: Path, strict: bool) -> int:
+def cmd_entropy(cfg: RunConfig, out: Path) -> int:
     import numpy as np
 
     from .entanglement import entropy_n12_series, linear_entropies
@@ -160,11 +162,11 @@ def cmd_entropy(cfg: RunConfig, out: Path, strict: bool) -> int:
     return 0
 
 
-def cmd_cat(cfg: RunConfig, out: Path, strict: bool) -> int:
+def cmd_cat(cfg: RunConfig, out: Path) -> int:
     from .entanglement import cat_state_check, oracle_dims
 
     triple = cfg.triple()
-    report = cat_state_check(triple, oracle_dims(triple, cfg.oracle_dim))
+    report = cat_state_check(triple, oracle_dims(triple))
     odd = math.nan if report.odd_fidelity is None else report.odd_fidelity
     _write_csv(
         out / "cat_report.csv",
@@ -189,7 +191,7 @@ def cmd_cat(cfg: RunConfig, out: Path, strict: bool) -> int:
     return 0
 
 
-def cmd_classical(cfg: RunConfig, out: Path, strict: bool) -> int:
+def cmd_classical(cfg: RunConfig, out: Path) -> int:
     from .circuit import classical_averaging
 
     run = cfg.classical()
@@ -216,10 +218,10 @@ def cmd_classical(cfg: RunConfig, out: Path, strict: bool) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, out: Path, strict: bool) -> int:
+def cmd_verify(cfg: RunConfig, out: Path) -> int:
     from .verify import run_all
 
-    results = run_all(cfg, strict=strict)
+    results = run_all(cfg)
     payload = {
         "passed": all(r.passed for r in results),
         "checks": [r.as_dict() for r in results],
@@ -236,7 +238,7 @@ def cmd_verify(cfg: RunConfig, out: Path, strict: bool) -> int:
     return 0
 
 
-def cmd_defaults(cfg: RunConfig, out: Path, strict: bool) -> int:
+def cmd_defaults(cfg: RunConfig, out: Path) -> int:
     sys.stdout.write(default_config_text())
     return 0
 
@@ -278,14 +280,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return args.func(cfg, out, args.strict)
+        with warnings.catch_warnings():
+            if args.strict:
+                warnings.simplefilter("error", RegimeWarning)
+            return args.func(cfg, out)
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationError, ValueError, OSError) as exc:
+    except (SimulationError, RegimeWarning, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

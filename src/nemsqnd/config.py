@@ -36,9 +36,6 @@ if TYPE_CHECKING:
 #: cap on |alpha|; keeps the automatic term counts in the tens
 ALPHA_CAP = 6.0
 
-#: largest configurable floor of the oracle cutoffs (``oracle_dims``)
-ORACLE_DIM_CAP = 60
-
 #: most drive periods one classical run may span; it keeps one state per period
 DRIVE_PERIOD_CAP = 2**20
 
@@ -119,8 +116,6 @@ class RunConfig:
     # at least 1024 samples for the spectral fit
     classical_samples: int = _within(8192, 1024, 2**18)
     classical_rtol: float = _positive(1e-10)
-    # brute-force oracle sizing
-    oracle_dim: int = _within(30, 2, ORACLE_DIM_CAP)
     # tolerances (every one strictly positive)
     tol_current_ode: float = _positive(1e-8)
     tol_elimination: float = _positive(1e-2)
@@ -179,7 +174,7 @@ class RunConfig:
             self.physical(), n_b=self.n_b, resonance_rtol=self.resonance_rtol
         )
 
-    def readout(self, strict: bool = False) -> ReadoutParams:
+    def readout(self) -> ReadoutParams:
         from .readout import ReadoutParams
 
         eff = self.effective()
@@ -187,7 +182,7 @@ class RunConfig:
             F=complex(self.F_re, self.F_im),
             kappa1=self.kappa1, kappa2=self.kappa2,
             theta0=eff.theta0, theta=eff.theta,
-            omega_tilde=eff.omega_tilde1, L=self.L1, strict=strict,
+            omega_tilde=eff.omega_tilde1, L=self.L1,
         )
 
     def triple(

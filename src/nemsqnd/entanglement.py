@@ -76,10 +76,10 @@ from .fock import (
 #: analytic layer sums and on every oracle cutoff alike
 TAIL_TOL = 1e-12
 
-#: bytes one brute-force check may hold (``initial_product_state``);
-#: 32 MiB admits the cutoffs (60, 86, 86) of every ``sim entropy``
-#: amplitude set at the largest floor, and resonator cutoffs up to 101
-#: at that floor
+#: bytes one brute-force check may hold (``initial_product_state``), a
+#: guard for callers who pass their own cutoffs; 32 MiB admits (86, 86,
+#: 86), the widest ``sim entropy`` amplitude set up to |alpha| = 5.99 (it
+#: needs (26, 86, 86) at the default alpha), and (60, 101, 101)
 ORACLE_BYTE_BUDGET = 2**25
 
 #: rows of the signed Gram product ``separability_check_12`` forms at
@@ -333,7 +333,7 @@ def linear_entropies(triple: CoherentTriple, theta_ts):
 # coherent-branch structure has to come out of the numerics, not in.
 
 
-def oracle_dims(triple: CoherentTriple, floor: int) -> tuple[int, int, int]:
+def oracle_dims(triple: CoherentTriple) -> tuple[int, int, int]:
     """Cutoffs ``(d_N, d_1, d_2)`` of every brute-force check of ``triple``.
 
     The phonon cutoff keeps the Poisson tail of alpha at ``TAIL_TOL``.
@@ -341,12 +341,11 @@ def oracle_dims(triple: CoherentTriple, floor: int) -> tuple[int, int, int]:
     so reflection artifacts appear only in sectors whose ladder is cut
     off; both resonator cutoffs are sized by the tail of the *joint*
     intensity |beta|^2 + |gamma|^2, which pushes that error well below
-    the check tolerances.  ``floor`` bounds every cutoff from below.
+    the check tolerances.
     """
-    d_n = max(floor, min_fock_dim(triple.alpha, TAIL_TOL))
     joint = math.sqrt(abs(triple.beta) ** 2 + abs(triple.gamma) ** 2)
-    d_r = max(floor, min_fock_dim(joint, 1e-15) + 2)
-    return (d_n, d_r, d_r)
+    d_r = min_fock_dim(joint, 1e-15) + 2
+    return (min_fock_dim(triple.alpha, TAIL_TOL), d_r, d_r)
 
 
 def initial_product_state(triple: CoherentTriple,

@@ -13,10 +13,6 @@ class TruncationError(SimulationError):
         self.required_dim = required_dim
 
 
-class RegimeError(SimulationError):
-    """A parameter-regime assumption is violated in strict mode."""
-
-
 class IntegrationError(SimulationError):
     """The ODE integrator failed to meet its tolerances."""
 
@@ -38,4 +34,4 @@ class VerificationFailure(SimulationError):
 
 
 class RegimeWarning(UserWarning):
-    """Emitted in permissive mode when a regime ratio is out of range."""
+    """A regime ratio is out of range; ``sim --strict`` makes it an error."""

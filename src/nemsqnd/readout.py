@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .circuit import HBAR
-from .errors import RegimeError, RegimeWarning
+from .errors import RegimeWarning
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,8 +55,7 @@ class ReadoutParams:
     the resonator energy decay rates; ``theta0``/``theta`` the exchange
     rates produced by the circuit reduction; ``omega_tilde`` the common
     effective resonator frequency; ``L`` the inductance of the measured
-    resonator.  ``strict=True`` turns regime violations from warnings
-    into errors.
+    resonator.
     """
 
     F: complex
@@ -67,7 +66,6 @@ class ReadoutParams:
     omega_tilde: float
     L: float
     hbar: float = HBAR
-    strict: bool = False
 
     def __post_init__(self):
         for name in ("kappa1", "kappa2", "omega_tilde", "L", "hbar"):
@@ -115,20 +113,17 @@ class ReadoutParams:
     def enforce_regime(self) -> None:
         """Flag parameter sets outside the adiabatic-elimination regime.
 
-        Raises :class:`RegimeError` in strict mode, else emits a
-        :class:`RegimeWarning`.  Only the eliminated-model operations
-        call this; the full two-mode model is exempt on purpose, since
-        probing regime breakdown is what it is for.
+        Emits a :class:`RegimeWarning`, which a warnings filter (as
+        ``sim --strict`` sets) turns into an error.  Only the
+        eliminated-model operations call this; the full two-mode model is
+        exempt on purpose, since probing regime breakdown is what it is for.
         """
         for name, ratio in self.regime_ratios().items():
             if ratio >= REGIME_LIMIT:
-                msg = (
+                warnings.warn(
                     f"{name} = {ratio:.3e} is outside the adiabatic-elimination "
-                    f"regime (limit {REGIME_LIMIT})"
+                    f"regime (limit {REGIME_LIMIT})", RegimeWarning, stacklevel=3,
                 )
-                if self.strict:
-                    raise RegimeError(msg)
-                warnings.warn(msg, RegimeWarning, stacklevel=3)
 
 
 def _check_nonneg(name, value):

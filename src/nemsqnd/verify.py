@@ -62,10 +62,10 @@ def check_classical_averaging(cfg: RunConfig) -> CheckResult:
     )
 
 
-def check_current_ode(cfg: RunConfig, strict: bool = False) -> CheckResult:
+def check_current_ode(cfg: RunConfig) -> CheckResult:
     """Closed-form mean current against direct integration of the mean
     equation: the largest residual ``sim current`` writes."""
-    transients = current_transients(cfg.readout(strict), cfg.current_tau_max,
+    transients = current_transients(cfg.readout(), cfg.current_tau_max,
                                      cfg.current_points)
     worst = float(transients.residual.max())
     return CheckResult(
@@ -138,7 +138,7 @@ def check_entropy_oracle(cfg: RunConfig) -> CheckResult:
     worst_at = ""
     for a, b, g, theta_t in _ORACLE_POINTS:
         triple = CoherentTriple(a, b, g)
-        dims = oracle_dims(triple, cfg.oracle_dim)
+        dims = oracle_dims(triple)
         brute = brute_force_entropies(triple, theta_t, dims)
         *analytic, _ = linear_entropies(triple, [theta_t * cfg.verify_theta_scale])
         disc = max((abs(x[0] - y) for x, y in zip(analytic, brute)), key=_nan_worst)
@@ -178,7 +178,7 @@ def check_cat_fidelity(cfg: RunConfig) -> CheckResult:
     ``cat_fidelity_targets``, not against 1.
     """
     triple = cfg.triple()
-    report = cat_state_check(triple, oracle_dims(triple, cfg.oracle_dim))
+    report = cat_state_check(triple, oracle_dims(triple))
     even_target, odd_target = cat_fidelity_targets(triple)
     residuals = [abs(report.even_fidelity - even_target),
                  abs(1.0 - report.reassembled_norm),
@@ -204,7 +204,7 @@ def check_cat_fidelity(cfg: RunConfig) -> CheckResult:
 def check_separability(cfg: RunConfig) -> CheckResult:
     """Brute-force rho_12 against the explicit separable mixture."""
     triple = cfg.triple()
-    report = separability_check_12(triple, math.pi / 2, oracle_dims(triple, cfg.oracle_dim))
+    report = separability_check_12(triple, math.pi / 2, oracle_dims(triple))
     return CheckResult(
         name="separability_12",
         passed=report.max_abs_deviation <= cfg.tol_separability,
@@ -214,10 +214,10 @@ def check_separability(cfg: RunConfig) -> CheckResult:
     )
 
 
-def run_all(cfg: RunConfig, strict: bool = False) -> list[CheckResult]:
+def run_all(cfg: RunConfig) -> list[CheckResult]:
     return [
         check_classical_averaging(cfg),
-        check_current_ode(cfg, strict),
+        check_current_ode(cfg),
         check_elimination(cfg),
         check_entropy_oracle(cfg),
         check_cat_fidelity(cfg),

@@ -156,7 +156,7 @@ def test_cat_generation_and_pair_separability():
     t_start = time.perf_counter()
     triple = CoherentTriple(2.0, 2.0, 2.0)
 
-    dims = oracle_dims(triple, 30)
+    dims = oracle_dims(triple)
     report = cat_state_check(triple, dims)
     assert report.even_fidelity == pytest.approx(1.0, abs=1e-10)
     assert report.odd_fidelity == pytest.approx(1.0, abs=1e-10)

@@ -125,11 +125,11 @@ def test_comments_blanks_and_overrides():
         "\n"
         "kappa1 = 2e7   # trailing comment\n"
         "alpha_points = 40\n"
-        "oracle_dim = 60   # the cap\n"
+        "current_points = 100000   # the cap\n"
     )
     assert cfg.kappa1 == 2e7
     assert cfg.alpha_points == 40
-    assert cfg.oracle_dim == 60
+    assert cfg.current_points == 100_000
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -161,8 +161,11 @@ def test_parse_errors_carry_line_numbers(text, msg):
     ("classical_periods = 100000\nclassical_nu_factor = 5.3\n",
      r"classical_periods \* classical_nu_factor must be <= 524288"),
     ("classical_x0_over_d = 1.5\n", "below 1"),
-    ("oracle_dim = 1\n", "oracle_dim"),
-    ("oracle_dim = 61\n", "oracle_dim"),
+    # a removed key: the oracle cutoffs come from the amplitudes alone
+    pytest.param("oracle_dim = 1\n", "line 1: unknown key 'oracle_dim'",
+                 id="oracle_dim = 1\n-oracle_dim"),
+    pytest.param("oracle_dim = 61\n", "line 1: unknown key 'oracle_dim'",
+                 id="oracle_dim = 61\n-oracle_dim"),
 ])
 def test_semantic_validation(text, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -223,7 +226,8 @@ def test_builders():
     cfg = load_config(None)
     phys = cfg.physical()
     assert phys.L1 == cfg.L1 and phys.A == cfg.A
-    assert cfg.readout(strict=True).strict is True
+    ro = cfg.readout()
+    assert (ro.F, ro.kappa2, ro.L) == (complex(cfg.F_re, cfg.F_im), cfg.kappa2, cfg.L1)
     t = cfg.triple()
     assert t.alpha == 2.0 + 0j
     t2 = cfg.triple(beta=1j, gamma=0.5)
@@ -450,7 +454,7 @@ CLOSED_FORM_MUTATIONS = {
 def test_each_verify_check_fails_alone_on_its_mutation(monkeypatch, check):
     """Every check can fail: its own mutation trips it and no other."""
     cfg = parse_config_text("current_points = 16\nclassical_periods = 20\n"
-                            "classical_samples = 1024\noracle_dim = 8\n")
+                            "classical_samples = 1024\n")
     module, name, tol_key, mutate = CLOSED_FORM_MUTATIONS[check]
     holder = importlib.import_module(f"nemsqnd.{module}")
     monkeypatch.setattr(holder, name, mutate(getattr(holder, name), getattr(cfg, tol_key)))
@@ -480,7 +484,7 @@ def test_entropy_oracle_fails_on_a_nan_discrepancy(monkeypatch, tmp_path, point,
         return (*curves, bound)
 
     monkeypatch.setattr(verify, "linear_entropies", entropies)
-    result = verify.check_entropy_oracle(parse_config_text("oracle_dim = 8\n"))
+    result = verify.check_entropy_oracle(RunConfig())
     assert len(calls) == len(verify._ORACLE_POINTS)
     assert not result.passed
     assert math.isnan(result.residual)
@@ -493,7 +497,7 @@ def test_entropy_oracle_fails_on_a_nan_discrepancy(monkeypatch, tmp_path, point,
     calls.clear()
     conf = tmp_path / "small.conf"
     conf.write_text("current_points = 16\nclassical_periods = 20\n"
-                    "classical_samples = 1024\noracle_dim = 8\n")
+                    "classical_samples = 1024\n")
     assert main(["verify", "--config", str(conf), "--out", str(tmp_path)]) == 1
     payload = json.loads((tmp_path / "verify.json").read_text(), parse_constant=refuse)
     assert [c["residual"] is None for c in payload["checks"]] == [
@@ -598,7 +602,7 @@ EXPORTED_FROM = {
         SeparabilityReport branch_amplitudes brute_force_entropies cat_state_check
         conditioned_state entropy_n12_series exchange_evolve
         initial_product_state linear_entropies oracle_dims separability_check_12""".split(),
-    "errors": """ConditioningError ConfigError EstimationError IntegrationError RegimeError
+    "errors": """ConditioningError ConfigError EstimationError IntegrationError
         RegimeWarning SimulationError TruncationError VerificationFailure""".split(),
     "fock": """DensityMatrix StateVector linear_entropy min_fock_dim
         poisson_tail reduced_density""".split(),
@@ -760,7 +764,7 @@ def test_subcommands_run_without_scipy(tmp_path, command):
     """The runtime needs numpy only; scipy is a test-side reference."""
     conf = tmp_path / "tiny.conf"
     conf.write_text("entropy_points = 3\nalpha_points = 2\ncurrent_points = 16\n"
-                    "classical_periods = 20\nclassical_samples = 1024\noracle_dim = 8\n")
+                    "classical_periods = 20\nclassical_samples = 1024\n")
     args = [command, "--config", str(conf), "--out", str(tmp_path / "out")]
     proc = run_blocked("scipy", args, tmp_path)
     assert proc.returncode == 0, proc.stderr

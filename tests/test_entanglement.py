@@ -14,7 +14,7 @@ from scipy.special import ive
 
 import nemsqnd.entanglement
 from nemsqnd.cli import ENTROPY_CURVE_SETS
-from nemsqnd.config import ALPHA_CAP, ORACLE_DIM_CAP, RunConfig
+from nemsqnd.config import ALPHA_CAP, RunConfig
 from nemsqnd.entanglement import (
     ORACLE_BYTE_BUDGET,
     PAIR_BLOCK,
@@ -506,25 +506,25 @@ def test_initial_product_state_polices_tails():
 
 def test_analytic_entropies_match_the_oracle_on_every_curve_set():
     """The two ``sim entropy`` amplitude sets with the largest resonator
-    cutoffs, (30, 77, 77) and (30, 86, 86), agree with the brute-force
+    cutoffs, (26, 77, 77) and (26, 86, 86), agree with the brute-force
     partial traces at the default oracle tolerance."""
     cfg = RunConfig()
-    for beta, gamma, dims in ((3.0, 4.0, (30, 77, 77)), (3 + 4j, 1 + 2j, (30, 86, 86))):
+    for beta, gamma, dims in ((3.0, 4.0, (26, 77, 77)), (3 + 4j, 1 + 2j, (26, 86, 86))):
         t = triple(2.0, beta, gamma)
-        assert oracle_dims(t, cfg.oracle_dim) == dims
+        assert oracle_dims(t) == dims
         assert max(_oracle_discrepancies(t, 1.0, dims)) <= cfg.tol_entropy_oracle
 
 
 def test_oracle_space_admits_the_curve_sets_at_the_cap():
-    """At the largest configurable floor the budget admits the cutoffs of
-    every amplitude set ``sim entropy`` writes, and the cubic cap itself."""
-    top = ORACLE_DIM_CAP
-    cfg = RunConfig(oracle_dim=top)
-    widest = max((cfg.triple(beta=b, gamma=g) for b, g in ENTROPY_CURVE_SETS),
-                 key=lambda t: oracle_dims(t, top))
-    assert oracle_dims(widest, top) == (60, 86, 86)
-    for t, dims in ((widest, (60, 86, 86)), (cfg.triple(), (top,) * 3)):
-        assert initial_product_state(t, dims).amplitudes.shape == dims
+    """The budget admits the derived cutoffs of every amplitude set ``sim
+    entropy`` writes up to |alpha| = 5.99, where the widest set needs
+    (86, 86, 86); at ``ALPHA_CAP`` its one more phonon state is refused."""
+    for alpha, dims in ((5.99, (86, 86, 86)), (ALPHA_CAP, (87, 86, 86))):
+        widest = max((triple(alpha, b, g) for b, g in ENTROPY_CURVE_SETS), key=oracle_dims)
+        assert oracle_dims(widest) == dims
+    assert initial_product_state(triple(5.99), (86, 86, 86)).amplitudes.shape == (86, 86, 86)
+    with pytest.raises(ValueError, match="oracle budget"):
+        initial_product_state(triple(ALPHA_CAP), (87, 86, 86))
 
 
 def test_oracle_space_refuses_oversized_pairs():
@@ -553,7 +553,7 @@ def test_oracle_space_refuses_oversized_pairs():
 
 
 def test_oracle_checks_stay_within_the_budget():
-    """At the largest admitted resonator cutoffs of the top floor, each
+    """At the largest admitted resonator cutoffs of a phonon cutoff of 60, each
     brute-force check holds no more than the budget and no more than its
     own count of states: the partial traces three (the evolved state and
     two matricized copies), the cat check, which reassembles its two
@@ -622,10 +622,10 @@ def test_gram_residual_matches_the_dense_pair_state(theta_t):
 ])
 def test_blocked_pair_residual_is_the_full_products_maximum(t):
     """Row blocks of the signed Gram product give, bit for bit, the maximum
-    of the whole D x D product, at cutoffs (30, 42, 42), (30, 43, 43) and
+    of the whole D x D product, at cutoffs (26, 42, 42), (26, 43, 43) and
     (38, 42, 42); no D is a multiple of the block, so a partial last
     block is always among them."""
-    dims = oracle_dims(t, 30)
+    dims = oracle_dims(t)
     pair = dims[1] * dims[2]
     assert pair % PAIR_BLOCK
     psi = exchange_evolve(initial_product_state(t, dims), math.pi / 2)
@@ -641,11 +641,11 @@ def test_blocked_pair_residual_is_the_full_products_maximum(t):
 
 
 def test_separability_check_allocates_no_dense_pair_state():
-    """At the default pair cutoffs (30, 42, 42) the check holds less than
+    """At the default pair cutoffs (26, 42, 42) the check holds less than
     one D x D complex matrix (D = 42^2): the product is taken in row
     blocks, and neither rho_12 nor the mixture is formed."""
-    dims = oracle_dims(triple(), 30)
-    assert dims == (30, 42, 42)
+    dims = oracle_dims(triple())
+    assert dims == (26, 42, 42)
     pair = dims[1] * dims[2]
     tracemalloc.start()
     try:
@@ -699,8 +699,8 @@ def test_half_period_cat_structure():
 
 def test_cat_cross_talk_dies_at_large_amplitude():
     # at the standard operating point the branch overlap is e^{-16}: gone
-    report = cat_state_check(triple(), oracle_dims(triple(), 30))
-    assert report.dims[0] >= 30
+    report = cat_state_check(triple(), oracle_dims(triple()))
+    assert report.dims == (26, 42, 42)
     assert report.even_fidelity == pytest.approx(1.0, abs=1e-10)
     assert report.odd_fidelity == pytest.approx(1.0, abs=1e-10)
     assert report.reassembly_fidelity == pytest.approx(1.0, abs=1e-10)
@@ -725,7 +725,7 @@ def test_cat_fidelities_match_the_overlapping_branch_forms(ra, pa, rb, pb, rg, p
     ov = math.exp(-2.0 * (rb**2 + rg**2))  # <beta|-beta><gamma|-gamma>
     assume(ov <= 1e-2)
     t = CoherentTriple(_polar(ra, pa), _polar(rb, pb), _polar(rg, pg))
-    report = cat_state_check(t, oracle_dims(t, 30))
+    report = cat_state_check(t, oracle_dims(t))
     even = 0.5 * (1.0 + math.exp(-2.0 * ra**2))
     odd = 0.5 * (1.0 - math.exp(-2.0 * ra**2))
     assert abs(report.even_fidelity - even / (even + odd * ov**2)) <= 1e-12

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nemsqnd import readout
-from nemsqnd.errors import RegimeError, RegimeWarning
+from nemsqnd.errors import RegimeWarning
 from nemsqnd.readout import (
     ReadoutParams,
     adiabatic_elimination_error,
@@ -127,34 +127,36 @@ def test_regime_ratios_reported():
 
 
 def test_good_regime_is_silent():
-    p = unit_chain(strict=True)
+    p = unit_chain()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mean_photocurrent(1.0, 1.0, p)
 
 
 def test_bad_regime_warns_then_raises():
-    """theta0/kappa2 = 0.2 is outside the trusted window."""
-    loose = unit_chain(theta0=8.0)
+    """theta0/kappa2 = 0.2 is outside the trusted window; an error filter
+    on ``RegimeWarning`` (what ``sim --strict`` sets) makes it raise."""
+    bad = unit_chain(theta0=8.0)
     with pytest.warns(RegimeWarning, match="theta0/kappa2"):
-        mean_photocurrent(1.0, 1.0, loose)
+        mean_photocurrent(1.0, 1.0, bad)
     with pytest.warns(RegimeWarning, match="theta0/kappa2"):
-        integrate_mean_qsde(loose, 1.0, (0.0, 1.0))
-    strict = unit_chain(theta0=8.0, strict=True)
-    with pytest.raises(RegimeError, match="outside the adiabatic-elimination"):
-        mean_photocurrent(1.0, 1.0, strict)
-    with pytest.raises(RegimeError):
-        integrate_mean_qsde(strict, 1.0, (0.0, 1.0))
+        integrate_mean_qsde(bad, 1.0, (0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RegimeWarning)
+        with pytest.raises(RegimeWarning, match="outside the adiabatic-elimination"):
+            mean_photocurrent(1.0, 1.0, bad)
+        with pytest.raises(RegimeWarning):
+            integrate_mean_qsde(bad, 1.0, (0.0, 1.0))
 
 
 def test_full_model_is_exempt_from_regime_check():
     # The two-mode integrator exists to probe elimination breakdown, so it
     # must run on parameters the eliminated model would reject.
-    strict = unit_chain(theta0=8.0, strict=True)
+    bad = unit_chain(theta0=8.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trace = full_two_mode_mean_dynamics(strict, 1.0, (0.0, 2.0))
-        adiabatic_elimination_error(strict, 1.0)
+        trace = full_two_mode_mean_dynamics(bad, 1.0, (0.0, 2.0))
+        adiabatic_elimination_error(bad, 1.0)
     assert trace.t[-1] == 2.0
 
 
@@ -290,12 +292,12 @@ def test_gain_fixed_under_kappa2_scaling():
 # elimination error
 
 
-def sweep_params(ratio, strict=False):
+def sweep_params(ratio):
     kappa1, kappa2 = 1.0, 2.0
     theta0 = ratio * kappa2
     return ReadoutParams(F=2.5j * kappa2, kappa1=kappa1, kappa2=kappa2,
                          theta0=theta0, theta=-1e-3 * theta0,
-                         omega_tilde=2.0, L=1.0, hbar=1.0, strict=strict)
+                         omega_tilde=2.0, L=1.0, hbar=1.0)
 
 
 def test_elimination_error_matches_exact_ratio():
