@@ -54,10 +54,11 @@ A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [2.273310147516538, -10.53449546673725, -2
 B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
               -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
               0.04471061572777259])
-# weights of the error estimates; the 13th stage is rhs at the step's end
-E3 = np.append(B, 0.0)
+# weights of the error estimates; SciPy's 13th entries, on rhs at the
+# step's end, are zero and left out
+E3 = B.copy()
 E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
-E5 = np.zeros(13)
+E5 = np.zeros(12)
 E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
                                   1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
                                   0.08192320648511571, -0.022355307863886294]
@@ -70,18 +71,23 @@ ERROR_EXPONENT = -1.0 / 8.0
 MAX_STEPS = 100_000
 
 
+def _combine(weights, k) -> np.ndarray:
+    """``sum_j weights[j] k[j]`` by ``einsum``, which calls no BLAS (a
+    ``gemv`` here can stall for 0.1 s in a multithreaded OpenBLAS)."""
+    return np.einsum("j,j...->...", weights, k)
+
+
 def _stages(rhs, t, y, f, h) -> np.ndarray:
-    """Stage derivatives, shape (13,) + y.shape, of one step; row 12 is left empty."""
-    k = np.empty((13,) + y.shape, dtype=np.result_type(y, f))
+    """Stage derivatives, shape (12,) + y.shape, of one step."""
+    k = np.empty((12,) + y.shape, dtype=np.result_type(y, f))
     k[0] = f
     for i in range(1, 12):
-        dy = (A[i, :i] @ k[:i].reshape(i, -1)).reshape(y.shape)
-        k[i] = rhs(t + C[i] * h, y + h * dy)
+        k[i] = rhs(t + C[i] * h, y + h * _combine(A[i, :i], k[:i]))
     return k
 
 
 def _advance(k, y, h):
-    return y + h * (B @ k[:12].reshape(12, -1)).reshape(y.shape)
+    return y + h * _combine(B, k)
 
 
 def _rms(x) -> float:
@@ -89,8 +95,8 @@ def _rms(x) -> float:
 
 
 def _error_norm(k, h, scale) -> float:
-    err5 = (E5 @ k.reshape(13, -1)).reshape(scale.shape) / scale
-    err3 = (E3 @ k.reshape(13, -1)).reshape(scale.shape) / scale
+    err5 = _combine(E5, k) / scale
+    err3 = _combine(E3, k) / scale
     e5, e3 = np.vdot(err5, err5).real, np.vdot(err3, err3).real
     if e5 == 0 and e3 == 0:
         return 0.0
@@ -148,7 +154,7 @@ def solve(rhs, t_span, y0, rtol, atol, max_step=np.inf):
             h = t_new - t
             k = _stages(rhs, t, y, f, h)
             y_new = _advance(k, y, h)
-            k[12] = f_new = rhs(t_new, y_new)
+            f_new = rhs(t_new, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err = _error_norm(k, h, scale)
             if err < 1:
