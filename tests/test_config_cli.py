@@ -628,6 +628,17 @@ def test_exports_resolve():
     assert all(namespace[name] is getattr(nemsqnd, name) for name in namespace)
 
 
+def test_conftest_loads_every_package_module():
+    """``conftest.MODULES`` is every module of the package, so the set of
+    loaded local modules, and with it the Hypothesis examples, does not
+    depend on which tests run."""
+    from conftest import MODULES
+
+    package = Path(nemsqnd.__file__).parent
+    assert sorted(MODULES) == sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    assert all(f"nemsqnd.{name}" in sys.modules for name in MODULES)
+
+
 def test_out_directory_is_created(tmp_path):
     nested = tmp_path / "a" / "b"
     assert main(["current", "--out", str(nested)]) == 0
