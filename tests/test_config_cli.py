@@ -549,10 +549,6 @@ def test_exit_codes(tmp_path, capsys):
         main([])
 
 
-REGIME_ERROR = ("error: theta0/kappa2 = 1.464e-01 is outside the "
-                "adiabatic-elimination regime (limit 0.1)\n")
-
-
 @pytest.mark.parametrize("command", ["current", "verify"])
 def test_strict_refuses_a_run_outside_the_elimination_regime(tmp_path, capsys, command):
     """At kappa2 = 1e9 (theta0/kappa2 = 0.146) ``--strict`` exits 2 with the
@@ -565,7 +561,8 @@ def test_strict_refuses_a_run_outside_the_elimination_regime(tmp_path, capsys, c
     filters = list(warnings.filters)
     assert main([command, "--strict", "--config", str(conf), "--out", str(strict_out)]) == 2
     assert warnings.filters == filters
-    assert capsys.readouterr().err == REGIME_ERROR
+    assert capsys.readouterr().err == ("error: theta0/kappa2 = 1.464e-01 is outside the "
+                                       "adiabatic-elimination regime (limit 0.1)\n")
     assert list(strict_out.iterdir()) == []
     if command == "current":
         with pytest.warns(RegimeWarning, match=r"^theta0/kappa2 = 1\.464e-01 is outside"):
