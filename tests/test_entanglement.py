@@ -553,8 +553,8 @@ def test_oracle_space_refuses_oversized_pairs():
 
 
 def test_oracle_checks_stay_within_the_budget():
-    """At the largest admitted resonator cutoffs of a phonon cutoff of 60, each
-    brute-force check holds no more than the budget and no more than its
+    """At (60, 101, 101), the largest resonator cutoffs the budget admits
+    with 60 phonon states, each brute-force check holds no more than the budget and no more than its
     own count of states: the partial traces three (the evolved state and
     two matricized copies), the cat check, which reassembles its two
     branches from the projections, two (the evolution's input and
