@@ -41,7 +41,6 @@ _SOURCE = {
     "Trajectory": "circuit",
     "TruncationError": "errors",
     "TwoModeTrace": "readout",
-    "VerificationFailure": "errors",
     "adiabatic_elimination_error": "readout",
     "branch_amplitudes": "entanglement",
     "brute_force_entropies": "entanglement",

@@ -29,7 +29,7 @@ from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from .config import RunConfig, default_config_text, load_config
-from .errors import ConfigError, RegimeWarning, SimulationError, VerificationFailure
+from .errors import ConfigError, RegimeWarning, SimulationError
 
 __all__ = ["main"]
 
@@ -234,7 +234,8 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     print(f"wrote {out / 'verify.json'}")
     if not payload["passed"]:
         failed = ", ".join(r.name for r in results if not r.passed)
-        raise VerificationFailure(failed)
+        print(f"verification failed: {failed}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -284,9 +285,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.strict:
                 warnings.simplefilter("error", RegimeWarning)
             return args.func(cfg, out)
-    except VerificationFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -124,8 +124,6 @@ def branch_amplitudes(n, theta_t, beta: complex, gamma: complex):
     c, s = np.cos(phi), np.sin(phi)
     beta_n = beta * c - 1j * gamma * s
     gamma_n = gamma * c - 1j * beta * s
-    if n.ndim == 0:
-        return complex(beta_n), complex(gamma_n)
     return beta_n, gamma_n
 
 

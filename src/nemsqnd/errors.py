@@ -29,9 +29,5 @@ class ConfigError(ValueError):
     """A configuration file is malformed or contains unknown keys."""
 
 
-class VerificationFailure(SimulationError):
-    """One or more cross-validation checks exceeded tolerance."""
-
-
 class RegimeWarning(UserWarning):
     """A regime ratio is out of range; ``sim --strict`` makes it an error."""

@@ -139,10 +139,8 @@ def current_from_amplitude(p: ReadoutParams, a1):
     """Drive-phase-locked current of resonator 1 for a mean amplitude."""
     import numpy as np
 
-    phase = cmath.phase(p.alpha2) if p.alpha2 != 0 else 0.0
-    locked = np.asarray(a1) * cmath.exp(-1j * phase)
-    out = p.current_scale * locked.imag
-    return float(out) if np.isscalar(a1) or np.asarray(a1).ndim == 0 else out
+    locked = np.asarray(a1) * cmath.exp(-1j * cmath.phase(p.alpha2))
+    return p.current_scale * locked.imag
 
 
 def mean_photocurrent(t, n_b, p: ReadoutParams):
@@ -156,8 +154,7 @@ def mean_photocurrent(t, n_b, p: ReadoutParams):
     p.enforce_regime()
     tt = _check_nonneg("t", t)
     nn = _check_nonneg("n_b", n_b)
-    out = p.gain * nn * (1.0 - np.exp(-0.5 * p.decay_total * tt))
-    return float(out) if np.isscalar(t) and np.isscalar(n_b) else out
+    return p.gain * nn * (1.0 - np.exp(-0.5 * p.decay_total * tt))
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +221,14 @@ def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float
 class CurrentTransients(NamedTuple):
     """Normalized current transients on a grid of ``tau = (Gamma + kappa1) t / 2``.
 
-    ``normalized[k]`` is the closed-form ``I / gain`` at ``n_b = k`` for
-    k = 0, 1, 2, 3; ``residual`` is, per sample, the largest deviation of
-    the integrated mean equation from it over n_b = 1, 2, 3, in units of
-    ``gain * n_b``.
+    ``normalized`` is a (4, n) array whose row k is the closed-form
+    ``I / gain`` at ``n_b = k`` for k = 0, 1, 2, 3; ``residual`` is, per
+    sample, the largest deviation of the integrated mean equation from it
+    over n_b = 1, 2, 3, in units of ``gain * n_b``.
     """
 
     tau: np.ndarray
-    normalized: tuple[np.ndarray, ...]
+    normalized: np.ndarray
     residual: np.ndarray
 
 
@@ -247,7 +244,7 @@ def current_transients(p: ReadoutParams, tau_max: float, n_samples: int) -> Curr
         raise ValueError("current gain is zero; normalized curves are undefined")
     tau = np.linspace(0.0, tau_max, n_samples)
     t = 2.0 * tau / p.decay_total
-    normalized = tuple(mean_photocurrent(t, n, p) / p.gain for n in (0.0, 1.0, 2.0, 3.0))
+    normalized = mean_photocurrent(t, np.arange(4.0)[:, None], p) / p.gain
     residual = np.zeros_like(tau)
     for n, ref in zip((1.0, 2.0, 3.0), normalized[1:]):
         trace = integrate_mean_qsde(p, n, (0.0, float(t[-1])), n_samples=n_samples, rtol=1e-11)

@@ -600,7 +600,7 @@ EXPORTED_FROM = {
         conditioned_state entropy_n12_series exchange_evolve
         initial_product_state linear_entropies oracle_dims separability_check_12""".split(),
     "errors": """ConditioningError ConfigError EstimationError IntegrationError
-        RegimeWarning SimulationError TruncationError VerificationFailure""".split(),
+        RegimeWarning SimulationError TruncationError""".split(),
     "fock": """DensityMatrix StateVector linear_entropy min_fock_dim
         poisson_tail reduced_density""".split(),
     "readout": """MeanTrace ReadoutParams TwoModeTrace adiabatic_elimination_error
