@@ -284,6 +284,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         with warnings.catch_warnings():
             if args.strict:
                 warnings.simplefilter("error", RegimeWarning)
+            shown = set()
+
+            def show(message, *_):
+                if str(message) not in shown:
+                    shown.add(str(message))
+                    print(f"warning: {message}", file=sys.stderr)
+
+            warnings.showwarning = show
             return args.func(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

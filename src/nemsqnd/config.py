@@ -36,6 +36,10 @@ if TYPE_CHECKING:
 #: cap on |alpha|; keeps the automatic term counts in the tens
 ALPHA_CAP = 6.0
 
+#: cap on ``current_tau_max``, a hundred times the default; the curves are
+#: constant to double precision past tau ~ 37, while the ODE steps keep growing
+CURRENT_TAU_CAP = 1e3
+
 #: most drive periods one classical run may span; it keeps one state per period
 DRIVE_PERIOD_CAP = 2**20
 
@@ -149,6 +153,8 @@ class RunConfig:
             raise ConfigError("n_b must be nonnegative")
         if not 0 <= self.alpha_max <= ALPHA_CAP:
             raise ConfigError(f"alpha_max must be in [0, {ALPHA_CAP}]")
+        if self.current_tau_max > CURRENT_TAU_CAP:
+            raise ConfigError(f"current_tau_max must be <= {CURRENT_TAU_CAP}")
         # the classical run keeps one state per drive period (period pi/nu)
         if 2 * self.classical_periods * self.classical_nu_factor > DRIVE_PERIOD_CAP:
             raise ConfigError(

@@ -77,10 +77,11 @@ from .fock import (
 TAIL_TOL = 1e-12
 
 #: bytes one brute-force check may hold (``initial_product_state``), a
-#: guard for callers who pass their own cutoffs; 32 MiB admits (86, 86,
-#: 86), the widest ``sim entropy`` amplitude set up to |alpha| = 5.99 (it
-#: needs (26, 86, 86) at the default alpha), and (60, 101, 101)
-ORACLE_BYTE_BUDGET = 2**25
+#: guard for callers who pass their own cutoffs; 32.25 MiB, the smallest
+#: 256 KiB step that admits (87, 86, 86), the widest ``sim entropy``
+#: amplitude set at ``ALPHA_CAP`` (it needs (26, 86, 86) at the default
+#: alpha), and (60, 101, 101), but not (60, 102, 102)
+ORACLE_BYTE_BUDGET = 2**25 + 2**18
 
 #: rows of the signed Gram product ``separability_check_12`` forms at
 #: once; 16 to 256 rows take about the same time at the default

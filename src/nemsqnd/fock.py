@@ -197,9 +197,11 @@ def reduced_density(psi: StateVector, axis: int) -> DensityMatrix:
     The state is matricized with the kept mode as rows, ``x`` (K x T),
     and ``rho = x x^dagger``.  That holds at most two state-size arrays
     beside the state: ``x``, a copy unless the kept mode leads, and its
-    conjugate.
+    conjugate.  A K x K result over the allocation cap is refused before
+    either is formed.
     """
     x = np.moveaxis(psi.amplitudes, axis, 0)
+    _check_cap(x.shape[0] ** 2, "density matrix")
     x = x.reshape(x.shape[0], -1)
     return DensityMatrix(x @ x.conj().T)
 

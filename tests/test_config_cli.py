@@ -31,7 +31,7 @@ from nemsqnd.config import (
     load_config,
     parse_config_text,
 )
-from nemsqnd.errors import ConfigError, RegimeWarning
+from nemsqnd.errors import ConfigError
 from nemsqnd.verify import run_all
 
 
@@ -154,6 +154,7 @@ def test_parse_errors_carry_line_numbers(text, msg):
     ("n_b = -0.5\n", "n_b must be nonnegative"),
     ("alpha_points = 1\n", "alpha_points must be in"),
     ("alpha_max = 6.5\n", "alpha_max must be in"),
+    ("current_tau_max = 1001\n", r"current_tau_max must be <= 1000\.0"),
     pytest.param("entropy_points = 1\n", r"entropy_points must be in \[2, 10000\]",
                  id="entropy_points = 1\n-must be >= 2"),
     ("entropy_points = 1000000000\n", r"entropy_points must be in \[2, 10000\]"),
@@ -553,21 +554,24 @@ def test_exit_codes(tmp_path, capsys):
 def test_strict_refuses_a_run_outside_the_elimination_regime(tmp_path, capsys, command):
     """At kappa2 = 1e9 (theta0/kappa2 = 0.146) ``--strict`` exits 2 with the
     regime message and writes nothing; it leaves the caller's warning
-    filters as it found them.  Without it the same run warns and exits 0."""
+    filters as it found them.  Without it the same run exits 0, writes its
+    artifact and shows the message once, as one line, on every run in the
+    process."""
     conf = tmp_path / "bad.conf"
     conf.write_text("kappa2 = 1e9\ncurrent_points = 16\n"
                     "classical_periods = 20\nclassical_samples = 1024\n")
+    message = "theta0/kappa2 = 1.464e-01 is outside the adiabatic-elimination regime (limit 0.1)"
     strict_out = tmp_path / "strict"
     filters = list(warnings.filters)
     assert main([command, "--strict", "--config", str(conf), "--out", str(strict_out)]) == 2
     assert warnings.filters == filters
-    assert capsys.readouterr().err == ("error: theta0/kappa2 = 1.464e-01 is outside the "
-                                       "adiabatic-elimination regime (limit 0.1)\n")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(strict_out.iterdir()) == []
-    if command == "current":
-        with pytest.warns(RegimeWarning, match=r"^theta0/kappa2 = 1\.464e-01 is outside"):
-            assert main([command, "--config", str(conf), "--out", str(tmp_path / "loose")]) == 0
-        assert (tmp_path / "loose" / "current.csv").is_file()
+    artifact = {"current": "current.csv", "verify": "verify.json"}[command]
+    for run in ("loose1", "loose2"):
+        assert main([command, "--config", str(conf), "--out", str(tmp_path / run)]) == 0
+        assert capsys.readouterr().err == f"warning: {message}\n"
+        assert (tmp_path / run / artifact).is_file()
 
 
 def test_artifacts_get_the_plain_file_mode(tmp_path):

@@ -517,14 +517,12 @@ def test_analytic_entropies_match_the_oracle_on_every_curve_set():
 
 def test_oracle_space_admits_the_curve_sets_at_the_cap():
     """The budget admits the derived cutoffs of every amplitude set ``sim
-    entropy`` writes up to |alpha| = 5.99, where the widest set needs
-    (86, 86, 86); at ``ALPHA_CAP`` its one more phonon state is refused."""
+    entropy`` writes up to ``ALPHA_CAP``, where the widest set needs
+    (87, 86, 86), one more phonon state than at |alpha| = 5.99."""
     for alpha, dims in ((5.99, (86, 86, 86)), (ALPHA_CAP, (87, 86, 86))):
         widest = max((triple(alpha, b, g) for b, g in ENTROPY_CURVE_SETS), key=oracle_dims)
         assert oracle_dims(widest) == dims
-    assert initial_product_state(triple(5.99), (86, 86, 86)).amplitudes.shape == (86, 86, 86)
-    with pytest.raises(ValueError, match="oracle budget"):
-        initial_product_state(triple(ALPHA_CAP), (87, 86, 86))
+        assert initial_product_state(widest, dims).amplitudes.shape == dims
 
 
 def test_oracle_space_refuses_oversized_pairs():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,24 @@ def test_reduced_density_matches_the_dense_partial_trace(axis):
     red = reduced_density(psi, axis)
     assert red.matrix.shape == dense.matrix.shape == (dims[axis],) * 2
     assert np.max(np.abs(red.matrix - dense.matrix)) <= 1e-15
+
+
+def test_reduced_density_refuses_an_oversized_mode_before_allocating():
+    """A kept mode whose K x K matrix exceeds the cap is refused before the
+    product is formed, so the refusal holds well under one such matrix
+    (1100 x 1100 would be 18.5 MiB)."""
+    v = np.zeros((1100, 2, 2), dtype=complex)
+    v[0, 0, 0] = 1.0
+    psi = StateVector(v)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="allocation cap"):
+            reduced_density(psi, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert reduced_density(psi, 1).matrix.shape == (2, 2)
 
 
 def test_partial_trace_bell_state():
