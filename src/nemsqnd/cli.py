@@ -10,9 +10,9 @@ Exit codes: 0 success, 1 verification failure, 2 bad input or a
 simulation that refused to run; ``--strict`` makes a ``RegimeWarning``
 such a refusal.
 
-``params``, ``defaults``, ``--help`` and every config error run on the
-standard library alone: each array subcommand imports numpy and the
-modules it calls inside its own ``cmd_*`` body.
+``params``, ``current``, ``defaults``, ``--help`` and every config error
+run on the standard library alone: each array subcommand imports numpy
+and the modules it calls inside its own ``cmd_*`` body.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def cmd_current(cfg: RunConfig, out: Path) -> int:
         ("stationary I/gain (n_b=1)", f"{curves.normalized[1][-1]:.12e}"),
         ("stationary I/gain (n_b=2)", f"{curves.normalized[2][-1]:.12e}"),
         ("stationary I/gain (n_b=3)", f"{curves.normalized[3][-1]:.12e}"),
-        ("max ODE residual", f"{float(curves.residual.max()):.3e}"),
+        ("max ODE residual", f"{curves.max_residual:.3e}"),
     ])
     return 0
 

@@ -126,21 +126,26 @@ class ReadoutParams:
                 )
 
 
-def _check_nonneg(name, value):
-    import numpy as np
-
-    arr = np.asarray(value, dtype=float)
-    if arr.size and float(arr.min()) < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    return arr
+def _nonnegative(name, x):
+    """``x``, a number or a sequence of numbers, as a list of floats and
+    whether it was a number; refuses a negative or NaN entry by name."""
+    try:
+        values, number = [float(v) for v in x], False
+    except TypeError:
+        values, number = [float(x)], True
+    for v in values:
+        if not v >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {v!r}")
+    return values, number
 
 
 def current_from_amplitude(p: ReadoutParams, a1):
-    """Drive-phase-locked current of resonator 1 for a mean amplitude."""
-    import numpy as np
-
-    locked = np.asarray(a1) * cmath.exp(-1j * cmath.phase(p.alpha2))
-    return p.current_scale * locked.imag
+    """Drive-phase-locked current of resonator 1 for a mean amplitude: a
+    number or an array, or a list of numbers, which gives a list."""
+    scale, rotation = p.current_scale, cmath.exp(-1j * cmath.phase(p.alpha2))
+    if isinstance(a1, list):
+        return [scale * (a * rotation).imag for a in a1]
+    return scale * (a1 * rotation).imag
 
 
 def mean_photocurrent(t, n_b, p: ReadoutParams):
@@ -148,13 +153,19 @@ def mean_photocurrent(t, n_b, p: ReadoutParams):
 
     Equal to ``p.gain * n_b * (1 - exp(-(Gamma + kappa1) t / 2))``: linear
     in the phonon number at every instant, monotonically saturating in t.
+    ``t`` and ``n_b`` are each a number or a sequence of numbers.  Two
+    numbers give a float; a sequence of times gives a list over them, and
+    a sequence of phonon numbers a list with one entry per ``n_b``.
     """
-    import numpy as np
-
     p.enforce_regime()
-    tt = _check_nonneg("t", t)
-    nn = _check_nonneg("n_b", n_b)
-    return p.gain * nn * (1.0 - np.exp(-0.5 * p.decay_total * tt))
+    times, one_time = _nonnegative("t", t)
+    counts, one_count = _nonnegative("n_b", n_b)
+    rate, gain = -0.5 * p.decay_total, p.gain
+    rise = [1.0 - math.exp(rate * s) for s in times]
+    rows = [[gain * n * r for r in rise] for n in counts]
+    if one_time:
+        rows = [row[0] for row in rows]
+    return rows[0] if one_count else rows
 
 
 # ---------------------------------------------------------------------------
@@ -163,32 +174,42 @@ def mean_photocurrent(t, n_b, p: ReadoutParams):
 
 @dataclass(frozen=True)
 class MeanTrace:
-    t: np.ndarray
-    a1: np.ndarray
-    current: np.ndarray
+    t: list[float]
+    a1: list[complex]
+    current: list[float]
 
 
 @dataclass(frozen=True)
 class TwoModeTrace:
-    t: np.ndarray
+    t: list[float]
     a1: np.ndarray
     a2: np.ndarray
 
 
+def _linspace(start, stop, n):
+    """``numpy.linspace(start, stop, n)`` as a list, bit for bit."""
+    step = (stop - start) / max(n - 1, 1)
+    grid = [i * step + start for i in range(n)]
+    if n > 1:
+        grid[-1] = stop
+    return grid
+
+
 def _solve_complex(rhs, t_span, y0, n_samples, rtol, scale):
-    """Complex samples, shape (len(y0), n_samples), on a uniform grid over ``t_span``.
+    """Complex samples on a uniform grid over ``t_span``: a list for a
+    number ``y0``, an array of shape (len(y0), n_samples) for an array.
 
     DOP853 at ``rtol`` (``nemsqnd.ode``); each sample is one step from
     the accepted node nearest to it.
     """
-    import numpy as np
-
     from . import ode
 
-    t = np.linspace(t_span[0], t_span[1], n_samples)
     atol = rtol * max(scale, 1e-30) * 1e-2
-    nodes, states = ode.solve(rhs, t_span, np.asarray(y0, dtype=complex), rtol, atol)
+    nodes, states = ode.solve(rhs, t_span, y0, rtol, atol)
+    t = _linspace(t_span[0], t_span[1], n_samples)
     near = ode.nearest(nodes, t)
+    if isinstance(y0, complex):
+        return t, ode.step(rhs, [nodes[i] for i in near], [states[i] for i in near], t)
     return t, ode.step(rhs, nodes[near], states[near].T, t)
 
 
@@ -198,12 +219,13 @@ def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float
 
         d<a1>/dt = -i theta alpha2 n_b - (Gamma + kappa1)/2 <a1>,  <a1>(0) = 0
 
-    numerically.  This duplicates the closed-form ``<a1>(t)`` of the
-    module docstring on purpose — the integrator never sees the closed
-    form, so agreement between the two is a real check, not a tautology.
+    numerically, on Python complex numbers.  This duplicates the
+    closed-form ``<a1>(t)`` of the module docstring on purpose — the
+    integrator never sees the closed form, so agreement between the two
+    is a real check, not a tautology.
     """
     p.enforce_regime()
-    _check_nonneg("n_b", n_b)
+    _nonnegative("n_b", n_b)
     if not t_span[1] > t_span[0] >= 0:
         raise ValueError("t_span must be increasing and nonnegative")
     forcing = -1j * p.theta * p.alpha2 * n_b
@@ -213,23 +235,33 @@ def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float
         return forcing - halfdecay * y
 
     scale = abs(forcing) / max(halfdecay, 1e-300)
-    t, (a1,) = _solve_complex(rhs, t_span, [0j], n_samples, rtol, scale)
+    t, a1 = _solve_complex(rhs, t_span, 0j, n_samples, rtol, scale)
     return MeanTrace(t, a1, current_from_amplitude(p, a1))
+
+
+def _nan_high(x: float) -> float:
+    """Rank for a largest-residual search: NaN outranks every number."""
+    return math.inf if math.isnan(x) else x
 
 
 # a NamedTuple: a frozen dataclass costs about 1 ms more at `sim` start-up
 class CurrentTransients(NamedTuple):
     """Normalized current transients on a grid of ``tau = (Gamma + kappa1) t / 2``.
 
-    ``normalized`` is a (4, n) array whose row k is the closed-form
-    ``I / gain`` at ``n_b = k`` for k = 0, 1, 2, 3; ``residual`` is, per
+    ``normalized`` holds four lists; list k is the closed-form ``I /
+    gain`` at ``n_b = k`` for k = 0, 1, 2, 3.  ``residual`` is, per
     sample, the largest deviation of the integrated mean equation from it
     over n_b = 1, 2, 3, in units of ``gain * n_b``.
     """
 
-    tau: np.ndarray
-    normalized: np.ndarray
-    residual: np.ndarray
+    tau: list[float]
+    normalized: list[list[float]]
+    residual: list[float]
+
+    @property
+    def max_residual(self) -> float:
+        """Largest residual, or NaN if any sample is NaN."""
+        return max(self.residual, key=_nan_high)
 
 
 def current_transients(p: ReadoutParams, tau_max: float, n_samples: int) -> CurrentTransients:
@@ -238,17 +270,18 @@ def current_transients(p: ReadoutParams, tau_max: float, n_samples: int) -> Curr
     The mean equation is integrated at rtol 1e-11 on the same
     ``n_samples`` points the closed form is evaluated on.
     """
-    import numpy as np
-
-    if p.gain == 0.0:
+    gain, decay = p.gain, p.decay_total
+    if gain == 0.0:
         raise ValueError("current gain is zero; normalized curves are undefined")
-    tau = np.linspace(0.0, tau_max, n_samples)
-    t = 2.0 * tau / p.decay_total
-    normalized = mean_photocurrent(t, np.arange(4.0)[:, None], p) / p.gain
-    residual = np.zeros_like(tau)
+    tau = _linspace(0.0, tau_max, n_samples)
+    t = [2.0 * s / decay for s in tau]
+    normalized = [[v / gain for v in row]
+                  for row in mean_photocurrent(t, (0.0, 1.0, 2.0, 3.0), p)]
+    deviations = []
     for n, ref in zip((1.0, 2.0, 3.0), normalized[1:]):
-        trace = integrate_mean_qsde(p, n, (0.0, float(t[-1])), n_samples=n_samples, rtol=1e-11)
-        residual = np.maximum(residual, np.abs(trace.current / p.gain - ref) / n)
+        trace = integrate_mean_qsde(p, n, (0.0, t[-1]), n_samples=n_samples, rtol=1e-11)
+        deviations.append([abs(c / gain - r) / n for c, r in zip(trace.current, ref)])
+    residual = [max(d, key=_nan_high) for d in zip(*deviations)]
     return CurrentTransients(tau, normalized, residual)
 
 
@@ -266,7 +299,7 @@ def full_two_mode_mean_dynamics(p: ReadoutParams, n_b: float,
     regime check: this is the reference the eliminated model is judged
     against, including outside its validity range.
     """
-    _check_nonneg("n_b", n_b)
+    _nonnegative("n_b", n_b)
     if not t_span[1] > t_span[0] >= 0:
         raise ValueError("t_span must be increasing and nonnegative")
     import numpy as np
@@ -279,7 +312,8 @@ def full_two_mode_mean_dynamics(p: ReadoutParams, n_b: float,
         a1, a2 = y
         return np.array((-1j * g * a2 - k1h * a1, -1j * g * a1 - 1j * F - k2h * a2))
 
-    t, (a1, a2) = _solve_complex(rhs, t_span, [0.0, 0.0], n_samples, rtol, abs(p.alpha2))
+    t, (a1, a2) = _solve_complex(rhs, t_span, np.zeros(2, complex), n_samples, rtol,
+                                 abs(p.alpha2))
     return TwoModeTrace(t, a1, a2)
 
 

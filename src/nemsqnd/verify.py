@@ -67,7 +67,7 @@ def check_current_ode(cfg: RunConfig) -> CheckResult:
     equation: the largest residual ``sim current`` writes."""
     transients = current_transients(cfg.readout(), cfg.current_tau_max,
                                      cfg.current_points)
-    worst = float(transients.residual.max())
+    worst = transients.max_residual
     return CheckResult(
         name="current_ode",
         passed=worst <= cfg.tol_current_ode,

@@ -398,7 +398,9 @@ def _shift_averaged_resonance(effective_params, tol):
 
 
 def _scale_closed_form_current(mean_photocurrent, tol):
-    return lambda t, n_b, p: mean_photocurrent(t, n_b, p) * (1 + 10 * tol)
+    def scaled(t, n_b, p):
+        return [[v * (1 + 10 * tol) for v in row] for row in mean_photocurrent(t, n_b, p)]
+    return scaled
 
 
 def _slow_eliminated_decay(readout_params, tol):
@@ -810,9 +812,10 @@ def test_subcommands_load_no_unused_domain_module(tmp_path, command, modules):
 @pytest.mark.parametrize("args,code,out,err", [
     (["defaults"], 0, b"L1 = ", b""),
     (["params"], 0, b"effective circuit parameters\n", b""),
+    (["current"], 0, b"wrote current.csv (200 samples)\n", b""),
     (["--help"], 0, b"usage: sim", b""),
     (["params", "--config", "range.conf"], 2, b"", b"config error: alpha_points must be in [2, 1000]"),
-], ids=["defaults", "params", "help", "config-error"])
+], ids=["defaults", "params", "current", "help", "config-error"])
 def test_scalar_subcommands_start_without_numpy(tmp_path, args, code, out, err):
     """Only the array subcommands import numpy, inside their own bodies."""
     (tmp_path / "range.conf").write_text("alpha_points = 1001\n")
@@ -820,6 +823,10 @@ def test_scalar_subcommands_start_without_numpy(tmp_path, args, code, out, err):
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.startswith(out), proc.stdout
     assert proc.stderr.startswith(err) if err else proc.stderr == b"", proc.stderr
+    if args == ["current"]:
+        header, rows = read_csv(tmp_path / "current.csv")
+        assert header == ("tau", "I_nb0", "I_nb1", "I_nb2", "I_nb3", "residual")
+        assert len(rows) == 200
 
 
 def test_help_mentions_every_subcommand():

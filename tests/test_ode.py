@@ -1,5 +1,7 @@
 """The package's DOP853 integrator against SciPy's tableau and closed forms."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate._ivp import dop853_coefficients as reference
@@ -8,19 +10,38 @@ from nemsqnd import ode
 from nemsqnd.errors import IntegrationError
 
 
+def dense(rows, n):
+    """A dense (len(rows), n) array from rows of (stage, coefficient) pairs."""
+    out = np.zeros((len(rows), n))
+    for i, row in enumerate(rows):
+        for j, value in row:
+            out[i, j] = value
+    return out
+
+
 def test_tableau_is_scipys():
-    assert np.array_equal(ode.C, reference.C[:12])
-    assert np.array_equal(ode.A, reference.A[:12, :12])
-    assert np.array_equal(ode.B, reference.B)
+    a = dense(ode.A, 12)
+    b, e3, e5 = dense([ode.B, ode.E3, ode.E5], 12)
+    assert np.array_equal(np.array(ode.C), reference.C[:12])
+    assert np.array_equal(a, reference.A[:12, :12])
+    assert np.array_equal(b, reference.B)
     # SciPy's 13th error weights act on rhs at the step's end; both are
     # zero, so the package keeps the first 12
     assert reference.E3[12] == reference.E5[12] == 0.0
-    assert np.array_equal(ode.E3, reference.E3[:12])
-    assert np.array_equal(ode.E5, reference.E5[:12])
+    assert np.array_equal(e3, reference.E3[:12])
+    assert np.array_equal(e5, reference.E5[:12])
+    # the rows leave out exactly SciPy's zeros, each entry once
+    for rows, full in [(ode.A, reference.A[:12, :12]),
+                       ([ode.B, ode.E3, ode.E5], [reference.B, reference.E3, reference.E5])]:
+        for row, ref in zip(rows, full):
+            kept = [j for j, _ in row]
+            assert kept == sorted(set(kept))
+            assert all(ref[j] == 0.0 for j in range(12) if j not in kept)
+            assert all(value != 0.0 for _, value in row)
 
 
 def test_tableau_order_conditions_up_to_four():
-    a, b, c = ode.A, ode.B, ode.C
+    a, b, c = dense(ode.A, 12), dense([ode.B], 12)[0], np.array(ode.C)
     np.testing.assert_allclose(a.sum(axis=1), c, atol=1e-15)
     conditions = [
         (b.sum(), 1.0),
@@ -57,6 +78,21 @@ def test_linear_equation_within_a_few_rtol(lam, rtol):
     np.testing.assert_allclose(hops.T, states[1:], rtol=1e-13)
     np.testing.assert_array_equal(ode.step(rhs, nodes, states.T, nodes), states.T)
 
+    # a Python complex takes the sums over the nonzero coefficients and
+    # gives lists; rounding in its error estimate steers its step sizes
+    # away from the array's, so it too is judged against the closed form
+    nodes, states = ode.solve(rhs, (0.0, 10.0), 1.0 + 0j, rtol, 1e-30)
+    assert isinstance(nodes, list) and isinstance(states[-1], complex)
+    assert nodes[0] == 0.0 and nodes[-1] == 10.0
+    exact = np.exp(lam * np.array(nodes))
+    assert np.max(np.abs(np.array(states) - exact) / np.abs(exact)) <= 5 * rtol
+    near = ode.nearest(nodes, t.tolist())
+    assert near == ode.nearest(np.array(nodes), t).tolist()
+    y = ode.step(rhs, [nodes[i] for i in near], [states[i] for i in near], t.tolist())
+    assert isinstance(y, list) and len(y) == t.size
+    assert np.max(np.abs(np.array(y) - np.exp(lam * t)) / np.abs(np.exp(lam * t))) <= 5 * rtol
+    assert ode.step(rhs, nodes, states, nodes) == states
+
 
 def test_non_finite_rhs_raises():
     with pytest.raises(IntegrationError, match="non-finite"):
@@ -78,5 +114,12 @@ def test_step_cap_raises(monkeypatch):
 
 
 def test_span_must_increase():
-    with pytest.raises(ValueError, match="increasing"):
-        ode.solve(lambda t, y: -y, (1.0, 1.0), np.ones(1), 1e-8, 1e-12)
+    """A span that is not finite and increasing is refused before the
+    right-hand side is called (from t = -inf every step size is NaN)."""
+    def rhs(t, y):
+        raise AssertionError("rhs called")
+
+    for span in [(1.0, 1.0), (2.0, 1.0), (-math.inf, 0.0), (0.0, math.inf),
+                 (math.nan, 1.0), (0.0, math.nan)]:
+        with pytest.raises(ValueError, match="finite and increasing"):
+            ode.solve(rhs, span, np.ones(1), 1e-8, 1e-12)

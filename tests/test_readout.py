@@ -166,15 +166,20 @@ def test_full_model_is_exempt_from_regime_check():
 
 def test_mean_amplitude_closed_form_and_broadcast():
     """The library's current is the locked quadrature of the closed-form
-    amplitude, broadcast over n_b and t, and a float for scalar inputs."""
+    amplitude: one list over t per n_b for two sequences, one list for a
+    sequence and a number, and a float for two numbers."""
     p = unit_chain()
     t = np.linspace(0.0, 12.0, 7)
-    n_b = np.array([[0.0], [1.0], [3.0]])
+    n_b = [0.0, 1.0, 3.0]
     out = mean_photocurrent(t, n_b, p)
-    assert out.shape == (3, 7)
-    np.testing.assert_allclose(out, current_from_amplitude(p, mean_amplitude(p, n_b, t)),
-                               rtol=1e-14)
-    assert np.all(out[0] == 0)
+    assert len(out) == 3 and all(isinstance(row, list) and len(row) == 7 for row in out)
+    np.testing.assert_allclose(
+        out, current_from_amplitude(p, mean_amplitude(p, np.array(n_b)[:, None], t)),
+        rtol=1e-14)
+    assert out[0] == [0.0] * 7
+    assert mean_photocurrent(t, 3.0, p) == out[2]
+    assert mean_photocurrent(5.0, n_b, p) == [row[-1] for row in
+                                                mean_photocurrent([0.0, 5.0], n_b, p)]
     scalar = mean_photocurrent(5.0, 2.0, p)
     assert isinstance(scalar, float)
 
@@ -189,7 +194,7 @@ def test_mean_photocurrent_saturates_at_gain_times_nb():
     # linear in n_b at every instant
     t = np.linspace(0.0, 8.0, 50)
     np.testing.assert_allclose(mean_photocurrent(t, 3.0, p),
-                               3.0 * mean_photocurrent(t, 1.0, p), rtol=1e-14)
+                               3.0 * np.array(mean_photocurrent(t, 1.0, p)), rtol=1e-14)
 
 
 def test_current_is_locked_quadrature():
@@ -231,7 +236,7 @@ def test_drive_phase_gauge_invariance(phi):
 def test_decoupled_chain_carries_no_signal():
     p = unit_chain(theta0=0.0, theta=0.0)
     assert p.gain == 0.0
-    assert np.all(mean_photocurrent(np.linspace(0, 10, 5), 3.0, p) == 0)
+    assert mean_photocurrent(np.linspace(0, 10, 5), 3.0, p) == [0.0] * 5
     trace = full_two_mode_mean_dynamics(p, 3.0, (0.0, 400.0))
     assert abs(trace.a1[-1]) == 0.0
     assert trace.a2[-1] == pytest.approx(p.alpha2, rel=1e-10)
@@ -356,7 +361,20 @@ def test_negative_inputs_rejected():
         mean_photocurrent(1.0, -1.0, p)
     with pytest.raises(ValueError, match="nonnegative"):
         mean_photocurrent(-0.5, 1.0, p)
+    # NaN fails every comparison, so it is refused by name, not passed through
+    with pytest.raises(ValueError, match="^t must be nonnegative, got nan"):
+        mean_photocurrent(math.nan, 1.0, p)
+    with pytest.raises(ValueError, match="^n_b must be nonnegative, got nan"):
+        mean_photocurrent(1e-9, math.nan, p)
+    with pytest.raises(ValueError, match="^t must"):
+        mean_photocurrent([0.0, math.nan], 1.0, p)
+    with pytest.raises(ValueError, match="^n_b must"):
+        mean_photocurrent(1.0, [1.0, math.nan], p)
+    with pytest.raises(ValueError, match="^n_b must"):
+        integrate_mean_qsde(p, math.nan, (0.0, 1.0))
     with pytest.raises(ValueError, match="t_span"):
         integrate_mean_qsde(p, 1.0, (2.0, 1.0))
+    with pytest.raises(ValueError, match="t_span must be finite"):
+        integrate_mean_qsde(p, 1.0, (0.0, math.inf))
     with pytest.raises(ValueError, match="t_span"):
         full_two_mode_mean_dynamics(p, 1.0, (-1.0, 1.0))
