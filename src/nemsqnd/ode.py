@@ -14,8 +14,8 @@ step is no longer than half the accepted step around it and so its local
 error is no larger than that step's.
 
 A state is a NumPy array or one Python ``complex``.  Each call decides
-once which it has; only the stage container, the weighted stage sums and
-the error norm differ.  An array forms its sums with ``einsum`` over the
+once which it has; only the stage container, the weighted stage sums,
+the norms, the finiteness test and the containers of the result differ.  An array forms its sums with ``einsum`` over the
 dense tableau and gives arrays; a ``complex`` forms them as Python sums
 over the nonzero coefficients, gives lists and needs no NumPy.  Every
 right-hand side ``rhs(t, y)`` returns a state of the kind of ``y``.  In
