@@ -301,8 +301,8 @@ def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> Trajectory:
     c0 = d2 * inv_2dea
     size = np.array([1.0, math.sqrt(p.L1 * (inv_c1 + c0)), 1.0, math.sqrt(p.L2 * (inv_c2 + c0))])
     atol = 1e-2 * cfg.rtol * np.outer(size, 1.0 / size)
-    nodes, phi = ode.solve(rhs, (0.0, horizon), np.eye(4), cfg.rtol, atol,
-                           max_step=period / 16.0)
+    nodes, phi = map(np.array, ode.solve(rhs, (0.0, horizon), np.eye(4), cfg.rtol, atol,
+                                         max_step=period / 16.0))
 
     starts = np.empty((int(whole[-1]) + 1, 4))
     starts[0] = (cfg.q1, cfg.p1, cfg.q2, cfg.p2)

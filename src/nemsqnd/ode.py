@@ -7,30 +7,33 @@ norm, the step-size control, the initial step and the ``rtol``/``atol``
 meaning are those of ``scipy.integrate.solve_ivp(method="DOP853")``.
 
 There are two entry points.  :func:`solve` advances adaptively and
-returns every accepted node.  :func:`step` takes one step from each of
-many starting points at once; stepping from the accepted node nearest
-to a requested time (:func:`nearest`) replaces dense output, since that
-step is no longer than half the accepted step around it and so its local
-error is no larger than that step's.
+returns every accepted node.  :func:`step` takes one step of one state;
+stepping from the accepted node nearest to a requested time
+(:func:`nearest`) replaces dense output, since that step is no longer
+than half the accepted step around it and so its local error is no
+larger than that step's.
 
-A state is a NumPy array or one Python ``complex``.  Each call decides
-once which it has; only the stage container, the weighted stage sums,
-the norms, the finiteness test and the containers of the result differ.  An array forms its sums with ``einsum`` over the
-dense tableau and gives arrays; a ``complex`` forms them as Python sums
-over the nonzero coefficients, gives lists and needs no NumPy.  Every
-right-hand side ``rhs(t, y)`` returns a state of the kind of ``y``.  In
-:func:`step` an array's time is an array over the *last* axis of ``y``
-(one column per starting point), so an ``rhs`` written with NumPy
+A state is a NumPy array or one Python ``complex``, and each call
+decides once which it has.  Only the tableau rows, the 12-slot stage
+container, the weighted stage sums and two reductions (the sum of a
+state's entries and the entrywise maximum of two states) differ by kind.
+An array forms its sums with ``einsum`` over the dense tableau; a
+``complex`` forms them as Python sums over the nonzero coefficients and
+needs no NumPy.  The start, the norms, the finiteness test, the step
+control and the result of :func:`solve` (two lists) are shared.  Every
+right-hand side ``rhs(t, y)`` returns a state of the kind of ``y``.  An
+array's last axis may hold columns that :func:`step` takes each from its
+own start to its own end time, so an ``rhs`` written with NumPy
 broadcasting serves both entry points.
 """
 
 from __future__ import annotations
 
 import bisect
-import cmath
 import functools
 import math
 import sys
+from types import SimpleNamespace
 
 from .errors import IntegrationError
 
@@ -84,118 +87,91 @@ ERROR_EXPONENT = -1.0 / 8.0
 MAX_STEPS = 100_000
 
 
-def _complex_rows(rows):
-    return tuple(tuple((j, complex(a)) for j, a in row) for row in rows)
+def _complex_row(row):
+    return tuple((j, complex(a)) for j, a in row)
 
 
-class _Complex:
-    """Helpers for a state that is one Python ``complex``: sums over the
-    nonzero coefficients, held as complex numbers (a float times a
-    complex takes the slower mixed-type path)."""
-
-    A, (B, E3, E5) = _complex_rows(A), _complex_rows((B, E3, E5))
-
-    @staticmethod
-    def start(y0, atol):
-        return y0, float(atol)
-
-    @staticmethod
-    def stages(y, f):
-        return [f] * 12
-
-    @staticmethod
-    def combine(row, k):
-        total = 0j
-        for j, w in row:
-            total += w * k[j]
-        return total
-
-    @staticmethod
-    def sum_sq(x):
-        return (x * x.conjugate()).real
-
-    rms, maximum, finite = abs, max, cmath.isfinite
-
-    @staticmethod
-    def nodes(ts, ys):
-        return ts, ys
+def _complex_combine(row, k):
+    total = 0j
+    for j, w in row:
+        total += w * k[j]
+    return total
 
 
-class _Arrays:
-    """Helpers for a NumPy array state: the dense tableau through ``einsum``."""
-
-    def __init__(self):
-        import numpy as np
-
-        def dense(row, n):
-            w = np.zeros(n)
-            for j, a in row:
-                w[j] = a
-            return w
-
-        self.np = np
-        self.A = [dense(row, i) for i, row in enumerate(A)]
-        self.B, self.E3, self.E5 = (dense(row, 12) for row in (B, E3, E5))
-        self.maximum = np.maximum
-
-    def start(self, y0, atol):
-        y = self.np.asarray(y0) + 0.0
-        return y, self.np.broadcast_to(self.np.asarray(atol, dtype=float), y.shape)
-
-    def stages(self, y, f):
-        return self.np.empty((12,) + y.shape, dtype=self.np.result_type(y, f))
-
-    def combine(self, weights, k):
-        """``sum_j weights[j] k[j]`` by ``einsum``, which calls no BLAS (a
-        ``gemv`` here can stall for 0.1 s in a multithreaded OpenBLAS)."""
-        return self.np.einsum("j,j...->...", weights, k[:weights.size])
-
-    def sum_sq(self, x):
-        return self.np.vdot(x, x).real
-
-    def rms(self, x) -> float:
-        return float(self.np.linalg.norm(x.ravel())) / x.size ** 0.5
-
-    def finite(self, x) -> bool:
-        return bool(self.np.isfinite(x).all())
-
-    def nodes(self, ts, ys):
-        return self.np.array(ts), self.np.array(ys)
+#: A state that is one Python ``complex``: its stage sums run over the
+#: nonzero coefficients, held as complex numbers (a float times a complex
+#: takes the slower mixed-type path), and a number is its own sum.
+_COMPLEX = SimpleNamespace(
+    A=tuple(map(_complex_row, A)), B=_complex_row(B), E3=_complex_row(E3), E5=_complex_row(E5),
+    stages=lambda y, f: [f] * 12, combine=_complex_combine, sum=lambda x: x, maximum=max)
 
 
 @functools.cache
-def _arrays() -> _Arrays:
-    return _Arrays()
+def _arrays() -> SimpleNamespace:
+    """A NumPy array state: its stage sums are one ``einsum`` over the
+    dense tableau, which calls no BLAS (a ``gemv`` here can stall for
+    0.1 s in a multithreaded OpenBLAS)."""
+    import numpy as np
+
+    def dense(row, n=12):
+        w = np.zeros(n)
+        for j, a in row:
+            w[j] = a
+        return w
+
+    return SimpleNamespace(
+        A=[dense(row, i) for i, row in enumerate(A)], B=dense(B), E3=dense(E3), E5=dense(E5),
+        stages=lambda y, f: np.empty((12,) + y.shape, dtype=np.result_type(y, f)),
+        combine=lambda w, k: np.einsum("j,j...->...", w, k[:w.size]),
+        sum=np.sum, maximum=np.maximum)
 
 
 def _kind(y):
-    return _Complex if type(y) is complex else _arrays()
+    return _COMPLEX if type(y) is complex else _arrays()
 
 
-def _stages(kind, rhs, t, y, f, h):
-    """Stage derivatives of one step, 12 of them."""
+def _size(x) -> int:
+    return getattr(x, "size", 1)
+
+
+def _sum_sq(kind, x) -> float:
+    return float(kind.sum(x * x.conjugate()).real)
+
+
+def _rms(kind, x) -> float:
+    return math.sqrt(_sum_sq(kind, x)) / _size(x) ** 0.5
+
+
+def _finite(kind, x) -> bool:
+    """Whether every entry of ``x`` is finite.  It counts entries whose
+    parts have finite moduli, which, unlike a sum of squares, cannot
+    overflow."""
+    return kind.sum((abs(x.real) < math.inf) & (abs(x.imag) < math.inf)) == _size(x)
+
+
+def _advance(kind, rhs, t, y, f, h):
+    """One step of size ``h``: the new state and the 12 stage derivatives."""
     k, combine, rows = kind.stages(y, f), kind.combine, kind.A
     k[0] = f
     for i in range(1, 12):
         k[i] = rhs(t + C[i] * h, y + h * combine(rows[i], k))
-    return k
+    return y + h * combine(kind.B, k), k
 
 
 def _error_norm(kind, k, h, scale) -> float:
-    err5 = kind.combine(kind.E5, k) / scale
-    err3 = kind.combine(kind.E3, k) / scale
-    e5, e3 = kind.sum_sq(err5), kind.sum_sq(err3)
+    e5 = _sum_sq(kind, kind.combine(kind.E5, k) / scale)
+    e3 = _sum_sq(kind, kind.combine(kind.E3, k) / scale)
     if e5 == 0 and e3 == 0:
         return 0.0
-    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * getattr(scale, "size", 1))
+    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * _size(scale))
 
 
 def _initial_step(kind, rhs, t, y, f, length, max_step, rtol, atol) -> float:
     """Hairer, Norsett & Wanner, Sec. II.4, as in solve_ivp."""
     scale = atol + abs(y) * rtol
-    d0, d1 = kind.rms(y / scale), kind.rms(f / scale)
+    d0, d1 = _rms(kind, y / scale), _rms(kind, f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-    d2 = kind.rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    d2 = _rms(kind, (rhs(t + h0, y + h0 * f) - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -209,8 +185,7 @@ def solve(rhs, t_span, y0, rtol, atol, max_step=math.inf):
     ``atol`` broadcasts against ``y0``; ``rtol`` below 100 machine
     epsilons is raised to that floor, as in solve_ivp.  Returns the
     accepted nodes ``(t, y)`` from ``t_span[0]`` to exactly
-    ``t_span[1]``: arrays of shapes (k,) and (k,) + y0.shape, or two
-    lists of k for a ``complex`` ``y0``.
+    ``t_span[1]`` as two lists: k times and k states.
 
     Raises
     ------
@@ -224,11 +199,11 @@ def solve(rhs, t_span, y0, rtol, atol, max_step=math.inf):
     t, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t) and math.isfinite(t_end) and t_end > t):
         raise ValueError(f"t_span must be finite and increasing, got ({t!r}, {t_end!r})")
-    kind = _kind(y0)
-    y, atol = kind.start(y0, atol)
+    y = y0 + 0.0
+    kind = _kind(y)
     rtol = max(float(rtol), 100 * sys.float_info.epsilon)
     f = rhs(t, y)
-    if not (kind.finite(y) and kind.finite(f)):
+    if not (_finite(kind, y) and _finite(kind, f)):
         raise IntegrationError("non-finite initial state or right-hand side")
     h_abs = _initial_step(kind, rhs, t, y, f, t_end - t, max_step, rtol, atol)
     ts, ys = [t], [y]
@@ -243,8 +218,7 @@ def solve(rhs, t_span, y0, rtol, atol, max_step=math.inf):
                 raise IntegrationError(f"step size fell below {min_step:.3e} at t = {t!r}")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            k = _stages(kind, rhs, t, y, f, h)
-            y_new = y + h * kind.combine(kind.B, k)
+            y_new, k = _advance(kind, rhs, t, y, f, h)
             f_new = rhs(t_new, y_new)
             scale = atol + kind.maximum(abs(y), abs(y_new)) * rtol
             err = _error_norm(kind, k, h, scale)
@@ -258,14 +232,14 @@ def solve(rhs, t_span, y0, rtol, atol, max_step=math.inf):
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-    return kind.nodes(ts, ys)
+    return ts, ys
 
 
 def nearest(nodes, t):
     """Index of the node nearest to each time in ``t``; ``nodes`` increasing.
 
-    Array nodes give an array of indices, a list of nodes (what
-    :func:`solve` returns for a ``complex``) a list.
+    A list of nodes (what :func:`solve` returns) gives a list of
+    indices; an array of nodes takes an array of times and gives an array.
     """
     if isinstance(nodes, list):
         last = len(nodes) - 1
@@ -274,28 +248,18 @@ def nearest(nodes, t):
             i = min(max(bisect.bisect_left(nodes, s), 1), last)
             near.append(i - (s - nodes[i - 1] < nodes[i] - s))
         return near
-    import numpy as np
-
-    t = np.asarray(t, dtype=float)
-    i = np.clip(np.searchsorted(nodes, t), 1, len(nodes) - 1)
+    i = nodes.searchsorted(t).clip(1, len(nodes) - 1)
     return i - (t - nodes[i - 1] < nodes[i] - t)
 
 
-def _step(kind, rhs, t0, y0, h):
-    k = _stages(kind, rhs, t0, y0, rhs(t0, y0), h)
-    return y0 + h * kind.combine(kind.B, k)
-
-
 def step(rhs, t0, y0, t):
-    """One DOP853 step from each starting point ``(t0[j], y0[..., j])`` to ``t[j]``.
+    """One DOP853 step of the state ``y0`` from ``t0`` to ``t``.
 
-    ``t0`` and ``t`` hold N times.  ``y0`` is an array of shape (n, N),
-    giving one of the same shape, or a list of N ``complex``, giving a
-    list.  No error is estimated: the step sizes are meant to be bounded
-    by accepted steps of :func:`solve`.
+    ``y0`` is a ``complex``, with numbers ``t0`` and ``t``, or an array
+    whose last axis holds columns that each start at their own ``t0``
+    and end at their own ``t`` (numbers, or arrays over that axis).  The
+    result is a state of the kind and shape of ``y0``.  No error is
+    estimated: the step size is meant to be bounded by an accepted step
+    of :func:`solve`.
     """
-    if not hasattr(y0, "shape"):
-        return [_step(_Complex, rhs, a, y, b - a) for a, y, b in zip(t0, y0, t)]
-    np = _arrays().np
-    t0 = np.asarray(t0, dtype=float)
-    return _step(_arrays(), rhs, t0, y0, np.asarray(t, dtype=float) - t0)
+    return _advance(_kind(y0), rhs, t0, y0, rhs(t0, y0), t - t0)[0]

@@ -76,9 +76,15 @@ class ReadoutParams:
             raise ValueError(f"theta0 must be finite and >= 0, got {self.theta0!r}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
-        if not cmath.isfinite(complex(self.F)):
-            raise ValueError(f"F must be finite, got {self.F!r}")
         object.__setattr__(self, "F", complex(self.F))
+        # refuses a non-finite F, and finite F and kappa2 that overflow alpha2 or |alpha2|
+        try:
+            finite = cmath.isfinite(self.alpha2) and math.isfinite(self.gain)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"F = {self.F!r} and kappa2 = {self.kappa2!r} give a non-finite "
+                             "probe amplitude -2iF/kappa2 or current gain")
 
     @property
     def alpha2(self) -> complex:
@@ -139,6 +145,14 @@ def _nonnegative(name, x):
     return values, number
 
 
+def _phonon_number(n_b) -> float:
+    """``n_b`` as one float; refuses a sequence, or a negative or NaN number, by name."""
+    values, number = _nonnegative("n_b", n_b)
+    if not number:
+        raise ValueError(f"n_b must be one number, got a sequence {n_b!r}")
+    return values[0]
+
+
 def current_from_amplitude(p: ReadoutParams, a1):
     """Drive-phase-locked current of resonator 1 for a mean amplitude: a
     number or an array, or a list of numbers, which gives a list."""
@@ -196,21 +210,20 @@ def _linspace(start, stop, n):
 
 
 def _solve_complex(rhs, t_span, y0, n_samples, rtol, scale):
-    """Complex samples on a uniform grid over ``t_span``: a list for a
-    number ``y0``, an array of shape (len(y0), n_samples) for an array.
+    """Complex states on a uniform grid over ``t_span``: two lists, the
+    times and one state of the kind of ``y0`` per time.
 
     DOP853 at ``rtol`` (``nemsqnd.ode``); each sample is one step from
     the accepted node nearest to it.
     """
     from . import ode
 
+    if not t_span[1] > t_span[0] >= 0:
+        raise ValueError("t_span must be increasing and nonnegative")
     atol = rtol * max(scale, 1e-30) * 1e-2
     nodes, states = ode.solve(rhs, t_span, y0, rtol, atol)
     t = _linspace(t_span[0], t_span[1], n_samples)
-    near = ode.nearest(nodes, t)
-    if isinstance(y0, complex):
-        return t, ode.step(rhs, [nodes[i] for i in near], [states[i] for i in near], t)
-    return t, ode.step(rhs, nodes[near], states[near].T, t)
+    return t, [ode.step(rhs, nodes[i], states[i], s) for i, s in zip(ode.nearest(nodes, t), t)]
 
 
 def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float],
@@ -225,9 +238,7 @@ def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float
     is a real check, not a tautology.
     """
     p.enforce_regime()
-    _nonnegative("n_b", n_b)
-    if not t_span[1] > t_span[0] >= 0:
-        raise ValueError("t_span must be increasing and nonnegative")
+    n_b = _phonon_number(n_b)
     forcing = -1j * p.theta * p.alpha2 * n_b
     halfdecay = 0.5 * p.decay_total
 
@@ -240,7 +251,8 @@ def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float
 
 
 def _nan_high(x: float) -> float:
-    """Rank for a largest-residual search: NaN outranks every number."""
+    """Rank for a largest-residual search: NaN outranks every number, so
+    a NaN residual is kept (and fails its check) wherever it occurs."""
     return math.inf if math.isnan(x) else x
 
 
@@ -299,9 +311,7 @@ def full_two_mode_mean_dynamics(p: ReadoutParams, n_b: float,
     regime check: this is the reference the eliminated model is judged
     against, including outside its validity range.
     """
-    _nonnegative("n_b", n_b)
-    if not t_span[1] > t_span[0] >= 0:
-        raise ValueError("t_span must be increasing and nonnegative")
+    n_b = _phonon_number(n_b)
     import numpy as np
 
     g = p.theta0 + p.theta * n_b
@@ -312,9 +322,9 @@ def full_two_mode_mean_dynamics(p: ReadoutParams, n_b: float,
         a1, a2 = y
         return np.array((-1j * g * a2 - k1h * a1, -1j * g * a1 - 1j * F - k2h * a2))
 
-    t, (a1, a2) = _solve_complex(rhs, t_span, np.zeros(2, complex), n_samples, rtol,
-                                 abs(p.alpha2))
-    return TwoModeTrace(t, a1, a2)
+    t, states = _solve_complex(rhs, t_span, np.zeros(2, complex), n_samples, rtol,
+                               abs(p.alpha2))
+    return TwoModeTrace(t, *np.array(states).T)
 
 
 def adiabatic_elimination_error(p: ReadoutParams, n_b: float = 1.0) -> float:

@@ -21,7 +21,7 @@ from .entanglement import (
     oracle_dims,
     separability_check_12,
 )
-from .readout import ReadoutParams, adiabatic_elimination_error, current_transients
+from .readout import ReadoutParams, _nan_high, adiabatic_elimination_error, current_transients
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,6 @@ _ORACLE_POINTS: tuple[tuple[complex, complex, complex, float], ...] = (
 )
 
 
-def _nan_worst(x: float) -> float:
-    """Rank for a worst-case search: NaN outranks every number, so a NaN
-    discrepancy is kept (and fails its check) wherever it occurs."""
-    return math.inf if math.isnan(x) else x
-
-
 def check_entropy_oracle(cfg: RunConfig) -> CheckResult:
     """Analytic entropy sums against brute-force partial traces.
 
@@ -141,8 +135,8 @@ def check_entropy_oracle(cfg: RunConfig) -> CheckResult:
         dims = oracle_dims(triple)
         brute = brute_force_entropies(triple, theta_t, dims)
         *analytic, _ = linear_entropies(triple, [theta_t * cfg.verify_theta_scale])
-        disc = max((abs(x[0] - y) for x, y in zip(analytic, brute)), key=_nan_worst)
-        if _nan_worst(disc) > _nan_worst(worst):
+        disc = max((abs(x[0] - y) for x, y in zip(analytic, brute)), key=_nan_high)
+        if _nan_high(disc) > _nan_high(worst):
             worst, worst_at = disc, (f"(alpha={a}, beta={b}, gamma={g}, "
                                      f"theta_t={theta_t:.3f}), dims {dims}")
     return CheckResult(

@@ -552,6 +552,20 @@ def test_exit_codes(tmp_path, capsys):
         main([])
 
 
+@pytest.mark.parametrize("command", ["params", "current"])
+def test_overflowing_probe_amplitude_exits_2_by_name(tmp_path, capsys, command):
+    """Finite F_im = 1e308 and kappa2 = 1e-3 overflow -2iF/kappa2: the run
+    exits 2 with a message that names both and writes nothing."""
+    conf = tmp_path / "huge.conf"
+    conf.write_text("F_im = 1e308\nkappa2 = 1e-3\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: F = 1e+308j and kappa2 = 0.001 give a non-finite probe amplitude "
+        "-2iF/kappa2 or current gain\n")
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["current", "verify"])
 def test_strict_refuses_a_run_outside_the_elimination_regime(tmp_path, capsys, command):
     """At kappa2 = 1e9 (theta0/kappa2 = 0.146) ``--strict`` exits 2 with the

@@ -61,6 +61,8 @@ def test_linear_equation_within_a_few_rtol(lam, rtol):
         return lam * y
 
     nodes, states = ode.solve(rhs, (0.0, 10.0), np.array([1.0 + 0j]), rtol, 1e-30)
+    assert isinstance(nodes, list) and isinstance(states, list)
+    nodes, states = np.array(nodes), np.array(states)
     assert nodes[0] == 0.0 and nodes[-1] == 10.0
     exact = np.exp(lam * nodes)
     assert np.max(np.abs(states[:, 0] - exact) / np.abs(exact)) <= 5 * rtol
@@ -78,9 +80,9 @@ def test_linear_equation_within_a_few_rtol(lam, rtol):
     np.testing.assert_allclose(hops.T, states[1:], rtol=1e-13)
     np.testing.assert_array_equal(ode.step(rhs, nodes, states.T, nodes), states.T)
 
-    # a Python complex takes the sums over the nonzero coefficients and
-    # gives lists; rounding in its error estimate steers its step sizes
-    # away from the array's, so it too is judged against the closed form
+    # a Python complex takes the sums over the nonzero coefficients, one
+    # sample per step; rounding in its error estimate steers its step
+    # sizes away from the array's, so it too is judged against the closed form
     nodes, states = ode.solve(rhs, (0.0, 10.0), 1.0 + 0j, rtol, 1e-30)
     assert isinstance(nodes, list) and isinstance(states[-1], complex)
     assert nodes[0] == 0.0 and nodes[-1] == 10.0
@@ -88,15 +90,24 @@ def test_linear_equation_within_a_few_rtol(lam, rtol):
     assert np.max(np.abs(np.array(states) - exact) / np.abs(exact)) <= 5 * rtol
     near = ode.nearest(nodes, t.tolist())
     assert near == ode.nearest(np.array(nodes), t).tolist()
-    y = ode.step(rhs, [nodes[i] for i in near], [states[i] for i in near], t.tolist())
-    assert isinstance(y, list) and len(y) == t.size
+    y = [ode.step(rhs, nodes[i], states[i], s) for i, s in zip(near, t.tolist())]
+    assert all(isinstance(v, complex) for v in y)
     assert np.max(np.abs(np.array(y) - np.exp(lam * t)) / np.abs(np.exp(lam * t))) <= 5 * rtol
-    assert ode.step(rhs, nodes, states, nodes) == states
+    assert [ode.step(rhs, s, y, s) for s, y in zip(nodes, states)] == states
 
 
 def test_non_finite_rhs_raises():
     with pytest.raises(IntegrationError, match="non-finite"):
         ode.solve(lambda t, y: y * np.nan, (0.0, 1.0), np.ones(2), 1e-8, 1e-12)
+    # any inf or NaN entry of either kind is refused, in either part
+    for y0 in [np.array([1.0, np.inf]), np.array([0j, complex(0.0, -np.inf)]),
+               np.array([[1.0, np.nan]]), complex(np.inf, 0.0), complex(0.0, np.nan)]:
+        with pytest.raises(IntegrationError, match="non-finite"):
+            ode.solve(lambda t, y: y, (0.0, 1.0), y0, 1e-8, 1e-12)
+    # and no finite one, however large: a sum of squares would overflow here
+    for y0 in [np.array([1e308, -1e308, 1e308]), 1e308 + 1e300j]:
+        _, states = ode.solve(lambda t, y: 0 * y, (0.0, 1.0), y0, 1e-8, 1e-12)
+        np.testing.assert_array_equal(states[-1], y0)
 
     def blows_up(t, y):
         return -y if t < 0.5 else y * np.inf
@@ -110,7 +121,7 @@ def test_step_cap_raises(monkeypatch):
     with pytest.raises(IntegrationError, match="10 steps"):
         ode.solve(lambda t, y: -y, (0.0, 1.0), np.ones(1), 1e-8, 1e-12, max_step=0.01)
     nodes, _ = ode.solve(lambda t, y: -y, (0.0, 0.05), np.ones(1), 1e-8, 1e-12, max_step=0.01)
-    assert nodes[-1] == 0.05 and nodes.size <= 11
+    assert nodes[-1] == 0.05 and len(nodes) <= 11
 
 
 def test_span_must_increase():

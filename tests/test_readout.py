@@ -101,6 +101,14 @@ def test_steady_alpha2_helper():
         unit_chain(F=1j, kappa2=0.0)
 
 
+@pytest.mark.parametrize("F,kappa2", [(1e308j, 1e-3), (8e307 + 8e307j, 1.0)])
+def test_overflowing_probe_amplitude_refused(F, kappa2):
+    """Finite F and kappa2 can overflow -2iF/kappa2 (the first pair) or
+    its modulus in the gain (the second); both are refused by name."""
+    with pytest.raises(ValueError, match=r"^F = .* and kappa2 = .* give a non-finite"):
+        unit_chain(F=F, kappa2=kappa2)
+
+
 @pytest.mark.parametrize("field,value", [
     ("kappa1", 0.0),
     ("kappa2", -1.0),
@@ -372,6 +380,11 @@ def test_negative_inputs_rejected():
         mean_photocurrent(1.0, [1.0, math.nan], p)
     with pytest.raises(ValueError, match="^n_b must"):
         integrate_mean_qsde(p, math.nan, (0.0, 1.0))
+    # the integrators take one phonon number, never a sequence of them
+    with pytest.raises(ValueError, match="^n_b must be one number"):
+        integrate_mean_qsde(p, [1.0], (0.0, 1e-6))
+    with pytest.raises(ValueError, match="^n_b must be one number"):
+        full_two_mode_mean_dynamics(p, (1.0, 2.0), (0.0, 1e-6))
     with pytest.raises(ValueError, match="t_span"):
         integrate_mean_qsde(p, 1.0, (2.0, 1.0))
     with pytest.raises(ValueError, match="t_span must be finite"):
