@@ -140,21 +140,42 @@ def effective_params(
     resonance_rtol
         When given, reject parameter sets whose effective frequencies
         differ by more than this relative tolerance.
+
+    Raises
+    ------
+    ValueError
+        If a derived capacitance, frequency or rate is not finite and
+        positive (``theta`` negative): finite circuit values far from
+        the desk scale can underflow a product to zero or overflow a
+        square.
     """
-    c_eq = equilibrium_capacitance(p)
-    r = p.hbar * (n_b + 0.5) / (p.m * p.nu * p.d**2)
+    try:
+        c_eq = equilibrium_capacitance(p)
+        r = p.hbar * (n_b + 0.5) / (p.m * p.nu * p.d**2)
 
-    c_tilde1 = 1.0 / (1.0 / p.C1 + 1.0 / (2.0 * c_eq))
-    c_tilde2 = 1.0 / (1.0 / p.C2 + 1.0 / (2.0 * c_eq))
-    omega1 = 1.0 / math.sqrt(p.L1 * p.C1)
-    omega2 = 1.0 / math.sqrt(p.L2 * p.C2)
-    omega_eq1 = 1.0 / math.sqrt(c_eq * p.L1)
-    omega_eq2 = 1.0 / math.sqrt(c_eq * p.L2)
-    omega_tilde1 = math.sqrt(omega1**2 + omega_eq1**2 / 2.0)
-    omega_tilde2 = math.sqrt(omega2**2 + omega_eq2**2 / 2.0)
+        c_tilde1 = 1.0 / (1.0 / p.C1 + 1.0 / (2.0 * c_eq))
+        c_tilde2 = 1.0 / (1.0 / p.C2 + 1.0 / (2.0 * c_eq))
+        omega1 = 1.0 / math.sqrt(p.L1 * p.C1)
+        omega2 = 1.0 / math.sqrt(p.L2 * p.C2)
+        omega_eq1 = 1.0 / math.sqrt(c_eq * p.L1)
+        omega_eq2 = 1.0 / math.sqrt(c_eq * p.L2)
+        omega_tilde1 = math.sqrt(omega1**2 + omega_eq1**2 / 2.0)
+        omega_tilde2 = math.sqrt(omega2**2 + omega_eq2**2 / 2.0)
 
-    theta0 = omega_tilde1 * c_tilde1 / (4.0 * c_eq)
-    theta = -(p.hbar / (p.d**2 * p.m * p.nu)) * theta0
+        theta0 = omega_tilde1 * c_tilde1 / (4.0 * c_eq)
+        theta = -(p.hbar / (p.d**2 * p.m * p.nu)) * theta0
+        derived = (c_eq, c_tilde1, c_tilde2, omega1, omega2, omega_eq1, omega_eq2,
+                   omega_tilde1, omega_tilde2, theta0, -theta)
+        valid = all(0.0 < v < math.inf for v in derived)
+    except (ZeroDivisionError, OverflowError):
+        valid = False
+    if not valid:
+        values = ", ".join(f"{name} = {getattr(p, name)!r}"
+                           for name in ("L1", "L2", "C1", "C2", "d", "A", "m", "nu"))
+        raise ValueError(
+            f"circuit values {values} give a capacitance, frequency or rate "
+            "that is not finite and positive"
+        )
 
     eff = EffectiveParams(
         c_eq=c_eq,
@@ -214,8 +235,8 @@ class ClassicalCircuitConfig:
             raise ValueError("n_samples must be at least 2")
         if not self.t_span[1] > self.t_span[0]:
             raise ValueError("t_span must be increasing")
-        if self.rtol <= 0:
-            raise ValueError("rtol must be positive")
+        if not (math.isfinite(self.rtol) and self.rtol > 0):
+            raise ValueError(f"rtol must be finite and positive, got {self.rtol!r}")
         periods = (self.t_span[1] - self.t_span[0]) * self.params.nu / math.pi
         if not periods <= DRIVE_PERIOD_CAP:
             raise ValueError(

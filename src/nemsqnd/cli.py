@@ -132,6 +132,7 @@ def cmd_entropy(cfg: RunConfig, out: Path) -> int:
 
     from .entanglement import entropy_n12_series, linear_entropies
 
+    cfg.triple()  # refuse the config's amplitudes before any file is written
     alpha = complex(cfg.alpha_re, cfg.alpha_im)
     theta_t = np.linspace(0.0, cfg.theta_t_max, cfg.entropy_points)
     abs_alphas = np.linspace(0.0, cfg.alpha_max, cfg.alpha_points)

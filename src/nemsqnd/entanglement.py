@@ -46,6 +46,9 @@ with ``u = (beta - gamma)/2`` and ``w = (beta + gamma)/2``,
 
 and ``|gamma_n - gamma_m|^2`` flips the sign of the cross term, so each
 pair reads one sine table over k and one cross-term table over n + m.
+The sums need only the kept weights ``p_n`` and the initial beta and
+gamma; the layers come from alpha alone, by the one rule ``_layers``
+that ``conditioned_state`` shares.
 
 Every reported entropy carries an additive truncation bound of twice the
 discarded Poisson tail (the exponentials are bounded by 1, so a tail of
@@ -91,7 +94,11 @@ PAIR_BLOCK = 16
 
 @dataclass(frozen=True)
 class CoherentTriple:
-    """Initial coherent amplitudes for mechanics (alpha) and resonators."""
+    """Initial coherent amplitudes for mechanics (alpha) and resonators.
+
+    Each amplitude must be finite, |alpha| at most ``ALPHA_CAP`` and the
+    joint intensity |beta|^2 + |gamma|^2 a finite float.
+    """
 
     alpha: complex
     beta: complex
@@ -103,6 +110,13 @@ class CoherentTriple:
             if not (math.isfinite(val.real) and math.isfinite(val.imag)):
                 raise ValueError(f"{name} must be finite, got {val!r}")
             object.__setattr__(self, name, val)
+        # hypot and * give inf past the float range, where abs and ** raise
+        joint = math.hypot(self.beta.real, self.beta.imag, self.gamma.real, self.gamma.imag)
+        if not math.isfinite(joint * joint):
+            raise ValueError(
+                f"|beta|^2 + |gamma|^2 must be finite, got beta = {self.beta!r}, "
+                f"gamma = {self.gamma!r}"
+            )
         if abs(self.alpha) > ALPHA_CAP:
             raise ValueError(
                 f"|alpha| = {abs(self.alpha):.3f} exceeds the cap {ALPHA_CAP}; "
@@ -161,18 +175,21 @@ class ConditionedState:
         return self.c_n.size
 
 
-def conditioned_state(triple: CoherentTriple, theta_t: float) -> ConditionedState:
-    """Evaluate the layer decomposition at dimensionless phase ``theta_t``.
+def _layers(alpha: complex) -> tuple[np.ndarray, float]:
+    """The kept Poisson coefficients C_n of ``alpha`` and the discarded tail.
 
     The layer count is the smallest that keeps the discarded Poisson tail
     of alpha at most ``TAIL_TOL``: 26 at |alpha| = 2, 87 at ``ALPHA_CAP``.
     """
-    n = min_fock_dim(triple.alpha, TAIL_TOL)
-    c = coherent_amplitudes(triple.alpha, n)
-    beta_n, gamma_n = branch_amplitudes(np.arange(n), theta_t, triple.beta, triple.gamma)
-    return ConditionedState(
-        c_n=c, beta_n=beta_n, gamma_n=gamma_n, tail=poisson_tail(abs(triple.alpha) ** 2, n),
-    )
+    n = min_fock_dim(alpha, TAIL_TOL)
+    return coherent_amplitudes(alpha, n), poisson_tail(abs(alpha) ** 2, n)
+
+
+def conditioned_state(triple: CoherentTriple, theta_t: float) -> ConditionedState:
+    """Evaluate the decomposition on ``_layers`` at dimensionless phase ``theta_t``."""
+    c, tail = _layers(triple.alpha)
+    beta_n, gamma_n = branch_amplitudes(np.arange(c.size), theta_t, triple.beta, triple.gamma)
+    return ConditionedState(c_n=c, beta_n=beta_n, gamma_n=gamma_n, tail=tail)
 
 
 #: terms per block of an entropy series (triangle pairs n <= m for the
@@ -200,75 +217,63 @@ def _layer_distance(angle: np.ndarray, n: int) -> np.ndarray:
     return 4.0 * np.sin(0.5 * angle[:, :n]) ** 2
 
 
-def _pair_weights(state: ConditionedState) -> tuple[np.ndarray, float]:
-    """E_N|12 weights ``A_0, 2 A_1, 2 A_2, ...`` over layer differences, and
-    the joint intensity |beta|^2 + |gamma|^2 of the stationary layer 0.
+def _pair_weights(p: np.ndarray) -> np.ndarray:
+    """E_N|12 weights ``A_0, 2 A_1, 2 A_2, ...`` over layer differences.
 
     ``A_k = sum_m p_m p_{m+k}`` is the autocorrelation of the kept weights.
     """
-    p = np.abs(state.c_n) ** 2
     a = np.correlate(p, p, "full")[p.size - 1:]
     a[1:] *= 2.0
-    return a, abs(complex(state.beta_n[0])) ** 2 + abs(complex(state.gamma_n[0])) ** 2
+    return a
 
 
-def _pair_block(phi: np.ndarray, a: np.ndarray, energy: float) -> np.ndarray:
-    """E_N|12 at the (r, 1) phases from ``_pair_weights``."""
-    d = _layer_distance(_multiples(phi, a.size), a.size)
-    return np.clip(1.0 - np.sum(np.exp(-energy * d) * a, axis=-1), 0.0, 1.0)
+def _n12_sums(theta_ts: np.ndarray, p: np.ndarray, triple: CoherentTriple) -> np.ndarray:
+    """E_N|12 at every phase of ``theta_ts``: n terms per phase, the
+    ``_pair_weights`` of ``p`` at the joint intensity |beta|^2 + |gamma|^2."""
+    a = _pair_weights(p)
+    energy = abs(triple.beta) ** 2 + abs(triple.gamma) ** 2
+
+    def block(phi):
+        d = _layer_distance(_multiples(phi, a.size), a.size)
+        return np.clip(1.0 - np.sum(np.exp(-energy * d) * a, axis=-1), 0.0, 1.0)
+
+    return _blocked(theta_ts, a.size, 1, block)[0]
 
 
-@dataclass(frozen=True)
-class _Triangle:
-    """Phase-independent terms of the two single-resonator sums.
+def _single_sums(theta_ts: np.ndarray, p: np.ndarray, triple: CoherentTriple) -> np.ndarray:
+    """E_1|N2 and E_2|N1, shape (2, r), at every phase of ``theta_ts``.
 
-    The pairs n <= m of the upper triangle, with layer difference
-    ``k = m - n``, layer sum ``s = n + m`` and weight ``(2 - delta_nm)
-    p_n p_m``; ``h = |u|^2 + |w|^2`` and ``cross = 2 u conj(w)`` for
-    ``u = (beta - gamma)/2`` and ``w = (beta + gamma)/2``, with beta and
-    gamma read from the stationary layer 0.
+    The pairs n <= m of the upper triangle have layer difference ``k = m
+    - n``, layer sum ``s = n + m`` and weight ``(2 - delta_nm) p_n p_m``.
+    With ``u, w = (beta -+ gamma)/2``, ``|beta_n - beta_m|^2 = d_k (h -
+    c_s)`` and ``|gamma_n - gamma_m|^2 = d_k (h + c_s)``, where ``d_k = 4
+    sin^2(k phi/2)``, ``h = |u|^2 + |w|^2`` and ``c_s = Re(2 u w* e^{i s
+    phi})`` are read from per-phase tables of n and 2n - 1 entries.
     """
+    beta, gamma = triple.beta, triple.gamma
+    i, j = np.triu_indices(p.size)
+    k, s = j - i, i + j
+    weight = np.where(i == j, 1.0, 2.0) * p[i] * p[j]
+    u, w = 0.5 * (beta - gamma), 0.5 * (beta + gamma)
+    h = 0.5 * (abs(beta) ** 2 + abs(gamma) ** 2)
+    cross = 2.0 * u * w.conjugate()
 
-    n: int
-    k: np.ndarray
-    s: np.ndarray
-    weight: np.ndarray
-    h: float
-    cross: complex
+    def block(phi):
+        angle = _multiples(phi, 2 * p.size - 1)
+        # np.take keeps the rows C-contiguous (``x[:, idx]`` would not), so
+        # each row sums in the same order whatever the block's row count
+        d = np.take(_layer_distance(angle, p.size), k, axis=1)
+        c = np.take(cross.real * np.cos(angle) - cross.imag * np.sin(angle), s, axis=1)
+        sums = []
+        # x = -(h - c) and -(h + c): the two negated squared distances over d_k
+        for x in (c - h, np.subtract(-h, c, out=c)):
+            x *= d
+            np.exp(x, out=x)
+            x *= weight
+            sums.append(np.sum(x, axis=-1))
+        return np.clip(1.0 - np.array(sums), 0.0, 1.0)
 
-    @classmethod
-    def of(cls, state: ConditionedState) -> "_Triangle":
-        p = np.abs(state.c_n) ** 2
-        i, j = np.triu_indices(p.size)
-        beta, gamma = complex(state.beta_n[0]), complex(state.gamma_n[0])
-        u, w = 0.5 * (beta - gamma), 0.5 * (beta + gamma)
-        return cls(n=p.size, k=j - i, s=i + j,
-                   weight=np.where(i == j, 1.0, 2.0) * p[i] * p[j],
-                   h=0.5 * (abs(beta) ** 2 + abs(gamma) ** 2),
-                   cross=2.0 * u * w.conjugate())
-
-
-def _single_block(phi: np.ndarray, tri: _Triangle) -> np.ndarray:
-    """E_1|N2 and E_2|N1, shape (2, r), at the (r, 1) phases.
-
-    ``|beta_n - beta_m|^2 = d_k (h - c_s)`` and ``|gamma_n - gamma_m|^2 =
-    d_k (h + c_s)``, with ``d_k = 4 sin^2(k phi/2)`` and ``c_s = Re(cross
-    e^{i s phi})`` read from per-phase tables of n and 2n - 1 entries.
-    """
-    angle = _multiples(phi, 2 * tri.n - 1)
-    # np.take keeps the rows C-contiguous (``x[:, idx]`` would not), so each
-    # row sums in the same order whatever the block's row count
-    d = np.take(_layer_distance(angle, tri.n), tri.k, axis=1)
-    c = np.take(tri.cross.real * np.cos(angle) - tri.cross.imag * np.sin(angle),
-                tri.s, axis=1)
-    sums = []
-    # x = -(h - c) and -(h + c): the two negated squared distances over d_k
-    for x in (c - tri.h, np.subtract(-tri.h, c, out=c)):
-        x *= d
-        np.exp(x, out=x)
-        x *= tri.weight
-        sums.append(np.sum(x, axis=-1))
-    return np.clip(1.0 - np.array(sums), 0.0, 1.0)
+    return _blocked(theta_ts, k.size, 2, block)
 
 
 def _blocked(theta_ts: np.ndarray, terms: int, rows: int, block) -> np.ndarray:
@@ -281,12 +286,6 @@ def _blocked(theta_ts: np.ndarray, terms: int, rows: int, block) -> np.ndarray:
     return out
 
 
-def _n12_blocks(theta_ts: np.ndarray, state: ConditionedState) -> np.ndarray:
-    """E_N|12 at every phase of ``theta_ts``, a block of phases at a time."""
-    a, energy = _pair_weights(state)
-    return _blocked(theta_ts, a.size, 1, lambda phi: _pair_block(phi, a, energy))[0]
-
-
 def entropy_n12_series(triple: CoherentTriple, theta_ts):
     """E_N|12 along a grid of phases; returns (E_N|12, tail_bound).
 
@@ -295,27 +294,27 @@ def entropy_n12_series(triple: CoherentTriple, theta_ts):
     max(1, SERIES_BLOCK // n) phases at a time.
     """
     theta_ts = np.asarray(theta_ts, dtype=float).reshape(-1)
-    state = conditioned_state(triple, 0.0)
-    return _n12_blocks(theta_ts, state), 2.0 * state.tail
+    c, tail = _layers(triple.alpha)
+    return _n12_sums(theta_ts, np.abs(c) ** 2, triple), 2.0 * tail
 
 
 def linear_entropies(triple: CoherentTriple, theta_ts):
     """Closed-form linear entropies of the three bipartitions along a grid
     of phases; returns the arrays (E_N|12, E_1|N2, E_2|N1) and tail_bound.
 
-    The layers, weights and tail do not depend on the phase, so one
-    ``conditioned_state`` serves the grid, with beta and gamma read from
-    its stationary layer 0.  E_N|12 runs as in ``entropy_n12_series``;
-    the single-resonator sums run over the n(n + 1)/2 triangle pairs,
+    The layers, weights and tail do not depend on the phase, so one set
+    of ``_layers`` serves the grid, with beta and gamma read from the
+    triple.  E_N|12 runs as in ``entropy_n12_series``; the
+    single-resonator sums run over the n(n + 1)/2 triangle pairs,
     max(1, SERIES_BLOCK // pairs) phases at a time.  A one-phase grid
     gives the value of that phase in any longer grid, bit for bit, and a
     phase whose multiples are not finite raises ``ValueError``.
     """
     theta_ts = np.asarray(theta_ts, dtype=float).reshape(-1)
-    state = conditioned_state(triple, 0.0)
-    tri = _Triangle.of(state)
-    e_1, e_2 = _blocked(theta_ts, tri.k.size, 2, lambda phi: _single_block(phi, tri))
-    return _n12_blocks(theta_ts, state), e_1, e_2, 2.0 * state.tail
+    c, tail = _layers(triple.alpha)
+    p = np.abs(c) ** 2
+    e_1, e_2 = _single_sums(theta_ts, p, triple)
+    return _n12_sums(theta_ts, p, triple), e_1, e_2, 2.0 * tail
 
 
 # ---------------------------------------------------------------------------

@@ -190,17 +190,20 @@ def solve(rhs, t_span, y0, rtol, atol, max_step=math.inf):
     Raises
     ------
     ValueError
-        If ``t_span`` is not finite and increasing; checked before
-        ``rhs`` is called.
+        If ``t_span`` is not finite and increasing, or ``rtol`` or
+        ``atol`` is not finite; checked before ``rhs`` is called.
     IntegrationError
         If ``y0`` or ``rhs`` there is not finite, if the step size falls
-        below the resolution of ``t``, or after ``MAX_STEPS`` steps.
+        below the resolution of ``t`` (or is not a number), or after
+        ``MAX_STEPS`` steps.
     """
     t, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t) and math.isfinite(t_end) and t_end > t):
         raise ValueError(f"t_span must be finite and increasing, got ({t!r}, {t_end!r})")
     y = y0 + 0.0
     kind = _kind(y)
+    if not (math.isfinite(rtol) and _finite(kind, atol)):
+        raise ValueError(f"rtol and atol must be finite, got rtol = {rtol!r}")
     rtol = max(float(rtol), 100 * sys.float_info.epsilon)
     f = rhs(t, y)
     if not (_finite(kind, y) and _finite(kind, f)):
@@ -214,7 +217,8 @@ def solve(rhs, t_span, y0, rtol, atol, max_step=math.inf):
         h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            # written so that a NaN step fails it too
+            if not h_abs >= min_step:
                 raise IntegrationError(f"step size fell below {min_step:.3e} at t = {t!r}")
             t_new = min(t + h_abs, t_end)
             h = t_new - t

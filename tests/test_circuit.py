@@ -208,6 +208,12 @@ def test_drive_period_cap():
         ClassicalCircuitConfig(params=dataclasses.replace(p, nu=0.0))
 
 
+@pytest.mark.parametrize("rtol", [math.nan, math.inf, 0.0, -1e-10])
+def test_classical_run_refuses_a_bad_rtol(rtol):
+    with pytest.raises(ValueError, match="rtol must be finite and positive"):
+        ClassicalCircuitConfig(params=unit_params(), rtol=rtol)
+
+
 def test_classical_run_is_frozen():
     run = ClassicalCircuitConfig(params=unit_params())
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -566,6 +566,37 @@ def test_overflowing_probe_amplitude_exits_2_by_name(tmp_path, capsys, command):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+#: finite config values whose derived circuit quantities, or whose joint
+#: resonator intensity |beta|^2 + |gamma|^2, leave the float range, each
+#: with the subcommands that reach them
+FAR_FROM_THE_FLOAT_RANGE = [
+    ({"L1": 1e-200, "C1": 1e-200, "nu": 1e-320}, ("params", "current", "verify")),
+    ({"d": 1e200}, ("params", "current", "verify")),
+    ({"m": 1e-300, "d": 1e-300}, ("params", "current", "verify")),
+    ({"beta_re": 1e200}, ("entropy", "cat", "verify")),
+    ({"gamma_im": 1e160}, ("entropy", "cat", "verify")),
+]
+
+
+@pytest.mark.parametrize("values,command", [
+    (values, command) for values, commands in FAR_FROM_THE_FLOAT_RANGE for command in commands])
+def test_values_past_the_float_range_exit_2_by_name(tmp_path, capsys, values, command):
+    """Such a run exits 2 with one error line that names the values, and
+    writes nothing."""
+    conf = tmp_path / "far.conf"
+    conf.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items())
+                    + "classical_periods = 20\nclassical_samples = 1024\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    for key, value in values.items():
+        # a circuit key by itself, beta_re and gamma_im as a part of beta and gamma
+        name = key.split("_")[0]
+        assert re.search(rf"\b{name} = \S*{re.escape(repr(value))}", err), (key, err)
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["current", "verify"])
 def test_strict_refuses_a_run_outside_the_elimination_regime(tmp_path, capsys, command):
     """At kappa2 = 1e9 (theta0/kappa2 = 0.146) ``--strict`` exits 2 with the

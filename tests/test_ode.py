@@ -124,6 +124,32 @@ def test_step_cap_raises(monkeypatch):
     assert nodes[-1] == 0.05 and len(nodes) <= 11
 
 
+@pytest.mark.parametrize("y0,rtol,atol", [
+    (np.ones(2), math.nan, 1e-12),
+    (np.ones(2), math.inf, 1e-12),
+    (np.ones(2), 1e-8, math.nan),
+    (np.ones(2), 1e-8, np.array([1e-12, -math.inf])),
+    (1.0 + 0j, math.nan, 1e-12),
+    (1.0 + 0j, 1e-8, math.inf),
+])
+def test_non_finite_tolerances_are_refused(y0, rtol, atol):
+    """A NaN tolerance makes every step size NaN, and a NaN step was once
+    retried forever; a tolerance that is not finite is refused before the
+    right-hand side is called."""
+    def rhs(t, y):
+        raise AssertionError("rhs called")
+
+    with pytest.raises(ValueError, match="rtol and atol must be finite"):
+        ode.solve(rhs, (0.0, 1.0), y0, rtol, atol)
+
+
+def test_nan_step_size_raises(monkeypatch):
+    """A step size that is not a number fails the step-size test."""
+    monkeypatch.setattr(ode, "_initial_step", lambda *args: math.nan)
+    with pytest.raises(IntegrationError, match="step size"):
+        ode.solve(lambda t, y: -y, (0.0, 1.0), np.ones(1), 1e-8, 1e-12)
+
+
 def test_span_must_increase():
     """A span that is not finite and increasing is refused before the
     right-hand side is called (from t = -inf every step size is NaN)."""
