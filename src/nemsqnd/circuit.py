@@ -272,10 +272,10 @@ def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> Trajectory:
     running product: one step from the accepted node s_k nearest to the
     sample's phase, applied to the vector Phi(s_k) M^m y0, in blocks of
     ``SAMPLE_BLOCK`` samples.
-    The absolute tolerance of each entry of Phi is scaled by the ratio of
-    its row and column variables' natural sizes (charge against momentum,
-    P ~ omega L Q), so its floor means the same for coulomb and weber
-    entries.
+    The natural size of each entry of Phi, which sets its absolute
+    tolerance, is the ratio of its row and column variables' natural
+    sizes (charge against momentum, P ~ omega L Q), so its floor means
+    the same for coulomb and weber entries.
 
     Raises
     ------
@@ -321,9 +321,8 @@ def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> Trajectory:
 
     c0 = d2 * inv_2dea
     size = np.array([1.0, math.sqrt(p.L1 * (inv_c1 + c0)), 1.0, math.sqrt(p.L2 * (inv_c2 + c0))])
-    atol = 1e-2 * cfg.rtol * np.outer(size, 1.0 / size)
-    nodes, phi = map(np.array, ode.solve(rhs, (0.0, horizon), np.eye(4), cfg.rtol, atol,
-                                         max_step=period / 16.0))
+    nodes, phi = map(np.array, ode.solve(rhs, (0.0, horizon), np.eye(4), cfg.rtol,
+                                         np.outer(size, 1.0 / size), max_step=period / 16.0))
 
     starts = np.empty((int(whole[-1]) + 1, 4))
     starts[0] = (cfg.q1, cfg.p1, cfg.q2, cfg.p2)

@@ -179,19 +179,19 @@ def _initial_step(kind, rhs, t, y, f, length, max_step, rtol, atol) -> float:
     return min(100 * h0, h1, length, max_step)
 
 
-def solve(rhs, t_span, y0, rtol, atol, max_step=math.inf):
+def solve(rhs, t_span, y0, rtol, scale, max_step=math.inf):
     """Integrate ``y' = rhs(t, y)`` adaptively over the finite, increasing ``t_span``.
 
-    ``atol`` broadcasts against ``y0``; ``rtol`` below 100 machine
-    epsilons is raised to that floor, as in solve_ivp.  Returns the
-    accepted nodes ``(t, y)`` from ``t_span[0]`` to exactly
-    ``t_span[1]`` as two lists: k times and k states.
+    ``rtol`` below 100 machine epsilons is raised to that floor, as in
+    solve_ivp, and then ``atol = 1e-2 * rtol * scale``, with ``scale`` the
+    state's natural size, broadcast against ``y0``.  Returns the accepted
+    nodes ``(t, y)`` up to exactly ``t_span[1]`` as two lists of k entries.
 
     Raises
     ------
     ValueError
-        If ``t_span`` is not finite and increasing, or ``rtol`` or
-        ``atol`` is not finite; checked before ``rhs`` is called.
+        If ``t_span`` is not finite and increasing, ``rtol`` not finite or
+        ``atol`` not finite and positive; checked before ``rhs`` is called.
     IntegrationError
         If ``y0`` or ``rhs`` there is not finite, if the step size falls
         below the resolution of ``t`` (or is not a number), or after
@@ -202,9 +202,12 @@ def solve(rhs, t_span, y0, rtol, atol, max_step=math.inf):
         raise ValueError(f"t_span must be finite and increasing, got ({t!r}, {t_end!r})")
     y = y0 + 0.0
     kind = _kind(y)
-    if not (math.isfinite(rtol) and _finite(kind, atol)):
-        raise ValueError(f"rtol and atol must be finite, got rtol = {rtol!r}")
+    if not math.isfinite(rtol):
+        raise ValueError(f"rtol must be finite, got {rtol!r}")
     rtol = max(float(rtol), 100 * sys.float_info.epsilon)
+    atol = 1e-2 * rtol * scale
+    if kind.sum((atol > 0) & (atol < math.inf)) != _size(atol):
+        raise ValueError(f"scale and atol must be finite and positive, got scale = {scale!r}")
     f = rhs(t, y)
     if not (_finite(kind, y) and _finite(kind, f)):
         raise IntegrationError("non-finite initial state or right-hand side")

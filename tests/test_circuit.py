@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +214,25 @@ def test_drive_period_cap():
 def test_classical_run_refuses_a_bad_rtol(rtol):
     with pytest.raises(ValueError, match="rtol must be finite and positive"):
         ClassicalCircuitConfig(params=unit_params(), rtol=rtol)
+
+
+@pytest.mark.parametrize("rtol", [1e-300, 5e-324])
+def test_classical_run_at_an_rtol_below_the_floor_runs_at_the_floor(rtol):
+    """An rtol below 100 machine epsilons gives exactly the run at that
+    floor, its absolute tolerance included, and warns of nothing.  An
+    absolute tolerance from the unfloored rtol once made the first trial
+    step 0.0 (1e-300) or divided by zero (5e-324)."""
+    def run(r):
+        cfg = ClassicalCircuitConfig(params=unit_params(), x0=0.2, q1=1.0,
+                                     t_span=(0.0, 20 * math.pi), n_samples=1024, rtol=r)
+        return simulate_classical_circuit(cfg)
+
+    floor = run(100 * sys.float_info.epsilon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = run(rtol)
+    for name in ("t", "q1", "p1", "q2", "p2"):
+        np.testing.assert_array_equal(getattr(tiny, name), getattr(floor, name))
 
 
 def test_classical_run_is_frozen():

@@ -403,6 +403,14 @@ def _scale_closed_form_current(mean_photocurrent, tol):
     return scaled
 
 
+def _grow_closed_form_current_with_n_b(mean_photocurrent, tol):
+    # off by 1 + 5 tol (n_b - 1): right at n_b = 1, 1 + 10 tol at n_b = 3
+    def grown(t, n_b, p):
+        return [[v * (1 + 5 * tol * (n - 1)) for v in row]
+                for n, row in zip(n_b, mean_photocurrent(t, n_b, p))]
+    return grown
+
+
 def _slow_eliminated_decay(readout_params, tol):
     class Mutated(readout_params):
         @property
@@ -437,28 +445,31 @@ def _stretch_mixture_phase(conditioned_state, tol):
     return state
 
 
+#: case -> (the check it must fail, module, name, tolerance key, mutation)
 CLOSED_FORM_MUTATIONS = {
-    "classical_averaging": ("circuit", "effective_params", "tol_classical_peak",
-                            _shift_averaged_resonance),
-    "current_ode": ("readout", "mean_photocurrent", "tol_current_ode",
+    "classical_averaging": ("classical_averaging", "circuit", "effective_params",
+                            "tol_classical_peak", _shift_averaged_resonance),
+    "current_ode": ("current_ode", "readout", "mean_photocurrent", "tol_current_ode",
                     _scale_closed_form_current),
-    "adiabatic_elimination": ("verify", "ReadoutParams", "tol_elimination",
-                              _slow_eliminated_decay),
-    "entropy_oracle": ("verify", "linear_entropies", "tol_entropy_oracle",
+    "current_ode_nonlinear_in_n_b": ("current_ode", "readout", "mean_photocurrent",
+                                     "tol_current_ode", _grow_closed_form_current_with_n_b),
+    "adiabatic_elimination": ("adiabatic_elimination", "verify", "ReadoutParams",
+                              "tol_elimination", _slow_eliminated_decay),
+    "entropy_oracle": ("entropy_oracle", "verify", "linear_entropies", "tol_entropy_oracle",
                        _raise_analytic_e_n_12),
-    "cat_fidelity": ("verify", "cat_fidelity_targets", "tol_cat_fidelity",
+    "cat_fidelity": ("cat_fidelity", "verify", "cat_fidelity_targets", "tol_cat_fidelity",
                      _lower_even_cat_target),
-    "separability_12": ("entanglement", "conditioned_state", "tol_separability",
-                        _stretch_mixture_phase),
+    "separability_12": ("separability_12", "entanglement", "conditioned_state",
+                        "tol_separability", _stretch_mixture_phase),
 }
 
 
-@pytest.mark.parametrize("check", list(CLOSED_FORM_MUTATIONS))
-def test_each_verify_check_fails_alone_on_its_mutation(monkeypatch, check):
+@pytest.mark.parametrize("case", list(CLOSED_FORM_MUTATIONS))
+def test_each_verify_check_fails_alone_on_its_mutation(monkeypatch, case):
     """Every check can fail: its own mutation trips it and no other."""
     cfg = parse_config_text("current_points = 16\nclassical_periods = 20\n"
                             "classical_samples = 1024\n")
-    module, name, tol_key, mutate = CLOSED_FORM_MUTATIONS[check]
+    check, module, name, tol_key, mutate = CLOSED_FORM_MUTATIONS[case]
     holder = importlib.import_module(f"nemsqnd.{module}")
     monkeypatch.setattr(holder, name, mutate(getattr(holder, name), getattr(cfg, tol_key)))
     results = run_all(cfg)
@@ -595,6 +606,21 @@ def test_values_past_the_float_range_exit_2_by_name(tmp_path, capsys, values, co
         name = key.split("_")[0]
         assert re.search(rf"\b{name} = \S*{re.escape(repr(value))}", err), (key, err)
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("rtol", ["1e-300", "5e-324"])
+@pytest.mark.parametrize("command", ["classical", "verify"])
+def test_classical_rtol_below_the_floor_runs(tmp_path, capsys, command, rtol):
+    """A ``classical_rtol`` below the integrator's floor of 100 machine
+    epsilons runs at the floor: exit 0, with no traceback and no warning.
+    1e-300 once raised ZeroDivisionError, and 5e-324 leaked two numpy
+    warnings before exiting 2."""
+    conf = tmp_path / "tiny.conf"
+    conf.write_text(f"classical_rtol = {rtol}\ncurrent_points = 16\n"
+                    "classical_periods = 20\nclassical_samples = 1024\n")
+    assert main([command, "--config", str(conf), "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "warning:" not in err, err
 
 
 @pytest.mark.parametrize("command", ["current", "verify"])

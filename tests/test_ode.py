@@ -98,56 +98,70 @@ def test_linear_equation_within_a_few_rtol(lam, rtol):
 
 def test_non_finite_rhs_raises():
     with pytest.raises(IntegrationError, match="non-finite"):
-        ode.solve(lambda t, y: y * np.nan, (0.0, 1.0), np.ones(2), 1e-8, 1e-12)
+        ode.solve(lambda t, y: y * np.nan, (0.0, 1.0), np.ones(2), 1e-8, 1.0)
     # any inf or NaN entry of either kind is refused, in either part
     for y0 in [np.array([1.0, np.inf]), np.array([0j, complex(0.0, -np.inf)]),
                np.array([[1.0, np.nan]]), complex(np.inf, 0.0), complex(0.0, np.nan)]:
         with pytest.raises(IntegrationError, match="non-finite"):
-            ode.solve(lambda t, y: y, (0.0, 1.0), y0, 1e-8, 1e-12)
+            ode.solve(lambda t, y: y, (0.0, 1.0), y0, 1e-8, 1.0)
     # and no finite one, however large: a sum of squares would overflow here
     for y0 in [np.array([1e308, -1e308, 1e308]), 1e308 + 1e300j]:
-        _, states = ode.solve(lambda t, y: 0 * y, (0.0, 1.0), y0, 1e-8, 1e-12)
+        _, states = ode.solve(lambda t, y: 0 * y, (0.0, 1.0), y0, 1e-8, 1.0)
         np.testing.assert_array_equal(states[-1], y0)
 
     def blows_up(t, y):
         return -y if t < 0.5 else y * np.inf
 
     with pytest.raises(IntegrationError, match="step size"), np.errstate(invalid="ignore"):
-        ode.solve(blows_up, (0.0, 1.0), np.ones(2), 1e-8, 1e-12)
+        ode.solve(blows_up, (0.0, 1.0), np.ones(2), 1e-8, 1.0)
 
 
 def test_step_cap_raises(monkeypatch):
     monkeypatch.setattr(ode, "MAX_STEPS", 10)
     with pytest.raises(IntegrationError, match="10 steps"):
-        ode.solve(lambda t, y: -y, (0.0, 1.0), np.ones(1), 1e-8, 1e-12, max_step=0.01)
-    nodes, _ = ode.solve(lambda t, y: -y, (0.0, 0.05), np.ones(1), 1e-8, 1e-12, max_step=0.01)
+        ode.solve(lambda t, y: -y, (0.0, 1.0), np.ones(1), 1e-8, 1.0, max_step=0.01)
+    nodes, _ = ode.solve(lambda t, y: -y, (0.0, 0.05), np.ones(1), 1e-8, 1.0, max_step=0.01)
     assert nodes[-1] == 0.05 and len(nodes) <= 11
 
 
-@pytest.mark.parametrize("y0,rtol,atol", [
+@pytest.mark.parametrize("y0,rtol,scale", [
     (np.ones(2), math.nan, 1e-12),
     (np.ones(2), math.inf, 1e-12),
     (np.ones(2), 1e-8, math.nan),
     (np.ones(2), 1e-8, np.array([1e-12, -math.inf])),
     (1.0 + 0j, math.nan, 1e-12),
     (1.0 + 0j, 1e-8, math.inf),
+    (np.ones(2), 1e-8, np.array([1.0, math.inf])),
+    (np.ones(2), 1e-8, np.array([1.0, 0.0])),
+    (np.ones(2), 1e-8, np.array([1.0, -1.0])),
+    (np.ones(2), 1e-8, 0.0),
+    (1.0 + 0j, 1e-8, math.nan),
+    (1.0 + 0j, 1e-8, -math.inf),
+    (1.0 + 0j, 1e-8, 0.0),
+    (1.0 + 0j, 1e-8, -1.0),
+    (0j, 1e-8, 5e-324),
 ])
-def test_non_finite_tolerances_are_refused(y0, rtol, atol):
+def test_non_finite_tolerances_are_refused(y0, rtol, scale):
     """A NaN tolerance makes every step size NaN, and a NaN step was once
-    retried forever; a tolerance that is not finite is refused before the
-    right-hand side is called."""
+    retried forever; a zero or negative scale gives a zero or negative
+    absolute tolerance, which divides by zero or acts as its magnitude,
+    and so does a subnormal one, whose absolute tolerance underflows to
+    zero.  An ``rtol`` that is not finite, or a ``scale`` with an entry
+    that is not finite and positive, is refused before the right-hand
+    side is called."""
     def rhs(t, y):
         raise AssertionError("rhs called")
 
-    with pytest.raises(ValueError, match="rtol and atol must be finite"):
-        ode.solve(rhs, (0.0, 1.0), y0, rtol, atol)
+    name = "scale" if math.isfinite(rtol) else "rtol"
+    with pytest.raises(ValueError, match=f"^{name} .*must be finite"):
+        ode.solve(rhs, (0.0, 1.0), y0, rtol, scale)
 
 
 def test_nan_step_size_raises(monkeypatch):
     """A step size that is not a number fails the step-size test."""
     monkeypatch.setattr(ode, "_initial_step", lambda *args: math.nan)
     with pytest.raises(IntegrationError, match="step size"):
-        ode.solve(lambda t, y: -y, (0.0, 1.0), np.ones(1), 1e-8, 1e-12)
+        ode.solve(lambda t, y: -y, (0.0, 1.0), np.ones(1), 1e-8, 1.0)
 
 
 def test_span_must_increase():
@@ -159,4 +173,4 @@ def test_span_must_increase():
     for span in [(1.0, 1.0), (2.0, 1.0), (-math.inf, 0.0), (0.0, math.inf),
                  (math.nan, 1.0), (0.0, math.nan)]:
         with pytest.raises(ValueError, match="finite and increasing"):
-            ode.solve(rhs, span, np.ones(1), 1e-8, 1e-12)
+            ode.solve(rhs, span, np.ones(1), 1e-8, 1.0)
