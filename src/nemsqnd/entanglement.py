@@ -79,12 +79,18 @@ from .fock import (
 #: analytic layer sums and on every oracle cutoff alike
 TAIL_TOL = 1e-12
 
+#: bytes the sector eigenbases of ``exchange_evolve`` may hold between
+#: calls: 1 MiB keeps all 167 bases of a default ``sim verify`` (about
+#: 0.60 MB)
+SECTOR_CACHE_BYTES = 2**20
+
 #: bytes one brute-force check may hold (``initial_product_state``), a
-#: guard for callers who pass their own cutoffs; 32.25 MiB, the smallest
-#: 256 KiB step that admits (87, 86, 86), the widest ``sim entropy``
-#: amplitude set at ``ALPHA_CAP`` (it needs (26, 86, 86) at the default
-#: alpha), and (60, 101, 101), but not (60, 102, 102)
-ORACLE_BYTE_BUDGET = 2**25 + 2**18
+#: guard for callers who pass their own cutoffs; 33.25 MiB, the cache of
+#: sector bases on top of the smallest 256 KiB step that admits (87, 86,
+#: 86), the widest ``sim entropy`` amplitude set at ``ALPHA_CAP`` (it
+#: needs (26, 86, 86) at the default alpha), and (60, 101, 101), but not
+#: (60, 102, 102)
+ORACLE_BYTE_BUDGET = 2**25 + 2**18 + SECTOR_CACHE_BYTES
 
 #: rows of the signed Gram product ``separability_check_12`` forms at
 #: once; 16 to 256 rows take about the same time at the default
@@ -326,9 +332,11 @@ def linear_entropies(triple: CoherentTriple, theta_ts):
 # pair.  Total photon number n1 + n2: K is block diagonal over sectors
 # N, and on the truncated sector it is a real tridiagonal matrix (the
 # SU(2) blocks of the lossless beam splitter).  One eigendecomposition
-# per sector serves every layer.  Note this uses nothing from the
-# analytic solution above beyond the conservation laws themselves: the
-# coherent-branch structure has to come out of the numerics, not in.
+# per sector serves every layer, and ``_SECTOR_BASES`` keeps it for every
+# later call whose cutoffs give the sector the same n1 range.  Note this
+# uses nothing from the analytic solution above beyond the conservation
+# laws themselves: the coherent-branch structure has to come out of the
+# numerics, not in.
 
 
 def oracle_dims(triple: CoherentTriple) -> tuple[int, int, int]:
@@ -361,15 +369,16 @@ def initial_product_state(triple: CoherentTriple,
     ``separability_check_12`` the evolved state while it is copied into
     the stacked ``G`` of (d_N + n) D entries, where the n <= d_N layers
     fit the phonon cutoff because the tail check below refuses any
-    smaller one.  On top of those comes one ``PAIR_BLOCK``-row block of
-    the product with its real modulus.
+    smaller one.  On top of those come one ``PAIR_BLOCK``-row block of
+    the product with its real modulus, and the ``SECTOR_CACHE_BYTES`` of
+    cached sector bases.
 
     Each mode's discarded Poisson tail must then be at most ``TAIL_TOL``.
     """
     d_n, d_1, d_2 = (int(d) for d in dims)
     pair = d_1 * d_2
-    # three states; a complex block and its modulus
-    held = 16 * pair * 3 * d_n + (16 + 8) * pair * PAIR_BLOCK
+    # three states; a complex block and its modulus; the sector bases
+    held = 16 * pair * 3 * d_n + (16 + 8) * pair * PAIR_BLOCK + SECTOR_CACHE_BYTES
     if held > ORACLE_BYTE_BUDGET:
         raise ValueError(
             f"cutoffs {(d_n, d_1, d_2)}: the oracle arrays could take "
@@ -389,6 +398,40 @@ def initial_product_state(triple: CoherentTriple,
         vecs.append(coherent_vector(amp, dim))
     full = np.kron(np.kron(vecs[0], vecs[1]), vecs[2])
     return StateVector(full.reshape(d_n, d_1, d_2))
+
+
+class _SectorBases(dict):
+    """Eigenvalues and eigenvectors ``(w, v)``, read-only, of K on the
+    photon-number sector N with n1 from ``first`` to ``last``, by (N,
+    first, last): a real tridiagonal block that depends on nothing else,
+    so it is diagonalized on its first lookup and kept.  The kept bases,
+    ``nbytes`` in all, never exceed ``SECTOR_CACHE_BYTES``: the oldest go
+    first, and a basis larger than the cap is not kept at all."""
+
+    nbytes = 0
+
+    def __missing__(self, key):
+        total, first, last = key
+        n1 = np.arange(first, last)
+        hop = np.sqrt((n1 + 1.0) * (total - n1))
+        basis = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
+        for x in basis:
+            x.setflags(write=False)
+        size = basis[0].nbytes + basis[1].nbytes
+        if size <= SECTOR_CACHE_BYTES:
+            while self.nbytes + size > SECTOR_CACHE_BYTES:
+                w, v = self.pop(next(iter(self)))
+                self.nbytes -= w.nbytes + v.nbytes
+            self[key] = basis
+            self.nbytes += size
+        return basis
+
+    def clear(self) -> None:
+        super().clear()
+        self.nbytes = 0
+
+
+_SECTOR_BASES = _SectorBases()
 
 
 def exchange_evolve(psi: StateVector, theta_t: float,
@@ -416,9 +459,9 @@ def exchange_evolve(psi: StateVector, theta_t: float,
     layer_phase = theta0_t + np.arange(d_n) * theta_t
     out = np.empty_like(tensor)
     for total in range(d_1 + d_2 - 1):
-        n1 = np.arange(max(0, total - d_2 + 1), min(total, d_1 - 1) + 1)
-        hop = np.sqrt((n1[:-1] + 1.0) * (total - n1[:-1]))
-        w, v = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
+        first, last = max(0, total - d_2 + 1), min(total, d_1 - 1)
+        n1 = np.arange(first, last + 1)
+        w, v = _SECTOR_BASES[total, first, last]
         phases = np.exp(-1j * np.outer(layer_phase, w))
         out[:, n1, total - n1] = ((tensor[:, n1, total - n1] @ v) * phases) @ v.T
     return StateVector(out, norm_tol=1e-10)

@@ -167,16 +167,29 @@ def _error_norm(kind, k, h, scale) -> float:
 
 
 def _initial_step(kind, rhs, t, y, f, length, max_step, rtol, atol) -> float:
-    """Hairer, Norsett & Wanner, Sec. II.4, as in solve_ivp."""
+    """Hairer, Norsett & Wanner, Sec. II.4, as in solve_ivp.
+
+    Refuses a trial step ``h0`` that is not positive (a norm of ``f``
+    that overflows), a right-hand side that is not finite at ``t + h0``,
+    and a first step that is not finite and positive.
+    """
     scale = atol + abs(y) * rtol
     d0, d1 = _rms(kind, y / scale), _rms(kind, f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-    d2 = _rms(kind, (rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    if not h0 > 0:
+        raise IntegrationError(f"first trial step {h0!r} is not positive")
+    f0 = rhs(t + h0, y + h0 * f)
+    if not _finite(kind, f0):
+        raise IntegrationError(f"non-finite right-hand side at the first trial step t = {t + h0!r}")
+    d2 = _rms(kind, (f0 - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (-ERROR_EXPONENT)
-    return min(100 * h0, h1, length, max_step)
+    h = min(100 * h0, h1, length, max_step)
+    if not 0 < h < math.inf:
+        raise IntegrationError(f"first step {h!r} is not finite and positive")
+    return h
 
 
 def solve(rhs, t_span, y0, rtol, scale, max_step=math.inf):
@@ -193,9 +206,11 @@ def solve(rhs, t_span, y0, rtol, scale, max_step=math.inf):
         If ``t_span`` is not finite and increasing, ``rtol`` not finite or
         ``atol`` not finite and positive; checked before ``rhs`` is called.
     IntegrationError
-        If ``y0`` or ``rhs`` there is not finite, if the step size falls
-        below the resolution of ``t`` (or is not a number), or after
-        ``MAX_STEPS`` steps.
+        If ``y0`` or ``rhs`` there is not finite, if the first trial step
+        is not positive, ``rhs`` at its end not finite or the first step
+        not finite and positive (all before the first step), if the step
+        size falls below the resolution of ``t`` (or is not a number), or
+        after ``MAX_STEPS`` steps.
     """
     t, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t) and math.isfinite(t_end) and t_end > t):

@@ -195,6 +195,9 @@ class MeanTrace:
 
 @dataclass(frozen=True)
 class TwoModeTrace:
+    """Mean amplitudes of both resonators, one row per time of ``t`` and
+    one column per run."""
+
     t: list[float]
     a1: np.ndarray
     a2: np.ndarray
@@ -213,14 +216,14 @@ def _solve_complex(rhs, t_span, y0, n_samples, rtol, scale):
     """Complex states on a uniform grid over ``t_span``: two lists, the
     times and one state of the kind of ``y0`` per time.
 
-    DOP853 at ``rtol`` (``nemsqnd.ode``); each sample is one step from
-    the accepted node nearest to it.
+    DOP853 at ``rtol`` with the natural size ``scale`` (``nemsqnd.ode``);
+    each sample is one step from the accepted node nearest to it.
     """
     from . import ode
 
     if not t_span[1] > t_span[0] >= 0:
         raise ValueError("t_span must be increasing and nonnegative")
-    nodes, states = ode.solve(rhs, t_span, y0, rtol, max(scale, 1e-30))
+    nodes, states = ode.solve(rhs, t_span, y0, rtol, scale)
     t = _linspace(t_span[0], t_span[1], n_samples)
     return t, [ode.step(rhs, nodes[i], states[i], s) for i, s in zip(ode.nearest(nodes, t), t)]
 
@@ -244,7 +247,8 @@ def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float
     def rhs(_t, y):
         return forcing - halfdecay * y
 
-    t, a1 = _solve_complex(rhs, t_span, 0j, n_samples, rtol, abs(forcing) / max(halfdecay, 1e-300))
+    scale = max(abs(forcing) / max(halfdecay, 1e-300), 1e-30)
+    t, a1 = _solve_complex(rhs, t_span, 0j, n_samples, rtol, scale)
     return MeanTrace(t, a1, current_from_amplitude(p, a1))
 
 
@@ -294,38 +298,47 @@ def current_transients(p: ReadoutParams, tau_max: float, n_samples: int) -> Curr
     return CurrentTransients(tau, normalized, residual)
 
 
-def full_two_mode_mean_dynamics(p: ReadoutParams, n_b: float,
-                                t_span: tuple[float, float],
-                                n_samples: int = 200,
+def full_two_mode_mean_dynamics(runs, t_span: tuple[float, float], n_samples: int = 200,
                                 rtol: float = 1e-10) -> TwoModeTrace:
-    """Integrate the coupled mean equations of both resonators from rest.
+    """Integrate the coupled mean equations of both resonators from rest
 
         d<a1>/dt = -i (theta0 + theta n_b) <a2> - (kappa1/2) <a1>
         d<a2>/dt = -i (theta0 + theta n_b) <a1> - iF - (kappa2/2) <a2>
+
+    for each ``(p, n_b)`` pair of the sequence ``runs``.  The runs are
+    the columns of one ``ode.solve`` call, each with its own coupling,
+    rates, drive and natural size |alpha2|, so they share one step
+    sequence; column j of ``a1`` and ``a2`` is run j.
 
     The phonon number operator is a constant of motion, so it enters
     purely as the scalar ``n_b``.  No adiabatic elimination and no
     regime check: this is the reference the eliminated model is judged
     against, including outside its validity range.
     """
-    n_b = _phonon_number(n_b)
     import numpy as np
 
-    g = p.theta0 + p.theta * n_b
-    k1h, k2h = 0.5 * p.kappa1, 0.5 * p.kappa2
-    F = p.F
+    runs = [(p, _phonon_number(n_b)) for p, n_b in runs]
+    if not runs:
+        raise ValueError("runs must hold at least one (p, n_b) pair")
+    g = np.array([p.theta0 + p.theta * n_b for p, n_b in runs])
+    k1h = np.array([0.5 * p.kappa1 for p, _ in runs])
+    k2h = np.array([0.5 * p.kappa2 for p, _ in runs])
+    drive = np.array([1j * p.F for p, _ in runs])
 
     def rhs(_t, y):
         a1, a2 = y
-        return np.array((-1j * g * a2 - k1h * a1, -1j * g * a1 - 1j * F - k2h * a2))
+        return np.array((-1j * g * a2 - k1h * a1, -1j * g * a1 - drive - k2h * a2))
 
-    t, states = _solve_complex(rhs, t_span, np.zeros(2, complex), n_samples, rtol,
-                               abs(p.alpha2))
-    return TwoModeTrace(t, *np.array(states).T)
+    scale = np.maximum([abs(p.alpha2) for p, _ in runs], 1e-30)
+    t, states = _solve_complex(rhs, t_span, np.zeros((2, len(runs)), complex), n_samples,
+                               rtol, scale)
+    a1, a2 = np.moveaxis(np.array(states), 1, 0)
+    return TwoModeTrace(t, a1, a2)
 
 
-def adiabatic_elimination_error(p: ReadoutParams, n_b: float = 1.0) -> float:
-    """Relative error of the eliminated model's stationary phonon signal.
+def adiabatic_elimination_error(sweep, n_b: float = 1.0) -> list[float]:
+    """Relative error of the eliminated model's stationary phonon signal,
+    one per ``ReadoutParams`` of the sequence ``sweep``.
 
     The full model's stationary ``<a1>`` contains a phonon-independent
     offset driven by the bare exchange rate theta0; the measurement
@@ -335,16 +348,17 @@ def adiabatic_elimination_error(p: ReadoutParams, n_b: float = 1.0) -> float:
         eliminated:  -2i alpha2 theta n_b / (Gamma + kappa1)
 
     and returns |full - eliminated| / |eliminated|.  The full-model
-    values come from integrations of the coupled mean equations over 80
-    of the slower decay times, at rtol 1e-12.
+    values come from one solve of the coupled mean equations, at n_b and
+    at 0 for every entry, over 80 of the slowest decay times of the
+    sweep, at rtol 1e-12.
     """
-    if n_b <= 0:
+    if not n_b > 0:
         raise ValueError("n_b must be positive to carry a signal")
-    eliminated = -2j * p.alpha2 * p.theta * n_b / p.decay_total
-    if eliminated == 0:
+    sweep = list(sweep)
+    eliminated = [-2j * p.alpha2 * p.theta * n_b / p.decay_total for p in sweep]
+    if 0 in eliminated:
         raise ValueError("eliminated-model signal is zero; nothing to compare")
-    t_end = 80.0 / min(p.kappa1, p.kappa2)
-    on = full_two_mode_mean_dynamics(p, n_b, (0.0, t_end), n_samples=3, rtol=1e-12)
-    off = full_two_mode_mean_dynamics(p, 0.0, (0.0, t_end), n_samples=3, rtol=1e-12)
-    full = on.a1[-1] - off.a1[-1]
-    return abs(full - eliminated) / abs(eliminated)
+    t_end = 80.0 / min(min(p.kappa1, p.kappa2) for p in sweep)
+    runs = [(p, n) for p in sweep for n in (n_b, 0.0)]
+    final = full_two_mode_mean_dynamics(runs, (0.0, t_end), n_samples=3, rtol=1e-12).a1[-1]
+    return [abs(on - off - e) / abs(e) for on, off, e in zip(final[::2], final[1::2], eliminated)]

@@ -81,13 +81,11 @@ def test_adiabatic_elimination_validity_window():
     integrations of the coupled mean equations, not from the same algebra."""
     t_start = time.perf_counter()
     kappa1, kappa2 = 1.0, 2.0
-    errors = []
-    for ratio in (1e-1, 1e-2, 1e-3):
-        theta0 = ratio * kappa2
-        p = ReadoutParams(F=2.5j * kappa2, kappa1=kappa1, kappa2=kappa2,
-                          theta0=theta0, theta=-1e-3 * theta0,
-                          omega_tilde=2.0, L=1.0, hbar=1.0)
-        errors.append(adiabatic_elimination_error(p, n_b=1.0))
+    sweep = [ReadoutParams(F=2.5j * kappa2, kappa1=kappa1, kappa2=kappa2,
+                           theta0=theta0, theta=-1e-3 * theta0,
+                           omega_tilde=2.0, L=1.0, hbar=1.0)
+             for theta0 in (ratio * kappa2 for ratio in (1e-1, 1e-2, 1e-3))]
+    errors = adiabatic_elimination_error(sweep, n_b=1.0)
 
     assert errors[1] < 1e-2
     slopes = -np.diff(np.log10(errors))  # per decade of the ratio

@@ -10,7 +10,7 @@ from classical_reference import circuit_energy, reference_trajectory
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nemsqnd import ode
+from nemsqnd import circuit, ode
 from nemsqnd.circuit import (
     EPS0,
     HBAR,
@@ -311,6 +311,34 @@ def test_classical_averaging_memory_at_the_defaults():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 2**20
+
+
+def test_floquet_powers_match_an_extended_precision_running_product(monkeypatch):
+    """At 23,361 drive periods, the longest run of the seeded classical
+    benchmark configs, the sqrt(n)-blocked M^m y0 of the run's own
+    monodromy M stay within 1e-12 of a ``np.longdouble`` running product,
+    each coordinate judged against its own size."""
+    cfg = RunConfig(classical_x0_over_d=0.0015101855507796153,
+                    classical_nu_factor=31.147952658811658, classical_periods=375)
+    calls, blocked = [], circuit.floquet_powers
+
+    def recorded(monodromy, y0, n):
+        calls.append((monodromy.copy(), np.array(y0, dtype=float), n))
+        return blocked(monodromy, y0, n)
+
+    monkeypatch.setattr(circuit, "floquet_powers", recorded)
+    simulate_classical_circuit(cfg.classical())
+    (monodromy, y0, n), = calls
+    assert n == 23_361
+    got = blocked(monodromy, y0, n)
+    assert got.shape == (-(-n // math.isqrt(n)) * math.isqrt(n), 4)
+    ref = np.empty((n, 4), dtype=np.longdouble)
+    ref[0] = y0
+    m = monodromy.astype(np.longdouble)
+    for k in range(1, n):
+        ref[k] = m @ ref[k - 1]
+    deviation = np.max(np.abs(got[:n] - ref), axis=0) / np.max(np.abs(ref), axis=0)
+    assert np.all(deviation <= 1e-12)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

@@ -18,6 +18,7 @@ from nemsqnd.config import ALPHA_CAP, RunConfig
 from nemsqnd.entanglement import (
     ORACLE_BYTE_BUDGET,
     PAIR_BLOCK,
+    SECTOR_CACHE_BYTES,
     SERIES_BLOCK,
     TAIL_TOL,
     CoherentTriple,
@@ -461,6 +462,48 @@ def test_exchange_evolve_agrees_with_dense_propagator(d_n, d_1, d_2, theta_t,
     np.testing.assert_allclose(fast.amplitudes, dense.amplitudes, atol=1e-12)
 
 
+def empty_sector_cache(monkeypatch):
+    """An empty sector-basis cache in place of the module's for one test."""
+    bases = type(nemsqnd.entanglement._SECTOR_BASES)()
+    monkeypatch.setattr(nemsqnd.entanglement, "_SECTOR_BASES", bases)
+    return bases
+
+
+def test_cached_sector_bases_evolve_bit_for_bit(monkeypatch):
+    """An evolution served from the sector-basis cache, which unequal
+    cutoffs filled first with n1 ranges of the same sectors that share
+    their first or their last n1, equals bit for bit one run after the
+    cache is cleared; a repeat is served without a single ``eigh``."""
+    t = triple()
+    dims = oracle_dims(t)
+    assert dims == (26, 42, 42)
+    psi = initial_product_state(t, dims)
+    bases = empty_sector_cache(monkeypatch)
+    for other in ((10, 30, 42), (10, 42, 30)):
+        exchange_evolve(initial_product_state(triple(0.5, 0.5, 0.5), other), 0.7)
+    served = exchange_evolve(psi, 0.9, 0.2).amplitudes
+    bases.clear()
+    fresh = exchange_evolve(psi, 0.9, 0.2).amplitudes
+    assert np.array_equal(served, fresh)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert np.array_equal(exchange_evolve(psi, 0.9, 0.2).amplitudes, fresh)
+
+
+def test_sector_cache_stays_within_its_cap(monkeypatch):
+    """At (60, 101, 101) the sector bases take about 5.5 MB; the cache
+    keeps the newest of them within ``SECTOR_CACHE_BYTES``."""
+    bases = empty_sector_cache(monkeypatch)
+    exchange_evolve(initial_product_state(triple(), (60, 101, 101)), 1.0)
+    held = sum(w.nbytes + v.nbytes for w, v in bases.values())
+    assert 0.9 * SECTOR_CACHE_BYTES < held == bases.nbytes <= SECTOR_CACHE_BYTES
+    bases.clear()
+    assert bases.nbytes == 0
+
+
 def test_exchange_evolve_norm_at_large_phase():
     psi = initial_product_state(CoherentTriple(0.6, 0.7, 0.5), (12, 14, 14))
     out = exchange_evolve(psi, 1e3)
@@ -558,7 +601,7 @@ def test_oracle_checks_stay_within_the_budget():
     branches from the projections, two (the evolution's input and
     output), and the separability check three (the evolved state while
     it is copied into ``G``) plus one block of the product with its
-    modulus."""
+    modulus.  Each may also fill the sector-basis cache up to its cap."""
     dims = (60, 101, 101)
     state_bytes = 16 * math.prod(dims)
     block_bytes = 24 * dims[1] * dims[2] * PAIR_BLOCK
@@ -566,6 +609,7 @@ def test_oracle_checks_stay_within_the_budget():
     checks = ((lambda: brute_force_entropies(t, 1.0, dims), 3.1 * state_bytes),
               (lambda: separability_check_12(t, 1.0, dims), 3 * state_bytes + block_bytes),
               (lambda: cat_state_check(t, dims), 2.25 * state_bytes))
+    checks = [(check, bound + SECTOR_CACHE_BYTES) for check, bound in checks]
     for check, bound in checks:
         tracemalloc.start()
         try:

@@ -116,6 +116,44 @@ def test_non_finite_rhs_raises():
         ode.solve(blows_up, (0.0, 1.0), np.ones(2), 1e-8, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, complex(math.inf, 1.0)])
+def test_non_finite_rhs_at_the_first_trial_point_is_refused(bad):
+    """``max(d1, d2)`` would drop a NaN ``d2``, so an ``rhs`` that is not
+    finite at the first trial point ``t0 + h0`` is refused by name there,
+    before any step: ``rhs`` is called at ``t0`` and at that point alone."""
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -y if t == 0.0 else y * bad
+
+    for y0 in (np.ones(2), 1.0 + 0j):
+        calls.clear()
+        with pytest.raises(IntegrationError, match="^non-finite right-hand side at the first "
+                                                   "trial step"), np.errstate(invalid="ignore"):
+            ode.solve(rhs, (0.0, 1.0), y0, 1e-8, 1.0)
+        assert len(calls) == 2 and calls[1] > 0.0
+
+
+def test_first_step_must_be_finite_and_positive():
+    """A norm of ``rhs`` that overflows leaves a zero trial step (it once
+    divided by it), and a difference of right-hand sides that overflows a
+    zero first step; each is refused by name before any step."""
+    def large(t, y):
+        return np.full(2, 1e200)
+
+    with pytest.raises(IntegrationError, match="^first trial step 0.0 is not positive"), \
+            np.errstate(over="ignore"):
+        ode.solve(large, (0.0, 1.0), np.ones(2), 1e-8, 1.0)
+
+    def flips(t, y):
+        return np.full(2, -1e308 if t == 0.0 else 1e308)
+
+    with pytest.raises(IntegrationError, match="^first step 0.0 is not finite and positive"), \
+            np.errstate(over="ignore"):
+        ode.solve(flips, (0.0, 1.0), np.ones(2), 1e-8, 1e300)
+
+
 def test_step_cap_raises(monkeypatch):
     monkeypatch.setattr(ode, "MAX_STEPS", 10)
     with pytest.raises(IntegrationError, match="10 steps"):

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from nemsqnd import readout
+from nemsqnd import readout, verify
+from nemsqnd.config import RunConfig
 from nemsqnd.errors import RegimeWarning
 from nemsqnd.readout import (
     ReadoutParams,
@@ -163,8 +164,8 @@ def test_full_model_is_exempt_from_regime_check():
     bad = unit_chain(theta0=8.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trace = full_two_mode_mean_dynamics(bad, 1.0, (0.0, 2.0))
-        adiabatic_elimination_error(bad, 1.0)
+        trace = full_two_mode_mean_dynamics([(bad, 1.0)], (0.0, 2.0))
+        adiabatic_elimination_error([bad], 1.0)
     assert trace.t[-1] == 2.0
 
 
@@ -245,9 +246,9 @@ def test_decoupled_chain_carries_no_signal():
     p = unit_chain(theta0=0.0, theta=0.0)
     assert p.gain == 0.0
     assert mean_photocurrent(np.linspace(0, 10, 5), 3.0, p) == [0.0] * 5
-    trace = full_two_mode_mean_dynamics(p, 3.0, (0.0, 400.0))
-    assert abs(trace.a1[-1]) == 0.0
-    assert trace.a2[-1] == pytest.approx(p.alpha2, rel=1e-10)
+    trace = full_two_mode_mean_dynamics([(p, 3.0)], (0.0, 400.0))
+    assert abs(trace.a1[-1, 0]) == 0.0
+    assert trace.a2[-1, 0] == pytest.approx(p.alpha2, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +282,10 @@ def test_stationary_point_matches_linear_solve():
 def test_full_dynamics_settles_to_fixed_point():
     p = unit_chain()
     n_b = 1.0
-    trace = full_two_mode_mean_dynamics(p, n_b, (0.0, 120.0), rtol=1e-12)
+    trace = full_two_mode_mean_dynamics([(p, n_b)], (0.0, 120.0), rtol=1e-12)
     a1_inf, a2_inf = stationary_two_mode(p, n_b)
-    assert trace.a1[-1] == pytest.approx(a1_inf, rel=1e-9)
-    assert trace.a2[-1] == pytest.approx(a2_inf, rel=1e-9)
+    assert trace.a1[-1, 0] == pytest.approx(a1_inf, rel=1e-9)
+    assert trace.a2[-1, 0] == pytest.approx(a2_inf, rel=1e-9)
 
 
 def test_gain_fixed_under_kappa2_scaling():
@@ -330,8 +331,7 @@ def test_elimination_error_matches_exact_ratio():
 
 
 def test_elimination_error_shrinks_quadratically():
-    errors = [adiabatic_elimination_error(sweep_params(r)) for r in
-              (1e-1, 1e-2, 1e-3)]
+    errors = adiabatic_elimination_error([sweep_params(r) for r in (1e-1, 1e-2, 1e-3)])
     assert errors[1] < 1e-2
     slopes = np.diff(np.log10(errors)) / -1.0  # per decade of ratio
     assert np.all(slopes >= 1.9)
@@ -340,27 +340,54 @@ def test_elimination_error_shrinks_quadratically():
 def test_elimination_error_ode_route_agrees():
     p = sweep_params(1e-2)
     algebraic = algebraic_elimination_error(p, 1.0)
-    integrated = adiabatic_elimination_error(p, 1.0)
+    integrated, = adiabatic_elimination_error([p], 1.0)
     assert integrated == pytest.approx(algebraic, rel=1e-4)
+
+
+def test_check_elimination_integrates_once(monkeypatch):
+    """The decade sweep of ``check_elimination`` is one two-mode solve of
+    six columns, and each of its three errors is that of the entry
+    integrated alone to 1e-8 of the eliminated signal (the errors are
+    relative to it, so the bound is absolute on them)."""
+    solves, sweeps = [], []
+    solve, error = readout.full_two_mode_mean_dynamics, verify.adiabatic_elimination_error
+
+    def counted(runs, *args, **kwargs):
+        solves.append(len(runs))
+        return solve(runs, *args, **kwargs)
+
+    def recorded(sweep, *args, **kwargs):
+        sweeps.append((sweep, error(sweep, *args, **kwargs)))
+        return sweeps[-1][1]
+
+    monkeypatch.setattr(readout, "full_two_mode_mean_dynamics", counted)
+    monkeypatch.setattr(verify, "adiabatic_elimination_error", recorded)
+    result = verify.check_elimination(RunConfig())
+    assert solves == [6] and len(sweeps) == 1
+    sweep, errors = sweeps[0]
+    assert len(errors) == 3 and result.residual == errors[1]
+    alone = [error([p])[0] for p in sweep]
+    assert solves == [6, 2, 2, 2]
+    np.testing.assert_allclose(errors, alone, rtol=0.0, atol=1e-8)
 
 
 def test_elimination_error_rejects_empty_signal():
     with pytest.raises(ValueError, match="positive"):
-        adiabatic_elimination_error(unit_chain(), 0.0)
+        adiabatic_elimination_error([unit_chain()], 0.0)
     with pytest.raises(ValueError, match="zero"):
-        adiabatic_elimination_error(unit_chain(theta=0.0), 1.0)
+        adiabatic_elimination_error([unit_chain(), unit_chain(theta=0.0)], 1.0)
 
 
 @pytest.mark.parametrize("over", [dict(theta=0.0), dict(F=0.0)], ids=["theta=0", "F=0"])
 def test_elimination_error_refuses_a_zero_signal_before_integrating(monkeypatch, over):
-    """A zero eliminated signal (no phonon coupling, or no drive) is refused
-    without integrating either two-mode run."""
+    """A zero eliminated signal (no phonon coupling, or no drive) in any
+    entry of the sweep is refused without integrating a two-mode run."""
     def integrate(*args, **kwargs):
         raise AssertionError("integrated a run whose signal is zero")
 
     monkeypatch.setattr(readout, "full_two_mode_mean_dynamics", integrate)
     with pytest.raises(ValueError, match="signal is zero"):
-        adiabatic_elimination_error(unit_chain(**over), 1.0)
+        adiabatic_elimination_error([unit_chain(), unit_chain(**over)], 1.0)
 
 
 def test_negative_inputs_rejected():
@@ -384,10 +411,10 @@ def test_negative_inputs_rejected():
     with pytest.raises(ValueError, match="^n_b must be one number"):
         integrate_mean_qsde(p, [1.0], (0.0, 1e-6))
     with pytest.raises(ValueError, match="^n_b must be one number"):
-        full_two_mode_mean_dynamics(p, (1.0, 2.0), (0.0, 1e-6))
+        full_two_mode_mean_dynamics([(p, 1.0), (p, (1.0, 2.0))], (0.0, 1e-6))
     with pytest.raises(ValueError, match="t_span"):
         integrate_mean_qsde(p, 1.0, (2.0, 1.0))
     with pytest.raises(ValueError, match="t_span must be finite"):
         integrate_mean_qsde(p, 1.0, (0.0, math.inf))
     with pytest.raises(ValueError, match="t_span"):
-        full_two_mode_mean_dynamics(p, 1.0, (-1.0, 1.0))
+        full_two_mode_mean_dynamics([(p, 1.0)], (-1.0, 1.0))
