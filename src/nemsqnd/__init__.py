@@ -30,7 +30,6 @@ _SOURCE = {
     "EffectiveParams": "circuit",
     "EstimationError": "errors",
     "IntegrationError": "errors",
-    "MeanTrace": "readout",
     "PhysicalCircuitParams": "circuit",
     "ReadoutParams": "readout",
     "RegimeWarning": "errors",
@@ -40,7 +39,6 @@ _SOURCE = {
     "StateVector": "fock",
     "Trajectory": "circuit",
     "TruncationError": "errors",
-    "TwoModeTrace": "readout",
     "adiabatic_elimination_error": "readout",
     "branch_amplitudes": "entanglement",
     "brute_force_entropies": "entanglement",

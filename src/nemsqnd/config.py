@@ -43,6 +43,13 @@ CURRENT_TAU_CAP = 1e3
 #: most drive periods one classical run may span; it keeps one state per period
 DRIVE_PERIOD_CAP = 2**20
 
+#: the classical run's spectral peak of Q1 lies within its normal-mode
+#: spread, 0.5%, of ``classical_periods`` cycles, and must lie at least
+#: ALIAS_MARGIN frequency bins from its alias mirrored at the Nyquist bin:
+#: the three-bin fit reads 1.5 bins past it, and the sigma = N/6 Gaussian
+#: window makes a line a Gaussian of 3/pi bins, below 1e-13 in 8 of them
+MODE_SPREAD, ALIAS_MARGIN = 1.005, 1.5 + 8 * 3 / math.pi
+
 
 def toy_weak_coupling_circuit(nu: float) -> PhysicalCircuitParams:
     """Unit-scale circuit with a coupling capacitor 50x the resonator C.
@@ -160,6 +167,12 @@ class RunConfig:
             raise ConfigError(
                 f"classical_periods * classical_nu_factor must be <= {DRIVE_PERIOD_CAP // 2}"
             )
+        # bins of the peak; the samples span classical_samples - 1 intervals
+        peak = MODE_SPREAD * self.classical_periods / (1 - 1 / self.classical_samples)
+        if self.classical_samples - 2 * peak < ALIAS_MARGIN:
+            raise ConfigError(
+                f"classical_samples must be at least {math.ceil(2 * peak + ALIAS_MARGIN)} for "
+                f"{self.classical_periods} classical_periods, or the Q1 peak aliases at Nyquist")
         if self.classical_x0_over_d >= 1.0:
             raise ConfigError("classical_x0_over_d must stay below 1 (gap contact)")
 

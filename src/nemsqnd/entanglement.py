@@ -404,9 +404,9 @@ class _SectorBases(dict):
     """Eigenvalues and eigenvectors ``(w, v)``, read-only, of K on the
     photon-number sector N with n1 from ``first`` to ``last``, by (N,
     first, last): a real tridiagonal block that depends on nothing else,
-    so it is diagonalized on its first lookup and kept.  The kept bases,
-    ``nbytes`` in all, never exceed ``SECTOR_CACHE_BYTES``: the oldest go
-    first, and a basis larger than the cap is not kept at all."""
+    so it is diagonalized on its first lookup and kept if the kept bases,
+    ``nbytes`` in all, still fit ``SECTOR_CACHE_BYTES``.  None is ever
+    dropped, so wide cutoffs cannot push out the bases kept before."""
 
     nbytes = 0
 
@@ -418,10 +418,7 @@ class _SectorBases(dict):
         for x in basis:
             x.setflags(write=False)
         size = basis[0].nbytes + basis[1].nbytes
-        if size <= SECTOR_CACHE_BYTES:
-            while self.nbytes + size > SECTOR_CACHE_BYTES:
-                w, v = self.pop(next(iter(self)))
-                self.nbytes -= w.nbytes + v.nbytes
+        if self.nbytes + size <= SECTOR_CACHE_BYTES:
             self[key] = basis
             self.nbytes += size
         return basis

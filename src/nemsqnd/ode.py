@@ -7,24 +7,22 @@ norm, the step-size control, the initial step and the ``rtol``/``atol``
 meaning are those of ``scipy.integrate.solve_ivp(method="DOP853")``.
 
 There are two entry points.  :func:`solve` advances adaptively and
-returns every accepted node.  :func:`step` takes one step of one state;
-stepping from the accepted node nearest to a requested time
-(:func:`nearest`) replaces dense output, since that step is no longer
-than half the accepted step around it and so its local error is no
-larger than that step's.
+returns every accepted node, the last at the end of the span.
+:func:`step` takes one step of one state; stepping from the accepted
+node nearest to a requested time (:func:`nearest`) replaces dense
+output, since that step is no longer than half the accepted step around
+it and so its local error is no larger than that step's.
 
-A state is a NumPy array or one Python ``complex``, and each call
-decides once which it has.  Only the tableau rows, the 12-slot stage
-container, the weighted stage sums and two reductions (the sum of a
-state's entries and the entrywise maximum of two states) differ by kind.
-An array forms its sums with ``einsum`` over the dense tableau; a
-``complex`` forms them as Python sums over the nonzero coefficients and
-needs no NumPy.  The start, the norms, the finiteness test, the step
-control and the result of :func:`solve` (two lists) are shared.  Every
-right-hand side ``rhs(t, y)`` returns a state of the kind of ``y``.  An
-array's last axis may hold columns that :func:`step` takes each from its
-own start to its own end time, so an ``rhs`` written with NumPy
-broadcasting serves both entry points.
+A state is a NumPy array or one Python ``complex``, decided once per
+call.  Only the tableau rows, the 12-slot stage container, the weighted
+stage sums (``einsum`` over the dense tableau for an array; Python sums
+over the nonzero coefficients, without NumPy, for a ``complex``) and two
+reductions (a state's sum and the entrywise maximum of two states)
+differ by kind; the start, the norms, the finiteness test, the step
+control and the two lists :func:`solve` returns are shared.  ``rhs(t,
+y)`` returns a state of the kind of ``y``.  An array's last axis may
+hold columns that :func:`step` takes each from its own start to its own
+end time, so one ``rhs`` written with NumPy broadcasting serves both.
 """
 
 from __future__ import annotations

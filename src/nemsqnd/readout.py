@@ -35,13 +35,10 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .circuit import HBAR
 from .errors import RegimeWarning
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: elimination is trusted while theta0/kappa2 and |theta|/kappa2 stay below this
 REGIME_LIMIT = 0.1
@@ -186,61 +183,25 @@ def mean_photocurrent(t, n_b, p: ReadoutParams):
 # numerical integration (the independent route to the closed forms above)
 
 
-@dataclass(frozen=True)
-class MeanTrace:
-    t: list[float]
-    a1: list[complex]
-    current: list[float]
-
-
-@dataclass(frozen=True)
-class TwoModeTrace:
-    """Mean amplitudes of both resonators, one row per time of ``t`` and
-    one column per run."""
-
-    t: list[float]
-    a1: np.ndarray
-    a2: np.ndarray
-
-
-def _linspace(start, stop, n):
-    """``numpy.linspace(start, stop, n)`` as a list, bit for bit."""
-    step = (stop - start) / max(n - 1, 1)
-    grid = [i * step + start for i in range(n)]
-    if n > 1:
-        grid[-1] = stop
-    return grid
-
-
-def _solve_complex(rhs, t_span, y0, n_samples, rtol, scale):
-    """Complex states on a uniform grid over ``t_span``: two lists, the
-    times and one state of the kind of ``y0`` per time.
-
-    DOP853 at ``rtol`` with the natural size ``scale`` (``nemsqnd.ode``);
-    each sample is one step from the accepted node nearest to it.
-    """
-    from . import ode
-
-    if not t_span[1] > t_span[0] >= 0:
-        raise ValueError("t_span must be increasing and nonnegative")
-    nodes, states = ode.solve(rhs, t_span, y0, rtol, scale)
-    t = _linspace(t_span[0], t_span[1], n_samples)
-    return t, [ode.step(rhs, nodes[i], states[i], s) for i, s in zip(ode.nearest(nodes, t), t)]
-
-
-def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float],
-                        n_samples: int = 200, rtol: float = 1e-10) -> MeanTrace:
+def integrate_mean_qsde(p: ReadoutParams, n_b: float, t, rtol: float = 1e-10) -> list[complex]:
     """Integrate the eliminated mean equation from rest
 
         d<a1>/dt = -i theta alpha2 n_b - (Gamma + kappa1)/2 <a1>,  <a1>(0) = 0
 
-    numerically, on Python complex numbers.  This duplicates the
-    closed-form ``<a1>(t)`` of the module docstring on purpose — the
-    integrator never sees the closed form, so agreement between the two
-    is a real check, not a tautology.
+    numerically, on Python complex numbers: one DOP853 solve at ``rtol``
+    to the latest time of ``t`` (as :func:`mean_photocurrent` takes it),
+    then one step from the nearest node to each time gives the list of
+    ``<a1>``.  This duplicates the closed-form ``<a1>(t)`` of the module
+    docstring on purpose — the integrator never sees the closed form, so
+    agreement between the two is a real check, not a tautology.
     """
+    from . import ode
+
     p.enforce_regime()
     n_b = _phonon_number(n_b)
+    times, _ = _nonnegative("t", t)
+    if not (times and 0 < max(times) < math.inf):
+        raise ValueError("t must hold a positive time and only finite ones")
     forcing = -1j * p.theta * p.alpha2 * n_b
     halfdecay = 0.5 * p.decay_total
 
@@ -248,8 +209,9 @@ def integrate_mean_qsde(p: ReadoutParams, n_b: float, t_span: tuple[float, float
         return forcing - halfdecay * y
 
     scale = max(abs(forcing) / max(halfdecay, 1e-300), 1e-30)
-    t, a1 = _solve_complex(rhs, t_span, 0j, n_samples, rtol, scale)
-    return MeanTrace(t, a1, current_from_amplitude(p, a1))
+    nodes, states = ode.solve(rhs, (0.0, max(times)), 0j, rtol, scale)
+    return [ode.step(rhs, nodes[i], states[i], s)
+            for i, s in zip(ode.nearest(nodes, times), times)]
 
 
 def _nan_high(x: float) -> float:
@@ -278,37 +240,41 @@ class CurrentTransients(NamedTuple):
         return max(self.residual, key=_nan_high)
 
 
-def current_transients(p: ReadoutParams, tau_max: float, n_samples: int) -> CurrentTransients:
+def current_transients(p: ReadoutParams, tau_max: float, points: int) -> CurrentTransients:
     """Closed-form transients of ``sim current`` and their ODE residual.
 
     The mean equation is linear in n_b, so it is integrated once, at
     n_b = 1 and rtol 1e-11, and n_b times that run is compared with the
-    closed form at n_b = 1, 2, 3 on the same ``n_samples`` points.
+    closed form at n_b = 1, 2, 3 at the same ``points`` times.
     """
     gain, decay = p.gain, p.decay_total
     if gain == 0.0:
         raise ValueError("current gain is zero; normalized curves are undefined")
-    tau = _linspace(0.0, tau_max, n_samples)
+    if points < 2:
+        raise ValueError(f"points must be at least 2, got {points!r}")
+    # numpy.linspace(0, tau_max, points), bit for bit
+    step = tau_max / (points - 1)
+    tau = [i * step for i in range(points - 1)] + [tau_max]
     t = [2.0 * s / decay for s in tau]
     normalized = [[v / gain for v in row]
                   for row in mean_photocurrent(t, (0.0, 1.0, 2.0, 3.0), p)]
-    trace = integrate_mean_qsde(p, 1.0, (0.0, t[-1]), n_samples=n_samples, rtol=1e-11)
+    current = current_from_amplitude(p, integrate_mean_qsde(p, 1.0, t, rtol=1e-11))
     residual = [max((abs(n * c / gain - r) / n for n, r in enumerate(refs, 1)), key=_nan_high)
-                for c, refs in zip(trace.current, zip(*normalized[1:]))]
+                for c, refs in zip(current, zip(*normalized[1:]))]
     return CurrentTransients(tau, normalized, residual)
 
 
-def full_two_mode_mean_dynamics(runs, t_span: tuple[float, float], n_samples: int = 200,
-                                rtol: float = 1e-10) -> TwoModeTrace:
+def full_two_mode_mean_dynamics(runs, t_end: float):
     """Integrate the coupled mean equations of both resonators from rest
 
         d<a1>/dt = -i (theta0 + theta n_b) <a2> - (kappa1/2) <a1>
         d<a2>/dt = -i (theta0 + theta n_b) <a1> - iF - (kappa2/2) <a2>
 
-    for each ``(p, n_b)`` pair of the sequence ``runs``.  The runs are
-    the columns of one ``ode.solve`` call, each with its own coupling,
-    rates, drive and natural size |alpha2|, so they share one step
-    sequence; column j of ``a1`` and ``a2`` is run j.
+    for each ``(p, n_b)`` pair of the sequence ``runs``, and return
+    ``(a1, a2)`` at ``t_end``: two arrays, entry j for run j.  The runs
+    are the columns of one ``ode.solve`` call at rtol 1e-12, each with
+    its own coupling, rates, drive and natural size |alpha2|, so they
+    share one step sequence, and its last node is the result.
 
     The phonon number operator is a constant of motion, so it enters
     purely as the scalar ``n_b``.  No adiabatic elimination and no
@@ -317,9 +283,13 @@ def full_two_mode_mean_dynamics(runs, t_span: tuple[float, float], n_samples: in
     """
     import numpy as np
 
+    from . import ode
+
     runs = [(p, _phonon_number(n_b)) for p, n_b in runs]
     if not runs:
         raise ValueError("runs must hold at least one (p, n_b) pair")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
     g = np.array([p.theta0 + p.theta * n_b for p, n_b in runs])
     k1h = np.array([0.5 * p.kappa1 for p, _ in runs])
     k2h = np.array([0.5 * p.kappa2 for p, _ in runs])
@@ -330,10 +300,8 @@ def full_two_mode_mean_dynamics(runs, t_span: tuple[float, float], n_samples: in
         return np.array((-1j * g * a2 - k1h * a1, -1j * g * a1 - drive - k2h * a2))
 
     scale = np.maximum([abs(p.alpha2) for p, _ in runs], 1e-30)
-    t, states = _solve_complex(rhs, t_span, np.zeros((2, len(runs)), complex), n_samples,
-                               rtol, scale)
-    a1, a2 = np.moveaxis(np.array(states), 1, 0)
-    return TwoModeTrace(t, a1, a2)
+    _, states = ode.solve(rhs, (0.0, t_end), np.zeros((2, len(runs)), complex), 1e-12, scale)
+    return tuple(states[-1])
 
 
 def adiabatic_elimination_error(sweep, n_b: float = 1.0) -> list[float]:
@@ -360,5 +328,5 @@ def adiabatic_elimination_error(sweep, n_b: float = 1.0) -> list[float]:
         raise ValueError("eliminated-model signal is zero; nothing to compare")
     t_end = 80.0 / min(min(p.kappa1, p.kappa2) for p in sweep)
     runs = [(p, n) for p in sweep for n in (n_b, 0.0)]
-    final = full_two_mode_mean_dynamics(runs, (0.0, t_end), n_samples=3, rtol=1e-12).a1[-1]
+    final, _ = full_two_mode_mean_dynamics(runs, t_end)
     return [abs(on - off - e) / abs(e) for on, off, e in zip(final[::2], final[1::2], eliminated)]

@@ -162,6 +162,9 @@ def test_parse_errors_carry_line_numbers(text, msg):
     ("classical_periods = 100000\nclassical_nu_factor = 5.3\n",
      r"classical_periods \* classical_nu_factor must be <= 524288"),
     ("classical_x0_over_d = 1.5\n", "below 1"),
+    # at the drive-period cap the default samples alias the Q1 peak
+    ("classical_periods = 26214\n", r"^classical_samples must be at least 52706 for 26214 "),
+    ("classical_periods = 4076\n", "^classical_samples must be at least 8203 "),
     # a removed key: the oracle cutoffs come from the amplitudes alone
     pytest.param("oracle_dim = 1\n", "line 1: unknown key 'oracle_dim'",
                  id="oracle_dim = 1\n-oracle_dim"),
@@ -201,7 +204,7 @@ def test_dataclass_rejects_mistyped_values():
 def test_dataclass_bounds_grid_sizes():
     """Built directly, RunConfig bounds every grid size and the number of
     drive periods of the classical run, each at its upper end inclusive."""
-    slow_drive = {"classical_nu_factor": 1.0}
+    slow_drive = {"classical_nu_factor": 1.0, "classical_samples": 2**18}
     for name, high, rest in (("entropy_points", 10_000, {}), ("alpha_points", 1_000, {}),
                              ("current_points", 100_000, {}),
                              ("classical_samples", 2**18, {}),
@@ -577,6 +580,18 @@ def test_overflowing_probe_amplitude_exits_2_by_name(tmp_path, capsys, command):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["classical", "verify"])
+def test_an_aliased_classical_run_exits_2(tmp_path, capsys, command):
+    """26214 resonator periods at the drive-period cap, sampled 8192 times,
+    would put the Q1 peak far past the Nyquist bin: refused by name."""
+    conf = tmp_path / "aliased.conf"
+    conf.write_text("classical_periods = 26214\nclassical_nu_factor = 20.0\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 2
+    assert "config error: classical_samples must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
 #: finite config values whose derived circuit quantities, or whose joint
 #: resonator intensity |beta|^2 + |gamma|^2, leave the float range, each
 #: with the subcommands that reach them
@@ -680,7 +695,7 @@ EXPORTED_FROM = {
         RegimeWarning SimulationError TruncationError""".split(),
     "fock": """DensityMatrix StateVector linear_entropy min_fock_dim
         poisson_tail reduced_density""".split(),
-    "readout": """MeanTrace ReadoutParams TwoModeTrace adiabatic_elimination_error
+    "readout": """ReadoutParams adiabatic_elimination_error
         full_two_mode_mean_dynamics integrate_mean_qsde mean_photocurrent""".split(),
     "verify": "CheckResult run_all".split(),
 }

@@ -495,13 +495,33 @@ def test_cached_sector_bases_evolve_bit_for_bit(monkeypatch):
 
 def test_sector_cache_stays_within_its_cap(monkeypatch):
     """At (60, 101, 101) the sector bases take about 5.5 MB; the cache
-    keeps the newest of them within ``SECTOR_CACHE_BYTES``."""
+    keeps the first of them within ``SECTOR_CACHE_BYTES``."""
     bases = empty_sector_cache(monkeypatch)
     exchange_evolve(initial_product_state(triple(), (60, 101, 101)), 1.0)
     held = sum(w.nbytes + v.nbytes for w, v in bases.values())
     assert 0.9 * SECTOR_CACHE_BYTES < held == bases.nbytes <= SECTOR_CACHE_BYTES
     bases.clear()
     assert bases.nbytes == 0
+
+
+def test_sector_cache_keeps_its_first_bases(monkeypatch):
+    """An evolve at (26, 86, 86), whose bases outgrow the cap, leaves the
+    bases of a default evolve before it in place, so the default evolve
+    after it diagonalizes no sector at all."""
+    empty_sector_cache(monkeypatch)
+    eigh, calls = np.linalg.eigh, [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    counts = []
+    for dims in ((26, 42, 42), (26, 86, 86), (26, 42, 42)):
+        before = calls[0]
+        exchange_evolve(initial_product_state(triple(), dims), 1.0)
+        counts.append(calls[0] - before)
+    assert counts == [83, 129, 0]
 
 
 def test_exchange_evolve_norm_at_large_phase():

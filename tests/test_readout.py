@@ -164,9 +164,9 @@ def test_full_model_is_exempt_from_regime_check():
     bad = unit_chain(theta0=8.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trace = full_two_mode_mean_dynamics([(bad, 1.0)], (0.0, 2.0))
+        a1, a2 = full_two_mode_mean_dynamics([(bad, 1.0)], 2.0)
         adiabatic_elimination_error([bad], 1.0)
-    assert trace.t[-1] == 2.0
+    assert a1.shape == a2.shape == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +219,11 @@ def test_ode_reproduces_closed_form():
     """The integrator never sees the closed form, so this is a real check."""
     p = unit_chain()
     n_b = 2.0
-    trace = integrate_mean_qsde(p, n_b, (0.0, 15.0), n_samples=200, rtol=1e-12)
-    expected = mean_amplitude(p, n_b, trace.t)
+    t = np.linspace(0.0, 15.0, 200)
+    a1 = integrate_mean_qsde(p, n_b, t, rtol=1e-12)
     scale = abs(stationary_mean_amplitude(p, n_b))
-    assert np.max(np.abs(trace.a1 - expected)) <= 1e-11 * scale
-    np.testing.assert_allclose(trace.current,
-                               mean_photocurrent(trace.t, n_b, p),
+    assert np.max(np.abs(np.subtract(a1, mean_amplitude(p, n_b, t)))) <= 1e-11 * scale
+    np.testing.assert_allclose(current_from_amplitude(p, a1), mean_photocurrent(t, n_b, p),
                                atol=1e-11 * p.gain * n_b)
 
 
@@ -246,9 +245,9 @@ def test_decoupled_chain_carries_no_signal():
     p = unit_chain(theta0=0.0, theta=0.0)
     assert p.gain == 0.0
     assert mean_photocurrent(np.linspace(0, 10, 5), 3.0, p) == [0.0] * 5
-    trace = full_two_mode_mean_dynamics([(p, 3.0)], (0.0, 400.0))
-    assert abs(trace.a1[-1, 0]) == 0.0
-    assert trace.a2[-1, 0] == pytest.approx(p.alpha2, rel=1e-10)
+    (a1,), (a2,) = full_two_mode_mean_dynamics([(p, 3.0)], 400.0)
+    assert abs(a1) == 0.0
+    assert a2 == pytest.approx(p.alpha2, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +281,10 @@ def test_stationary_point_matches_linear_solve():
 def test_full_dynamics_settles_to_fixed_point():
     p = unit_chain()
     n_b = 1.0
-    trace = full_two_mode_mean_dynamics([(p, n_b)], (0.0, 120.0), rtol=1e-12)
+    (a1,), (a2,) = full_two_mode_mean_dynamics([(p, n_b)], 120.0)
     a1_inf, a2_inf = stationary_two_mode(p, n_b)
-    assert trace.a1[-1, 0] == pytest.approx(a1_inf, rel=1e-9)
-    assert trace.a2[-1, 0] == pytest.approx(a2_inf, rel=1e-9)
+    assert a1 == pytest.approx(a1_inf, rel=1e-9)
+    assert a2 == pytest.approx(a2_inf, rel=1e-9)
 
 
 def test_gain_fixed_under_kappa2_scaling():
@@ -406,15 +405,46 @@ def test_negative_inputs_rejected():
     with pytest.raises(ValueError, match="^n_b must"):
         mean_photocurrent(1.0, [1.0, math.nan], p)
     with pytest.raises(ValueError, match="^n_b must"):
-        integrate_mean_qsde(p, math.nan, (0.0, 1.0))
+        integrate_mean_qsde(p, math.nan, 1.0)
     # the integrators take one phonon number, never a sequence of them
     with pytest.raises(ValueError, match="^n_b must be one number"):
-        integrate_mean_qsde(p, [1.0], (0.0, 1e-6))
+        integrate_mean_qsde(p, [1.0], 1e-6)
     with pytest.raises(ValueError, match="^n_b must be one number"):
-        full_two_mode_mean_dynamics([(p, 1.0), (p, (1.0, 2.0))], (0.0, 1e-6))
-    with pytest.raises(ValueError, match="t_span"):
-        integrate_mean_qsde(p, 1.0, (2.0, 1.0))
-    with pytest.raises(ValueError, match="t_span must be finite"):
-        integrate_mean_qsde(p, 1.0, (0.0, math.inf))
-    with pytest.raises(ValueError, match="t_span"):
-        full_two_mode_mean_dynamics([(p, 1.0)], (-1.0, 1.0))
+        full_two_mode_mean_dynamics([(p, 1.0), (p, (1.0, 2.0))], 1e-6)
+    with pytest.raises(ValueError, match="^points must be at least 2, got 1"):
+        readout.current_transients(p, 10.0, 1)
+
+
+@pytest.mark.parametrize("t, message", [
+    ([0.0, -1.0, 2.0], "^t must be nonnegative, got -1.0"),
+    ([0.0, math.nan, 2.0], "^t must be nonnegative, got nan"),
+    ([0.0, math.inf], "^t must hold a positive time and only finite ones"),
+    ([], "^t must hold a positive time"),
+    ([0.0, 0.0], "^t must hold a positive time"),
+    (0.0, "^t must hold a positive time"),
+], ids=["negative", "nan", "infinite", "empty", "no-positive", "zero"])
+def test_mean_integration_refuses_bad_times(t, message):
+    """Every time the mean equation is sampled at is refused by name,
+    before anything is integrated."""
+    with pytest.raises(ValueError, match=message):
+        integrate_mean_qsde(unit_chain(), 1.0, t)
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf])
+def test_two_mode_integration_refuses_a_bad_end_time(t_end):
+    with pytest.raises(ValueError, match="^t_end must be finite and positive"):
+        full_two_mode_mean_dynamics([(unit_chain(), 1.0)], t_end)
+
+
+def test_current_ode_integrates_at_the_closed_form_times(monkeypatch):
+    """Both sides of ``current_ode`` are taken at the same times: the
+    integrator gets exactly the ``2 tau / decay`` grid of the closed form."""
+    p, seen, integrate = unit_chain(), [], readout.integrate_mean_qsde
+
+    def recorded(p, n_b, t, *args, **kwargs):
+        seen.append(list(t))
+        return integrate(p, n_b, t, *args, **kwargs)
+
+    monkeypatch.setattr(readout, "integrate_mean_qsde", recorded)
+    transients = readout.current_transients(p, 10.0, 200)
+    assert seen == [[2.0 * s / p.decay_total for s in transients.tau]]
