@@ -45,9 +45,10 @@ DRIVE_PERIOD_CAP = 2**20
 
 #: the classical run's spectral peak of Q1 lies within its normal-mode
 #: spread, 0.5%, of ``classical_periods`` cycles, and must lie at least
-#: ALIAS_MARGIN frequency bins from its alias mirrored at the Nyquist bin:
-#: the three-bin fit reads 1.5 bins past it, and the sigma = N/6 Gaussian
-#: window makes a line a Gaussian of 3/pi bins, below 1e-13 in 8 of them
+#: ALIAS_MARGIN frequency bins from each of its mirrors, at the Nyquist
+#: bin and about DC: the three-bin fit reads 1.5 bins past it, and the
+#: sigma = N/6 Gaussian window makes a line a Gaussian of 3/pi bins,
+#: below 1e-13 in 8 of them
 MODE_SPREAD, ALIAS_MARGIN = 1.005, 1.5 + 8 * 3 / math.pi
 
 
@@ -168,11 +169,17 @@ class RunConfig:
                 f"classical_periods * classical_nu_factor must be <= {DRIVE_PERIOD_CAP // 2}"
             )
         # bins of the peak; the samples span classical_samples - 1 intervals
-        peak = MODE_SPREAD * self.classical_periods / (1 - 1 / self.classical_samples)
+        bins = self.classical_periods / (1 - 1 / self.classical_samples)
+        peak = MODE_SPREAD * bins
         if self.classical_samples - 2 * peak < ALIAS_MARGIN:
             raise ConfigError(
                 f"classical_samples must be at least {math.ceil(2 * peak + ALIAS_MARGIN)} for "
                 f"{self.classical_periods} classical_periods, or the Q1 peak aliases at Nyquist")
+        # its mirror about DC lies 2 * peak bins away, nearest at the lowest peak
+        if 2 * bins < MODE_SPREAD * ALIAS_MARGIN:
+            raise ConfigError(
+                f"classical_periods must be at least {math.ceil(MODE_SPREAD * ALIAS_MARGIN / 2)}, "
+                "or the Q1 peak's mirror about DC reaches the fit")
         if self.classical_x0_over_d >= 1.0:
             raise ConfigError("classical_x0_over_d must stay below 1 (gap contact)")
 

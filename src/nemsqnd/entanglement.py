@@ -85,17 +85,12 @@ TAIL_TOL = 1e-12
 SECTOR_CACHE_BYTES = 2**20
 
 #: bytes one brute-force check may hold (``initial_product_state``), a
-#: guard for callers who pass their own cutoffs; 33.25 MiB, the cache of
+#: guard for callers who pass their own cutoffs; 21.5 MiB, the cache of
 #: sector bases on top of the smallest 256 KiB step that admits (87, 86,
 #: 86), the widest ``sim entropy`` amplitude set at ``ALPHA_CAP`` (it
-#: needs (26, 86, 86) at the default alpha), and (60, 101, 101), but not
-#: (60, 102, 102)
-ORACLE_BYTE_BUDGET = 2**25 + 2**18 + SECTOR_CACHE_BYTES
-
-#: rows of the signed Gram product ``separability_check_12`` forms at
-#: once; 16 to 256 rows take about the same time at the default
-#: cutoffs, so the block stays small
-PAIR_BLOCK = 16
+#: needs (26, 86, 86) at the default alpha), and (60, 103, 103), but not
+#: (60, 104, 104)
+ORACLE_BYTE_BUDGET = 82 * 2**18 + SECTOR_CACHE_BYTES
 
 
 @dataclass(frozen=True)
@@ -360,25 +355,19 @@ def initial_product_state(triple: CoherentTriple,
 
     Every brute-force check starts here, so the cutoffs are refused with
     ``ValueError``, before anything is allocated, when the arrays a
-    check holds could exceed the fixed ``ORACLE_BYTE_BUDGET``.  With
-    D = d_1 d_2 a state is d_N D complex entries, and no check holds
-    more than three at once: the evolution holds the initial state and
-    its evolved copy; the partial traces hold the evolved state and at
-    most two matricized copies; the cat check, which reassembles its two
-    branches from the projections, the evolved state alone; and
-    ``separability_check_12`` the evolved state while it is copied into
-    the stacked ``G`` of (d_N + n) D entries, where the n <= d_N layers
-    fit the phonon cutoff because the tail check below refuses any
-    smaller one.  On top of those come one ``PAIR_BLOCK``-row block of
-    the product with its real modulus, and the ``SECTOR_CACHE_BYTES`` of
-    cached sector bases.
+    check holds could exceed the fixed ``ORACLE_BYTE_BUDGET``: two states
+    of d_N D complex entries (D = d_1 d_2), the evolution's input and
+    output, after which every check holds the evolved state and arrays
+    of at most D entries; one sector's workspace in the evolution, three
+    complex (d_N + L) x L arrays at most (its layers, their product and
+    its basis, L = min(d_1, d_2)); and the ``SECTOR_CACHE_BYTES``.
 
     Each mode's discarded Poisson tail must then be at most ``TAIL_TOL``.
     """
     d_n, d_1, d_2 = (int(d) for d in dims)
-    pair = d_1 * d_2
-    # three states; a complex block and its modulus; the sector bases
-    held = 16 * pair * 3 * d_n + (16 + 8) * pair * PAIR_BLOCK + SECTOR_CACHE_BYTES
+    # two states, one sector's workspace and the sector bases
+    side = min(d_1, d_2)
+    held = 16 * (2 * d_n * d_1 * d_2 + 3 * (d_n + side) * side) + SECTOR_CACHE_BYTES
     if held > ORACLE_BYTE_BUDGET:
         raise ValueError(
             f"cutoffs {(d_n, d_1, d_2)}: the oracle arrays could take "
@@ -483,53 +472,53 @@ def brute_force_entropies(triple: CoherentTriple, theta_t: float,
 
 @dataclass(frozen=True)
 class SeparabilityReport:
-    max_abs_deviation: float
+    deviation_bound: float
     mixture_trace: float
     dims: tuple[int, int, int]
 
 
 def separability_check_12(triple: CoherentTriple, theta_t: float,
                           dims: tuple[int, int, int]) -> SeparabilityReport:
-    """Compare brute-force rho_12 against the explicit separable mixture.
+    """Bound brute-force rho_12's distance from the explicit separable mixture.
 
-    Tracing the phonon mode out of the layer decomposition leaves
-    ``sum_n |C_n|^2 |beta_n><beta_n| (x) |gamma_n><gamma_n|`` — manifestly
-    separable.  The brute-force reduced state must match it entrywise.
-
-    Neither side is formed on its own.  With the evolved state's phonon
-    layers A (d_N x D, D = d_1 d_2) stacked over the branch vectors B,
-    ``rho_12 - mixture = G^T diag(1, ..., 1, -p_n) G^*``, one product,
-    taken ``PAIR_BLOCK`` rows at a time so that only its largest modulus
-    is kept and no D x D matrix exists (a blocked matrix product, Golub
-    & Van Loan, Matrix Computations, sec. 1.3).  Each block is formed
-    as its complex conjugate, ``(G^dagger diag(s))[rows] G``, from a
-    signed copy of the block's columns alone, so ``G^*`` is never held;
-    conjugation leaves the modulus unchanged.  rho_12 = A^T A^* shares
-    its nonzero spectrum and trace with the d_N x d_N Gram matrix
-    A A^dagger (Schmidt decomposition), which is the phonon state, so
-    validating that as a density matrix checks the trace and positivity
-    of rho_12.
+    Tracing the phonons out of the layer decomposition leaves ``sum_n p_n
+    |b_n><b_n|``, ``p_n = |C_n|^2``, ``b_n = |beta_n> (x) |gamma_n>`` —
+    manifestly separable.  The phonon number is conserved, so rho_12 =
+    ``sum_n a_n a_n^dagger`` over the evolved layers a_n (D = d_1 d_2
+    entries each) meets it layer by layer, and neither is formed.  With
+    ``a_n = mu_n b_n + delta_n``, ``mu_n = <b_n|a_n>``, ``T_n = a_n
+    a_n^dagger - p_n b_n b_n^dagger`` is, on (b_n, delta_n / |delta_n|),
+    the Hermitian ``[[|mu_n|^2 - p_n, mu_n |delta_n|], [mu_n^* |delta_n|,
+    |delta_n|^2]]``, of spectral norm ``|tr|/2 + sqrt(((T_11 - T_22)/2)^2
+    + |T_12|^2)``; a layer past the analytic ones has norm |a_n|^2.  By the
+    triangle inequality ``deviation_bound = sum_n |T_n|_2`` is at least
+    ``|rho_12 - mixture|_2``, so at least every entry of the difference.
+    rho_12 shares its nonzero spectrum and trace with the layers' d_N x
+    d_N Gram matrix, the phonon state (Schmidt decomposition), so
+    validating that as a density matrix checks rho_12's trace and
+    positivity.
     """
     psi_t = exchange_evolve(initial_product_state(triple, dims), theta_t)
     reduced_density(psi_t, 0)  # raises unless rho_12 is a valid state
 
     state = conditioned_state(triple, theta_t)
     p = np.abs(state.c_n) ** 2
-    d_n = dims[0]
-    g = np.empty((d_n + state.n_terms, dims[1] * dims[2]), dtype=complex)
-    g[:d_n] = psi_t.amplitudes.reshape(d_n, -1)
-    del psi_t
-    for row, b_n, g_n in zip(g[d_n:], state.beta_n, state.gamma_n):
-        row[:] = np.kron(coherent_vector(b_n, dims[1]), coherent_vector(g_n, dims[2]))
-    mixture_trace = float(p @ np.sum(np.abs(g[d_n:]) ** 2, axis=1))
-    sign = np.concatenate([np.ones(d_n), -p])
-    worst = 0.0
-    for start in range(0, g.shape[1], PAIR_BLOCK):
-        left = g[:, start:start + PAIR_BLOCK].conj().T * sign
-        worst = max(worst, float(np.max(np.abs(left @ g))))
+    layers = psi_t.amplitudes.reshape(dims[0], -1)
+    rest = layers[state.n_terms:]  # past the analytic layers, |a_n|^2 each
+    bound = float(np.vdot(rest, rest).real)
+    branch_norms = np.empty(state.n_terms)
+    for n, (a_n, beta_n, gamma_n) in enumerate(zip(layers, state.beta_n, state.gamma_n)):
+        b_n = np.kron(coherent_vector(beta_n, dims[1]), coherent_vector(gamma_n, dims[2]))
+        branch_norms[n] = np.sum(np.abs(b_n) ** 2)
+        mu = complex(np.vdot(b_n, a_n))
+        b_n *= -mu
+        b_n += a_n  # delta_n
+        delta = float(np.linalg.norm(b_n))
+        t_11, t_22 = abs(mu) ** 2 - p[n], delta**2
+        bound += 0.5 * abs(t_11 + t_22) + math.hypot(0.5 * (t_11 - t_22), abs(mu) * delta)
     return SeparabilityReport(
-        max_abs_deviation=worst,
-        mixture_trace=mixture_trace,
+        deviation_bound=float(bound),
+        mixture_trace=float(p @ branch_norms),
         dims=tuple(int(d) for d in dims),
     )
 

@@ -31,7 +31,6 @@ from .errors import TruncationError
 #: matrix) and for one state vector
 DEFAULT_DENSITY_CAP = 2**20
 
-
 def _readonly(arr: np.ndarray) -> np.ndarray:
     """A read-only contiguous view; the caller's own array stays writeable."""
     arr = np.ascontiguousarray(arr).view()
@@ -192,18 +191,22 @@ def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
 
 def reduced_density(psi: StateVector, axis: int) -> DensityMatrix:
     """Reduced density matrix of mode ``axis`` of a pure state, without
-    forming the full matrix.
+    forming the full matrix or a copy of the state.
 
-    The state is matricized with the kept mode as rows, ``x`` (K x T),
-    and ``rho = x x^dagger``.  That holds at most two state-size arrays
-    beside the state: ``x``, a copy unless the kept mode leads, and its
-    conjugate.  A K x K result over the allocation cap is refused before
-    either is formed.
+    With the kept mode as rows, the state is a K x T matrix x and ``rho =
+    x x^dagger``, accumulated over the slabs of one other mode (the
+    first, or the second when the first is kept): column blocks of x,
+    each copied and conjugated alone.  A K x K result over the allocation
+    cap is refused before any is formed.
     """
     x = np.moveaxis(psi.amplitudes, axis, 0)
-    _check_cap(x.shape[0] ** 2, "density matrix")
-    x = x.reshape(x.shape[0], -1)
-    return DensityMatrix(x @ x.conj().T)
+    k = x.shape[0]
+    _check_cap(k * k, "density matrix")
+    rho = np.zeros((k, k), dtype=complex)
+    for s in [x] if x.ndim == 1 else np.moveaxis(x, 1, 0):
+        s = s.reshape(k, -1)
+        rho += s @ s.conj().T
+    return DensityMatrix(rho)
 
 
 def linear_entropy(rho: DensityMatrix) -> float:

@@ -17,6 +17,7 @@ from .entanglement import (
     CoherentTriple,
     brute_force_entropies,
     cat_state_check,
+    entropy_n12_series,
     linear_entropies,
     oracle_dims,
     separability_check_12,
@@ -121,6 +122,7 @@ _ORACLE_POINTS: tuple[tuple[complex, complex, complex, float], ...] = (
 def check_entropy_oracle(cfg: RunConfig) -> CheckResult:
     """Analytic entropy sums against brute-force partial traces.
 
+    ``entropy_n12_series``, the alpha grid's E_N|12, is judged too.
     ``verify_theta_scale`` multiplies the phase fed to the analytic side
     only; any value other than 1 is a deliberate mismatch and must trip
     this check (that property is itself under test elsewhere).
@@ -131,8 +133,11 @@ def check_entropy_oracle(cfg: RunConfig) -> CheckResult:
         triple = CoherentTriple(a, b, g)
         dims = oracle_dims(triple)
         brute = brute_force_entropies(triple, theta_t, dims)
-        *analytic, _ = linear_entropies(triple, [theta_t * cfg.verify_theta_scale])
-        disc = max((abs(x[0] - y) for x, y in zip(analytic, brute)), key=_nan_high)
+        phase = [theta_t * cfg.verify_theta_scale]
+        *analytic, _ = linear_entropies(triple, phase)
+        analytic.append(entropy_n12_series(triple, phase)[0])
+        disc = max((abs(x[0] - y) for x, y in zip(analytic, (*brute, brute[0]))),
+                   key=_nan_high)
         if _nan_high(disc) > _nan_high(worst):
             worst, worst_at = disc, (f"(alpha={a}, beta={b}, gamma={g}, "
                                      f"theta_t={theta_t:.3f}), dims {dims}")
@@ -198,8 +203,8 @@ def check_separability(cfg: RunConfig) -> CheckResult:
     report = separability_check_12(triple, math.pi / 2, oracle_dims(triple))
     return CheckResult(
         name="separability_12",
-        passed=report.max_abs_deviation <= cfg.tol_separability,
-        residual=report.max_abs_deviation,
+        passed=report.deviation_bound <= cfg.tol_separability,
+        residual=report.deviation_bound,
         tolerance=cfg.tol_separability,
         detail=f"mixture trace {report.mixture_trace:.12f}, dims {report.dims}",
     )

@@ -17,7 +17,6 @@ from nemsqnd.cli import ENTROPY_CURVE_SETS
 from nemsqnd.config import ALPHA_CAP, RunConfig
 from nemsqnd.entanglement import (
     ORACLE_BYTE_BUDGET,
-    PAIR_BLOCK,
     SECTOR_CACHE_BYTES,
     SERIES_BLOCK,
     TAIL_TOL,
@@ -588,18 +587,28 @@ def test_oracle_space_admits_the_curve_sets_at_the_cap():
         assert initial_product_state(widest, dims).amplitudes.shape == dims
 
 
+def test_separability_passes_at_the_cap():
+    """The widest ``sim entropy`` amplitude set at ``ALPHA_CAP``, (6, 3+4i,
+    1+2i), passes the separability check at its derived cutoffs (87, 86,
+    86), the largest the budget admits with 87 phonon states."""
+    t = triple(ALPHA_CAP, 3 + 4j, 1 + 2j)
+    assert oracle_dims(t) == (87, 86, 86)
+    assert separability_check_12(t, math.pi / 2, (87, 86, 86)).deviation_bound <= 1e-8
+
+
 def test_oracle_space_refuses_oversized_pairs():
     """The guard is a fixed budget that the requested cutoffs cannot raise,
     and every oracle check with oversized cutoffs is refused before it
-    allocates."""
+    allocates.  With 60 phonon states it admits resonator cutoffs up to
+    (60, 103, 103) and refuses (60, 104, 104)."""
     # the budget admits fewer state entries than the state cap
-    assert ORACLE_BYTE_BUDGET // 48 < DEFAULT_DENSITY_CAP
+    assert ORACLE_BYTE_BUDGET // 32 < DEFAULT_DENSITY_CAP
     t = triple()
-    assert initial_product_state(t, (60, 101, 101)).amplitudes.shape == (60, 101, 101)
-    over = (60, 102, 102)
+    assert initial_product_state(t, (60, 103, 103)).amplitudes.shape == (60, 103, 103)
+    over = (60, 104, 104)
     tracemalloc.start()
     try:
-        for dims in ((400, 406, 406), over, (2, 400, 400)):
+        for dims in ((400, 406, 406), over, (2, 600, 600)):
             with pytest.raises(ValueError, match="oracle budget"):
                 initial_product_state(t, dims)
         for check in (lambda: brute_force_entropies(t, 1.0, over),
@@ -614,23 +623,19 @@ def test_oracle_space_refuses_oversized_pairs():
 
 
 def test_oracle_checks_stay_within_the_budget():
-    """At (60, 101, 101), the largest resonator cutoffs the budget admits
-    with 60 phonon states, each brute-force check holds no more than the budget and no more than its
-    own count of states: the partial traces three (the evolved state and
-    two matricized copies), the cat check, which reassembles its two
-    branches from the projections, two (the evolution's input and
-    output), and the separability check three (the evolved state while
-    it is copied into ``G``) plus one block of the product with its
-    modulus.  Each may also fill the sector-basis cache up to its cap."""
-    dims = (60, 101, 101)
-    state_bytes = 16 * math.prod(dims)
-    block_bytes = 24 * dims[1] * dims[2] * PAIR_BLOCK
+    """At (60, 103, 103), the largest resonator cutoffs the budget admits
+    with 60 phonon states, each brute-force check holds no more than the
+    budget and no more than 2.2 states (2.06 measured): the evolution's
+    input and output and one sector's workspace; the partial traces, the
+    cat projections and the layer-by-layer separability bound add arrays
+    of at most one layer.  Each may also fill the sector-basis cache up to
+    its cap."""
+    dims = (60, 103, 103)
+    bound = 2.2 * 16 * math.prod(dims) + SECTOR_CACHE_BYTES
     t = triple()
-    checks = ((lambda: brute_force_entropies(t, 1.0, dims), 3.1 * state_bytes),
-              (lambda: separability_check_12(t, 1.0, dims), 3 * state_bytes + block_bytes),
-              (lambda: cat_state_check(t, dims), 2.25 * state_bytes))
-    checks = [(check, bound + SECTOR_CACHE_BYTES) for check, bound in checks]
-    for check, bound in checks:
+    for check in (lambda: brute_force_entropies(t, 1.0, dims),
+                  lambda: separability_check_12(t, 1.0, dims),
+                  lambda: cat_state_check(t, dims)):
         tracemalloc.start()
         try:
             check()
@@ -645,19 +650,23 @@ def test_oracle_checks_stay_within_the_budget():
 
 
 def test_resonator_pair_is_separable():
+    # the bound reads 2.3e-10 at these cutoffs, where the largest entry of
+    # rho_12 - mixture is 2.0e-11
     rep = separability_check_12(CoherentTriple(1.0, 1.0, 1.0), 0.9,
                                 dims=(16, 20, 20))
-    assert rep.max_abs_deviation <= 1e-10
+    assert rep.deviation_bound <= 1e-9
     assert rep.mixture_trace == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("theta_t", [0.9, math.pi / 2])
-def test_gram_residual_matches_the_dense_pair_state(theta_t):
-    """The signed Gram product gives max|rho_12 - mixture| of the dense
-    route: rho_12 by a full partial trace, the mixture summed branch by
-    branch, at small unequal cutoffs.  The 1248 x 1248 density matrix is
-    above the cap of the library's ``DensityMatrix``, so it is traced as a
-    plain array."""
+def test_layer_bound_covers_the_dense_pair_state(monkeypatch, theta_t):
+    """The layer-by-layer bound is at least the spectral norm of rho_12 -
+    mixture of the dense route, which is at least its largest entry:
+    rho_12 by a full partial trace, the mixture summed branch by branch,
+    at small unequal cutoffs.  The 1248 x 1248 density matrix is above
+    the cap of the library's ``DensityMatrix``, so it is traced as a
+    plain array.  A weight p_0 off by 1e-6 relative moves the bound past
+    1e-7."""
     t = CoherentTriple(0.3, 0.35j, 0.25 - 0.1j)
     dims = (8, 12, 13)  # residual ~1e-11, so a slip in the mixture weights shows
     rep = separability_check_12(t, theta_t, dims)
@@ -671,41 +680,26 @@ def test_gram_residual_matches_the_dense_pair_state(theta_t):
     for c_n, b_n, g_n in zip(state.c_n, state.beta_n, state.gamma_n):
         v = np.kron(coherent_vector(b_n, dims[1]), coherent_vector(g_n, dims[2]))
         mixture += abs(c_n) ** 2 * np.outer(v, v.conj())
+    spectral = float(np.linalg.norm(rho_12 - mixture, 2))
     assert rep.dims == dims
-    assert rep.max_abs_deviation == pytest.approx(
-        float(np.max(np.abs(rho_12 - mixture))), abs=1e-14)
+    assert rep.deviation_bound < 1e-10
+    assert rep.deviation_bound >= spectral >= float(np.max(np.abs(rho_12 - mixture)))
     assert rep.mixture_trace == pytest.approx(float(np.trace(mixture).real), abs=1e-14)
 
+    def off_weight(triple, phase):
+        s = conditioned_state(triple, phase)
+        c = s.c_n.copy()
+        c[0] *= math.sqrt(1 + 1e-6)
+        return ConditionedState(c_n=c, beta_n=s.beta_n, gamma_n=s.gamma_n, tail=s.tail)
 
-@pytest.mark.parametrize("t", [
-    triple(),
-    triple(2.0, cmath.rect(2.5, 0.7), cmath.rect(1.5, -1.1)),
-    triple(3.0, 2.0, 2.0),
-])
-def test_blocked_pair_residual_is_the_full_products_maximum(t):
-    """Row blocks of the signed Gram product give, bit for bit, the maximum
-    of the whole D x D product, at cutoffs (26, 42, 42), (26, 43, 43) and
-    (38, 42, 42); no D is a multiple of the block, so a partial last
-    block is always among them."""
-    dims = oracle_dims(t)
-    pair = dims[1] * dims[2]
-    assert pair % PAIR_BLOCK
-    psi = exchange_evolve(initial_product_state(t, dims), math.pi / 2)
-    state = conditioned_state(t, math.pi / 2)
-    branches = np.array([
-        np.kron(coherent_vector(b_n, dims[1]), coherent_vector(g_n, dims[2]))
-        for b_n, g_n in zip(state.beta_n, state.gamma_n)
-    ])
-    g = np.vstack([psi.amplitudes.reshape(dims[0], -1), branches])
-    sign = np.concatenate([np.ones(dims[0]), -np.abs(state.c_n) ** 2])
-    full = float(np.max(np.abs((g.T * sign) @ g.conj())))
-    assert separability_check_12(t, math.pi / 2, dims).max_abs_deviation == full
+    monkeypatch.setattr(nemsqnd.entanglement, "conditioned_state", off_weight)
+    assert separability_check_12(t, theta_t, dims).deviation_bound > 1e-7
 
 
 def test_separability_check_allocates_no_dense_pair_state():
     """At the default pair cutoffs (26, 42, 42) the check holds less than
-    one D x D complex matrix (D = 42^2): the product is taken in row
-    blocks, and neither rho_12 nor the mixture is formed."""
+    one D x D complex matrix (D = 42^2): it runs layer by layer, and
+    neither rho_12 nor the mixture is formed."""
     dims = oracle_dims(triple())
     assert dims == (26, 42, 42)
     pair = dims[1] * dims[2]
@@ -715,7 +709,7 @@ def test_separability_check_allocates_no_dense_pair_state():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.max_abs_deviation <= 1e-8
+    assert rep.deviation_bound <= 1e-8
     assert peak < pair**2 * 16
 
 
