@@ -128,12 +128,10 @@ class RunConfig:
     # at least 1024 samples for the spectral fit
     classical_samples: int = _within(8192, 1024, 2**18)
     classical_rtol: float = _positive(1e-10)
-    # tolerances (every one strictly positive)
+    # tolerances of the two checks that judge what `sim current` and `sim
+    # classical` write (every one strictly positive); `verify` derives the
+    # gates of its other four checks
     tol_current_ode: float = _positive(1e-8)
-    tol_elimination: float = _positive(1e-2)
-    tol_entropy_oracle: float = _positive(1e-6)
-    tol_cat_fidelity: float = _positive(1e-10)
-    tol_separability: float = _positive(1e-8)
     tol_classical_peak: float = _positive(2e-2)
     resonance_rtol: float = _positive(1e-9)
     # verification knob: scales theta on the analytic side of the

@@ -472,6 +472,11 @@ def brute_force_entropies(triple: CoherentTriple, theta_t: float,
 
 @dataclass(frozen=True)
 class SeparabilityReport:
+    """``deviation_bound`` is at least ``|P (rho_12 - mixture) P|_2 + |Q
+    (rho_12 - mixture) Q|_2``, P the projector onto the complete
+    photon-number sectors n1 + n2 < min(d_1, d_2) and Q = 1 - P; the
+    blocks between them are not bounded (``separability_check_12``)."""
+
     deviation_bound: float
     mixture_trace: float
     dims: tuple[int, int, int]
@@ -479,20 +484,34 @@ class SeparabilityReport:
 
 def separability_check_12(triple: CoherentTriple, theta_t: float,
                           dims: tuple[int, int, int]) -> SeparabilityReport:
-    """Bound brute-force rho_12's distance from the explicit separable mixture.
+    """Bound brute-force rho_12's distance from the explicit separable mixture
+    on the complete photon-number sectors, plus the mass outside them.
 
     Tracing the phonons out of the layer decomposition leaves ``sum_n p_n
     |b_n><b_n|``, ``p_n = |C_n|^2``, ``b_n = |beta_n> (x) |gamma_n>`` —
     manifestly separable.  The phonon number is conserved, so rho_12 =
     ``sum_n a_n a_n^dagger`` over the evolved layers a_n (D = d_1 d_2
-    entries each) meets it layer by layer, and neither is formed.  With
-    ``a_n = mu_n b_n + delta_n``, ``mu_n = <b_n|a_n>``, ``T_n = a_n
-    a_n^dagger - p_n b_n b_n^dagger`` is, on (b_n, delta_n / |delta_n|),
-    the Hermitian ``[[|mu_n|^2 - p_n, mu_n |delta_n|], [mu_n^* |delta_n|,
+    entries each) meets it layer by layer, and neither is formed.
+
+    The exchange conserves n1 + n2 too (SU(2) beam-splitter algebra;
+    Campos, Saleh & Teich, PRA 40, 1371 (1989)).  With L = min(d_1, d_2),
+    the sectors n1 + n2 < L are complete, and the truncated evolution is
+    exact on them; a sector the cutoffs cut off reflects its photons, so
+    rho_12 is compared on the complete sectors alone, through the
+    projector P onto them.  With ``q_n = p_n |P b_n|^2``, ``b^_n = P b_n /
+    |P b_n|`` and ``P a_n = mu_n b^_n + delta_n``, ``T_n = P a_n a_n^dagger
+    P - q_n b^_n b^_n^dagger`` is, on (b^_n, delta_n / |delta_n|), the
+    Hermitian ``[[|mu_n|^2 - q_n, mu_n |delta_n|], [mu_n^* |delta_n|,
     |delta_n|^2]]``, of spectral norm ``|tr|/2 + sqrt(((T_11 - T_22)/2)^2
-    + |T_12|^2)``; a layer past the analytic ones has norm |a_n|^2.  By the
-    triangle inequality ``deviation_bound = sum_n |T_n|_2`` is at least
-    ``|rho_12 - mixture|_2``, so at least every entry of the difference.
+    + |T_12|^2)``; a layer past the analytic ones has norm |P a_n|^2.  By
+    the triangle inequality ``sum_n |T_n|_2`` is at least ``|P (rho_12 -
+    mixture) P|_2``, and with Q = 1 - P, the masses ``tr Q rho_12`` and
+    ``tr Q mixture`` that the two states put outside bound ``|Q (rho_12 -
+    mixture) Q|_2`` together.  ``deviation_bound`` is the sum of the three,
+    so at least ``|P (rho_12 - mixture) P|_2 + |Q (rho_12 - mixture) Q|_2``.
+    The blocks between P and Q are not bounded: they carry the reflection,
+    of the order of the square root of the outside mass.
+
     rho_12 shares its nonzero spectrum and trace with the layers' d_N x
     d_N Gram matrix, the phonon state (Schmidt decomposition), so
     validating that as a density matrix checks rho_12's trace and
@@ -504,17 +523,25 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
     state = conditioned_state(triple, theta_t)
     p = np.abs(state.c_n) ** 2
     layers = psi_t.amplitudes.reshape(dims[0], -1)
+    side = min(dims[1], dims[2])
+    complete = (np.add.outer(np.arange(dims[1]), np.arange(dims[2])) < side).reshape(-1)
+    inside, outside = np.flatnonzero(complete), np.flatnonzero(~complete)
     rest = layers[state.n_terms:]  # past the analytic layers, |a_n|^2 each
     bound = float(np.vdot(rest, rest).real)
     branch_norms = np.empty(state.n_terms)
     for n, (a_n, beta_n, gamma_n) in enumerate(zip(layers, state.beta_n, state.gamma_n)):
         b_n = np.kron(coherent_vector(beta_n, dims[1]), coherent_vector(gamma_n, dims[2]))
         branch_norms[n] = np.sum(np.abs(b_n) ** 2)
+        a_out, b_out = a_n[outside], b_n[outside]
+        bound += float(np.vdot(a_out, a_out).real) + p[n] * float(np.vdot(b_out, b_out).real)
+        a_n, b_n = a_n[inside], b_n[inside]
+        b_norm = float(np.linalg.norm(b_n))
+        b_n /= b_norm
         mu = complex(np.vdot(b_n, a_n))
         b_n *= -mu
         b_n += a_n  # delta_n
         delta = float(np.linalg.norm(b_n))
-        t_11, t_22 = abs(mu) ** 2 - p[n], delta**2
+        t_11, t_22 = abs(mu) ** 2 - p[n] * b_norm**2, delta**2
         bound += 0.5 * abs(t_11 + t_22) + math.hypot(0.5 * (t_11 - t_22), abs(mu) * delta)
     return SeparabilityReport(
         deviation_bound=float(bound),

@@ -2,18 +2,28 @@
 
 Each check pits a closed-form result against an independent numerical
 route and reports the worst residual together with the tolerance it was
-judged by.  The suite is deterministic and needs no input files; all
-tolerances come from the run configuration.
+judged by.  The suite is deterministic and needs no input files.
+
+The two checks that judge a run the subcommands write, ``current_ode``
+and ``classical_averaging``, take their tolerances from the run
+configuration.  The other four derive theirs from the inputs they hold,
+and no config can loosen them.  ``adiabatic_elimination`` is gated by the
+leading-order error of the elimination.  The three oracle checks are
+gated by ``oracle_gate``: a multiple of the Poisson mass the oracle's
+cutoffs discard, plus a roundoff term.  Each check's docstring gives its
+derivation, and ``verify.json`` records the gate as its ``tolerance``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .circuit import classical_averaging
 from .config import RunConfig
 from .entanglement import (
+    TAIL_TOL,
     CoherentTriple,
     brute_force_entropies,
     cat_state_check,
@@ -22,6 +32,7 @@ from .entanglement import (
     oracle_dims,
     separability_check_12,
 )
+from .fock import min_fock_dim, poisson_tail
 from .readout import ReadoutParams, _nan_high, adiabatic_elimination_error, current_transients
 
 
@@ -82,9 +93,17 @@ def check_elimination(cfg: RunConfig) -> CheckResult:
     """Eliminated model against the integrated two-mode system, decade
     sweep, all in one solve.
 
-    Rate units: kappa1 = 1, kappa2 = 2.  The stationary signal error must
-    be inside the tolerance at theta0/kappa2 = 1e-2 and fall at least
-    quadratically per decade of theta0/kappa2.
+    Rate units: kappa1 = 1, kappa2 = 2.  The stationary signal error at
+    theta0/kappa2 = 1e-2 is judged by the elimination's leading-order
+    error, and the error must fall at least quadratically per decade of
+    theta0/kappa2.  The full model's stationary amplitude is ``<a1> =
+    -4 g F / (kappa1 kappa2 + 4 g^2)`` at exchange rate ``g = theta0 +
+    theta n_b``, and the eliminated signal ``-4 F theta n_b / (kappa1
+    kappa2 + 2 theta0^2)`` is its change with n_b to first order in ``x =
+    4 theta0^2 / (kappa1 kappa2)``.  The full change is ``(1 - x)(1 +
+    x/2)/(1 + x)^2`` times that, so the relative error is ``x (2.5 + 1.5
+    x)/(1 + x)^2 = 2.5 x - 3.5 x^2 + ...``, never above ``2.5 x = 10
+    theta0^2 / (kappa1 kappa2)``: 2e-3 here.
     """
     kappa1, kappa2 = 1.0, 2.0
     ratios = (1e-1, 1e-2, 1e-3)
@@ -95,12 +114,13 @@ def check_elimination(cfg: RunConfig) -> CheckResult:
     slopes = [
         math.log10(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)
     ]
-    ok = errors[1] <= cfg.tol_elimination and all(s >= 1.9 for s in slopes)
+    gate = 10.0 * sweep[1].theta0 ** 2 / (kappa1 * kappa2)
+    ok = errors[1] <= gate and all(s >= 1.9 for s in slopes)
     return CheckResult(
         name="adiabatic_elimination",
         passed=ok,
         residual=errors[1],
-        tolerance=cfg.tol_elimination,
+        tolerance=gate,
         detail=(
             "errors " + ", ".join(f"{e:.3e}" for e in errors)
             + " at theta0/kappa2 " + ", ".join(f"{r:g}" for r in ratios)
@@ -119,35 +139,79 @@ _ORACLE_POINTS: tuple[tuple[complex, complex, complex, float], ...] = (
 )
 
 
+def oracle_gate(triple: CoherentTriple, dims: tuple[int, int, int], weight: float) -> float:
+    """``weight`` times the mass the oracle cutoffs ``dims`` discard, plus roundoff.
+
+    The truncated evolution is exact on phonon numbers below d_N and on
+    the complete photon-number sectors n1 + n2 < min(d_1, d_2) (see
+    ``separability_check_12``); the initial ``|alpha>|beta>|gamma>`` puts
+    mass ``t_N + t_J`` outside them, the Poisson tails of |alpha|^2 at d_N
+    and of |beta|^2 + |gamma|^2 at min(d_1, d_2).  Every other vector the
+    checks truncate discards no more: a resonator tail, or one of a branch
+    ``beta_n``, ``gamma_n`` (|beta_n|^2 + |gamma_n|^2 = |beta|^2 +
+    |gamma|^2), lies inside t_J.  A unit vector renormalized after its
+    cutoff discards mass t moves by t/2 along itself and by sqrt(t)
+    outside, so by Cauchy-Schwarz on the outside parts an overlap of two
+    such vectors moves by at most the sum of their masses, to first
+    order; each check's docstring counts the overlaps into ``weight``.
+
+    Roundoff: every sum the two routes form has fewer than S^2 terms, S =
+    d_N + d_1 + d_2 (an inner product of a partial trace has D / min(dims)
+    <= S^2 / 4, a purity or an analytic layer sum at most max(dims)^2), of
+    unit-bounded products, and n such terms round to within n u, u = eps /
+    2 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    eq. (3.5)), so the two routes differ by at most S^2 eps from roundoff.
+    """
+    d_n, d_1, d_2 = dims
+    discarded = (poisson_tail(abs(triple.alpha) ** 2, d_n)
+                 + poisson_tail(abs(triple.beta) ** 2 + abs(triple.gamma) ** 2, min(d_1, d_2)))
+    return weight * discarded + (d_n + d_1 + d_2) ** 2 * sys.float_info.epsilon
+
+
 def check_entropy_oracle(cfg: RunConfig) -> CheckResult:
     """Analytic entropy sums against brute-force partial traces.
 
-    ``entropy_n12_series``, the alpha grid's E_N|12, is judged too.
-    ``verify_theta_scale`` multiplies the phase fed to the analytic side
-    only; any value other than 1 is a deliberate mismatch and must trip
-    this check (that property is itself under test elsewhere).
+    ``entropy_n12_series``, the alpha grid's E_N|12, is judged too.  Each
+    point has its own gate: the analytic ``tail_bound`` of
+    ``linear_entropies`` plus ``oracle_gate`` of weight 2, since a purity
+    is a probability-weighted sum of squared overlaps of the evolved
+    state's layers, each of which moves by twice the discarded mass.  The
+    report gives the largest residual above its gate, or else the largest
+    residual, with that point's gate.  ``verify_theta_scale`` multiplies
+    the phase fed to the analytic side only; any value other than 1 is a
+    deliberate mismatch and must trip this check (that property is itself
+    under test elsewhere).
     """
-    worst = 0.0
-    worst_at = ""
+    worst, worst_gate, worst_at, worst_rank = 0.0, 1.0, "", (False, 0.0)
     for a, b, g, theta_t in _ORACLE_POINTS:
         triple = CoherentTriple(a, b, g)
         dims = oracle_dims(triple)
         brute = brute_force_entropies(triple, theta_t, dims)
         phase = [theta_t * cfg.verify_theta_scale]
-        *analytic, _ = linear_entropies(triple, phase)
+        *analytic, tail_bound = linear_entropies(triple, phase)
         analytic.append(entropy_n12_series(triple, phase)[0])
         disc = max((abs(x[0] - y) for x, y in zip(analytic, (*brute, brute[0]))),
                    key=_nan_high)
-        if _nan_high(disc) > _nan_high(worst):
-            worst, worst_at = disc, (f"(alpha={a}, beta={b}, gamma={g}, "
-                                     f"theta_t={theta_t:.3f}), dims {dims}")
+        gate = tail_bound + oracle_gate(triple, dims, 2.0)
+        rank = (not disc <= gate, _nan_high(disc))
+        if rank > worst_rank:
+            worst_rank, worst, worst_gate, worst_at = rank, disc, gate, (
+                f"(alpha={a}, beta={b}, gamma={g}, theta_t={theta_t:.3f}), dims {dims}")
     return CheckResult(
         name="entropy_oracle",
-        passed=worst <= cfg.tol_entropy_oracle,
+        passed=worst <= worst_gate,
         residual=worst,
-        tolerance=cfg.tol_entropy_oracle,
+        tolerance=worst_gate,
         detail=f"worst at {worst_at}",
     )
+
+
+def _cat_weights(alpha: complex) -> tuple[float, float]:
+    """Even and odd cat weights ``P+- = (1 +- exp(-2|alpha|^2)) / 2`` of
+    ``|alpha>`` (Dodonov, Malkin & Man'ko, Physica 72, 597 (1974))."""
+    # expm1 keeps P- accurate at small |alpha|, where 1 - exp cancels
+    p_odd = -0.5 * math.expm1(-2.0 * abs(alpha) ** 2)
+    return 1.0 - p_odd, p_odd
 
 
 def cat_fidelity_targets(triple: CoherentTriple) -> tuple[float, float]:
@@ -156,39 +220,58 @@ def cat_fidelity_targets(triple: CoherentTriple) -> tuple[float, float]:
     The projection products ``|beta, gamma>`` and ``|-beta, -gamma>``
     overlap by ``ov = exp(-2|beta|^2 - 2|gamma|^2)``, so each conditional
     state carries an ``ov^2`` admixture of the other cat.  With the
-    even/odd cat weights ``P+- = (1 +- exp(-2|alpha|^2)) / 2`` (Dodonov,
-    Malkin & Man'ko, Physica 72, 597 (1974)) the fidelities are
+    even/odd cat weights ``P+-`` of ``_cat_weights`` the fidelities are
     ``P+ / (P+ + P- ov^2)`` and ``P- / (P- + P+ ov^2)``.
     """
-    # expm1 keeps P- accurate at small |alpha|, where 1 - exp cancels
-    p_odd = -0.5 * math.expm1(-2.0 * abs(triple.alpha) ** 2)
-    p_even = 1.0 - p_odd
+    p_even, p_odd = _cat_weights(triple.alpha)
     ov2 = math.exp(-4.0 * (abs(triple.beta) ** 2 + abs(triple.gamma) ** 2))
     return p_even / (p_even + p_odd * ov2), p_odd / (p_odd + p_even * ov2)
+
+
+#: cap on the cat gate: the precision the cat check claims even where its
+#: lighter branch is too light for the derived gate to reach it
+CAT_GATE_CAP = 1e-10
 
 
 def check_cat_fidelity(cfg: RunConfig) -> CheckResult:
     """Half-period conditional states against the even/odd superpositions.
 
     The brute-force fidelities are judged against the exact ones of
-    ``cat_fidelity_targets``, not against 1.
+    ``cat_fidelity_targets``, not against 1.  A fidelity is conditioned
+    on its branch, of weight P+ or P-, so what the cutoffs discard counts
+    relative to that weight: the cutoffs are ``oracle_dims`` with the
+    phonon cutoff raised until its tail is at most ``TAIL_TOL`` P- / P+.
+    The gate is ``oracle_gate`` of weight 8 over the lighter judged
+    weight: each fidelity is a squared overlap of the evolved state with
+    a product of truncated vectors (a cat vector and a projection
+    product, t_N + t_J between them) over the branch's squared norm, and
+    each of the two moves by at most 4 (t_N + t_J), plus roundoff.  The
+    gate is capped at ``CAT_GATE_CAP``, which it reaches where the lighter
+    branch weighs a few percent or less.
     """
     triple = cfg.triple()
-    report = cat_state_check(triple, oracle_dims(triple))
+    p_even, p_odd = _cat_weights(triple.alpha)
+    d_n, d_1, d_2 = oracle_dims(triple)
+    odd_tail = TAIL_TOL * p_odd / p_even
+    if odd_tail > 0.0:  # zero at alpha = 0, where there is no odd branch
+        d_n = max(d_n, min_fock_dim(triple.alpha, odd_tail))
+    dims = (d_n, d_1, d_2)
+    report = cat_state_check(triple, dims)
     even_target, odd_target = cat_fidelity_targets(triple)
     residuals = [abs(report.even_fidelity - even_target),
                  abs(1.0 - report.reassembled_norm),
                  1.0 - report.reassembly_fidelity]
-    odd = "n/a"
+    odd, lighter = "n/a", p_even
     if report.odd_fidelity is not None:
         residuals.append(abs(report.odd_fidelity - odd_target))
-        odd = f"{report.odd_fidelity:.12f} (closed form {odd_target:.12f})"
+        odd, lighter = f"{report.odd_fidelity:.12f} (closed form {odd_target:.12f})", p_odd
     residual = max(residuals)
+    gate = min(oracle_gate(triple, dims, 8.0) / lighter, CAT_GATE_CAP)
     return CheckResult(
         name="cat_fidelity",
-        passed=residual <= cfg.tol_cat_fidelity,
+        passed=residual <= gate,
         residual=residual,
-        tolerance=cfg.tol_cat_fidelity,
+        tolerance=gate,
         detail=(
             f"even {report.even_fidelity:.12f} (closed form {even_target:.12f}), odd {odd}"
             f", weights ({report.even_weight:.6f}, {report.odd_weight:.6f})"
@@ -198,14 +281,27 @@ def check_cat_fidelity(cfg: RunConfig) -> CheckResult:
 
 
 def check_separability(cfg: RunConfig) -> CheckResult:
-    """Brute-force rho_12 against the explicit separable mixture."""
+    """Brute-force rho_12 against the explicit separable mixture.
+
+    The residual is ``separability_check_12``'s bound on the distance on
+    the complete photon-number sectors plus the mass outside them, judged
+    by ``oracle_gate`` of weight 6.  On the complete sectors the truncated
+    layer ``P a_n`` is exactly parallel to ``P b_n``, so ``T_n`` is the
+    difference of their squared norms, first order in the masses their
+    two renormalizations discard: t_N for the phonons, and within t_J
+    each for the two resonators of the initial state and of the branch.
+    That is t_N + 4 t_J over all layers, and the two outside masses add
+    at most t_J each.
+    """
     triple = cfg.triple()
-    report = separability_check_12(triple, math.pi / 2, oracle_dims(triple))
+    dims = oracle_dims(triple)
+    report = separability_check_12(triple, math.pi / 2, dims)
+    gate = oracle_gate(triple, dims, 6.0)
     return CheckResult(
         name="separability_12",
-        passed=report.deviation_bound <= cfg.tol_separability,
+        passed=report.deviation_bound <= gate,
         residual=report.deviation_bound,
-        tolerance=cfg.tol_separability,
+        tolerance=gate,
         detail=f"mixture trace {report.mixture_trace:.12f}, dims {report.dims}",
     )
 

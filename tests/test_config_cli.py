@@ -173,6 +173,10 @@ def test_parse_errors_carry_line_numbers(text, msg):
                  id="oracle_dim = 1\n-oracle_dim"),
     pytest.param("oracle_dim = 61\n", "line 1: unknown key 'oracle_dim'",
                  id="oracle_dim = 61\n-oracle_dim"),
+    # removed keys: `verify` derives these four gates itself
+    *(pytest.param(f"{key} = 1.0\n", f"line 1: unknown key '{key}'", id=key)
+      for key in ("tol_elimination", "tol_entropy_oracle", "tol_cat_fidelity",
+                  "tol_separability")),
 ])
 def test_semantic_validation(text, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -349,11 +353,15 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
 @pytest.mark.parametrize("amplitudes", [
     (1.5, 1.5, 1.5), (1.0, 1.2, 1.1), (2.5, 2.0, 2.0),
     (2.0, 2.5 * cmath.exp(0.7j), 1.5 * cmath.exp(-1.1j)),
+    # separability read 1.200e-8 and 1.141e-8 here while its bound took in
+    # the reflection of the sectors the resonator cutoffs cut off
+    (1.8166 - 4.8497j, -2.4507 - 1.3577j, -1.7391 + 2.3282j),
+    (0.0442 - 2.2481j, -0.5391 + 2.7634j, -2.4553 - 0.932j),
 ])
 def test_verify_passes_off_the_default_amplitudes(tmp_path, capsys, amplitudes):
     """Where the cat branches still overlap visibly, the cat check judges the
     exact overlapping-branch fidelities; with cutoffs derived from the
-    amplitudes, a larger phonon amplitude and a complex resonator pair pass
+    amplitudes, a larger phonon amplitude and complex resonator pairs pass
     too."""
     conf = tmp_path / "amplitudes.conf"
     conf.write_text("".join(
@@ -461,33 +469,32 @@ def _stretch_mixture_phase(conditioned_state, tol):
     return state
 
 
-#: case -> (the check it must fail, module, name, tolerance key, mutation)
+#: case -> (the check it must fail, module, name, mutation)
 CLOSED_FORM_MUTATIONS = {
     "classical_averaging": ("classical_averaging", "circuit", "effective_params",
-                            "tol_classical_peak", _shift_averaged_resonance),
-    "current_ode": ("current_ode", "readout", "mean_photocurrent", "tol_current_ode",
-                    _scale_closed_form_current),
+                            _shift_averaged_resonance),
+    "current_ode": ("current_ode", "readout", "mean_photocurrent", _scale_closed_form_current),
     "current_ode_nonlinear_in_n_b": ("current_ode", "readout", "mean_photocurrent",
-                                     "tol_current_ode", _grow_closed_form_current_with_n_b),
+                                     _grow_closed_form_current_with_n_b),
     "adiabatic_elimination": ("adiabatic_elimination", "verify", "ReadoutParams",
-                              "tol_elimination", _slow_eliminated_decay),
-    "entropy_oracle": ("entropy_oracle", "verify", "linear_entropies", "tol_entropy_oracle",
-                       _raise_analytic_e_n_12),
-    "cat_fidelity": ("cat_fidelity", "verify", "cat_fidelity_targets", "tol_cat_fidelity",
-                     _lower_even_cat_target),
+                              _slow_eliminated_decay),
+    "entropy_oracle": ("entropy_oracle", "verify", "linear_entropies", _raise_analytic_e_n_12),
+    "cat_fidelity": ("cat_fidelity", "verify", "cat_fidelity_targets", _lower_even_cat_target),
     "separability_12": ("separability_12", "entanglement", "conditioned_state",
-                        "tol_separability", _stretch_mixture_phase),
+                        _stretch_mixture_phase),
 }
 
 
 @pytest.mark.parametrize("case", list(CLOSED_FORM_MUTATIONS))
 def test_each_verify_check_fails_alone_on_its_mutation(monkeypatch, case):
-    """Every check can fail: its own mutation trips it and no other."""
+    """Every check can fail: its own mutation, sized from the tolerance the
+    check reports unmutated, trips it and no other."""
     cfg = parse_config_text("current_points = 16\nclassical_periods = 20\n"
                             "classical_samples = 1024\n")
-    check, module, name, tol_key, mutate = CLOSED_FORM_MUTATIONS[case]
+    check, module, name, mutate = CLOSED_FORM_MUTATIONS[case]
+    tol = {r.name: r.tolerance for r in run_all(cfg)}[check]
     holder = importlib.import_module(f"nemsqnd.{module}")
-    monkeypatch.setattr(holder, name, mutate(getattr(holder, name), getattr(cfg, tol_key)))
+    monkeypatch.setattr(holder, name, mutate(getattr(holder, name), tol))
     results = run_all(cfg)
     failed = [r for r in results if not r.passed]
     assert [r.name for r in failed] == [check]
