@@ -164,10 +164,10 @@ def cmd_entropy(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_cat(cfg: RunConfig, out: Path) -> int:
-    from .entanglement import cat_state_check, oracle_dims
+    from .entanglement import cat_dims, cat_state_check
 
     triple = cfg.triple()
-    report = cat_state_check(triple, oracle_dims(triple))
+    report = cat_state_check(triple, cat_dims(triple))
     odd = math.nan if report.odd_fidelity is None else report.odd_fidelity
     _write_csv(
         out / "cat_report.csv",
@@ -188,6 +188,7 @@ def cmd_cat(cfg: RunConfig, out: Path) -> int:
         ("odd weight", f"{report.odd_weight:.6e}"),
         ("reassembled norm", f"{report.reassembled_norm:.12e}"),
         ("reassembly fidelity", f"{report.reassembly_fidelity:.12e}"),
+        ("cutoffs (d_N, d_1, d_2)", str(report.dims)),
     ])
     return 0
 

@@ -335,7 +335,8 @@ def linear_entropies(triple: CoherentTriple, theta_ts):
 
 
 def oracle_dims(triple: CoherentTriple) -> tuple[int, int, int]:
-    """Cutoffs ``(d_N, d_1, d_2)`` of every brute-force check of ``triple``.
+    """Cutoffs ``(d_N, d_1, d_2)`` of the brute-force checks of ``triple``;
+    the cat check raises d_N (``cat_dims``).
 
     The phonon cutoff keeps the Poisson tail of alpha at ``TAIL_TOL``.
     The exchange coupling conserves the total resonator photon number,
@@ -347,6 +348,26 @@ def oracle_dims(triple: CoherentTriple) -> tuple[int, int, int]:
     joint = math.sqrt(abs(triple.beta) ** 2 + abs(triple.gamma) ** 2)
     d_r = min_fock_dim(joint, 1e-15) + 2
     return (min_fock_dim(triple.alpha, TAIL_TOL), d_r, d_r)
+
+
+def cat_weights(alpha: complex) -> tuple[float, float]:
+    """Even and odd cat weights ``P+- = (1 +- exp(-2|alpha|^2)) / 2`` of
+    ``|alpha>`` (Dodonov, Malkin & Man'ko, Physica 72, 597 (1974))."""
+    # expm1 keeps P- accurate at small |alpha|, where 1 - exp cancels
+    p_odd = -0.5 * math.expm1(-2.0 * abs(alpha) ** 2)
+    return 1.0 - p_odd, p_odd
+
+
+def cat_dims(triple: CoherentTriple) -> tuple[int, int, int]:
+    """``oracle_dims`` with d_N raised until its tail is at most ``TAIL_TOL``
+    P- / P+: a cat fidelity is conditioned on its branch, so the mass the
+    phonon cutoff discards counts relative to the branch weight."""
+    d_n, d_1, d_2 = oracle_dims(triple)
+    p_even, p_odd = cat_weights(triple.alpha)
+    odd_tail = TAIL_TOL * p_odd / p_even
+    if odd_tail > 0.0:  # zero at alpha = 0, where there is no odd branch
+        d_n = max(d_n, min_fock_dim(triple.alpha, odd_tail))
+    return d_n, d_1, d_2
 
 
 def initial_product_state(triple: CoherentTriple,
@@ -582,7 +603,8 @@ def cat_state_check(triple: CoherentTriple,
     odd coherent superpositions of alpha.  The check evolves the state
     brute-force, projects, and reports both fidelities, the projection
     weights, and how well the two-branch reassembly reproduces the full
-    evolved state.
+    evolved state.  ``sim cat`` and ``sim verify`` pass the ``cat_dims``
+    cutoffs.
 
     Raises
     ------
@@ -600,46 +622,32 @@ def cat_state_check(triple: CoherentTriple,
     psi_t = exchange_evolve(initial_product_state(triple, dims), math.pi)
     tensor = psi_t.amplitudes.reshape(len(psi_t.amplitudes), -1)
 
-    proj_plus = np.kron(coherent_vector(triple.beta, dims[1]),
-                        coherent_vector(triple.gamma, dims[2]))
-    proj_minus = np.kron(coherent_vector(-triple.beta, dims[1]),
-                         coherent_vector(-triple.gamma, dims[2]))
-
-    cond_plus = tensor @ proj_plus.conj()
-    cond_minus = tensor @ proj_minus.conj()
-    w_plus = float(np.vdot(cond_plus, cond_plus).real)
-    w_minus = float(np.vdot(cond_minus, cond_minus).real)
-
-    cat_even = _cat_vector(triple.alpha, dims[0], +1)
-    cat_odd = _cat_vector(triple.alpha, dims[0], -1)
-
-    def _fid(cond, w, cat):
-        if w < 1e-12 or cat is None:
-            return None
-        return float(abs(np.vdot(cat, cond)) ** 2 / w)
-
-    f_even = _fid(cond_plus, w_plus, cat_even)
-    if f_even is None:
-        raise ConditioningError("even projection branch carries no weight")
-    f_odd = _fid(cond_minus, w_minus, cat_odd)
-
     # two-branch reassembly |re> = N+ |cat+>|b>|g> + N- |cat->|-b>|-g>, taken
     # through the projections: <re|psi(pi)> = N+ <cat+|cond+> + N- <cat-|cond->,
     # and the cats' disjoint (even/odd) Fock support leaves no cross term in
     # <re|re> = N+^2 |proj+|^2 + N-^2 |proj-|^2
-    odd_weight = -0.5 * math.expm1(-2.0 * abs(triple.alpha) ** 2)
-    n_plus, n_minus = math.sqrt(1.0 - odd_weight), math.sqrt(odd_weight)
-    re_overlap = n_plus * np.vdot(cat_even, cond_plus)
-    norm_sq = n_plus**2 * float(np.vdot(proj_plus, proj_plus).real)
-    if cat_odd is not None and n_minus > 0:
-        re_overlap += n_minus * np.vdot(cat_odd, cond_minus)
-        norm_sq += n_minus**2 * float(np.vdot(proj_minus, proj_minus).real)
+    fidelities, weights, re_overlap, norm_sq = [], [], 0.0, 0.0
+    products = ((triple.beta, triple.gamma), (-triple.beta, -triple.gamma))
+    for sign, (beta, gamma), p_cat in zip((1, -1), products, cat_weights(triple.alpha)):
+        proj = np.kron(coherent_vector(beta, dims[1]), coherent_vector(gamma, dims[2]))
+        cond = tensor @ proj.conj()
+        weight = float(np.vdot(cond, cond).real)
+        cat = _cat_vector(triple.alpha, dims[0], sign)
+        weights.append(weight)
+        fidelities.append(None if weight < 1e-12 or cat is None
+                          else float(abs(np.vdot(cat, cond)) ** 2 / weight))
+        n_cat = math.sqrt(p_cat)
+        if cat is not None and n_cat > 0:
+            re_overlap += n_cat * np.vdot(cat, cond)
+            norm_sq += n_cat**2 * float(np.vdot(proj, proj).real)
+    if fidelities[0] is None:
+        raise ConditioningError("even projection branch carries no weight")
     re_norm = math.sqrt(norm_sq)
     re_fid = float(abs(re_overlap) ** 2 / norm_sq)
 
     return CatStateReport(
-        even_fidelity=f_even, odd_fidelity=f_odd,
-        even_weight=w_plus, odd_weight=w_minus,
+        even_fidelity=fidelities[0], odd_fidelity=fidelities[1],
+        even_weight=weights[0], odd_weight=weights[1],
         reassembled_norm=re_norm, reassembly_fidelity=re_fid,
         dims=tuple(int(d) for d in dims),
     )

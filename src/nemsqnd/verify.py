@@ -4,10 +4,11 @@ Each check pits a closed-form result against an independent numerical
 route and reports the worst residual together with the tolerance it was
 judged by.  The suite is deterministic and needs no input files.
 
-The two checks that judge a run the subcommands write, ``current_ode``
-and ``classical_averaging``, take their tolerances from the run
-configuration.  The other four derive theirs from the inputs they hold,
-and no config can loosen them.  ``adiabatic_elimination`` is gated by the
+Three checks judge the run a subcommand writes: ``current_ode`` and
+``classical_averaging`` at the tolerances of the run configuration, and
+``cat_fidelity``, the ``sim cat`` run, at a derived gate.  The other
+checks derive their gates too, from the inputs they hold, and no config
+can loosen a derived gate.  ``adiabatic_elimination`` is gated by the
 leading-order error of the elimination.  The three oracle checks are
 gated by ``oracle_gate``: a multiple of the Poisson mass the oracle's
 cutoffs discard, plus a roundoff term.  Each check's docstring gives its
@@ -23,16 +24,17 @@ from dataclasses import dataclass
 from .circuit import classical_averaging
 from .config import RunConfig
 from .entanglement import (
-    TAIL_TOL,
     CoherentTriple,
     brute_force_entropies,
+    cat_dims,
     cat_state_check,
+    cat_weights,
     entropy_n12_series,
     linear_entropies,
     oracle_dims,
     separability_check_12,
 )
-from .fock import min_fock_dim, poisson_tail
+from .fock import poisson_tail
 from .readout import ReadoutParams, _nan_high, adiabatic_elimination_error, current_transients
 
 
@@ -206,24 +208,16 @@ def check_entropy_oracle(cfg: RunConfig) -> CheckResult:
     )
 
 
-def _cat_weights(alpha: complex) -> tuple[float, float]:
-    """Even and odd cat weights ``P+- = (1 +- exp(-2|alpha|^2)) / 2`` of
-    ``|alpha>`` (Dodonov, Malkin & Man'ko, Physica 72, 597 (1974))."""
-    # expm1 keeps P- accurate at small |alpha|, where 1 - exp cancels
-    p_odd = -0.5 * math.expm1(-2.0 * abs(alpha) ** 2)
-    return 1.0 - p_odd, p_odd
-
-
 def cat_fidelity_targets(triple: CoherentTriple) -> tuple[float, float]:
     """Exact even and odd half-period conditional-state fidelities.
 
     The projection products ``|beta, gamma>`` and ``|-beta, -gamma>``
     overlap by ``ov = exp(-2|beta|^2 - 2|gamma|^2)``, so each conditional
     state carries an ``ov^2`` admixture of the other cat.  With the
-    even/odd cat weights ``P+-`` of ``_cat_weights`` the fidelities are
-    ``P+ / (P+ + P- ov^2)`` and ``P- / (P- + P+ ov^2)``.
+    even/odd cat weights ``P+-`` of ``entanglement.cat_weights`` the
+    fidelities are ``P+ / (P+ + P- ov^2)`` and ``P- / (P- + P+ ov^2)``.
     """
-    p_even, p_odd = _cat_weights(triple.alpha)
+    p_even, p_odd = cat_weights(triple.alpha)
     ov2 = math.exp(-4.0 * (abs(triple.beta) ** 2 + abs(triple.gamma) ** 2))
     return p_even / (p_even + p_odd * ov2), p_odd / (p_odd + p_even * ov2)
 
@@ -237,26 +231,21 @@ def check_cat_fidelity(cfg: RunConfig) -> CheckResult:
     """Half-period conditional states against the even/odd superpositions.
 
     The brute-force fidelities are judged against the exact ones of
-    ``cat_fidelity_targets``, not against 1.  A fidelity is conditioned
-    on its branch, of weight P+ or P-, so what the cutoffs discard counts
-    relative to that weight: the cutoffs are ``oracle_dims`` with the
-    phonon cutoff raised until its tail is at most ``TAIL_TOL`` P- / P+.
-    The gate is ``oracle_gate`` of weight 8 over the lighter judged
-    weight: each fidelity is a squared overlap of the evolved state with
-    a product of truncated vectors (a cat vector and a projection
-    product, t_N + t_J between them) over the branch's squared norm, and
-    each of the two moves by at most 4 (t_N + t_J), plus roundoff.  The
-    gate is capped at ``CAT_GATE_CAP``, which it reaches where the lighter
-    branch weighs a few percent or less.
+    ``cat_fidelity_targets``, not against 1, on the run ``sim cat``
+    writes: ``cat_state_check`` at the ``entanglement.cat_dims`` cutoffs,
+    whose phonon cutoff counts the mass it discards relative to the
+    lighter branch weight.  The gate is ``oracle_gate`` of weight 8 over
+    the lighter judged weight: each fidelity is a squared overlap of the
+    evolved state with a product of truncated vectors (a cat vector and a
+    projection product, t_N + t_J between them) over the branch's squared
+    norm, and each of the two moves by at most 4 (t_N + t_J), plus
+    roundoff.  The gate is capped at ``CAT_GATE_CAP``, which it reaches
+    where the lighter branch weighs a few percent or less.
     """
     triple = cfg.triple()
-    p_even, p_odd = _cat_weights(triple.alpha)
-    d_n, d_1, d_2 = oracle_dims(triple)
-    odd_tail = TAIL_TOL * p_odd / p_even
-    if odd_tail > 0.0:  # zero at alpha = 0, where there is no odd branch
-        d_n = max(d_n, min_fock_dim(triple.alpha, odd_tail))
-    dims = (d_n, d_1, d_2)
+    dims = cat_dims(triple)
     report = cat_state_check(triple, dims)
+    p_even, p_odd = cat_weights(triple.alpha)
     even_target, odd_target = cat_fidelity_targets(triple)
     residuals = [abs(report.even_fidelity - even_target),
                  abs(1.0 - report.reassembled_norm),

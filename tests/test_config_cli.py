@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nemsqnd
+from nemsqnd import entanglement, verify
 from nemsqnd.circuit import EPS0, HBAR, PhysicalCircuitParams, classical_averaging, effective_params
 from nemsqnd.cli import main
 from nemsqnd.config import (
@@ -320,6 +321,40 @@ def test_cat_artifact(tmp_path):
     assert vals["reassembly_fidelity"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_cat_writes_the_closed_form_odd_fidelity_of_a_light_odd_branch(tmp_path, capsys):
+    """The odd cat weighs 2e-4 here; at the common phonon cutoff its
+    discarded tail moved the odd fidelity `sim cat` wrote by 9.9e-10."""
+    conf = tmp_path / "light.conf"
+    conf.write_text("alpha_re = 0.0126\nbeta_re = 1.0747\ngamma_re = 1.0747\n")
+    assert main(["cat", "--config", str(conf), "--out", str(tmp_path)]) == 0
+    header, (row,) = read_csv(tmp_path / "cat_report.csv")
+    odd_target = verify.cat_fidelity_targets(load_config(conf).triple())[1]
+    assert abs(float(row[header.index("odd_fidelity")]) - odd_target) <= 1e-10
+    assert "cutoffs (d_N, d_1, d_2)  (4, 25, 25)\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.0126, 0.3, 2.0])
+def test_cat_and_its_check_evolve_at_the_same_cutoffs(tmp_path, monkeypatch, alpha):
+    """`sim cat` and the `cat_fidelity` check hand `cat_state_check` the
+    same cutoffs: one run, not a second computation."""
+    seen = {}
+
+    def recorder(caller, check):
+        def record(triple, dims):
+            seen[caller] = dims
+            return check(triple, dims)
+        return record
+
+    monkeypatch.setattr(entanglement, "cat_state_check",
+                        recorder("cat", entanglement.cat_state_check))
+    monkeypatch.setattr(verify, "cat_state_check", recorder("verify", verify.cat_state_check))
+    conf = tmp_path / "alpha.conf"
+    conf.write_text(f"alpha_re = {alpha!r}\n")
+    assert main(["cat", "--config", str(conf), "--out", str(tmp_path)]) == 0
+    assert verify.check_cat_fidelity(load_config(conf)).passed
+    assert seen["cat"] == seen["verify"]
+
+
 def test_classical_artifacts(tmp_path):
     assert main(["classical", "--out", str(tmp_path)]) == 0
     header, rows = read_csv(tmp_path / "trajectory.csv")
@@ -410,7 +445,9 @@ def test_verify_catches_tampered_physics(tmp_path, capsys):
 # stretched phase leaves alone, so the stretch moves the mixture only.  The
 # averaged resonance and the closed-form current are read by the runs `sim
 # classical` and `sim current` share with `verify`,
-# `circuit.classical_averaging` and `readout.current_transients`.
+# `circuit.classical_averaging` and `readout.current_transients`; the cat
+# targets judge the run `sim cat` shares with it, `cat_state_check` at the
+# `entanglement.cat_dims` cutoffs.
 
 def _shift_averaged_resonance(effective_params, tol):
     def shifted(*args, **kwargs):
@@ -505,8 +542,6 @@ def test_the_alpha_grid_series_fails_the_entropy_oracle_alone(monkeypatch):
     """``entropy_n12_series``, which ``sim entropy`` writes along its alpha
     grid, is judged by the entropy oracle: 1% off, it fails that check and
     no other."""
-    import nemsqnd.verify as verify
-
     series = verify.entropy_n12_series
 
     def scaled(*args, **kwargs):
@@ -526,8 +561,6 @@ def test_entropy_oracle_fails_on_a_nan_discrepancy(monkeypatch, tmp_path, point,
     any of the three entropies; ``max`` and ``>`` alone would drop it.
     ``sim verify`` then exits 1 and writes the residual as a strict-JSON
     null."""
-    import nemsqnd.verify as verify
-
     linear_entropies = verify.linear_entropies
     calls = []
 
@@ -922,6 +955,7 @@ def test_classical_loads_no_oracle_module(tmp_path):
     ("defaults", "nemsqnd.circuit,nemsqnd.readout"),
     ("entropy", "nemsqnd.circuit,nemsqnd.readout"),
     ("classical", "nemsqnd.readout"),
+    ("cat", "nemsqnd.verify,nemsqnd.circuit,nemsqnd.readout"),
 ])
 def test_subcommands_load_no_unused_domain_module(tmp_path, command, modules):
     """The config is a leaf: a subcommand loads the domain modules it
