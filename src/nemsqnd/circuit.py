@@ -237,6 +237,8 @@ class ClassicalCircuitConfig:
             raise ValueError("t_span must be increasing")
         if not (math.isfinite(self.rtol) and self.rtol > 0):
             raise ValueError(f"rtol must be finite and positive, got {self.rtol!r}")
+        if not math.isfinite(math.pi / self.params.nu):
+            raise ValueError(f"drive period pi/nu is not finite at nu = {self.params.nu!r}")
         periods = (self.t_span[1] - self.t_span[0]) * self.params.nu / math.pi
         if not periods <= DRIVE_PERIOD_CAP:
             raise ValueError(

@@ -171,14 +171,9 @@ def cmd_cat(cfg: RunConfig, out: Path) -> int:
     odd = math.nan if report.odd_fidelity is None else report.odd_fidelity
     _write_csv(
         out / "cat_report.csv",
-        (
-            "even_fidelity", "odd_fidelity", "even_weight", "odd_weight",
-            "reassembled_norm", "reassembly_fidelity",
-        ),
-        [(
-            report.even_fidelity, odd, report.even_weight, report.odd_weight,
-            report.reassembled_norm, report.reassembly_fidelity,
-        )],
+        ("even_fidelity", "odd_fidelity", "even_weight", "odd_weight", "reassembly_fidelity"),
+        [(report.even_fidelity, odd, report.even_weight, report.odd_weight,
+          report.reassembly_fidelity)],
     )
     print(f"wrote {out / 'cat_report.csv'}")
     _print_table([
@@ -186,7 +181,6 @@ def cmd_cat(cfg: RunConfig, out: Path) -> int:
         ("odd-branch fidelity", "n/a" if report.odd_fidelity is None else f"{report.odd_fidelity:.12e}"),
         ("even weight", f"{report.even_weight:.6e}"),
         ("odd weight", f"{report.odd_weight:.6e}"),
-        ("reassembled norm", f"{report.reassembled_norm:.12e}"),
         ("reassembly fidelity", f"{report.reassembly_fidelity:.12e}"),
         ("cutoffs (d_N, d_1, d_2)", str(report.dims)),
     ])
@@ -253,7 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", default=".",
                         help="directory for output files (created if missing)")
     common.add_argument("--strict", action="store_true",
-                        help="treat dispersive-regime violations as errors")
+                        help="treat the adiabatic-elimination regime warning "
+                             "(theta0/kappa2 or |theta|/kappa2 at or above 0.1) as an error")
 
     parser = argparse.ArgumentParser(
         prog="sim",

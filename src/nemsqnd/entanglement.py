@@ -15,12 +15,11 @@ and coherent branch amplitudes
     beta_n(t)  = beta  cos(phi_n) - i gamma sin(phi_n)
     gamma_n(t) = gamma cos(phi_n) - i beta  sin(phi_n).
 
-The analytic side drops the ``theta0`` part of the angle (``phi_n = n
-theta t``): it rotates the two resonators identically in every phonon
-layer, so it cannot entangle them with the mechanics, and dropping it
-matches the analytic object the entropies are quoted for.  The
-brute-force entropies of ``brute_force_entropies`` accept it back as an
-explicit opt-in.
+The analytic sums and the brute-force oracle alike drop the ``theta0``
+part of the angle (``phi_n = n theta t``): it rotates the two resonators
+identically in every phonon layer, so it cannot entangle them with the
+mechanics, and dropping it matches the analytic object the entropies are
+quoted for.
 
 The three bipartite linear entropies of the pure tripartite state are
 sums over branch overlaps; with ``p_n = |C_n|^2``:
@@ -441,13 +440,11 @@ class _SectorBases(dict):
 _SECTOR_BASES = _SectorBases()
 
 
-def exchange_evolve(psi: StateVector, theta_t: float,
-                    theta0_t: float = 0.0) -> StateVector:
+def exchange_evolve(psi: StateVector, theta_t: float) -> StateVector:
     """Exact propagation of a three-mode state by the exchange interaction.
 
-    ``theta_t`` and ``theta0_t`` are the accumulated dimensionless phases
-    (coupling rate times time); layer n of the phonon mode is rotated by
-    ``theta0_t + n * theta_t``.
+    ``theta_t`` is the accumulated dimensionless phase (coupling rate
+    times time); layer n of the phonon mode is rotated by ``n * theta_t``.
     """
     tensor = psi.amplitudes
     if tensor.ndim != 3:
@@ -458,12 +455,9 @@ def exchange_evolve(psi: StateVector, theta_t: float,
     d_n, d_1, d_2 = tensor.shape
     # the largest angle, layer phase times sector eigenvalue (|w| <= N <
     # d_1 + d_2), bounded as a Python float before numpy forms any
-    top = abs(float(theta0_t)) + abs(float(theta_t)) * (d_n - 1)
-    if not math.isfinite(top * (d_1 + d_2)):
-        raise ValueError(
-            f"non-finite layer phase angles for theta_t = {theta_t!r}, theta0_t = {theta0_t!r}"
-        )
-    layer_phase = theta0_t + np.arange(d_n) * theta_t
+    if not math.isfinite(abs(float(theta_t)) * (d_n - 1) * (d_1 + d_2)):
+        raise ValueError(f"non-finite layer phase angles for theta_t = {theta_t!r}")
+    layer_phase = np.arange(d_n) * theta_t
     out = np.empty_like(tensor)
     for total in range(d_1 + d_2 - 1):
         first, last = max(0, total - d_2 + 1), min(total, d_1 - 1)
@@ -475,15 +469,12 @@ def exchange_evolve(psi: StateVector, theta_t: float,
 
 
 def brute_force_entropies(triple: CoherentTriple, theta_t: float,
-                          dims: tuple[int, int, int], theta0_t: float = 0.0):
+                          dims: tuple[int, int, int]):
     """Partial-trace linear entropies from exact truncated evolution.
 
-    Returns ``(E_N|12, E_1|N2, E_2|N1)``.  The analytic entropies drop
-    the theta0 rotation; passing ``theta0_t != 0`` here probes the claim
-    that it only mixes the two resonators internally: E_N|12 must be
-    unchanged while the two single-resonator entropies may move.
+    Returns ``(E_N|12, E_1|N2, E_2|N1)``.
     """
-    psi_t = exchange_evolve(initial_product_state(triple, dims), theta_t, theta0_t)
+    psi_t = exchange_evolve(initial_product_state(triple, dims), theta_t)
     return tuple(linear_entropy(reduced_density(psi_t, axis)) for axis in range(3))
 
 
@@ -499,7 +490,6 @@ class SeparabilityReport:
     blocks between them are not bounded (``separability_check_12``)."""
 
     deviation_bound: float
-    mixture_trace: float
     dims: tuple[int, int, int]
 
 
@@ -549,10 +539,8 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
     inside, outside = np.flatnonzero(complete), np.flatnonzero(~complete)
     rest = layers[state.n_terms:]  # past the analytic layers, |a_n|^2 each
     bound = float(np.vdot(rest, rest).real)
-    branch_norms = np.empty(state.n_terms)
     for n, (a_n, beta_n, gamma_n) in enumerate(zip(layers, state.beta_n, state.gamma_n)):
         b_n = np.kron(coherent_vector(beta_n, dims[1]), coherent_vector(gamma_n, dims[2]))
-        branch_norms[n] = np.sum(np.abs(b_n) ** 2)
         a_out, b_out = a_n[outside], b_n[outside]
         bound += float(np.vdot(a_out, a_out).real) + p[n] * float(np.vdot(b_out, b_out).real)
         a_n, b_n = a_n[inside], b_n[inside]
@@ -564,11 +552,7 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
         delta = float(np.linalg.norm(b_n))
         t_11, t_22 = abs(mu) ** 2 - p[n] * b_norm**2, delta**2
         bound += 0.5 * abs(t_11 + t_22) + math.hypot(0.5 * (t_11 - t_22), abs(mu) * delta)
-    return SeparabilityReport(
-        deviation_bound=float(bound),
-        mixture_trace=float(p @ branch_norms),
-        dims=tuple(int(d) for d in dims),
-    )
+    return SeparabilityReport(deviation_bound=float(bound), dims=tuple(int(d) for d in dims))
 
 
 @dataclass(frozen=True)
@@ -579,7 +563,6 @@ class CatStateReport:
     odd_fidelity: float | None
     even_weight: float
     odd_weight: float
-    reassembled_norm: float
     reassembly_fidelity: float
     dims: tuple[int, int, int]
 
@@ -623,10 +606,10 @@ def cat_state_check(triple: CoherentTriple,
     tensor = psi_t.amplitudes.reshape(len(psi_t.amplitudes), -1)
 
     # two-branch reassembly |re> = N+ |cat+>|b>|g> + N- |cat->|-b>|-g>, taken
-    # through the projections: <re|psi(pi)> = N+ <cat+|cond+> + N- <cat-|cond->,
-    # and the cats' disjoint (even/odd) Fock support leaves no cross term in
-    # <re|re> = N+^2 |proj+|^2 + N-^2 |proj-|^2
-    fidelities, weights, re_overlap, norm_sq = [], [], 0.0, 0.0
+    # through the projections: <re|psi(pi)> = N+ <cat+|cond+> + N- <cat-|cond->.
+    # The cats have disjoint (even/odd) Fock support, so <re|re> has no cross
+    # term, and with unit cats and products it is N+^2 + N-^2 = P+ + P- = 1
+    fidelities, weights, re_overlap = [], [], 0.0
     products = ((triple.beta, triple.gamma), (-triple.beta, -triple.gamma))
     for sign, (beta, gamma), p_cat in zip((1, -1), products, cat_weights(triple.alpha)):
         proj = np.kron(coherent_vector(beta, dims[1]), coherent_vector(gamma, dims[2]))
@@ -636,18 +619,14 @@ def cat_state_check(triple: CoherentTriple,
         weights.append(weight)
         fidelities.append(None if weight < 1e-12 or cat is None
                           else float(abs(np.vdot(cat, cond)) ** 2 / weight))
-        n_cat = math.sqrt(p_cat)
-        if cat is not None and n_cat > 0:
-            re_overlap += n_cat * np.vdot(cat, cond)
-            norm_sq += n_cat**2 * float(np.vdot(proj, proj).real)
+        if cat is not None:
+            re_overlap += math.sqrt(p_cat) * np.vdot(cat, cond)
     if fidelities[0] is None:
         raise ConditioningError("even projection branch carries no weight")
-    re_norm = math.sqrt(norm_sq)
-    re_fid = float(abs(re_overlap) ** 2 / norm_sq)
 
     return CatStateReport(
         even_fidelity=fidelities[0], odd_fidelity=fidelities[1],
         even_weight=weights[0], odd_weight=weights[1],
-        reassembled_norm=re_norm, reassembly_fidelity=re_fid,
+        reassembly_fidelity=float(abs(re_overlap) ** 2),
         dims=tuple(int(d) for d in dims),
     )

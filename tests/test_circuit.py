@@ -208,6 +208,10 @@ def test_drive_period_cap():
         ClassicalCircuitConfig(params=p, t_span=(0.0, 1.01 * DRIVE_PERIOD_CAP * math.pi))
     with pytest.raises(ValueError, match="nu"):
         ClassicalCircuitConfig(params=dataclasses.replace(p, nu=0.0))
+    # below pi / DBL_MAX the drive period pi/nu is not a float
+    ClassicalCircuitConfig(params=dataclasses.replace(p, nu=1e-300))
+    with pytest.raises(ValueError, match="drive period pi/nu is not finite"):
+        ClassicalCircuitConfig(params=dataclasses.replace(p, nu=5e-324))
 
 
 @pytest.mark.parametrize("rtol", [math.nan, math.inf, 0.0, -1e-10])

@@ -33,6 +33,7 @@ from nemsqnd.config import (
     parse_config_text,
 )
 from nemsqnd.errors import ConfigError
+from nemsqnd.readout import REGIME_LIMIT
 from nemsqnd.verify import run_all
 
 
@@ -311,13 +312,12 @@ def test_cat_artifact(tmp_path):
     assert main(["cat", "--config", str(conf), "--out", str(tmp_path)]) == 0
     header, rows = read_csv(tmp_path / "cat_report.csv")
     assert header == ("even_fidelity", "odd_fidelity", "even_weight",
-                      "odd_weight", "reassembled_norm", "reassembly_fidelity")
+                      "odd_weight", "reassembly_fidelity")
     (row,) = rows
     vals = dict(zip(header, map(float, row)))
     assert 0.999 < vals["even_fidelity"] <= 1.0 + 1e-12
     # weights exceed 1 by exactly the squared projector overlap (~1e-5 here)
     assert vals["even_weight"] + vals["odd_weight"] == pytest.approx(1.0, abs=1e-4)
-    assert vals["reassembled_norm"] == pytest.approx(1.0, abs=1e-9)
     assert vals["reassembly_fidelity"] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -538,6 +538,20 @@ def test_each_verify_check_fails_alone_on_its_mutation(monkeypatch, case):
     assert 5.0 < failed[0].residual / failed[0].tolerance < 20.0
 
 
+def test_swapped_cat_weights_fail_the_cat_check_alone(monkeypatch):
+    """The reassembly term of ``cat_fidelity`` reads the evolved state:
+    with P+ and P- swapped where ``cat_state_check`` reads them, the
+    reassembled state weighs each cat by the other's weight, its fidelity
+    is 4 P+ P- = 1 - exp(-4|alpha|^2), and exactly that check fails."""
+    weights = entanglement.cat_weights
+    monkeypatch.setattr(entanglement, "cat_weights", lambda alpha: weights(alpha)[::-1])
+    cfg = parse_config_text("current_points = 16\nclassical_periods = 20\n"
+                            "classical_samples = 1024\n")
+    failed = [r for r in run_all(cfg) if not r.passed]
+    assert [r.name for r in failed] == ["cat_fidelity"]
+    assert failed[0].residual == pytest.approx(math.exp(-16.0), rel=1e-6)
+
+
 def test_the_alpha_grid_series_fails_the_entropy_oracle_alone(monkeypatch):
     """``entropy_n12_series``, which ``sim entropy`` writes along its alpha
     grid, is judged by the entropy oracle: 1% off, it fails that check and
@@ -710,6 +724,22 @@ def test_classical_rtol_below_the_floor_runs(tmp_path, capsys, command, rtol):
     assert "Traceback" not in err and "warning:" not in err, err
 
 
+@pytest.mark.parametrize("command", ["classical", "verify"])
+def test_a_drive_period_past_the_float_range_exits_2(tmp_path, capsys, command):
+    """At ``classical_nu_factor = 5e-324`` the drive period pi/nu is not a
+    float: one error line says so, with no warning, and nothing is written.
+    The run once sampled the period as 0 * inf, warned of an invalid value
+    and blamed a constant series."""
+    conf = tmp_path / "slow.conf"
+    conf.write_text("classical_nu_factor = 5e-324\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: drive period pi/nu is not finite") and err.count("\n") == 1
+    assert "warning:" not in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["current", "verify"])
 def test_strict_refuses_a_run_outside_the_elimination_regime(tmp_path, capsys, command):
     """At kappa2 = 1e9 (theta0/kappa2 = 0.146) ``--strict`` exits 2 with the
@@ -732,6 +762,14 @@ def test_strict_refuses_a_run_outside_the_elimination_regime(tmp_path, capsys, c
         assert main([command, "--config", str(conf), "--out", str(tmp_path / run)]) == 0
         assert capsys.readouterr().err == f"warning: {message}\n"
         assert (tmp_path / run / artifact).is_file()
+
+
+def test_strict_help_names_the_regime_it_polices(capsys):
+    with pytest.raises(SystemExit):
+        main(["current", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert (f"--strict treat the adiabatic-elimination regime warning (theta0/kappa2 "
+            f"or |theta|/kappa2 at or above {REGIME_LIMIT:g}) as an error") in out
 
 
 def test_artifacts_get_the_plain_file_mode(tmp_path):
@@ -798,6 +836,16 @@ def test_conftest_loads_every_package_module():
     package = Path(nemsqnd.__file__).parent
     assert sorted(MODULES) == sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
     assert all(f"nemsqnd.{name}" in sys.modules for name in MODULES)
+
+
+def test_ci_installs_the_hypothesis_the_test_extra_pins():
+    """Another Hypothesis version draws other examples, so CI and the
+    ``test`` extra pin one; read as text, since Python 3.10 has no tomllib."""
+    root = Path(__file__).resolve().parent.parent
+    ci = re.findall(r"hypothesis==([\w.]+)", (root / ".github/workflows/tier1.yml").read_text())
+    extra = re.findall(r'^test = \[.*"hypothesis==([\w.]+)"',
+                       (root / "pyproject.toml").read_text(), re.MULTILINE)
+    assert len(ci) == 1 and ci == extra
 
 
 def test_out_directory_is_created(tmp_path):
