@@ -23,7 +23,6 @@ _SOURCE = {
     "CheckResult": "verify",
     "ClassicalCircuitConfig": "circuit",
     "CoherentTriple": "entanglement",
-    "ConditionedState": "entanglement",
     "ConditioningError": "errors",
     "ConfigError": "errors",
     "DensityMatrix": "fock",
@@ -34,7 +33,6 @@ _SOURCE = {
     "ReadoutParams": "readout",
     "RegimeWarning": "errors",
     "RunConfig": "config",
-    "SeparabilityReport": "entanglement",
     "SimulationError": "errors",
     "StateVector": "fock",
     "Trajectory": "circuit",

@@ -379,7 +379,7 @@ def estimate_dominant_frequency(series: np.ndarray, dt: float) -> float:
     maximum.  For a windowed sinusoid the log magnitude is very nearly
     parabolic, which makes the three-point fit essentially exact.
 
-    Returns rad/s for a sampling interval ``dt`` in seconds.
+    Returns rad/s for a finite, positive sampling interval ``dt`` in seconds.
     """
     import numpy as np
 
@@ -387,8 +387,9 @@ def estimate_dominant_frequency(series: np.ndarray, dt: float) -> float:
     n = y.size
     if n < 1024:
         raise EstimationError(f"need at least 1024 samples, got {n}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    dt = float(dt)  # a Python float overflows to inf without a warning
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     y = y - y.mean()
     amp = float(np.max(np.abs(y)))
     if amp == 0.0 or not np.isfinite(amp):
@@ -406,7 +407,10 @@ def estimate_dominant_frequency(series: np.ndarray, dt: float) -> float:
     if denom >= 0.0:
         raise EstimationError("spectral peak is not locally concave")
     delta = 0.5 * (la - ra) / denom
-    return (k + delta) * 2.0 * math.pi / (n * dt)
+    omega = (k + delta) * 2.0 * math.pi / (n * dt)
+    if not math.isfinite(omega):
+        raise EstimationError(f"dominant frequency {omega!r} is not finite at dt = {dt!r}")
+    return omega
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,8 @@ def cmd_cat(cfg: RunConfig, out: Path) -> int:
     from .entanglement import cat_dims, cat_state_check
 
     triple = cfg.triple()
-    report = cat_state_check(triple, cat_dims(triple))
+    dims = cat_dims(triple)
+    report = cat_state_check(triple, dims)
     odd = math.nan if report.odd_fidelity is None else report.odd_fidelity
     _write_csv(
         out / "cat_report.csv",
@@ -182,7 +183,7 @@ def cmd_cat(cfg: RunConfig, out: Path) -> int:
         ("even weight", f"{report.even_weight:.6e}"),
         ("odd weight", f"{report.odd_weight:.6e}"),
         ("reassembly fidelity", f"{report.reassembly_fidelity:.12e}"),
-        ("cutoffs (d_N, d_1, d_2)", str(report.dims)),
+        ("cutoffs (d_N, d_1, d_2)", str(dims)),
     ])
     return 0
 

@@ -46,8 +46,8 @@ with ``u = (beta - gamma)/2`` and ``w = (beta + gamma)/2``,
 and ``|gamma_n - gamma_m|^2`` flips the sign of the cross term, so each
 pair reads one sine table over k and one cross-term table over n + m.
 The sums need only the kept weights ``p_n`` and the initial beta and
-gamma; the layers come from alpha alone, by the one rule ``_layers``
-that ``conditioned_state`` shares.
+gamma; the weights come from alpha alone, by the one rule ``_layers``,
+which ``conditioned_state`` returns with the branch amplitudes.
 
 Every reported entropy carries an additive truncation bound of twice the
 discarded Poisson tail (the exponentials are bounded by 1, so a tail of
@@ -65,7 +65,6 @@ from .config import ALPHA_CAP
 from .errors import ConditioningError, TruncationError
 from .fock import (
     StateVector,
-    _readonly,
     coherent_amplitudes,
     coherent_vector,
     linear_entropy,
@@ -146,50 +145,24 @@ def branch_amplitudes(n, theta_t, beta: complex, gamma: complex):
 # analytic conditioned state and entropies
 
 
-@dataclass(frozen=True)
-class ConditionedState:
-    """Layer decomposition of the evolved tripartite state at one instant.
-
-    ``c_n`` are the (untruncated-normalization) Poisson coefficients of
-    alpha, so ``sum |c_n|^2 = 1 - tail``; ``tail`` is the discarded mass.
-    """
-
-    c_n: np.ndarray
-    beta_n: np.ndarray
-    gamma_n: np.ndarray
-    tail: float
-
-    def __post_init__(self):
-        c = np.asarray(self.c_n, dtype=complex)
-        b = np.asarray(self.beta_n, dtype=complex)
-        g = np.asarray(self.gamma_n, dtype=complex)
-        if not (c.shape == b.shape == g.shape) or c.ndim != 1 or c.size == 0:
-            raise ValueError("c_n, beta_n, gamma_n must be equal-length 1-d arrays")
-        for name, arr in (("c_n", c), ("beta_n", b), ("gamma_n", g)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, _readonly(arr))
-
-    @property
-    def n_terms(self) -> int:
-        return self.c_n.size
-
-
 def _layers(alpha: complex) -> tuple[np.ndarray, float]:
-    """The kept Poisson coefficients C_n of ``alpha`` and the discarded tail.
+    """The kept weights ``p_n = |C_n|^2`` of ``alpha`` and the discarded tail.
 
     The layer count is the smallest that keeps the discarded Poisson tail
     of alpha at most ``TAIL_TOL``: 26 at |alpha| = 2, 87 at ``ALPHA_CAP``.
     """
     n = min_fock_dim(alpha, TAIL_TOL)
-    return coherent_amplitudes(alpha, n), poisson_tail(abs(alpha) ** 2, n)
+    return np.abs(coherent_amplitudes(alpha, n)) ** 2, poisson_tail(abs(alpha) ** 2, n)
 
 
-def conditioned_state(triple: CoherentTriple, theta_t: float) -> ConditionedState:
-    """Evaluate the decomposition on ``_layers`` at dimensionless phase ``theta_t``."""
-    c, tail = _layers(triple.alpha)
-    beta_n, gamma_n = branch_amplitudes(np.arange(c.size), theta_t, triple.beta, triple.gamma)
-    return ConditionedState(c_n=c, beta_n=beta_n, gamma_n=gamma_n, tail=tail)
+def conditioned_state(triple: CoherentTriple, theta_t: float):
+    """``(p_n, beta_n, gamma_n, tail)`` of the ``_layers`` at phase ``theta_t``;
+    a phase with a non-finite layer multiple raises ``ValueError`` first."""
+    p, tail = _layers(triple.alpha)
+    if not math.isfinite(abs(float(theta_t)) * (p.size - 1)):
+        raise ValueError(f"non-finite layer phases for theta_t = {theta_t!r}")
+    beta_n, gamma_n = branch_amplitudes(np.arange(p.size), theta_t, triple.beta, triple.gamma)
+    return p, beta_n, gamma_n, tail
 
 
 #: terms per block of an entropy series (triangle pairs n <= m for the
@@ -294,8 +267,8 @@ def entropy_n12_series(triple: CoherentTriple, theta_ts):
     max(1, SERIES_BLOCK // n) phases at a time.
     """
     theta_ts = np.asarray(theta_ts, dtype=float).reshape(-1)
-    c, tail = _layers(triple.alpha)
-    return _n12_sums(theta_ts, np.abs(c) ** 2, triple), 2.0 * tail
+    p, tail = _layers(triple.alpha)
+    return _n12_sums(theta_ts, p, triple), 2.0 * tail
 
 
 def linear_entropies(triple: CoherentTriple, theta_ts):
@@ -311,8 +284,7 @@ def linear_entropies(triple: CoherentTriple, theta_ts):
     phase whose multiples are not finite raises ``ValueError``.
     """
     theta_ts = np.asarray(theta_ts, dtype=float).reshape(-1)
-    c, tail = _layers(triple.alpha)
-    p = np.abs(c) ** 2
+    p, tail = _layers(triple.alpha)
     e_1, e_2 = _single_sums(theta_ts, p, triple)
     return _n12_sums(theta_ts, p, triple), e_1, e_2, 2.0 * tail
 
@@ -482,19 +454,8 @@ def brute_force_entropies(triple: CoherentTriple, theta_t: float,
 # structural checks on the evolved state
 
 
-@dataclass(frozen=True)
-class SeparabilityReport:
-    """``deviation_bound`` is at least ``|P (rho_12 - mixture) P|_2 + |Q
-    (rho_12 - mixture) Q|_2``, P the projector onto the complete
-    photon-number sectors n1 + n2 < min(d_1, d_2) and Q = 1 - P; the
-    blocks between them are not bounded (``separability_check_12``)."""
-
-    deviation_bound: float
-    dims: tuple[int, int, int]
-
-
 def separability_check_12(triple: CoherentTriple, theta_t: float,
-                          dims: tuple[int, int, int]) -> SeparabilityReport:
+                          dims: tuple[int, int, int]) -> float:
     """Bound brute-force rho_12's distance from the explicit separable mixture
     on the complete photon-number sectors, plus the mass outside them.
 
@@ -518,7 +479,7 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
     the triangle inequality ``sum_n |T_n|_2`` is at least ``|P (rho_12 -
     mixture) P|_2``, and with Q = 1 - P, the masses ``tr Q rho_12`` and
     ``tr Q mixture`` that the two states put outside bound ``|Q (rho_12 -
-    mixture) Q|_2`` together.  ``deviation_bound`` is the sum of the three,
+    mixture) Q|_2`` together.  The bound returned is the sum of the three,
     so at least ``|P (rho_12 - mixture) P|_2 + |Q (rho_12 - mixture) Q|_2``.
     The blocks between P and Q are not bounded: they carry the reflection,
     of the order of the square root of the outside mass.
@@ -531,18 +492,17 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
     psi_t = exchange_evolve(initial_product_state(triple, dims), theta_t)
     reduced_density(psi_t, 0)  # raises unless rho_12 is a valid state
 
-    state = conditioned_state(triple, theta_t)
-    p = np.abs(state.c_n) ** 2
+    p, betas, gammas, _ = conditioned_state(triple, theta_t)
     layers = psi_t.amplitudes.reshape(dims[0], -1)
     side = min(dims[1], dims[2])
     complete = (np.add.outer(np.arange(dims[1]), np.arange(dims[2])) < side).reshape(-1)
     inside, outside = np.flatnonzero(complete), np.flatnonzero(~complete)
-    rest = layers[state.n_terms:]  # past the analytic layers, |a_n|^2 each
+    rest = layers[p.size:]  # past the analytic layers, |a_n|^2 each
     bound = float(np.vdot(rest, rest).real)
-    for n, (a_n, beta_n, gamma_n) in enumerate(zip(layers, state.beta_n, state.gamma_n)):
+    for a_n, p_n, beta_n, gamma_n in zip(layers, p, betas, gammas):
         b_n = np.kron(coherent_vector(beta_n, dims[1]), coherent_vector(gamma_n, dims[2]))
         a_out, b_out = a_n[outside], b_n[outside]
-        bound += float(np.vdot(a_out, a_out).real) + p[n] * float(np.vdot(b_out, b_out).real)
+        bound += float(np.vdot(a_out, a_out).real) + p_n * float(np.vdot(b_out, b_out).real)
         a_n, b_n = a_n[inside], b_n[inside]
         b_norm = float(np.linalg.norm(b_n))
         b_n /= b_norm
@@ -550,9 +510,9 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
         b_n *= -mu
         b_n += a_n  # delta_n
         delta = float(np.linalg.norm(b_n))
-        t_11, t_22 = abs(mu) ** 2 - p[n] * b_norm**2, delta**2
+        t_11, t_22 = abs(mu) ** 2 - p_n * b_norm**2, delta**2
         bound += 0.5 * abs(t_11 + t_22) + math.hypot(0.5 * (t_11 - t_22), abs(mu) * delta)
-    return SeparabilityReport(deviation_bound=float(bound), dims=tuple(int(d) for d in dims))
+    return float(bound)
 
 
 @dataclass(frozen=True)
@@ -564,7 +524,6 @@ class CatStateReport:
     even_weight: float
     odd_weight: float
     reassembly_fidelity: float
-    dims: tuple[int, int, int]
 
 
 def _cat_vector(alpha: complex, dim: int, sign: int) -> np.ndarray | None:
@@ -628,5 +587,4 @@ def cat_state_check(triple: CoherentTriple,
         even_fidelity=fidelities[0], odd_fidelity=fidelities[1],
         even_weight=weights[0], odd_weight=weights[1],
         reassembly_fidelity=float(abs(re_overlap) ** 2),
-        dims=tuple(int(d) for d in dims),
     )

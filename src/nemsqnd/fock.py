@@ -117,6 +117,8 @@ def poisson_tail(mean: float, kept: int) -> float:
         raise ValueError(f"mean must be finite, got {mean!r}")
     if mean < 0:
         raise ValueError("mean must be nonnegative")
+    if math.isnan(kept):
+        raise ValueError(f"kept must be a number, got {kept!r}")
     if kept < 1:
         return 1.0
     if mean == 0.0:
@@ -138,8 +140,8 @@ def poisson_tail(mean: float, kept: int) -> float:
 
 def min_fock_dim(alpha: complex, tail_tol: float = 1e-12, cap: int = 4096) -> int:
     """Smallest cutoff keeping the coherent tail mass at or below ``tail_tol``."""
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
+    if not tail_tol > 0:  # NaN included
+        raise ValueError(f"tail_tol must be positive, got {tail_tol!r}")
     z = complex(alpha)
     if not cmath.isfinite(z):
         raise ValueError(f"amplitude {alpha!r} is not finite")

@@ -262,7 +262,7 @@ def check_cat_fidelity(cfg: RunConfig) -> CheckResult:
         detail=(
             f"even {report.even_fidelity:.12f} (closed form {even_target:.12f}), odd {odd}"
             f", weights ({report.even_weight:.6f}, {report.odd_weight:.6f})"
-            f", dims {report.dims}"
+            f", dims {dims}"
         ),
     )
 
@@ -282,14 +282,14 @@ def check_separability(cfg: RunConfig) -> CheckResult:
     """
     triple = cfg.triple()
     dims = oracle_dims(triple)
-    report = separability_check_12(triple, math.pi / 2, dims)
+    bound = separability_check_12(triple, math.pi / 2, dims)
     gate = oracle_gate(triple, dims, 6.0)
     return CheckResult(
         name="separability_12",
-        passed=report.deviation_bound <= gate,
-        residual=report.deviation_bound,
+        passed=bound <= gate,
+        residual=bound,
         tolerance=gate,
-        detail=f"dims {report.dims}",
+        detail=f"dims {dims}",
     )
 
 

@@ -437,3 +437,17 @@ def test_peak_estimator_guards():
         estimate_dominant_frequency(np.zeros(2048), 0.1)  # no signal
     with pytest.raises(EstimationError):
         estimate_dominant_frequency(np.ones(100), 0.1)  # too short
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1])
+def test_peak_estimator_refuses_a_sampling_interval_that_is_not_finite_and_positive(dt):
+    # NaN used to return NaN and inf a frequency of 0.0
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        estimate_dominant_frequency(np.cos(0.3 * np.arange(2048)), dt)
+
+
+@pytest.mark.parametrize("dt", [1e-320, np.float64(1e-320)], ids=["float", "numpy"])
+def test_peak_estimator_refuses_a_frequency_past_the_float_range(dt):
+    """A subnormal interval used to return inf; a numpy one warned first."""
+    with pytest.raises(EstimationError, match=r"not finite at dt = 1e-320"):
+        estimate_dominant_frequency(np.cos(0.3 * np.arange(2048)), dt)

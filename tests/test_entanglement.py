@@ -21,7 +21,6 @@ from nemsqnd.entanglement import (
     SERIES_BLOCK,
     TAIL_TOL,
     CoherentTriple,
-    ConditionedState,
     _pair_weights,
     branch_amplitudes,
     brute_force_entropies,
@@ -137,23 +136,33 @@ def test_triple_validation():
 
 
 def test_conditioned_state_vacuum_mechanics():
-    state = conditioned_state(triple(alpha=0.0), 1.3)
-    assert state.n_terms == 2  # the floor: one level is no ladder at all
-    assert np.abs(state.c_n).tolist() == [1.0, 0.0]
-    assert state.tail == 0.0
-    assert np.sum(np.abs(state.c_n) ** 2) == pytest.approx(1.0, rel=1e-15)
-    assert state.beta_n[0] == 2.0 + 0j  # layer 0 is stationary
+    p, beta_n, _, tail = conditioned_state(triple(alpha=0.0), 1.3)
+    assert p.size == 2  # the floor: one level is no ladder at all
+    assert p.tolist() == [1.0, 0.0]
+    assert tail == 0.0
+    assert np.sum(p) == pytest.approx(1.0, rel=1e-15)
+    assert beta_n[0] == 2.0 + 0j  # layer 0 is stationary
 
 
 def test_conditioned_state_tail_and_weight():
-    state = conditioned_state(triple(), 0.7)
-    assert state.tail <= 1e-12
+    p, beta_n, gamma_n, tail = conditioned_state(triple(), 0.7)
+    assert tail <= 1e-12
     # the kept layers carry all but the discarded tail
-    assert np.sum(np.abs(state.c_n) ** 2) == pytest.approx(1.0 - state.tail, abs=1e-15)
+    assert np.sum(p) == pytest.approx(1.0 - tail, abs=1e-15)
     # each branch keeps the combined resonator energy
-    b, g = branch_amplitudes(np.arange(state.n_terms), 0.7, 2.0, 2.0)
-    np.testing.assert_array_equal(state.beta_n, b)
+    b, g = branch_amplitudes(np.arange(p.size), 0.7, 2.0, 2.0)
+    np.testing.assert_array_equal(beta_n, b)
+    np.testing.assert_array_equal(gamma_n, g)
     np.testing.assert_allclose(np.abs(b) ** 2 + np.abs(g) ** 2, 8.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308])
+def test_conditioned_state_refuses_non_finite_layer_phases(bad):
+    """The largest layer multiple (25 theta_t at the default alpha) is
+    checked before any is formed, so numpy never warns (warnings are
+    errors in this suite)."""
+    with pytest.raises(ValueError, match="non-finite layer phases"):
+        conditioned_state(triple(), bad)
 
 
 def test_term_count_is_a_floor():
@@ -162,40 +171,31 @@ def test_term_count_is_a_floor():
     fewer would leave more (two layers at the least)."""
     for r in np.linspace(0.0, ALPHA_CAP, 121):
         t = triple(alpha=cmath.rect(r, 0.7 * r))
-        state = conditioned_state(t, 0.5)
-        n, lam = state.n_terms, abs(t.alpha) ** 2
+        p, _, _, tail = conditioned_state(t, 0.5)
+        n, lam = p.size, abs(t.alpha) ** 2
         assert n == min_fock_dim(t.alpha, TAIL_TOL)
-        assert state.tail == poisson_tail(lam, n) <= TAIL_TOL
+        assert tail == poisson_tail(lam, n) <= TAIL_TOL
         assert n == 2 or poisson_tail(lam, n - 1) > TAIL_TOL
-        assert conditioned_state(t, 2.9).n_terms == n  # the phase plays no part
-    assert conditioned_state(triple(), 0.5).n_terms == 26
+        assert conditioned_state(t, 2.9)[0].size == n  # the phase plays no part
+    assert conditioned_state(triple(), 0.5)[0].size == 26
 
 
 def test_term_caps():
     """Two layers at |alpha| = 0, 87 at ``ALPHA_CAP``, and no triple past it."""
-    assert conditioned_state(triple(alpha=0.0), 0.5).n_terms == 2
-    assert conditioned_state(triple(alpha=ALPHA_CAP), 0.5).n_terms == 87
-    assert conditioned_state(triple(alpha=-1j * ALPHA_CAP), 0.5).n_terms == 87
+    assert conditioned_state(triple(alpha=0.0), 0.5)[0].size == 2
+    assert conditioned_state(triple(alpha=ALPHA_CAP), 0.5)[0].size == 87
+    assert conditioned_state(triple(alpha=-1j * ALPHA_CAP), 0.5)[0].size == 87
     with pytest.raises(ValueError, match=f"exceeds the cap {ALPHA_CAP}"):
         triple(alpha=ALPHA_CAP * (1.0 + 1e-12))
-
-
-def test_conditioned_state_arrays_are_readonly():
-    state = conditioned_state(triple(), 0.5)
-    with pytest.raises(ValueError):
-        state.c_n[0] = 0.0
 
 
 def test_validating_types_leave_the_callers_arrays_writeable():
     """The validated types hold read-only views of the arrays they are
     given, not copies, and leave the caller's own arrays writeable."""
-    c, b, g = np.array([1.0 + 0j]), np.array([0.5j]), np.array([-0.5 + 0j])
-    state = ConditionedState(c, b, g, 0.0)
     amps = np.zeros((2, 3), dtype=complex)
     amps[0, 0] = 1.0
     rho = np.diag([0.5, 0.5]).astype(complex)
-    held = ((c, state.c_n), (b, state.beta_n), (g, state.gamma_n),
-            (amps, StateVector(amps).amplitudes), (rho, DensityMatrix(rho).matrix))
+    held = ((amps, StateVector(amps).amplitudes), (rho, DensityMatrix(rho).matrix))
     for given, kept in held:
         assert given.flags.writeable
         assert not kept.flags.writeable
@@ -258,7 +258,7 @@ def test_entropy_phase_invariance():
 def test_entropy_bounds(alpha, beta, gamma, theta_t):
     t = CoherentTriple(alpha, beta, gamma)
     (e_n_12, e_1_n2, e_2_n1), _ = entropies_at(t, theta_t)
-    p = np.abs(conditioned_state(t, theta_t).c_n) ** 2
+    p = conditioned_state(t, theta_t)[0]
     purity_floor = float(np.sum(p * p))
     for e in (e_n_12, e_1_n2, e_2_n1):
         assert 0.0 <= e <= 1.0
@@ -290,8 +290,8 @@ def test_blocked_series_equals_pointwise(ra, rb, rg, angles, blocks, seed):
     row per block, and the first, middle and last with their one-phase
     grids."""
     t = CoherentTriple(*(cmath.rect(r, a) for r, a in zip((ra, rb, rg), angles)))
-    state = conditioned_state(t, 0.0)
-    block = max(1, SERIES_BLOCK // state.n_terms**2)
+    p, _, _, tail = conditioned_state(t, 0.0)
+    block = max(1, SERIES_BLOCK // p.size**2)
     size = max(1, round(blocks * block))
     grid = np.random.default_rng(seed).uniform(-10.0, 10.0, size)
     *curves, bound = linear_entropies(t, grid)
@@ -300,7 +300,7 @@ def test_blocked_series_equals_pointwise(ra, rb, rg, angles, blocks, seed):
     np.testing.assert_array_equal(curves, rows)
     for i in (0, size // 2, size - 1):
         assert tuple(c[i] for c in curves) == entropies_at(t, float(grid[i]))[0]
-    assert bound == 2.0 * state.tail
+    assert bound == 2.0 * tail
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
@@ -316,7 +316,7 @@ def test_entropy_series_memory_is_bounded_by_the_block():
     grid, the series holds one block of pair terms at a time; the whole
     grid at once would take about 1.2 GB."""
     t = CoherentTriple(ALPHA_CAP, 2.0, 1.5j)
-    assert conditioned_state(t, 0.0).n_terms == 87
+    assert conditioned_state(t, 0.0)[0].size == 87
     grid = np.linspace(0.0, 2.0 * math.pi, 10_000)
     tracemalloc.start()
     try:
@@ -369,7 +369,7 @@ def test_factored_sums_match_the_full_double_sums(ra, rb, rg, angles, grid):
     double sums over branch overlaps."""
     t = CoherentTriple(*(cmath.rect(r, a) for r, a in zip((ra, rb, rg), angles)))
     *curves, _ = linear_entropies(t, grid)
-    p = np.abs(conditioned_state(t, 0.0).c_n) ** 2
+    p = conditioned_state(t, 0.0)[0]
     np.testing.assert_allclose(curves, layer_entropies(p, t.beta, t.gamma, grid),
                                rtol=0.0, atol=5e-14)
     np.testing.assert_array_equal(entropy_n12_series(t, grid)[0], curves[0])
@@ -389,9 +389,8 @@ def test_e_n12_depends_only_on_the_joint_intensity(ra, rb, rg, chi, angles, thet
     moved = CoherentTriple(ra, cmath.rect(r * math.cos(chi), angles[2]),
                            cmath.rect(r * math.sin(chi), angles[3]))
     e = entropies_at(t, theta_t)[0][0]
-    state = conditioned_state(moved, theta_t)
+    p = conditioned_state(moved, theta_t)[0]
     assert abs(entropies_at(moved, theta_t)[0][0] - e) <= 1e-14
-    p = np.abs(state.c_n) ** 2
     assert abs(layer_entropies(p, moved.beta, moved.gamma, [theta_t])[0, 0] - e) <= 5e-14
 
 
@@ -400,12 +399,11 @@ def test_layer_difference_weights_are_the_skellam_pmf(alpha):
     """A_k = sum_m p_m p_{m+k} is the Skellam pmf exp(-2|alpha|^2) I_k(2|alpha|^2)
     up to the discarded tail, and the weights over |k| < n sum to the squared
     kept mass."""
-    state = conditioned_state(CoherentTriple(alpha, 1.0, 1.0), 0.0)
-    p = np.abs(state.c_n) ** 2
+    p, _, _, tail = conditioned_state(CoherentTriple(alpha, 1.0, 1.0), 0.0)
     a = _pair_weights(p)
     k = np.arange(a.size)
     a_k = a / np.where(k == 0, 1.0, 2.0)
-    assert np.max(np.abs(a_k - ive(k, 2.0 * abs(alpha) ** 2))) <= 2.0 * state.tail + 1e-15
+    assert np.max(np.abs(a_k - ive(k, 2.0 * abs(alpha) ** 2))) <= 2.0 * tail + 1e-15
     assert np.sum(a) == pytest.approx(np.sum(p) ** 2, abs=1e-15)
 
 
@@ -606,7 +604,7 @@ def test_separability_passes_at_the_cap():
     86), the largest the budget admits with 87 phonon states."""
     t = triple(ALPHA_CAP, 3 + 4j, 1 + 2j)
     assert oracle_dims(t) == (87, 86, 86)
-    assert separability_check_12(t, math.pi / 2, (87, 86, 86)).deviation_bound <= 1e-8
+    assert separability_check_12(t, math.pi / 2, (87, 86, 86)) <= 1e-8
 
 
 def test_oracle_space_refuses_oversized_pairs():
@@ -665,9 +663,8 @@ def test_oracle_checks_stay_within_the_budget():
 def test_resonator_pair_is_separable():
     # the bound reads 2.3e-10 at these cutoffs, where the largest entry of
     # rho_12 - mixture is 2.0e-11
-    rep = separability_check_12(CoherentTriple(1.0, 1.0, 1.0), 0.9,
-                                dims=(16, 20, 20))
-    assert rep.deviation_bound <= 1e-9
+    bound = separability_check_12(CoherentTriple(1.0, 1.0, 1.0), 0.9, dims=(16, 20, 20))
+    assert bound <= 1e-9
 
 
 @pytest.mark.parametrize("theta_t", [0.9, math.pi / 2])
@@ -682,32 +679,30 @@ def test_layer_bound_covers_the_dense_pair_state(monkeypatch, theta_t):
     moves the bound past 1e-7."""
     t = CoherentTriple(0.3, 0.35j, 0.25 - 0.1j)
     dims = (8, 12, 13)  # residual ~1e-11, so a slip in the mixture weights shows
-    rep = separability_check_12(t, theta_t, dims)
+    bound = separability_check_12(t, theta_t, dims)
 
     psi = exchange_evolve(initial_product_state(t, dims), theta_t).amplitudes.reshape(-1)
     pair = dims[1] * dims[2]
     rho = np.outer(psi, psi.conj()).reshape(dims + dims)
     rho_12 = np.trace(rho, axis1=0, axis2=3).reshape(pair, pair)
-    state = conditioned_state(t, theta_t)
+    p, beta_n, gamma_n, _ = conditioned_state(t, theta_t)
     mixture = np.zeros_like(rho_12)
-    for c_n, b_n, g_n in zip(state.c_n, state.beta_n, state.gamma_n):
+    for p_n, b_n, g_n in zip(p, beta_n, gamma_n):
         v = np.kron(coherent_vector(b_n, dims[1]), coherent_vector(g_n, dims[2]))
-        mixture += abs(c_n) ** 2 * np.outer(v, v.conj())
+        mixture += p_n * np.outer(v, v.conj())
     complete = (np.add.outer(np.arange(dims[1]), np.arange(dims[2])) < 12).reshape(-1)
     blocks = [(rho_12 - mixture)[np.ix_(part, part)] for part in (complete, ~complete)]
     spectral = sum(float(np.linalg.norm(block, 2)) for block in blocks)
-    assert rep.dims == dims
-    assert rep.deviation_bound < 1e-10
-    assert rep.deviation_bound >= spectral >= max(float(np.max(np.abs(b))) for b in blocks)
+    assert bound < 1e-10
+    assert bound >= spectral >= max(float(np.max(np.abs(b))) for b in blocks)
 
     def off_weight(triple, phase):
-        s = conditioned_state(triple, phase)
-        c = s.c_n.copy()
-        c[0] *= math.sqrt(1 + 1e-6)
-        return ConditionedState(c_n=c, beta_n=s.beta_n, gamma_n=s.gamma_n, tail=s.tail)
+        p, beta_n, gamma_n, tail = conditioned_state(triple, phase)
+        p[0] *= 1 + 1e-6
+        return p, beta_n, gamma_n, tail
 
     monkeypatch.setattr(nemsqnd.entanglement, "conditioned_state", off_weight)
-    assert separability_check_12(t, theta_t, dims).deviation_bound > 1e-7
+    assert separability_check_12(t, theta_t, dims) > 1e-7
 
 
 def test_separability_check_allocates_no_dense_pair_state():
@@ -719,11 +714,11 @@ def test_separability_check_allocates_no_dense_pair_state():
     pair = dims[1] * dims[2]
     tracemalloc.start()
     try:
-        rep = separability_check_12(triple(), math.pi / 2, dims)
+        bound = separability_check_12(triple(), math.pi / 2, dims)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.deviation_bound <= 1e-8
+    assert bound <= 1e-8
     assert peak < pair**2 * 16
 
 
@@ -768,7 +763,6 @@ def test_half_period_cat_structure():
 def test_cat_cross_talk_dies_at_large_amplitude():
     # at the standard operating point the branch overlap is e^{-16}: gone
     report = cat_state_check(triple(), oracle_dims(triple()))
-    assert report.dims == (26, 42, 42)
     assert report.even_fidelity == pytest.approx(1.0, abs=1e-10)
     assert report.odd_fidelity == pytest.approx(1.0, abs=1e-10)
     assert report.reassembly_fidelity == pytest.approx(1.0, abs=1e-10)

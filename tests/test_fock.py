@@ -118,6 +118,19 @@ def test_poisson_tail_rejects_a_non_finite_mean(mean):
         poisson_tail(mean, 5)
 
 
+def test_poisson_tail_refuses_a_nan_cutoff():
+    # a NaN cutoff used to report 0.0, "nothing discarded"
+    with pytest.raises(ValueError, match="kept must be a number, got nan"):
+        poisson_tail(4.0, math.nan)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-12])
+def test_min_fock_dim_refuses_a_tail_tolerance_that_is_not_positive(tol):
+    # a NaN tolerance used to scan all 4,096 cutoffs, then report "tail nan"
+    with pytest.raises(ValueError, match=f"tail_tol must be positive, got {tol!r}"):
+        min_fock_dim(2.0, tol)
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(math.nan, 0.0),
                                    complex(1.0, -math.inf)])
 def test_min_fock_dim_names_a_non_finite_amplitude(alpha):
