@@ -25,7 +25,6 @@ _SOURCE = {
     "CoherentTriple": "entanglement",
     "ConditioningError": "errors",
     "ConfigError": "errors",
-    "DensityMatrix": "fock",
     "EffectiveParams": "circuit",
     "EstimationError": "errors",
     "IntegrationError": "errors",
@@ -34,11 +33,9 @@ _SOURCE = {
     "RegimeWarning": "errors",
     "RunConfig": "config",
     "SimulationError": "errors",
-    "StateVector": "fock",
     "Trajectory": "circuit",
     "TruncationError": "errors",
     "adiabatic_elimination_error": "readout",
-    "branch_amplitudes": "entanglement",
     "brute_force_entropies": "entanglement",
     "cat_state_check": "entanglement",
     "conditioned_state": "entanglement",

@@ -64,12 +64,13 @@ import numpy as np
 from .config import ALPHA_CAP
 from .errors import ConditioningError, TruncationError
 from .fock import (
-    StateVector,
+    _check_modes,
     coherent_amplitudes,
     coherent_vector,
     linear_entropy,
     min_fock_dim,
     poisson_tail,
+    pure_state,
     reduced_density,
 )
 
@@ -124,23 +125,6 @@ class CoherentTriple:
             )
 
 
-def branch_amplitudes(n, theta_t, beta: complex, gamma: complex):
-    """Coherent amplitudes of phonon layer ``n`` after mixing phase ``theta_t``.
-
-    Vectorizes over ``n``.  Layer 0 is stationary; ``theta_t = pi`` flips
-    the sign of both amplitudes on odd layers, ``theta_t = pi/2`` swaps
-    them (with a -i factor) on layer 1.
-    """
-    n = np.asarray(n)
-    if n.size and n.min() < 0:
-        raise ValueError("layer index must be nonnegative")
-    phi = n * theta_t
-    c, s = np.cos(phi), np.sin(phi)
-    beta_n = beta * c - 1j * gamma * s
-    gamma_n = gamma * c - 1j * beta * s
-    return beta_n, gamma_n
-
-
 # ---------------------------------------------------------------------------
 # analytic conditioned state and entropies
 
@@ -156,13 +140,21 @@ def _layers(alpha: complex) -> tuple[np.ndarray, float]:
 
 
 def conditioned_state(triple: CoherentTriple, theta_t: float):
-    """``(p_n, beta_n, gamma_n, tail)`` of the ``_layers`` at phase ``theta_t``;
-    a phase with a non-finite layer multiple raises ``ValueError`` first."""
+    """``(p_n, beta_n, gamma_n, tail)`` of the ``_layers`` at phase ``theta_t``.
+
+    The branch amplitudes of layer n are those of the module docstring at
+    ``phi_n = n theta_t``: layer 0 is stationary, ``theta_t = pi`` flips
+    the sign of both on odd layers and ``theta_t = pi/2`` swaps them (with
+    a -i factor) on layer 1.  A phase with a non-finite layer multiple
+    raises ``ValueError`` before any multiple is formed.
+    """
     p, tail = _layers(triple.alpha)
     if not math.isfinite(abs(float(theta_t)) * (p.size - 1)):
         raise ValueError(f"non-finite layer phases for theta_t = {theta_t!r}")
-    beta_n, gamma_n = branch_amplitudes(np.arange(p.size), theta_t, triple.beta, triple.gamma)
-    return p, beta_n, gamma_n, tail
+    phi = np.arange(p.size) * theta_t
+    c, s = np.cos(phi), np.sin(phi)
+    beta, gamma = triple.beta, triple.gamma
+    return p, beta * c - 1j * gamma * s, gamma * c - 1j * beta * s, tail
 
 
 #: terms per block of an entropy series (triangle pairs n <= m for the
@@ -342,7 +334,7 @@ def cat_dims(triple: CoherentTriple) -> tuple[int, int, int]:
 
 
 def initial_product_state(triple: CoherentTriple,
-                          dims: tuple[int, int, int]) -> StateVector:
+                          dims: tuple[int, int, int]) -> np.ndarray:
     """Truncated ``|alpha>|beta>|gamma>`` at cutoffs ``(d_N, d_1, d_2)``.
 
     Every brute-force check starts here, so the cutoffs are refused with
@@ -378,7 +370,7 @@ def initial_product_state(triple: CoherentTriple,
             )
         vecs.append(coherent_vector(amp, dim))
     full = np.kron(np.kron(vecs[0], vecs[1]), vecs[2])
-    return StateVector(full.reshape(d_n, d_1, d_2))
+    return pure_state(full.reshape(d_n, d_1, d_2))
 
 
 class _SectorBases(dict):
@@ -412,23 +404,27 @@ class _SectorBases(dict):
 _SECTOR_BASES = _SectorBases()
 
 
-def exchange_evolve(psi: StateVector, theta_t: float) -> StateVector:
+def exchange_evolve(psi: np.ndarray, theta_t: float) -> np.ndarray:
     """Exact propagation of a three-mode state by the exchange interaction.
 
     ``theta_t`` is the accumulated dimensionless phase (coupling rate
     times time); layer n of the phonon mode is rotated by ``n * theta_t``.
+    A ``psi`` without three axes, with a mode below two Fock states or
+    over the state cap is refused before it is converted.  The result goes through ``pure_state``: the
+    evolution is unitary, so that refuses an input off unit norm.
     """
-    tensor = psi.amplitudes
-    if tensor.ndim != 3:
+    if np.ndim(psi) != 3:
         raise ValueError(
             f"exchange_evolve expects three modes (phonons, TLR1, TLR2), "
-            f"got {tensor.ndim}"
+            f"got {np.ndim(psi)}"
         )
-    d_n, d_1, d_2 = tensor.shape
+    _check_modes(np.shape(psi))
+    d_n, d_1, d_2 = np.shape(psi)
     # the largest angle, layer phase times sector eigenvalue (|w| <= N <
     # d_1 + d_2), bounded as a Python float before numpy forms any
     if not math.isfinite(abs(float(theta_t)) * (d_n - 1) * (d_1 + d_2)):
         raise ValueError(f"non-finite layer phase angles for theta_t = {theta_t!r}")
+    tensor = np.asarray(psi, dtype=complex)
     layer_phase = np.arange(d_n) * theta_t
     out = np.empty_like(tensor)
     for total in range(d_1 + d_2 - 1):
@@ -437,7 +433,7 @@ def exchange_evolve(psi: StateVector, theta_t: float) -> StateVector:
         w, v = _SECTOR_BASES[total, first, last]
         phases = np.exp(-1j * np.outer(layer_phase, w))
         out[:, n1, total - n1] = ((tensor[:, n1, total - n1] @ v) * phases) @ v.T
-    return StateVector(out, norm_tol=1e-10)
+    return pure_state(out, norm_tol=1e-10)
 
 
 def brute_force_entropies(triple: CoherentTriple, theta_t: float,
@@ -493,7 +489,7 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
     reduced_density(psi_t, 0)  # raises unless rho_12 is a valid state
 
     p, betas, gammas, _ = conditioned_state(triple, theta_t)
-    layers = psi_t.amplitudes.reshape(dims[0], -1)
+    layers = psi_t.reshape(dims[0], -1)
     side = min(dims[1], dims[2])
     complete = (np.add.outer(np.arange(dims[1]), np.arange(dims[2])) < side).reshape(-1)
     inside, outside = np.flatnonzero(complete), np.flatnonzero(~complete)
@@ -562,7 +558,7 @@ def cat_state_check(triple: CoherentTriple,
             "beta/gamma too small to separate the branches"
         )
     psi_t = exchange_evolve(initial_product_state(triple, dims), math.pi)
-    tensor = psi_t.amplitudes.reshape(len(psi_t.amplitudes), -1)
+    tensor = psi_t.reshape(len(psi_t), -1)
 
     # two-branch reassembly |re> = N+ |cat+>|b>|g> + N- |cat->|-b>|-g>, taken
     # through the projections: <re|psi(pi)> = N+ <cat+|cond+> + N- <cat-|cond->.

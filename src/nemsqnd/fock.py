@@ -1,10 +1,11 @@
 """Truncated Fock states, coherent states and reduced states.
 
-The state types the brute-force oracle of ``nemsqnd.entanglement`` works
-on: normalized pure states held as arrays with one axis per mode, each
-as long as its cutoff, validated density matrices, coherent amplitudes
-with their discarded Poisson tail, and reductions of pure states to
-purity-based entanglement measures.  A mode is addressed by its axis.
+The states the brute-force oracle of ``nemsqnd.entanglement`` works on,
+all plain complex arrays: normalized pure states with one axis per mode,
+each as long as its cutoff (checked by ``pure_state``), density matrices
+(checked by ``density_matrix``), coherent amplitudes with their
+discarded Poisson tail, and reductions of pure states to purity-based
+entanglement measures.  A mode is addressed by its axis.
 
 Everything here is dimensionless (hbar = 1).  Storage is dense
 ``numpy`` throughout; the intended working sizes are a mechanical mode
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,12 +30,6 @@ from .errors import TruncationError
 #: complex entries allowed for one dense matrix (operator or density
 #: matrix) and for one state vector
 DEFAULT_DENSITY_CAP = 2**20
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    """A read-only contiguous view; the caller's own array stays writeable."""
-    arr = np.ascontiguousarray(arr).view()
-    arr.setflags(write=False)
-    return arr
 
 
 def _check_cap(entries: int, what: str) -> None:
@@ -46,56 +40,50 @@ def _check_cap(entries: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized pure state of one or more truncated modes.
+def _check_modes(dims: tuple[int, ...]) -> None:
+    """Refuse a state shape with a mode below two Fock states or over the cap."""
+    if not dims or min(dims) < 2:
+        raise ValueError(f"every mode dimension must be >= 2, got {dims}")
+    _check_cap(math.prod(dims), "state")
 
-    ``amplitudes`` has one axis per mode, each as long as that mode's
-    cutoff (>= 2); the oracle's modes are axis 0 = phonons, 1 = TLR1 and
-    2 = TLR2.  The entry count is capped at ``DEFAULT_DENSITY_CAP`` and
-    the norm is validated at construction.
+
+def pure_state(amplitudes, norm_tol: float = 1e-12) -> np.ndarray:
+    """``amplitudes`` as a complex array, checked to be a normalized pure state.
+
+    One axis per mode, each as long as that mode's cutoff (>= 2); the
+    oracle's modes are axis 0 = phonons, 1 = TLR1 and 2 = TLR2.  The
+    entry count is capped at ``DEFAULT_DENSITY_CAP`` before the input is
+    converted, and the norm must be 1 within ``norm_tol``.
     """
-
-    amplitudes: np.ndarray
-    norm_tol: float = field(default=1e-12, compare=False)
-
-    def __post_init__(self):
-        dims = np.shape(self.amplitudes)
-        if not dims or min(dims) < 2:
-            raise ValueError(f"every mode dimension must be >= 2, got {dims}")
-        _check_cap(math.prod(dims), "state")
-        v = np.asarray(self.amplitudes, dtype=complex)
-        nrm = float(np.linalg.norm(v))
-        # every check here is written so that NaN, which compares false, fails it
-        if not abs(nrm - 1.0) <= self.norm_tol:
-            raise ValueError(
-                f"state vector norm {nrm!r} deviates from 1 by more than {self.norm_tol}"
-            )
-        object.__setattr__(self, "amplitudes", _readonly(v))
+    _check_modes(np.shape(amplitudes))
+    v = np.asarray(amplitudes, dtype=complex)
+    nrm = float(np.linalg.norm(v))
+    # every check here is written so that NaN, which compares false, fails it
+    if not abs(nrm - 1.0) <= norm_tol:
+        raise ValueError(
+            f"state vector norm {nrm!r} deviates from 1 by more than {norm_tol}"
+        )
+    return v
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive (to tolerance) dense state."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        shape = np.shape(self.matrix)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {shape}")
-        _check_cap(shape[0] * shape[1], "density matrix")
-        m = np.asarray(self.matrix, dtype=complex)
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if not herm_dev <= 1e-12:
-            raise ValueError(f"density matrix is not Hermitian (deviation {herm_dev:.3e})")
-        tr = complex(np.trace(m))
-        if not abs(tr - 1.0) <= 1e-10:
-            raise ValueError(f"density matrix trace {tr!r} deviates from 1")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if not lo >= -1e-10:
-            raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
-        object.__setattr__(self, "matrix", _readonly(m))
+def density_matrix(m) -> np.ndarray:
+    """``m`` as a complex array, checked to be Hermitian, of unit trace and
+    positive (to tolerance); the entry cap applies before it is converted."""
+    shape = np.shape(m)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {shape}")
+    _check_cap(shape[0] * shape[1], "density matrix")
+    m = np.asarray(m, dtype=complex)
+    herm_dev = float(np.max(np.abs(m - m.conj().T)))
+    if not herm_dev <= 1e-12:
+        raise ValueError(f"density matrix is not Hermitian (deviation {herm_dev:.3e})")
+    tr = complex(np.trace(m))
+    if not abs(tr - 1.0) <= 1e-10:
+        raise ValueError(f"density matrix trace {tr!r} deviates from 1")
+    lo = float(np.linalg.eigvalsh(m)[0])
+    if not lo >= -1e-10:
+        raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +179,7 @@ def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
 # reductions and measures
 
 
-def reduced_density(psi: StateVector, axis: int) -> DensityMatrix:
+def reduced_density(psi: np.ndarray, axis: int) -> np.ndarray:
     """Reduced density matrix of mode ``axis`` of a pure state, without
     forming the full matrix or a copy of the state.
 
@@ -199,20 +187,25 @@ def reduced_density(psi: StateVector, axis: int) -> DensityMatrix:
     x x^dagger``, accumulated over the slabs of one other mode (the
     first, or the second when the first is kept): column blocks of x,
     each copied and conjugated alone.  A K x K result over the allocation
-    cap is refused before any is formed.
+    cap is refused before any is formed, and the result goes through
+    ``density_matrix``, whose trace check refuses a state off unit norm.
     """
-    x = np.moveaxis(psi.amplitudes, axis, 0)
+    x = np.moveaxis(psi, axis, 0)
     k = x.shape[0]
     _check_cap(k * k, "density matrix")
     rho = np.zeros((k, k), dtype=complex)
     for s in [x] if x.ndim == 1 else np.moveaxis(x, 1, 0):
         s = s.reshape(k, -1)
         rho += s @ s.conj().T
-    return DensityMatrix(rho)
+    return density_matrix(rho)
 
 
-def linear_entropy(rho: DensityMatrix) -> float:
-    """``1 - Tr(rho^2)``, clamped to the valid range ``[0, 1 - 1/D]``."""
-    purity = float(np.real(np.vdot(rho.matrix, rho.matrix)))
-    d = rho.matrix.shape[0]
+def linear_entropy(rho: np.ndarray) -> float:
+    """``1 - Tr(rho^2)``, clamped to the valid range ``[0, 1 - 1/D]``.
+
+    ``rho`` is a density matrix already validated by ``density_matrix``
+    (``reduced_density`` returns one) and is not checked again.
+    """
+    purity = float(np.real(np.vdot(rho, rho)))
+    d = rho.shape[0]
     return float(np.clip(1.0 - purity, 0.0, 1.0 - 1.0 / d))

@@ -5,10 +5,11 @@ ladder operators, coherent states, embedding and products of single-mode
 objects, exact unitary evolution by Hermitian eigendecomposition, full
 partial traces and pure-state fidelity.  Everything is dense ``numpy``.
 An ``Operator`` acts on modes of the cutoffs ``dims`` and enforces the
-allocation cap itself; states are the library's ``StateVector`` and
-``DensityMatrix``, which enforce the cap and the state invariants.  A
-mode is addressed by its axis, as in the library.  ``evolve`` shares no
-code with ``nemsqnd.entanglement.exchange_evolve``, the sector-by-sector
+allocation cap itself; states are plain arrays, checked by the
+library's ``pure_state`` and ``density_matrix``, which enforce the cap
+and the state invariants.  A mode is addressed by its axis, as in the
+library.  ``evolve`` shares no code with
+``nemsqnd.entanglement.exchange_evolve``, the sector-by-sector
 propagator it judges.  ``layer_entropies`` is the three full double sums
 over branch overlaps that the factored entropy kernel of
 ``nemsqnd.entanglement`` is judged against.
@@ -27,13 +28,19 @@ import numpy as np
 from nemsqnd.errors import TruncationError
 from nemsqnd.fock import (
     DEFAULT_DENSITY_CAP,
-    DensityMatrix,
-    StateVector,
-    _readonly,
     coherent_vector,
+    density_matrix,
     min_fock_dim,
     poisson_tail,
+    pure_state,
 )
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """A read-only contiguous view; the caller's own array stays writeable."""
+    arr = np.ascontiguousarray(arr).view()
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -77,10 +84,10 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def expectation(self, psi: StateVector) -> complex:
-        if psi.amplitudes.shape != self.dims:
+    def expectation(self, psi: np.ndarray) -> complex:
+        if np.shape(psi) != self.dims:
             raise ValueError("state and operator live on different modes")
-        v = psi.amplitudes.reshape(-1)
+        v = np.reshape(psi, -1)
         return complex(np.vdot(v, self.matrix @ v))
 
     def _same_modes(self, other: "Operator") -> None:
@@ -121,7 +128,7 @@ def identity(dims: tuple[int, ...]) -> Operator:
     return Operator(dims, np.eye(math.prod(dims), dtype=complex))
 
 
-def basis_state(dims: tuple[int, ...], occupations: tuple[int, ...]) -> StateVector:
+def basis_state(dims: tuple[int, ...], occupations: tuple[int, ...]) -> np.ndarray:
     """Product Fock state ``|n_0, n_1, ...>``."""
     if len(occupations) != len(dims):
         raise ValueError("one occupation number per mode required")
@@ -130,14 +137,14 @@ def basis_state(dims: tuple[int, ...], occupations: tuple[int, ...]) -> StateVec
             raise ValueError(f"occupation {n} outside [0, {d})")
     v = np.zeros(dims, dtype=complex)
     v[tuple(occupations)] = 1.0
-    return StateVector(v)
+    return pure_state(v)
 
 
 # ---------------------------------------------------------------------------
 # coherent states
 
 
-def coherent_state(alpha: complex, dim: int, tail_tol: float = 1e-12) -> StateVector:
+def coherent_state(alpha: complex, dim: int, tail_tol: float = 1e-12) -> np.ndarray:
     """Truncated coherent state ``|alpha>`` renormalized on ``dim`` Fock states.
 
     Raises
@@ -154,7 +161,7 @@ def coherent_state(alpha: complex, dim: int, tail_tol: float = 1e-12) -> StateVe
             f"need dim >= {need} for tail {tail_tol}",
             required_dim=need,
         )
-    return StateVector(coherent_vector(alpha, dim))
+    return pure_state(coherent_vector(alpha, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -177,29 +184,29 @@ def embed(op: Operator, axis: int, dims: tuple[int, ...]) -> Operator:
     return Operator(dims, m)
 
 
-def product_state(states: tuple[StateVector, ...]) -> StateVector:
+def product_state(states: tuple[np.ndarray, ...]) -> np.ndarray:
     """Tensor product of single-mode states, one axis per factor in order."""
     if not states:
         raise ValueError("need at least one state")
-    if any(s.amplitudes.ndim != 1 for s in states):
+    if any(np.ndim(s) != 1 for s in states):
         raise ValueError("product_state expects single-mode factors")
-    v = states[0].amplitudes
+    v = states[0]
     for s in states[1:]:
-        v = np.kron(v, s.amplitudes)
-    return StateVector(v.reshape([len(s.amplitudes) for s in states]))
+        v = np.kron(v, s)
+    return pure_state(v.reshape([len(s) for s in states]))
 
 
 # ---------------------------------------------------------------------------
 # evolution
 
 
-def evolve(H: Operator, t: float, psi0: StateVector) -> StateVector:
+def evolve(H: Operator, t: float, psi0: np.ndarray) -> np.ndarray:
     """Apply ``exp(-1j H t)`` through an eigendecomposition of ``H``.
 
     ``H`` must be Hermitian within 1e-10 (absolute, scaled by the largest
     entry).  The result keeps the input norm to 1e-10.
     """
-    if psi0.amplitudes.shape != H.dims:
+    if np.shape(psi0) != H.dims:
         raise ValueError("state and Hamiltonian live on different modes")
     m = H.matrix
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
@@ -208,33 +215,33 @@ def evolve(H: Operator, t: float, psi0: StateVector) -> StateVector:
         raise ValueError(f"Hamiltonian is not Hermitian (deviation {dev:.3e})")
     evals, evecs = np.linalg.eigh(m)
     phases = np.exp(-1j * evals * t)
-    v = evecs @ (phases * (evecs.conj().T @ psi0.amplitudes.reshape(-1)))
-    return StateVector(v.reshape(H.dims), norm_tol=1e-10)
+    v = evecs @ (phases * (evecs.conj().T @ np.reshape(psi0, -1)))
+    return pure_state(v.reshape(H.dims), norm_tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
 # reductions and measures
 
 
-def partial_trace(rho: DensityMatrix, dims: tuple[int, ...], axis: int) -> DensityMatrix:
+def partial_trace(rho: np.ndarray, dims: tuple[int, ...], axis: int) -> np.ndarray:
     """Trace every mode but ``axis`` out of ``rho`` on modes with cutoffs ``dims``."""
     dims = tuple(int(d) for d in dims)
     nmodes = len(dims)
     if not 0 <= axis < nmodes:
         raise ValueError(f"no mode at axis {axis} of {nmodes} modes")
-    tensor = rho.matrix.reshape(dims + dims)
+    tensor = np.reshape(rho, dims + dims)
     for a in reversed(range(nmodes)):
         if a != axis:
             tensor = np.trace(tensor, axis1=a, axis2=a + nmodes)
             nmodes -= 1
-    return DensityMatrix(tensor)
+    return density_matrix(tensor)
 
 
-def fidelity(psi: StateVector, phi: StateVector) -> float:
+def fidelity(psi: np.ndarray, phi: np.ndarray) -> float:
     """Squared overlap ``|<psi|phi>|^2`` of two pure states."""
-    if psi.amplitudes.shape != phi.amplitudes.shape:
+    if np.shape(psi) != np.shape(phi):
         raise ValueError("states live on different modes")
-    return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
+    return float(abs(np.vdot(psi, phi)) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,9 @@ from nemsqnd.circuit import (
     effective_params,
     simulate_classical_circuit,
 )
-from nemsqnd.config import load_config, toy_weak_coupling_circuit
+from nemsqnd.config import ALPHA_CAP, load_config, toy_weak_coupling_circuit
 from nemsqnd.entanglement import (
     CoherentTriple,
-    branch_amplitudes,
     brute_force_entropies,
     cat_state_check,
     conditioned_state,
@@ -34,8 +33,8 @@ from nemsqnd.entanglement import (
     separability_check_12,
 )
 from nemsqnd.fock import (
-    StateVector,
     linear_entropy,
+    pure_state,
     reduced_density,
 )
 from nemsqnd.readout import (
@@ -198,14 +197,14 @@ def test_randomized_invariant_battery():
     def rand_amp(scale=2.0):
         return complex(*rng.uniform(-scale / 2, scale / 2, size=2))
 
-    # branch unitarity: 30 inputs
+    # branch unitarity on every layer: 30 inputs
     for _ in range(30):
         beta, gamma = rand_amp(), rand_amp()
-        n = int(rng.integers(0, 60))
+        alpha = rand_amp(ALPHA_CAP)
         theta_t = float(rng.uniform(-8.0, 8.0))
-        b, g = branch_amplitudes(n, theta_t, beta, gamma)
-        assert abs((abs(b) ** 2 + abs(g) ** 2)
-                   - (abs(beta) ** 2 + abs(gamma) ** 2)) <= 1e-12
+        _, b, g, _ = conditioned_state(CoherentTriple(alpha, beta, gamma), theta_t)
+        assert np.max(np.abs((np.abs(b) ** 2 + np.abs(g) ** 2)
+                             - (abs(beta) ** 2 + abs(gamma) ** 2))) <= 1e-12
 
     # 2pi periodicity of all three entropies: 15 inputs
     for _ in range(15):
@@ -255,16 +254,16 @@ def test_randomized_invariant_battery():
         herm = (raw + raw.conj().T) / 2.0
         h = Operator((dim,), herm)
         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        psi = StateVector(vec / np.linalg.norm(vec))
+        psi = pure_state(vec / np.linalg.norm(vec))
         t = float(rng.uniform(-1e3, 1e3))
         out = evolve(h, t, psi)
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
     # equal linear entropies of the two reductions of a pure state: 10 inputs
     for _ in range(10):
         dims = (int(rng.integers(2, 7)), int(rng.integers(2, 7)))
         vec = rng.normal(size=dims) + 1j * rng.normal(size=dims)
-        psi = StateVector(vec / np.linalg.norm(vec))
+        psi = pure_state(vec / np.linalg.norm(vec))
         e_left = linear_entropy(reduced_density(psi, 0))
         e_right = linear_entropy(reduced_density(psi, 1))
         assert abs(e_left - e_right) <= 1e-10

@@ -798,14 +798,12 @@ EXPORTED_FROM = {
         effective_params equilibrium_capacitance estimate_dominant_frequency
         simulate_classical_circuit Trajectory""".split(),
     "config": "RunConfig default_config_text load_config parse_config_text".split(),
-    "entanglement": """CatStateReport CoherentTriple branch_amplitudes
-        brute_force_entropies cat_state_check
-        conditioned_state entropy_n12_series exchange_evolve
+    "entanglement": """CatStateReport CoherentTriple brute_force_entropies
+        cat_state_check conditioned_state entropy_n12_series exchange_evolve
         initial_product_state linear_entropies oracle_dims separability_check_12""".split(),
     "errors": """ConditioningError ConfigError EstimationError IntegrationError
         RegimeWarning SimulationError TruncationError""".split(),
-    "fock": """DensityMatrix StateVector linear_entropy min_fock_dim
-        poisson_tail reduced_density""".split(),
+    "fock": "linear_entropy min_fock_dim poisson_tail reduced_density".split(),
     "readout": """ReadoutParams adiabatic_elimination_error
         full_two_mode_mean_dynamics integrate_mean_qsde mean_photocurrent""".split(),
     "verify": "CheckResult run_all".split(),
@@ -845,13 +843,17 @@ def test_every_name_the_bench_probe_times_resolves():
 
 def test_conftest_loads_every_package_module():
     """``conftest.MODULES`` is every module of the package, so the set of
-    loaded local modules, and with it the Hypothesis examples, does not
-    depend on which tests run."""
+    loaded local modules, and with it the pool of constants Hypothesis
+    draws from, does not depend on which tests run."""
     from conftest import MODULES
 
     package = Path(nemsqnd.__file__).parent
     assert sorted(MODULES) == sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
     assert all(f"nemsqnd.{name}" in sys.modules for name in MODULES)
+
+
+def test_hypothesis_failures_print_a_replayable_blob():
+    assert settings.default.print_blob
 
 
 def test_ci_installs_the_hypothesis_the_test_extra_pins():

@@ -22,7 +22,6 @@ from nemsqnd.entanglement import (
     TAIL_TOL,
     CoherentTriple,
     _pair_weights,
-    branch_amplitudes,
     brute_force_entropies,
     cat_state_check,
     conditioned_state,
@@ -36,12 +35,11 @@ from nemsqnd.entanglement import (
 from nemsqnd.errors import ConditioningError, TruncationError
 from nemsqnd.fock import (
     DEFAULT_DENSITY_CAP,
-    DensityMatrix,
-    StateVector,
     coherent_vector,
     linear_entropy,
     min_fock_dim,
     poisson_tail,
+    pure_state,
     reduced_density,
 )
 from nemsqnd.verify import check_cat_fidelity, check_separability, oracle_gate
@@ -68,42 +66,34 @@ def entropies_at(t, theta_t):
 # branch amplitudes and transmittance
 
 
-def test_branch_amplitudes_special_angles():
+def test_branch_special_angles():
     beta, gamma = 1.3 - 0.4j, 0.7 + 0.2j
+    t = triple(beta=beta, gamma=gamma)
     # layer 0 never moves
-    assert branch_amplitudes(0, 2.31, beta, gamma) == (beta, gamma)
+    _, b, g, _ = conditioned_state(t, 2.31)
+    assert (b[0], g[0]) == (beta, gamma)
     # half period: odd layers flip, even layers return
-    b1, g1 = branch_amplitudes(1, math.pi, beta, gamma)
-    assert b1 == pytest.approx(-beta, abs=1e-12)
-    assert g1 == pytest.approx(-gamma, abs=1e-12)
-    b2, g2 = branch_amplitudes(2, math.pi, beta, gamma)
-    assert b2 == pytest.approx(beta, abs=1e-12)
-    assert g2 == pytest.approx(gamma, abs=1e-12)
+    _, b, g, _ = conditioned_state(t, math.pi)
+    assert b[1] == pytest.approx(-beta, abs=1e-12)
+    assert g[1] == pytest.approx(-gamma, abs=1e-12)
+    assert b[2] == pytest.approx(beta, abs=1e-12)
+    assert g[2] == pytest.approx(gamma, abs=1e-12)
     # quarter period on layer 1: swap with a -i
-    b, g = branch_amplitudes(1, math.pi / 2, beta, gamma)
-    assert b == pytest.approx(-1j * gamma, abs=1e-12)
-    assert g == pytest.approx(-1j * beta, abs=1e-12)
-
-
-def test_branch_amplitudes_vectorized():
-    n = np.arange(6)
-    b, g = branch_amplitudes(n, 0.37, 1.0, 2.0)
-    assert b.shape == g.shape == (6,)
-    for k in range(6):
-        bk, gk = branch_amplitudes(k, 0.37, 1.0, 2.0)
-        assert b[k] == bk and g[k] == gk
-    with pytest.raises(ValueError, match="nonnegative"):
-        branch_amplitudes(-1, 0.1, 1.0, 1.0)
+    _, b, g, _ = conditioned_state(t, math.pi / 2)
+    assert b[1] == pytest.approx(-1j * gamma, abs=1e-12)
+    assert g[1] == pytest.approx(-1j * beta, abs=1e-12)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(beta=amplitudes, gamma=amplitudes,
-       n=st.integers(0, 40), theta_t=st.floats(-8.0, 8.0))
-def test_branch_mixing_is_unitary(beta, gamma, n, theta_t):
-    b, g = branch_amplitudes(n, theta_t, beta, gamma)
+@given(alpha=alpha_moduli, beta=amplitudes, gamma=amplitudes,
+       theta_t=st.floats(-8.0, 8.0))
+def test_branch_mixing_is_unitary(alpha, beta, gamma, theta_t):
+    """Every layer's beam splitter keeps |beta|^2 + |gamma|^2, on up to the
+    87 layers of ``ALPHA_CAP``."""
+    _, b, g, _ = conditioned_state(triple(alpha, beta, gamma), theta_t)
     before = abs(beta) ** 2 + abs(gamma) ** 2
-    after = abs(b) ** 2 + abs(g) ** 2
-    assert math.isclose(after, before, rel_tol=1e-12, abs_tol=1e-12)
+    for after in np.abs(b) ** 2 + np.abs(g) ** 2:
+        assert math.isclose(after, before, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_transmittance_values():
@@ -111,17 +101,20 @@ def test_transmittance_values():
     resonator 2: none on layer 0 or at theta_t = 0, all of them on layer 1
     at the quarter period."""
     beta = 1.3 - 0.4j
-    n = np.arange(6)
-    theta_t = np.linspace(0.0, 5.0, 11)[:, None]
-    b, g = branch_amplitudes(n, theta_t, beta, 0.0)
+    theta_ts = np.linspace(0.0, 5.0, 11)
+    b, g = np.array([conditioned_state(triple(beta=beta, gamma=0.0), x)[1:3]
+                     for x in theta_ts]).transpose(1, 0, 2)
+    n = np.arange(b.shape[1])
+    assert n.size == 26
     transmitted = np.abs(g) ** 2 / abs(beta) ** 2
-    np.testing.assert_allclose(transmitted, np.sin(n * theta_t) ** 2, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(transmitted, np.sin(n * theta_ts[:, None]) ** 2,
+                               rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(transmitted + np.abs(b) ** 2 / abs(beta) ** 2, 1.0, rtol=1e-14)
     assert np.all(transmitted[0] == 0.0) and np.all(transmitted[:, 0] == 0.0)
     # full swap when the accumulated phase hits pi/2
-    b1, g1 = branch_amplitudes(1, math.pi / 2, beta, 0.0)
-    assert abs(g1) ** 2 / abs(beta) ** 2 == pytest.approx(1.0, abs=1e-12)
-    assert abs(b1) <= 1e-12
+    _, b, g, _ = conditioned_state(triple(beta=beta, gamma=0.0), math.pi / 2)
+    assert abs(g[1]) ** 2 / abs(beta) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert abs(b[1]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +142,12 @@ def test_conditioned_state_tail_and_weight():
     assert tail <= 1e-12
     # the kept layers carry all but the discarded tail
     assert np.sum(p) == pytest.approx(1.0 - tail, abs=1e-15)
-    # each branch keeps the combined resonator energy
-    b, g = branch_amplitudes(np.arange(p.size), 0.7, 2.0, 2.0)
-    np.testing.assert_array_equal(beta_n, b)
-    np.testing.assert_array_equal(gamma_n, g)
-    np.testing.assert_allclose(np.abs(b) ** 2 + np.abs(g) ** 2, 8.0, rtol=1e-12)
+    # at beta = gamma both branches are beta e^{-i n theta_t} and keep the
+    # combined resonator energy
+    phi = np.arange(p.size) * 0.7
+    np.testing.assert_allclose(beta_n, 2.0 * (np.cos(phi) - 1j * np.sin(phi)), rtol=1e-15)
+    np.testing.assert_array_equal(gamma_n, beta_n)
+    np.testing.assert_allclose(np.abs(beta_n) ** 2 + np.abs(gamma_n) ** 2, 8.0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308])
@@ -187,19 +181,6 @@ def test_term_caps():
     assert conditioned_state(triple(alpha=-1j * ALPHA_CAP), 0.5)[0].size == 87
     with pytest.raises(ValueError, match=f"exceeds the cap {ALPHA_CAP}"):
         triple(alpha=ALPHA_CAP * (1.0 + 1e-12))
-
-
-def test_validating_types_leave_the_callers_arrays_writeable():
-    """The validated types hold read-only views of the arrays they are
-    given, not copies, and leave the caller's own arrays writeable."""
-    amps = np.zeros((2, 3), dtype=complex)
-    amps[0, 0] = 1.0
-    rho = np.diag([0.5, 0.5]).astype(complex)
-    held = ((amps, StateVector(amps).amplitudes), (rho, DensityMatrix(rho).matrix))
-    for given, kept in held:
-        assert given.flags.writeable
-        assert not kept.flags.writeable
-        assert np.shares_memory(given, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +417,10 @@ def test_uniform_rotation_cannot_entangle_mechanics():
     assert max(_oracle_discrepancies(t, 0.8, dims)) <= 1e-8
     # exp(-i theta0_t K) on the initial pair commutes with the evolution,
     # so the state evolves under theta0_t K + theta_t N K, theta0_t = 0.6
-    pair = StateVector(np.outer(coherent_vector(t.beta, dims[1]),
-                                coherent_vector(t.gamma, dims[2])))
-    rotated = evolve(pair_exchange(dims[1:], axes=(0, 1)), 0.6, pair).amplitudes
-    psi0 = StateVector(np.multiply.outer(coherent_vector(t.alpha, dims[0]), rotated))
+    pair = pure_state(np.outer(coherent_vector(t.beta, dims[1]),
+                               coherent_vector(t.gamma, dims[2])))
+    rotated = evolve(pair_exchange(dims[1:], axes=(0, 1)), 0.6, pair)
+    psi0 = pure_state(np.multiply.outer(coherent_vector(t.alpha, dims[0]), rotated))
     psi_t = exchange_evolve(psi0, 0.8)
     brute = [linear_entropy(reduced_density(psi_t, axis)) for axis in range(3)]
     analytic, _ = entropies_at(t, 0.8)
@@ -463,7 +444,7 @@ def test_exchange_evolve_agrees_with_dense_propagator(d_n, d_1, d_2, theta_t,
     dims = (d_n, d_1, d_2)
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=dims) + 1j * rng.normal(size=dims)
-    psi = StateVector(raw / np.linalg.norm(raw))
+    psi = pure_state(raw / np.linalg.norm(raw))
 
     k = pair_exchange(dims)
     n_op = embed(number(d_n), 0, dims)
@@ -471,7 +452,7 @@ def test_exchange_evolve_agrees_with_dense_propagator(d_n, d_1, d_2, theta_t,
 
     fast = exchange_evolve(evolve(k, theta0_t, psi), theta_t)
     dense = evolve(h, 1.0, psi)
-    np.testing.assert_allclose(fast.amplitudes, dense.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(fast, dense, atol=1e-12)
 
 
 def empty_sector_cache(monkeypatch):
@@ -493,16 +474,16 @@ def test_cached_sector_bases_evolve_bit_for_bit(monkeypatch):
     bases = empty_sector_cache(monkeypatch)
     for other in ((10, 30, 42), (10, 42, 30)):
         exchange_evolve(initial_product_state(triple(0.5, 0.5, 0.5), other), 0.7)
-    served = exchange_evolve(psi, 0.9).amplitudes
+    served = exchange_evolve(psi, 0.9)
     bases.clear()
-    fresh = exchange_evolve(psi, 0.9).amplitudes
+    fresh = exchange_evolve(psi, 0.9)
     assert np.array_equal(served, fresh)
 
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh reached")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    assert np.array_equal(exchange_evolve(psi, 0.9).amplitudes, fresh)
+    assert np.array_equal(exchange_evolve(psi, 0.9), fresh)
 
 
 def test_sector_cache_stays_within_its_cap(monkeypatch):
@@ -539,14 +520,57 @@ def test_sector_cache_keeps_its_first_bases(monkeypatch):
 def test_exchange_evolve_norm_at_large_phase():
     psi = initial_product_state(CoherentTriple(0.6, 0.7, 0.5), (12, 14, 14))
     out = exchange_evolve(psi, 1e3)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
 
 def test_exchange_evolve_refuses_a_state_without_three_modes():
     for dims in ((100,), (4, 25), (2, 2, 5, 5)):
-        psi = StateVector(np.eye(100)[0].reshape(dims))
+        psi = np.eye(100)[0].reshape(dims)
         with pytest.raises(ValueError, match="expects three modes"):
             exchange_evolve(psi, 0.5)
+    for dims in ((2, 0, 2), (1, 3, 3)):
+        with pytest.raises(ValueError, match=">= 2"):
+            exchange_evolve(np.zeros(dims), 0.5)
+
+
+def test_exchange_evolve_refuses_an_over_cap_state_before_converting():
+    """2**21 entries, over the state cap: a broadcast view of one complex
+    number, refused well under the 32 MiB its evolved copy would take."""
+    big = np.broadcast_to(np.complex128(2**-10.5), (128, 128, 128))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="allocation cap"):
+            exchange_evolve(big, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def _small_state():
+    return initial_product_state(CoherentTriple(0.6, 0.7, 0.5), (12, 14, 14))
+
+
+@pytest.mark.parametrize("where", ["scaled", "one nan"])
+def test_exchange_evolve_refuses_an_input_off_unit_norm(where):
+    """The evolution is unitary, so the norm check on its output refuses an
+    unnormalized input and one with a NaN entry, before numpy warns."""
+    psi = _small_state()
+    if where == "scaled":
+        psi *= 1.001
+    else:
+        psi[3, 4, 5] = math.nan
+    with pytest.raises(ValueError, match="norm"):
+        exchange_evolve(psi, 0.7)
+
+
+def test_exchange_evolve_takes_a_real_array():
+    """Real amplitudes are converted: the result is complex and equals the
+    evolution of the same state held as complex numbers."""
+    psi = _small_state()  # real alpha, beta and gamma: real amplitudes
+    out = exchange_evolve(psi.real, 0.7)
+    assert out.dtype == np.complex128
+    assert np.array_equal(out, exchange_evolve(psi, 0.7))
 
 
 @pytest.mark.parametrize("theta_t", [math.nan, math.inf, -math.inf, 1e308, 1e307])
@@ -595,7 +619,7 @@ def test_oracle_space_admits_the_curve_sets_at_the_cap():
     for alpha, dims in ((5.99, (86, 86, 86)), (ALPHA_CAP, (87, 86, 86))):
         widest = max((triple(alpha, b, g) for b, g in ENTROPY_CURVE_SETS), key=oracle_dims)
         assert oracle_dims(widest) == dims
-        assert initial_product_state(widest, dims).amplitudes.shape == dims
+        assert initial_product_state(widest, dims).shape == dims
 
 
 def test_separability_passes_at_the_cap():
@@ -615,7 +639,7 @@ def test_oracle_space_refuses_oversized_pairs():
     # the budget admits fewer state entries than the state cap
     assert ORACLE_BYTE_BUDGET // 32 < DEFAULT_DENSITY_CAP
     t = triple()
-    assert initial_product_state(t, (60, 103, 103)).amplitudes.shape == (60, 103, 103)
+    assert initial_product_state(t, (60, 103, 103)).shape == (60, 103, 103)
     over = (60, 104, 104)
     tracemalloc.start()
     try:
@@ -674,14 +698,14 @@ def test_layer_bound_covers_the_dense_pair_state(monkeypatch, theta_t):
     (n1 + n2 < 12) plus that on the rest Q, which is at least the largest
     entry of either block: rho_12 by a full partial trace, the mixture
     summed branch by branch, at small unequal cutoffs.  The 1248 x 1248
-    density matrix is above the cap of the library's ``DensityMatrix``,
+    density matrix is above the cap of the library's ``density_matrix``,
     so it is traced as a plain array.  A weight p_0 off by 1e-6 relative
     moves the bound past 1e-7."""
     t = CoherentTriple(0.3, 0.35j, 0.25 - 0.1j)
     dims = (8, 12, 13)  # residual ~1e-11, so a slip in the mixture weights shows
     bound = separability_check_12(t, theta_t, dims)
 
-    psi = exchange_evolve(initial_product_state(t, dims), theta_t).amplitudes.reshape(-1)
+    psi = exchange_evolve(initial_product_state(t, dims), theta_t).reshape(-1)
     pair = dims[1] * dims[2]
     rho = np.outer(psi, psi.conj()).reshape(dims + dims)
     rho_12 = np.trace(rho, axis1=0, axis2=3).reshape(pair, pair)
@@ -747,7 +771,7 @@ def test_half_period_cat_structure():
     assert report.reassembly_fidelity == pytest.approx(1.0, abs=1e-10)
     # ... as the explicitly assembled state-size vector does, which is
     # normalized (parity kills the cross term and P+ + P- = 1)
-    psi_t = exchange_evolve(initial_product_state(t, dims), math.pi).amplitudes.reshape(-1)
+    psi_t = exchange_evolve(initial_product_state(t, dims), math.pi).reshape(-1)
     branches = []
     for sign, weight in ((1, n_plus2), (-1, n_minus2)):
         cat = coherent_vector(1.0, dims[0]) + sign * coherent_vector(-1.0, dims[0])

@@ -22,11 +22,11 @@ from scipy.special import gammainc
 
 from nemsqnd.errors import TruncationError
 from nemsqnd.fock import (
-    DensityMatrix,
-    StateVector,
+    density_matrix,
     linear_entropy,
     min_fock_dim,
     poisson_tail,
+    pure_state,
     reduced_density,
 )
 
@@ -172,15 +172,15 @@ def test_min_fock_dim_matches_the_incomplete_gamma_search(tol):
 
 def test_coherent_vacuum_exact():
     st0 = coherent_state(0.0, 5)
-    assert np.array_equal(st0.amplitudes, [1, 0, 0, 0, 0])
+    assert np.array_equal(st0, [1, 0, 0, 0, 0])
 
 
 def test_coherent_closed_form_overlaps():
     alpha = 1.3 - 0.7j
     dim = min_fock_dim(alpha, 1e-14)
     st1 = coherent_state(alpha, dim, tail_tol=1e-13)
-    assert np.linalg.norm(st1.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    assert abs(st1.amplitudes[0]) == pytest.approx(math.exp(-abs(alpha) ** 2 / 2), abs=1e-10)
+    assert np.linalg.norm(st1) == pytest.approx(1.0, abs=1e-12)
+    assert abs(st1[0]) == pytest.approx(math.exp(-abs(alpha) ** 2 / 2), abs=1e-10)
     # |<-a|a>|^2 = exp(-4|a|^2)
     st2 = coherent_state(-alpha, dim, tail_tol=1e-13)
     assert fidelity(st1, st2) == pytest.approx(math.exp(-4 * abs(alpha) ** 2), abs=1e-10)
@@ -228,11 +228,11 @@ def test_space_cap_enforced():
     # 4M entries > 2^20 cap; a broadcast view, so the refusal allocates nothing
     big = np.broadcast_to(np.complex128(1 / 2048), (2048, 2048))
     with pytest.raises(ValueError, match="allocation cap"):
-        StateVector(big)
+        pure_state(big)
     with pytest.raises(TypeError, match="density_cap"):
-        StateVector(big, density_cap=2**23)  # no way to raise it
+        pure_state(big, density_cap=2**23)  # no way to raise it
     with pytest.raises(ValueError, match=">= 2"):
-        StateVector(np.ones((1, 1)))  # every mode keeps at least two Fock states
+        pure_state(np.ones((1, 1)))  # every mode keeps at least two Fock states
 
 
 def test_matrix_alloc_cap():
@@ -240,7 +240,7 @@ def test_matrix_alloc_cap():
     with pytest.raises(ValueError):
         identity(dims)
     with pytest.raises(ValueError, match="allocation cap"):
-        DensityMatrix(np.broadcast_to(np.complex128(0), (1600, 1600)))
+        density_matrix(np.broadcast_to(np.complex128(0), (1600, 1600)))
 
 
 def test_embed_identity_and_commutation():
@@ -272,8 +272,8 @@ def test_product_state_matches_manual_kron():
     s1 = coherent_state(0.8, 14)
     s2 = coherent_state(-0.5j, 14)
     prod = product_state((s1, s2))
-    assert prod.amplitudes.shape == (14, 14)
-    assert np.allclose(prod.amplitudes.reshape(-1), np.kron(s1.amplitudes, s2.amplitudes))
+    assert prod.shape == (14, 14)
+    assert np.allclose(prod.reshape(-1), np.kron(s1, s2))
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +284,15 @@ def test_evolve_time_zero_identity():
     psi = coherent_state(1.0, 5, tail_tol=1e-2)
     H = Operator((5,), number(5).matrix)
     out = evolve(H, 0.0, psi)
-    assert np.array_equal(out.amplitudes, psi.amplitudes)
+    assert np.array_equal(out, psi)
 
 
 def test_evolve_diagonal_phases():
     H = Operator((4,), np.diag([0.0, 1.0, 2.5, -3.0]).astype(complex))
     v = np.full(4, 0.5, dtype=complex)
-    out = evolve(H, 1.7, StateVector(v))
+    out = evolve(H, 1.7, pure_state(v))
     expected = 0.5 * np.exp(-1j * np.array([0.0, 1.0, 2.5, -3.0]) * 1.7)
-    assert np.allclose(out.amplitudes, expected, atol=1e-14)
+    assert np.allclose(out, expected, atol=1e-14)
 
 
 def test_evolve_rejects_non_hermitian():
@@ -331,9 +331,9 @@ def test_evolve_unitary_norm(dim, t, seed):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = (m + m.conj().T) / 2
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    psi = StateVector(v / np.linalg.norm(v))
+    psi = pure_state(v / np.linalg.norm(v))
     out = evolve(Operator((dim,), h), t, psi)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +345,7 @@ def test_partial_trace_product_factor():
     s2 = coherent_state(1.1j, 20)
     prod = product_state((s1, s2))
     rho_a = reduced_density(prod, 0)
-    assert np.allclose(rho_a.matrix, np.outer(s1.amplitudes, s1.amplitudes.conj()), atol=1e-14)
+    assert np.allclose(rho_a, np.outer(s1, s1.conj()), atol=1e-14)
     assert linear_entropy(rho_a) < 1e-12
 
 
@@ -356,12 +356,21 @@ def test_reduced_density_matches_the_dense_partial_trace(axis):
     rng = np.random.default_rng(7)
     dims = (7, 9, 11)
     v = rng.normal(size=dims) + 1j * rng.normal(size=dims)
-    psi = StateVector(v / np.linalg.norm(v))
-    flat = psi.amplitudes.reshape(-1)
-    dense = partial_trace(DensityMatrix(np.outer(flat, flat.conj())), dims, axis)
+    psi = pure_state(v / np.linalg.norm(v))
+    flat = psi.reshape(-1)
+    dense = partial_trace(density_matrix(np.outer(flat, flat.conj())), dims, axis)
     red = reduced_density(psi, axis)
-    assert red.matrix.shape == dense.matrix.shape == (dims[axis],) * 2
-    assert np.max(np.abs(red.matrix - dense.matrix)) <= 1e-15
+    assert red.shape == dense.shape == (dims[axis],) * 2
+    assert np.max(np.abs(red - dense)) <= 1e-15
+
+
+def test_reduced_density_refuses_an_unnormalized_state():
+    """The trace check of the reduced matrix refuses a state off unit norm."""
+    v = np.zeros((3, 4), dtype=complex)
+    v[1, 2] = 1.001
+    for axis in (0, 1):
+        with pytest.raises(ValueError, match="trace"):
+            reduced_density(v, axis)
 
 
 def test_reduced_density_refuses_an_oversized_mode_before_allocating():
@@ -370,7 +379,7 @@ def test_reduced_density_refuses_an_oversized_mode_before_allocating():
     (1100 x 1100 would be 18.5 MiB)."""
     v = np.zeros((1100, 2, 2), dtype=complex)
     v[0, 0, 0] = 1.0
-    psi = StateVector(v)
+    psi = pure_state(v)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="allocation cap"):
@@ -379,20 +388,20 @@ def test_reduced_density_refuses_an_oversized_mode_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert reduced_density(psi, 1).matrix.shape == (2, 2)
+    assert reduced_density(psi, 1).shape == (2, 2)
 
 
 def test_partial_trace_bell_state():
-    bell = StateVector(np.array([[1, 0], [0, 1]]) / math.sqrt(2))
-    flat = bell.amplitudes.reshape(-1)
-    red = partial_trace(DensityMatrix(np.outer(flat, flat.conj())), (2, 2), 0)
-    assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-15)
+    bell = pure_state(np.array([[1, 0], [0, 1]]) / math.sqrt(2))
+    flat = bell.reshape(-1)
+    red = partial_trace(density_matrix(np.outer(flat, flat.conj())), (2, 2), 0)
+    assert np.allclose(red, np.eye(2) / 2, atol=1e-15)
     assert linear_entropy(red) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_partial_trace_validation():
-    rho = DensityMatrix(np.eye(6) / 6)
-    assert np.trace(partial_trace(rho, (2, 3), 1).matrix) == pytest.approx(1.0, abs=1e-12)
+    rho = density_matrix(np.eye(6) / 6)
+    assert np.trace(partial_trace(rho, (2, 3), 1)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="no mode at axis 2"):
         partial_trace(rho, (2, 3), 2)
     with pytest.raises(ValueError):
@@ -405,14 +414,14 @@ def test_bipartite_reductions_equal_entropy(seed):
     rng = np.random.default_rng(seed)
     da, db = rng.integers(2, 7, size=2)
     v = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
-    psi = StateVector(v.reshape(da, db) / np.linalg.norm(v))
+    psi = pure_state(v.reshape(da, db) / np.linalg.norm(v))
     ea = linear_entropy(reduced_density(psi, 0))
     eb = linear_entropy(reduced_density(psi, 1))
     assert abs(ea - eb) <= 1e-10
 
 
 def test_linear_entropy_maximally_mixed():
-    rho = DensityMatrix(np.eye(5) / 5)
+    rho = density_matrix(np.eye(5) / 5)
     assert linear_entropy(rho) == pytest.approx(1 - 1 / 5, abs=1e-14)
 
 
@@ -422,32 +431,32 @@ def test_fidelity_basics():
     assert fidelity(f0, f0) == 1.0
     assert fidelity(f0, f1) == 0.0
     # symmetric, and invariant under a global phase
-    psi = StateVector(np.exp(0.4j) * f0.amplitudes)
+    psi = pure_state(np.exp(0.4j) * f0)
     assert fidelity(psi, f0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
-        DensityMatrix(np.diag([0.5, 0.5, 0.5]))  # trace 1.5
+        density_matrix(np.diag([0.5, 0.5, 0.5]))  # trace 1.5
     with pytest.raises(ValueError, match="square"):
-        DensityMatrix(np.full((2, 3), 1 / 3))  # shape
+        density_matrix(np.full((2, 3), 1 / 3))  # shape
     ok = np.diag([0.9, 0.1, 0.0])
-    DensityMatrix(ok)
+    density_matrix(ok)
     # a NaN entry, anywhere, makes the Hermiticity deviation NaN
     for where in ((0, 0), (0, 1)):
         bad = ok.copy()
         bad[where] = np.nan
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(bad)
+            density_matrix(bad)
     with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix(np.full((2, 2), np.nan))
+        density_matrix(np.full((2, 2), np.nan))
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        DensityMatrix(np.diag([1.5, -0.5]))
+        density_matrix(np.diag([1.5, -0.5]))
 
 
 def test_state_vector_norm_guard():
     with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0, 0.0]))
+        pure_state(np.array([1.0, 1.0, 0.0]))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="norm"):
-            StateVector(np.full((2, 2, 2), bad))
+            pure_state(np.full((2, 2, 2), bad))
