@@ -33,7 +33,6 @@ _SOURCE = {
     "RegimeWarning": "errors",
     "RunConfig": "config",
     "SimulationError": "errors",
-    "Trajectory": "circuit",
     "TruncationError": "errors",
     "adiabatic_elimination_error": "readout",
     "brute_force_entropies": "entanglement",

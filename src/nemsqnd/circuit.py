@@ -247,15 +247,6 @@ class ClassicalCircuitConfig:
             )
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    t: np.ndarray
-    q1: np.ndarray
-    p1: np.ndarray
-    q2: np.ndarray
-    p2: np.ndarray
-
-
 def floquet_powers(monodromy: np.ndarray, y0, n: int) -> np.ndarray:
     """Rows ``M^m y0`` for m < n (and up to b - 1 more), ``M`` the 4x4
     ``monodromy``.
@@ -285,8 +276,11 @@ def floquet_powers(monodromy: np.ndarray, y0, n: int) -> np.ndarray:
     return rows.reshape(-1, 4)
 
 
-def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> Trajectory:
+def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the Kirchhoff equations of the coupled circuit.
+
+    Returns ``(t, y)``: the ``cfg.n_samples`` sample times spanning
+    ``cfg.t_span`` and the (4, n_samples) array of Q1, P1, Q2, P2 there.
 
     The equations of motion follow from the circuit Hamiltonian:
 
@@ -363,7 +357,7 @@ def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> Trajectory:
         near = ode.nearest(nodes, s)
         v = np.einsum("kij,kj->ik", phi[near], starts[whole[i:i + SAMPLE_BLOCK]])
         y[:, i:i + SAMPLE_BLOCK] = ode.step(rhs, nodes[near], v, s)
-    return Trajectory(t, *y)
+    return t, y
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +415,7 @@ def estimate_dominant_frequency(series: np.ndarray, dt: float) -> float:
 class AveragingReport(NamedTuple):
     """Spectral peak of a classical run against the averaged resonance."""
 
-    trajectory: Trajectory
+    trajectory: tuple[np.ndarray, np.ndarray]
     estimated_omega: float
     predicted_omega: float
     rel_error: float
@@ -433,7 +427,7 @@ def classical_averaging(run: ClassicalCircuitConfig) -> AveragingReport:
     The prediction is ``omega_tilde1`` of ``run.params``, the frequency
     the x^2 averaging behind the effective parameters gives resonator 1.
     """
-    traj = simulate_classical_circuit(run)
-    est = estimate_dominant_frequency(traj.q1, traj.t[1] - traj.t[0])
+    t, y = simulate_classical_circuit(run)
+    est = estimate_dominant_frequency(y[0], t[1] - t[0])
     predicted = effective_params(run.params).omega_tilde1
-    return AveragingReport(traj, est, predicted, abs(est - predicted) / predicted)
+    return AveragingReport((t, y), est, predicted, abs(est - predicted) / predicted)

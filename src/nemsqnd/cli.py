@@ -28,7 +28,7 @@ import warnings
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from .config import RunConfig, default_config_text, load_config
+from .config import REGIME_LIMIT, RunConfig, default_config_text, load_config
 from .errors import ConfigError, RegimeWarning, SimulationError
 
 __all__ = ["main"]
@@ -193,19 +193,15 @@ def cmd_classical(cfg: RunConfig, out: Path) -> int:
 
     run = cfg.classical()
     report = classical_averaging(run)
-    traj = report.trajectory
-    _write_csv(
-        out / "trajectory.csv",
-        ("t", "Q1", "P1", "Q2", "P2"),
-        zip(traj.t, traj.q1, traj.p1, traj.q2, traj.p2),
-    )
+    t, y = report.trajectory
+    _write_csv(out / "trajectory.csv", ("t", "Q1", "P1", "Q2", "P2"), zip(t, *y))
     _write_csv(
         out / "classical_report.csv",
         ("estimated_omega", "predicted_omega", "rel_error", "drive_nu", "x0_over_d"),
         [(report.estimated_omega, report.predicted_omega, report.rel_error, run.params.nu,
           cfg.classical_x0_over_d)],
     )
-    print(f"wrote {out / 'trajectory.csv'} ({traj.t.size} samples)")
+    print(f"wrote {out / 'trajectory.csv'} ({t.size} samples)")
     print(f"wrote {out / 'classical_report.csv'}")
     _print_table([
         ("spectral peak [rad/s]", f"{report.estimated_omega:.12e}"),
@@ -248,8 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", default=".",
                         help="directory for output files (created if missing)")
     common.add_argument("--strict", action="store_true",
-                        help="treat the adiabatic-elimination regime warning "
-                             "(theta0/kappa2 or |theta|/kappa2 at or above 0.1) as an error")
+                        help="treat the adiabatic-elimination regime warning (theta0/kappa2 "
+                             f"or |theta|/kappa2 at or above {REGIME_LIMIT:g}) as an error")
 
     parser = argparse.ArgumentParser(
         prog="sim",

@@ -31,7 +31,8 @@ if TYPE_CHECKING:
     from .readout import ReadoutParams
 
 # Every input cap, defined here so that reading a config needs no numpy
-# and no domain module; ``circuit`` and ``entanglement`` import theirs.
+# and no domain module; ``circuit``, ``entanglement`` and ``readout``
+# import theirs.
 
 #: cap on |alpha|; keeps the automatic term counts in the tens
 ALPHA_CAP = 6.0
@@ -42,6 +43,10 @@ CURRENT_TAU_CAP = 1e3
 
 #: most drive periods one classical run may span; it keeps one state per period
 DRIVE_PERIOD_CAP = 2**20
+
+#: the readout's adiabatic elimination is trusted while theta0/kappa2 and
+#: |theta|/kappa2 stay below this; ``sim --strict`` refuses the rest
+REGIME_LIMIT = 0.1
 
 #: the classical run's spectral peak of Q1 lies within its normal-mode
 #: spread, 0.5%, of ``classical_periods`` cycles, and must lie at least
@@ -281,7 +286,8 @@ def load_config(path: str | Path | None) -> RunConfig:
         return parse_config_text("")
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, which some editors write
+        text = p.read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {p}") from None
     except UnicodeDecodeError as exc:

@@ -410,8 +410,9 @@ def exchange_evolve(psi: np.ndarray, theta_t: float) -> np.ndarray:
     ``theta_t`` is the accumulated dimensionless phase (coupling rate
     times time); layer n of the phonon mode is rotated by ``n * theta_t``.
     A ``psi`` without three axes, with a mode below two Fock states or
-    over the state cap is refused before it is converted.  The result goes through ``pure_state``: the
-    evolution is unitary, so that refuses an input off unit norm.
+    over the state cap is refused before it is converted.  The result
+    goes through ``pure_state``: the evolution is unitary, so that
+    refuses an input off unit norm.
     """
     if np.ndim(psi) != 3:
         raise ValueError(

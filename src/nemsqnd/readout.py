@@ -38,10 +38,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .circuit import HBAR
+from .config import REGIME_LIMIT
 from .errors import RegimeWarning
-
-#: elimination is trusted while theta0/kappa2 and |theta|/kappa2 stay below this
-REGIME_LIMIT = 0.1
 
 
 @dataclass(frozen=True)
@@ -129,54 +127,45 @@ class ReadoutParams:
                 )
 
 
-def _nonnegative(name, x):
-    """``x``, a number or a sequence of numbers, as a list of floats and
-    whether it was a number; refuses a negative or NaN entry by name."""
-    try:
-        values, number = [float(v) for v in x], False
-    except TypeError:
-        values, number = [float(x)], True
+def _nonnegative(name, x) -> list[float]:
+    """The sequence ``x`` as a list of floats; refuses a negative or NaN
+    entry by name."""
+    values = [float(v) for v in x]
     for v in values:
         if not v >= 0:
             raise ValueError(f"{name} must be nonnegative, got {v!r}")
-    return values, number
+    return values
 
 
 def _phonon_number(n_b) -> float:
     """``n_b`` as one float; refuses a sequence, or a negative or NaN number, by name."""
-    values, number = _nonnegative("n_b", n_b)
-    if not number:
-        raise ValueError(f"n_b must be one number, got a sequence {n_b!r}")
-    return values[0]
+    try:
+        iter(n_b)
+    except TypeError:
+        return _nonnegative("n_b", [n_b])[0]
+    raise ValueError(f"n_b must be one number, got a sequence {n_b!r}")
 
 
-def current_from_amplitude(p: ReadoutParams, a1):
-    """Drive-phase-locked current of resonator 1 for a mean amplitude: a
-    number or an array, or a list of numbers, which gives a list."""
+def current_from_amplitude(p: ReadoutParams, a1) -> list[float]:
+    """Drive-phase-locked current of resonator 1, one per mean amplitude
+    of the sequence ``a1``."""
     scale, rotation = p.current_scale, cmath.exp(-1j * cmath.phase(p.alpha2))
-    if isinstance(a1, list):
-        return [scale * (a * rotation).imag for a in a1]
-    return scale * (a1 * rotation).imag
+    return [scale * (a * rotation).imag for a in a1]
 
 
-def mean_photocurrent(t, n_b, p: ReadoutParams):
+def mean_photocurrent(t, n_b, p: ReadoutParams) -> list[list[float]]:
     """Mean current of the measured resonator (A), zero initial amplitude.
 
     Equal to ``p.gain * n_b * (1 - exp(-(Gamma + kappa1) t / 2))``: linear
     in the phonon number at every instant, monotonically saturating in t.
-    ``t`` and ``n_b`` are each a number or a sequence of numbers.  Two
-    numbers give a float; a sequence of times gives a list over them, and
-    a sequence of phonon numbers a list with one entry per ``n_b``.
+    ``t`` and ``n_b`` are sequences of numbers; the result holds one list
+    over ``t`` per phonon number.
     """
     p.enforce_regime()
-    times, one_time = _nonnegative("t", t)
-    counts, one_count = _nonnegative("n_b", n_b)
+    times, counts = _nonnegative("t", t), _nonnegative("n_b", n_b)
     rate, gain = -0.5 * p.decay_total, p.gain
     rise = [1.0 - math.exp(rate * s) for s in times]
-    rows = [[gain * n * r for r in rise] for n in counts]
-    if one_time:
-        rows = [row[0] for row in rows]
-    return rows[0] if one_count else rows
+    return [[gain * n * r for r in rise] for n in counts]
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +178,17 @@ def integrate_mean_qsde(p: ReadoutParams, n_b: float, t, rtol: float = 1e-10) ->
         d<a1>/dt = -i theta alpha2 n_b - (Gamma + kappa1)/2 <a1>,  <a1>(0) = 0
 
     numerically, on Python complex numbers: one DOP853 solve at ``rtol``
-    to the latest time of ``t`` (as :func:`mean_photocurrent` takes it),
-    then one step from the nearest node to each time gives the list of
-    ``<a1>``.  This duplicates the closed-form ``<a1>(t)`` of the module
-    docstring on purpose — the integrator never sees the closed form, so
-    agreement between the two is a real check, not a tautology.
+    to the latest time of the sequence ``t``, then one step from the
+    nearest node to each time gives the list of ``<a1>``.  This
+    duplicates the closed-form ``<a1>(t)`` of the module docstring on
+    purpose — the integrator never sees the closed form, so agreement
+    between the two is a real check, not a tautology.
     """
     from . import ode
 
     p.enforce_regime()
     n_b = _phonon_number(n_b)
-    times, _ = _nonnegative("t", t)
+    times = _nonnegative("t", t)
     if not (times and 0 < max(times) < math.inf):
         raise ValueError("t must hold a positive time and only finite ones")
     forcing = -1j * p.theta * p.alpha2 * n_b

@@ -4,7 +4,7 @@ The independent reference the Floquet path of
 ``nemsqnd.circuit.simulate_classical_circuit`` is checked against: it
 takes the plate displacement x(t) and the reference voltage V(t) as
 callables and integrates the whole span with DOP853, sharing no code
-with the library's integrator beyond the ``Trajectory`` it returns.
+with the library's integrator beyond the ``(t, y)`` form it returns.
 ``circuit_energy`` is the circuit Hamiltonian the energy-conservation
 tests evaluate along either integrator's trajectory.
 """
@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from nemsqnd.circuit import PhysicalCircuitParams, Trajectory
+from nemsqnd.circuit import PhysicalCircuitParams
 
 
 def _zero(_t: float) -> float:
@@ -32,7 +32,7 @@ def reference_trajectory(
     v_ct: Callable[[float], float] | None = None,
     rtol: float = 1e-10,
     atol: float | np.ndarray | None = None,
-) -> Trajectory:
+) -> tuple[np.ndarray, np.ndarray]:
     """Integrate
 
         dQ1/dt = P1 / L1
@@ -42,7 +42,8 @@ def reference_trajectory(
 
     with c(t) = (d^2 - x^2(t)) / (2 d eps0 A), 1/Ctilde_i(t) = 1/C_i + c(t),
     from ``y0 = (Q1, P1, Q2, P2)`` at ``t_span[0]``, sampled at
-    ``n_samples`` evenly spaced times.  ``x_drive`` and ``v_ct`` default
+    ``n_samples`` evenly spaced times, and return the times and the
+    (4, n_samples) array of Q1, P1, Q2, P2 there.  ``x_drive`` and ``v_ct`` default
     to zero; ``atol`` (scalar or per component) defaults to
     ``1e-2 * rtol * max|y0|``.  Raises ``ValueError`` when |x(t)| reaches
     the gap on a grid of ``4 * n_samples`` times.
@@ -75,7 +76,7 @@ def reference_trajectory(
     sol = solve_ivp(rhs, (t0, t1), list(y0), method="DOP853",
                     rtol=rtol, atol=atol, t_eval=t_eval)
     assert sol.success, sol.message
-    return Trajectory(sol.t, *sol.y)
+    return sol.t, sol.y
 
 
 def circuit_energy(p: PhysicalCircuitParams, q1, p1, q2, p2, x=0.0):

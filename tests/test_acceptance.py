@@ -55,7 +55,7 @@ def test_current_saturation_with_exact_ratios():
 
     # the long-time limit of the closed-form <a1>(t) of nemsqnd.readout
     stationary = {
-        n: current_from_amplitude(ro, -2j * ro.alpha2 * ro.theta * n / ro.decay_total)
+        n: current_from_amplitude(ro, [-2j * ro.alpha2 * ro.theta * n / ro.decay_total])[0]
         for n in (1.0, 2.0, 3.0)
     }
     assert abs(stationary[2.0] / stationary[1.0] - 2.0) <= 1e-12
@@ -64,7 +64,7 @@ def test_current_saturation_with_exact_ratios():
     # saturation: by tau = 10 the transient sits on its plateau
     t_grid = np.linspace(0.0, 20.0 / ro.decay_total, 200)
     for n in (1.0, 2.0, 3.0):
-        analytic = mean_photocurrent(t_grid, n, ro)
+        (analytic,) = mean_photocurrent(t_grid, [n], ro)
         assert analytic[-1] == pytest.approx(stationary[n], rel=1e-8)
         current = current_from_amplitude(ro, integrate_mean_qsde(ro, n, t_grid))
         residual = np.abs(np.subtract(current, analytic))
@@ -182,8 +182,8 @@ def test_classical_averaging_and_energy_conservation():
         params=params, q1=1.0, p1=0.0, q2=-0.5, p2=0.25,
         t_span=(0.0, periods), n_samples=4096, rtol=1e-12,
     )
-    traj = simulate_classical_circuit(run)
-    energy = circuit_energy(params, traj.q1, traj.p1, traj.q2, traj.p2)
+    _, y = simulate_classical_circuit(run)
+    energy = circuit_energy(params, *y)
     drift = np.max(np.abs(energy - energy[0])) / energy[0]
     assert drift <= 1e-8
     assert time.perf_counter() - t_start < 5.0

@@ -16,7 +16,6 @@ from nemsqnd.circuit import (
     HBAR,
     ClassicalCircuitConfig,
     PhysicalCircuitParams,
-    Trajectory,
     classical_averaging,
     effective_params,
     equilibrium_capacitance,
@@ -141,8 +140,8 @@ def test_uncoupled_limit_frequency():
     p = unit_params(a_over_d=1e4)
     run = ClassicalCircuitConfig(params=p, q1=1.0, t_span=(0.0, 200 * 2 * math.pi),
                                  n_samples=4096)
-    traj = simulate_classical_circuit(run)
-    est = estimate_dominant_frequency(traj.q1, traj.t[1] - traj.t[0])
+    t, y = simulate_classical_circuit(run)
+    est = estimate_dominant_frequency(y[0], t[1] - t[0])
     assert est == pytest.approx(1.0, rel=1e-4)
 
 
@@ -153,8 +152,8 @@ def test_energy_conservation_undriven():
     run = ClassicalCircuitConfig(params=p, q1=0.7, p2=-0.2,
                                  t_span=(0.0, 100 * period),
                                  n_samples=1024, rtol=1e-12)
-    traj = simulate_classical_circuit(run)
-    e = circuit_energy(p, traj.q1, traj.p1, traj.q2, traj.p2)
+    _, y = simulate_classical_circuit(run)
+    e = circuit_energy(p, *y)
     assert np.abs(e - e[0]).max() / abs(e[0]) < 1e-9
 
 
@@ -175,13 +174,13 @@ def test_mirror_symmetry():
 
     v = lambda t: 0.05 * math.sin(1.7 * t)
     span = (0.0, 40.0)
-    fwd = reference_trajectory(p, (0.4, 0.0, 0.0, 0.1), span, 512,
-                               x_drive=drive, v_ct=v, rtol=1e-11)
+    _, fwd = reference_trajectory(p, (0.4, 0.0, 0.0, 0.1), span, 512,
+                                  x_drive=drive, v_ct=v, rtol=1e-11)
     # swap circuits 1<->2, negate charges, flip the plate: same dynamics
-    rev = reference_trajectory(p, (0.0, -0.1, -0.4, 0.0), span, 512,
-                               x_drive=drive_neg, v_ct=v, rtol=1e-11)
-    assert np.allclose(fwd.q1, -rev.q2, atol=1e-9)
-    assert np.allclose(fwd.q2, -rev.q1, atol=1e-9)
+    _, rev = reference_trajectory(p, (0.0, -0.1, -0.4, 0.0), span, 512,
+                                  x_drive=drive_neg, v_ct=v, rtol=1e-11)
+    assert np.allclose(fwd[0], -rev[2], atol=1e-9)
+    assert np.allclose(fwd[2], -rev[0], atol=1e-9)
 
 
 def test_short_circuit_guard(monkeypatch):
@@ -235,8 +234,8 @@ def test_classical_run_at_an_rtol_below_the_floor_runs_at_the_floor(rtol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tiny = run(rtol)
-    for name in ("t", "q1", "p1", "q2", "p2"):
-        np.testing.assert_array_equal(getattr(tiny, name), getattr(floor, name))
+    for got, want in zip(tiny, floor):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_classical_run_is_frozen():
@@ -247,27 +246,26 @@ def test_classical_run_is_frozen():
         run.params = dataclasses.replace(unit_params(), nu=2.0)
 
 
-def _matched_reference(run: ClassicalCircuitConfig, rtol: float) -> Trajectory:
-    """The callable reference integrating ``run``'s drive step by step."""
+def _matched_reference(run: ClassicalCircuitConfig, rtol: float) -> np.ndarray:
+    """The (4, n) states of the callable reference integrating ``run``'s
+    drive step by step."""
     p = run.params
     c0 = 1.0 / (2.0 * equilibrium_capacitance(p))
     size = np.array([1.0, math.sqrt(p.L1 * (1.0 / p.C1 + c0)),
                      1.0, math.sqrt(p.L2 * (1.0 / p.C2 + c0))])
     y0 = np.array([run.q1, run.p1, run.q2, run.p2])
-    return reference_trajectory(
+    _, y = reference_trajectory(
         p, tuple(y0), run.t_span, run.n_samples,
         x_drive=lambda t: run.x0 * math.cos(run.params.nu * t), rtol=rtol,
         atol=1e-2 * rtol * size * np.max(np.abs(y0) / size),
     )
+    return y
 
 
-def _worst_component_error(traj: Trajectory, ref: Trajectory) -> float:
+def _worst_component_error(y: np.ndarray, ref: np.ndarray) -> float:
     """Largest deviation, each coordinate measured against its own size."""
-    return max(
-        float(np.max(np.abs(getattr(traj, k) - getattr(ref, k)))
-              / np.max(np.abs(getattr(ref, k))))
-        for k in ("q1", "p1", "q2", "p2")
-    )
+    return max(float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+               for got, want in zip(y, ref))
 
 
 def test_whole_period_sample_times():
@@ -283,9 +281,9 @@ def test_whole_period_sample_times():
         run = ClassicalCircuitConfig(params=dataclasses.replace(p, nu=nu), x0=0.5,
                                      q1=1.0, p2=0.3,
                                      t_span=t_span, n_samples=n_samples, rtol=1e-11)
-        traj = simulate_classical_circuit(run)
-        assert np.array_equal(traj.t, np.linspace(*t_span, n_samples))
-        assert _worst_component_error(traj, _matched_reference(run, 1e-12)) < 1e-8
+        t, y = simulate_classical_circuit(run)
+        assert np.array_equal(t, np.linspace(*t_span, n_samples))
+        assert _worst_component_error(y, _matched_reference(run, 1e-12)) < 1e-8
 
 
 def test_classical_run_memory_is_bounded_by_the_block():
@@ -294,11 +292,11 @@ def test_classical_run_memory_is_bounded_by_the_block():
     run = parse_config_text("classical_samples = 262144\n").classical()
     tracemalloc.start()
     try:
-        traj = simulate_classical_circuit(run)
+        t, y = simulate_classical_circuit(run)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert traj.t.size == 2**18 and np.isfinite(traj.q1).all()
+    assert t.size == 2**18 and np.isfinite(y[0]).all()
     assert peak < 64 * 2**20
 
 
@@ -367,8 +365,8 @@ def test_floquet_matches_step_by_step_reference(si, x0_over_d, nu_ratio, t0_peri
         t_span=(t0_periods * circuit_period, (t0_periods + 4) * circuit_period),
         n_samples=257,
     )
-    traj = simulate_classical_circuit(run)
-    assert _worst_component_error(traj, _matched_reference(run, 1e-12)) < 1e-9
+    _, y = simulate_classical_circuit(run)
+    assert _worst_component_error(y, _matched_reference(run, 1e-12)) < 1e-9
 
 
 def test_averaging_beyond_leading_order():
@@ -391,8 +389,8 @@ def test_averaging_beyond_leading_order():
         t_span=(0.0, 250 * 2 * math.pi / omega_avg),
         n_samples=8192, rtol=1e-10,
     )
-    traj = simulate_classical_circuit(run)
-    est = estimate_dominant_frequency(traj.q1, traj.t[1] - traj.t[0])
+    t, y = simulate_classical_circuit(run)
+    est = estimate_dominant_frequency(y[0], t[1] - t[0])
     assert abs(est - omega_avg) / omega_avg < 1e-2
     assert abs(est - omega_frozen) / omega_frozen > 2e-2
 
@@ -402,12 +400,12 @@ def test_trajectory_csv(tmp_path):
     conf = tmp_path / "short.conf"
     conf.write_text(text)
     assert main(["classical", "--config", str(conf), "--out", str(tmp_path)]) == 0
-    traj = simulate_classical_circuit(parse_config_text(text).classical())
+    _, y = simulate_classical_circuit(parse_config_text(text).classical())
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,Q1,P1,Q2,P2"
     assert len(lines) == 1025
     got = np.array([float(v) for v in lines[3].split(",")])
-    assert got[1] == pytest.approx(traj.q1[2], rel=1e-12)
+    assert got[1] == pytest.approx(y[0, 2], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,22 @@ def test_load_config_file_errors(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_load_config_skips_a_byte_order_mark(tmp_path, capsys, newline):
+    """A config saved with a UTF-8 byte-order mark gives the same run as
+    the same file without it, with either line end."""
+    text = newline.join(["alpha_re = 1.5", "# a comment", "kappa1 = 2e7", ""])
+    plain, marked = tmp_path / "plain.conf", tmp_path / "marked.conf"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_config(marked) == load_config(plain) == RunConfig(alpha_re=1.5, kappa1=2e7)
+    printed = []
+    for conf in (plain, marked):
+        assert main(["params", "--config", str(conf)]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+
+
 def test_builders():
     cfg = load_config(None)
     phys = cfg.physical()
@@ -796,7 +812,7 @@ def test_artifacts_get_the_plain_file_mode(tmp_path):
 EXPORTED_FROM = {
     "circuit": """EPS0 HBAR ClassicalCircuitConfig EffectiveParams PhysicalCircuitParams
         effective_params equilibrium_capacitance estimate_dominant_frequency
-        simulate_classical_circuit Trajectory""".split(),
+        simulate_classical_circuit""".split(),
     "config": "RunConfig default_config_text load_config parse_config_text".split(),
     "entanglement": """CatStateReport CoherentTriple brute_force_entropies
         cat_state_check conditioned_state entropy_n12_series exchange_evolve
@@ -824,6 +840,20 @@ def test_exports_resolve():
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(nemsqnd.__all__)
     assert all(namespace[name] is getattr(nemsqnd, name) for name in namespace)
+
+
+def test_readme_library_example_runs(tmp_path):
+    """The `python` block of README's "Library use" runs as written on
+    this test's package, so the documented library surface cannot rot."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, cwd=tmp_path, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    theta_ratio, gain = map(float, proc.stdout.splitlines()[0].split())
+    assert theta_ratio == pytest.approx(-1e-6, rel=1e-9) and gain > 0
 
 
 def test_every_name_the_bench_probe_times_resolves():
@@ -856,14 +886,23 @@ def test_hypothesis_failures_print_a_replayable_blob():
     assert settings.default.print_blob
 
 
-def test_ci_installs_the_hypothesis_the_test_extra_pins():
-    """Another Hypothesis version draws other examples, so CI and the
-    ``test`` extra pin one; read as text, since Python 3.10 has no tomllib."""
-    root = Path(__file__).resolve().parent.parent
-    ci = re.findall(r"hypothesis==([\w.]+)", (root / ".github/workflows/tier1.yml").read_text())
-    extra = re.findall(r'^test = \[.*"hypothesis==([\w.]+)"',
-                       (root / "pyproject.toml").read_text(), re.MULTILINE)
-    assert len(ci) == 1 and ci == extra
+def test_ci_installs_the_test_extra():
+    """CI's pip line installs every package of the `test` extra, pinned
+    as the extra pins it.  The extra pins Hypothesis: another version
+    draws other examples, and a `@reproduce_failure` blob replays only on
+    the version that printed it."""
+    root = Path(__file__).resolve().parents[1]
+    extra = toml_entries((root / "pyproject.toml").read_text(encoding="utf-8"),
+                         "project.optional-dependencies")["test"]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    (line,) = re.findall(r"^\s*run: python -m pip install (.+)$", workflow, re.M)
+    installed = {re.split("[<>=!~]", arg, maxsplit=1)[0]: arg for arg in line.split()}
+    assert any(req.startswith("hypothesis==") for req in extra)
+    for req in extra:
+        name = re.split("[<>=!~]", req, maxsplit=1)[0]
+        assert name in installed, req
+        if "==" in req:
+            assert installed[name] == req
 
 
 def test_out_directory_is_created(tmp_path):
@@ -920,27 +959,29 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert not differ, f"{differ} depend on the BLAS thread count"
 
 
-def project_scripts(pyproject_text):
-    """The `name = "target"` entries of the `[project.scripts]` table.
+def toml_entries(pyproject_text, table):
+    """The one-line `key = value` entries of a table of `pyproject.toml`,
+    each value (a string or a list of strings) read as a Python literal.
 
     Read line by line rather than with `tomllib`, which Python 3.10 (still
-    allowed by `requires-python`) does not have.  An entry written any other
-    way is not returned, so the check below fails rather than passes.
+    allowed by `requires-python`, and run by CI) does not have.  An entry
+    written any other way is not returned, so the checks below fail rather
+    than pass.
     """
-    scripts, in_table = {}, False
+    entries, in_table = {}, False
     for line in pyproject_text.splitlines():
         line = line.strip()
         if line.startswith("["):
-            in_table = line == "[project.scripts]"
-        elif in_table and (m := re.fullmatch(r'([\w.-]+)\s*=\s*"([^"]*)"', line)):
-            scripts[m[1]] = m[2]
-    return scripts
+            in_table = line == f"[{table}]"
+        elif in_table and (m := re.fullmatch(r'([\w.-]+)\s*=\s*(".*"|\[.*\])', line)):
+            entries[m[1]] = ast.literal_eval(m[2])
+    return entries
 
 
 def test_console_script_prints_defaults(tmp_path):
     # `sim` is bound to nemsqnd.cli:main ...
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    assert project_scripts(pyproject.read_text())["sim"] == "nemsqnd.cli:main"
+    assert toml_entries(pyproject.read_text(), "project.scripts")["sim"] == "nemsqnd.cli:main"
 
     # ... and that entry point, run in a fresh process on the very package
     # this test imported (not an installed copy), prints the full defaults.

@@ -139,7 +139,7 @@ def test_good_regime_is_silent():
     p = unit_chain()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mean_photocurrent(1.0, 1.0, p)
+        mean_photocurrent([1.0], [1.0], p)
 
 
 def test_bad_regime_warns_then_raises():
@@ -147,13 +147,13 @@ def test_bad_regime_warns_then_raises():
     on ``RegimeWarning`` (what ``sim --strict`` sets) makes it raise."""
     bad = unit_chain(theta0=8.0)
     with pytest.warns(RegimeWarning, match="theta0/kappa2"):
-        mean_photocurrent(1.0, 1.0, bad)
+        mean_photocurrent([1.0], [1.0], bad)
     with pytest.warns(RegimeWarning, match="theta0/kappa2"):
         integrate_mean_qsde(bad, 1.0, (0.0, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RegimeWarning)
         with pytest.raises(RegimeWarning, match="outside the adiabatic-elimination"):
-            mean_photocurrent(1.0, 1.0, bad)
+            mean_photocurrent([1.0], [1.0], bad)
         with pytest.raises(RegimeWarning):
             integrate_mean_qsde(bad, 1.0, (0.0, 1.0))
 
@@ -175,44 +175,40 @@ def test_full_model_is_exempt_from_regime_check():
 
 def test_mean_amplitude_closed_form_and_broadcast():
     """The library's current is the locked quadrature of the closed-form
-    amplitude: one list over t per n_b for two sequences, one list for a
-    sequence and a number, and a float for two numbers."""
+    amplitude: one list over t per n_b."""
     p = unit_chain()
     t = np.linspace(0.0, 12.0, 7)
     n_b = [0.0, 1.0, 3.0]
     out = mean_photocurrent(t, n_b, p)
     assert len(out) == 3 and all(isinstance(row, list) and len(row) == 7 for row in out)
     np.testing.assert_allclose(
-        out, current_from_amplitude(p, mean_amplitude(p, np.array(n_b)[:, None], t)),
-        rtol=1e-14)
+        out, [current_from_amplitude(p, mean_amplitude(p, n, t)) for n in n_b], rtol=1e-14)
     assert out[0] == [0.0] * 7
-    assert mean_photocurrent(t, 3.0, p) == out[2]
-    assert mean_photocurrent(5.0, n_b, p) == [row[-1] for row in
-                                                mean_photocurrent([0.0, 5.0], n_b, p)]
-    scalar = mean_photocurrent(5.0, 2.0, p)
-    assert isinstance(scalar, float)
+    assert mean_photocurrent(t, [3.0], p) == [out[2]]
+    assert mean_photocurrent([5.0], n_b, p) == [row[-1:] for row in
+                                                  mean_photocurrent([0.0, 5.0], n_b, p)]
 
 
 def test_mean_photocurrent_saturates_at_gain_times_nb():
     p = unit_chain()
     t_late = 80.0 / p.decay_total
     for n_b in (0.0, 1.0, 2.5):
-        assert mean_photocurrent(t_late, n_b, p) == pytest.approx(
+        assert mean_photocurrent([t_late], [n_b], p)[0][0] == pytest.approx(
             p.gain * n_b, abs=1e-12 * p.gain)
-    assert mean_photocurrent(0.0, 5.0, p) == 0.0
+    assert mean_photocurrent([0.0], [5.0], p) == [[0.0]]
     # linear in n_b at every instant
     t = np.linspace(0.0, 8.0, 50)
-    np.testing.assert_allclose(mean_photocurrent(t, 3.0, p),
-                               3.0 * np.array(mean_photocurrent(t, 1.0, p)), rtol=1e-14)
+    np.testing.assert_allclose(mean_photocurrent(t, [3.0], p),
+                               3.0 * np.array(mean_photocurrent(t, [1.0], p)), rtol=1e-14)
 
 
 def test_current_is_locked_quadrature():
     p = unit_chain()  # alpha2 real positive -> plain Im
     a1 = 0.3 + 0.7j
-    assert current_from_amplitude(p, a1) == pytest.approx(
+    assert current_from_amplitude(p, [a1])[0] == pytest.approx(
         p.current_scale * 0.7, rel=1e-15)
     amp = stationary_mean_amplitude(p, 4.0)
-    assert current_from_amplitude(p, amp) == pytest.approx(p.gain * 4.0, rel=1e-13)
+    assert current_from_amplitude(p, [amp])[0] == pytest.approx(p.gain * 4.0, rel=1e-13)
 
 
 def test_ode_reproduces_closed_form():
@@ -223,7 +219,7 @@ def test_ode_reproduces_closed_form():
     a1 = integrate_mean_qsde(p, n_b, t, rtol=1e-12)
     scale = abs(stationary_mean_amplitude(p, n_b))
     assert np.max(np.abs(np.subtract(a1, mean_amplitude(p, n_b, t)))) <= 1e-11 * scale
-    np.testing.assert_allclose(current_from_amplitude(p, a1), mean_photocurrent(t, n_b, p),
+    np.testing.assert_allclose(current_from_amplitude(p, a1), mean_photocurrent(t, [n_b], p)[0],
                                atol=1e-11 * p.gain * n_b)
 
 
@@ -233,8 +229,8 @@ def test_drive_phase_gauge_invariance(phi):
     p = unit_chain()
     rotated = unit_chain(F=p.F * cmath.exp(1j * phi))
     t = np.linspace(0.0, 10.0, 31)
-    np.testing.assert_allclose(mean_photocurrent(t, 1.5, rotated),
-                               mean_photocurrent(t, 1.5, p), rtol=1e-12)
+    np.testing.assert_allclose(mean_photocurrent(t, [1.5], rotated),
+                               mean_photocurrent(t, [1.5], p), rtol=1e-12)
     a_rot = mean_amplitude(rotated, 1.5, t[1:])
     np.testing.assert_allclose(
         current_from_amplitude(rotated, a_rot),
@@ -244,7 +240,7 @@ def test_drive_phase_gauge_invariance(phi):
 def test_decoupled_chain_carries_no_signal():
     p = unit_chain(theta0=0.0, theta=0.0)
     assert p.gain == 0.0
-    assert mean_photocurrent(np.linspace(0, 10, 5), 3.0, p) == [0.0] * 5
+    assert mean_photocurrent(np.linspace(0, 10, 5), [3.0], p) == [[0.0] * 5]
     (a1,), (a2,) = full_two_mode_mean_dynamics([(p, 3.0)], 400.0)
     assert abs(a1) == 0.0
     assert a2 == pytest.approx(p.alpha2, rel=1e-10)
@@ -297,8 +293,8 @@ def test_gain_fixed_under_kappa2_scaling():
         assert q.alpha2 == pytest.approx(p.alpha2, rel=1e-15)
         assert q.Gamma == pytest.approx(p.Gamma, rel=1e-14)
         assert q.gain == pytest.approx(p.gain, rel=1e-14)
-        assert mean_photocurrent(3.0, 2.0, q) == pytest.approx(
-            mean_photocurrent(3.0, 2.0, p), rel=1e-14)
+        assert mean_photocurrent([3.0], [2.0], q)[0][0] == pytest.approx(
+            mean_photocurrent([3.0], [2.0], p)[0][0], rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +388,23 @@ def test_elimination_error_refuses_a_zero_signal_before_integrating(monkeypatch,
 def test_negative_inputs_rejected():
     p = unit_chain()
     with pytest.raises(ValueError, match="nonnegative"):
-        mean_photocurrent(1.0, -1.0, p)
+        mean_photocurrent([1.0], [-1.0], p)
     with pytest.raises(ValueError, match="nonnegative"):
-        mean_photocurrent(-0.5, 1.0, p)
+        mean_photocurrent([-0.5], [1.0], p)
     # NaN fails every comparison, so it is refused by name, not passed through
     with pytest.raises(ValueError, match="^t must be nonnegative, got nan"):
-        mean_photocurrent(math.nan, 1.0, p)
+        mean_photocurrent([math.nan], [1.0], p)
     with pytest.raises(ValueError, match="^n_b must be nonnegative, got nan"):
-        mean_photocurrent(1e-9, math.nan, p)
+        mean_photocurrent([1e-9], [math.nan], p)
     with pytest.raises(ValueError, match="^t must"):
-        mean_photocurrent([0.0, math.nan], 1.0, p)
+        mean_photocurrent([0.0, math.nan], [1.0], p)
     with pytest.raises(ValueError, match="^n_b must"):
-        mean_photocurrent(1.0, [1.0, math.nan], p)
+        mean_photocurrent([1.0], [1.0, math.nan], p)
     with pytest.raises(ValueError, match="^n_b must"):
-        integrate_mean_qsde(p, math.nan, 1.0)
+        integrate_mean_qsde(p, math.nan, [1.0])
     # the integrators take one phonon number, never a sequence of them
     with pytest.raises(ValueError, match="^n_b must be one number"):
-        integrate_mean_qsde(p, [1.0], 1e-6)
+        integrate_mean_qsde(p, [1.0], [1e-6])
     with pytest.raises(ValueError, match="^n_b must be one number"):
         full_two_mode_mean_dynamics([(p, 1.0), (p, (1.0, 2.0))], 1e-6)
     with pytest.raises(ValueError, match="^points must be at least 2, got 1"):
@@ -421,7 +417,7 @@ def test_negative_inputs_rejected():
     ([0.0, math.inf], "^t must hold a positive time and only finite ones"),
     ([], "^t must hold a positive time"),
     ([0.0, 0.0], "^t must hold a positive time"),
-    (0.0, "^t must hold a positive time"),
+    ([0.0], "^t must hold a positive time"),
 ], ids=["negative", "nan", "infinite", "empty", "no-positive", "zero"])
 def test_mean_integration_refuses_bad_times(t, message):
     """Every time the mean equation is sampled at is refused by name,
