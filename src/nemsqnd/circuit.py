@@ -45,10 +45,9 @@ All frequencies, including the mechanical one, are angular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .config import DRIVE_PERIOD_CAP
+from .config import DRIVE_PERIOD_CAP, checked_make
 from .errors import EstimationError
 
 if TYPE_CHECKING:
@@ -59,15 +58,7 @@ HBAR = 1.054571817e-34
 EPS0 = 8.8541878128e-12
 
 
-@dataclass(frozen=True)
-class PhysicalCircuitParams:
-    """SI description of the coupled resonator-mechanics circuit.
-
-    All entries strictly positive.  ``nu`` is the angular mechanical
-    frequency in rad/s; a value quoted in Hz must be multiplied by 2 pi
-    before it goes in here.
-    """
-
+class _PhysicalCircuitFields(NamedTuple):
     L1: float
     L2: float
     C1: float
@@ -79,15 +70,27 @@ class PhysicalCircuitParams:
     eps0: float = EPS0
     hbar: float = HBAR
 
-    def __post_init__(self):
-        for name in ("L1", "L2", "C1", "C2", "d", "A", "m", "nu", "eps0", "hbar"):
-            val = getattr(self, name)
+
+class PhysicalCircuitParams(_PhysicalCircuitFields):
+    """SI description of the coupled resonator-mechanics circuit.
+
+    All entries strictly positive.  ``nu`` is the angular mechanical
+    frequency in rad/s; a value quoted in Hz must be multiplied by 2 pi
+    before it goes in here.
+    """
+
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, val in zip(self._fields, self):
             if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {val!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class EffectiveParams:
+class EffectiveParams(NamedTuple):
     """Derived circuit quantities, all SI (farads and rad/s).
 
     ``theta0`` is the phonon-independent exchange rate between the two
@@ -207,17 +210,7 @@ def effective_params(
 SAMPLE_BLOCK = 2**11
 
 
-@dataclass(frozen=True)
-class ClassicalCircuitConfig:
-    """Inputs for a classical simulation of the coupled circuit.
-
-    The plate follows the declared drive x(t) = x0 cos(nu t) at the
-    mechanical frequency ``nu = params.nu``, with ``x0`` in meters (0,
-    the default, holds the plate at rest).  Initial conditions at
-    ``t_span[0]`` are charges (coulomb) and their conjugate momenta
-    (weber).
-    """
-
+class _ClassicalCircuitFields(NamedTuple):
     params: PhysicalCircuitParams
     x0: float = 0.0
     q1: float = 0.0
@@ -228,7 +221,22 @@ class ClassicalCircuitConfig:
     n_samples: int = 4096
     rtol: float = 1e-10
 
-    def __post_init__(self):
+
+class ClassicalCircuitConfig(_ClassicalCircuitFields):
+    """Inputs for a classical simulation of the coupled circuit.
+
+    The plate follows the declared drive x(t) = x0 cos(nu t) at the
+    mechanical frequency ``nu = params.nu``, with ``x0`` in meters (0,
+    the default, holds the plate at rest).  Initial conditions at
+    ``t_span[0]`` are charges (coulomb) and their conjugate momenta
+    (weber).
+    """
+
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not math.isfinite(self.x0):
             raise ValueError("x0 must be finite")
         if self.n_samples < 2:
@@ -245,6 +253,7 @@ class ClassicalCircuitConfig:
                 f"t_span covers {periods:.3e} drive periods, above the cap "
                 f"{DRIVE_PERIOD_CAP}"
             )
+        return self
 
 
 def floquet_powers(monodromy: np.ndarray, y0, n: int) -> np.ndarray:
@@ -411,7 +420,6 @@ def estimate_dominant_frequency(series: np.ndarray, dt: float) -> float:
 # averaging check
 
 
-# a NamedTuple: a frozen dataclass costs about 1 ms more at `sim` start-up
 class AveragingReport(NamedTuple):
     """Spectral peak of a classical run against the averaged resonance."""
 

@@ -19,7 +19,7 @@ imports no domain module; a test re-derives each one through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -76,90 +76,103 @@ def toy_weak_coupling_circuit(nu: float) -> PhysicalCircuitParams:
     )
 
 
-def _positive(default: float):
-    """A field whose value must be strictly positive."""
-    return field(default=default, metadata={"positive": True})
+#: rule of a key whose value must be strictly positive; a (low, high) pair
+#: bounds an integer key to [low, high], ``high`` capping what a run allocates
+POSITIVE = "positive"
 
-
-def _within(default: int, low: int, high: int):
-    """An integer field bounded to [low, high]; ``high`` caps what a run allocates."""
-    return field(default=default, metadata={"range": (low, high)})
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed and validated configuration; one field per config key.
-
-    The field list is the config schema: each field's default is the
-    key's default, the default's type picks the parser, int fields must
-    hold an int and float fields a finite int or float, neither a bool,
-    fields made with ``_positive`` must be strictly positive and those
-    made with ``_within`` must lie in their range.
-    """
-
+#: The config schema, key -> (default, rule), in config-file order.  The
+#: default's type parses the key: an int key must hold an int and a float
+#: key a finite int or float, neither a bool.  The rule is ``POSITIVE``, a
+#: (low, high) range or None.
+SCHEMA: dict[str, tuple[int | float, str | tuple[int, int] | None]] = {
     # circuit, SI units; the desk values of the module docstring
-    L1: float = _positive(3.1372474093694975e-06)
-    L2: float = _positive(3.1372474093694975e-06)
-    C1: float = _positive(8.8541878128e-15)
-    C2: float = _positive(8.8541878128e-15)
-    d: float = _positive(1e-08)
-    A: float = _positive(1e-10)
-    m: float = _positive(1.6784031752095163e-22)
-    nu: float = _positive(6283185307.179586)
-    n_b: float = 0.0
+    "L1": (3.1372474093694975e-06, POSITIVE),
+    "L2": (3.1372474093694975e-06, POSITIVE),
+    "C1": (8.8541878128e-15, POSITIVE),
+    "C2": (8.8541878128e-15, POSITIVE),
+    "d": (1e-08, POSITIVE),
+    "A": (1e-10, POSITIVE),
+    "m": (1.6784031752095163e-22, POSITIVE),
+    "nu": (6283185307.179586, POSITIVE),
+    "n_b": (0.0, None),
     # readout drive and decay rates (rad/s); F as a re/im pair
-    kappa1: float = _positive(10000000.0)
-    kappa2: float = _positive(14638501094.227997)
-    F_re: float = 0.0
-    F_im: float = 36596252735.56999
+    "kappa1": (10000000.0, POSITIVE),
+    "kappa2": (14638501094.227997, POSITIVE),
+    "F_re": (0.0, None),
+    "F_im": (36596252735.56999, None),
     # coherent amplitudes as re/im pairs
-    alpha_re: float = 2.0
-    alpha_im: float = 0.0
-    beta_re: float = 2.0
-    beta_im: float = 0.0
-    gamma_re: float = 2.0
-    gamma_im: float = 0.0
+    "alpha_re": (2.0, None),
+    "alpha_im": (0.0, None),
+    "beta_re": (2.0, None),
+    "beta_im": (0.0, None),
+    "gamma_re": (2.0, None),
+    "gamma_im": (0.0, None),
     # output grids
-    entropy_points: int = _within(201, 2, 10_000)
-    theta_t_max: float = _positive(2.0 * math.pi)
-    alpha_max: float = 3.0
-    alpha_points: int = _within(21, 2, 1_000)
-    current_points: int = _within(200, 2, 100_000)
-    current_tau_max: float = _positive(10.0)
+    "entropy_points": (201, (2, 10_000)),
+    "theta_t_max": (2.0 * math.pi, POSITIVE),
+    "alpha_max": (3.0, None),
+    "alpha_points": (21, (2, 1_000)),
+    "current_points": (200, (2, 100_000)),
+    "current_tau_max": (10.0, POSITIVE),
     # classical validation run (on ``toy_weak_coupling_circuit``)
-    classical_x0_over_d: float = _positive(math.sqrt(2.0) * 1e-3)
-    classical_nu_factor: float = _positive(20.0)
-    classical_periods: int = _within(250, 1, 100_000)
+    "classical_x0_over_d": (math.sqrt(2.0) * 1e-3, POSITIVE),
+    "classical_nu_factor": (20.0, POSITIVE),
+    "classical_periods": (250, (1, 100_000)),
     # at least 1024 samples for the spectral fit
-    classical_samples: int = _within(8192, 1024, 2**18)
-    classical_rtol: float = _positive(1e-10)
+    "classical_samples": (8192, (1024, 2**18)),
+    "classical_rtol": (1e-10, POSITIVE),
     # tolerances of the two checks that judge what `sim current` and `sim
     # classical` write (every one strictly positive); `verify` derives the
     # gates of its other four checks
-    tol_current_ode: float = _positive(1e-8)
-    tol_classical_peak: float = _positive(2e-2)
-    resonance_rtol: float = _positive(1e-9)
+    "tol_current_ode": (1e-8, POSITIVE),
+    "tol_classical_peak": (2e-2, POSITIVE),
+    "resonance_rtol": (1e-9, POSITIVE),
     # verification knob: scales theta on the analytic side of the
     # oracle comparison; anything but 1.0 must make `verify` fail
-    verify_theta_scale: float = _positive(1.0)
+    "verify_theta_scale": (1.0, POSITIVE),
+}
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) is int and (not isinstance(value, int)
-                                           or isinstance(value, bool)):
-                raise ConfigError(f"{f.name} must be an integer")
-            if type(f.default) is float:
+#: key -> default, in schema order; the default's type parses the key
+KEYS: dict[str, int | float] = {key: default for key, (default, _) in SCHEMA.items()}
+
+
+def checked_make(cls, iterable):
+    """``_make`` of a record that validates in ``__new__``: namedtuple's
+    own, which ``_replace`` calls too, builds the tuple without it.
+
+    The package's records are NamedTuples because a frozen dataclass
+    loads ``dataclasses`` and ``inspect`` at every ``sim`` start-up.
+    """
+    return cls(*iterable)
+
+
+class RunConfig(namedtuple("RunConfig", KEYS, defaults=KEYS.values())):
+    """Parsed and validated configuration; one field per ``SCHEMA`` key.
+
+    A named tuple whose fields, defaults and checks are the ``SCHEMA``
+    rows; the constructor, ``_make`` and ``_replace`` refuse a value of
+    the wrong type or outside its rule, and the cross-key limits below.
+    """
+
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for (key, (default, _)), value in zip(SCHEMA.items(), self):
+            if type(default) is int and (not isinstance(value, int)
+                                         or isinstance(value, bool)):
+                raise ConfigError(f"{key} must be an integer")
+            if type(default) is float:
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ConfigError(f"{f.name} must be a number")
+                    raise ConfigError(f"{key} must be a number")
                 if not math.isfinite(value):
-                    raise ConfigError(f"{f.name} must be finite")
-        for f in fields(self):
-            if f.metadata.get("positive") and not getattr(self, f.name) > 0:
-                raise ConfigError(f"{f.name} must be positive")
-            low, high = f.metadata.get("range", (None, None))
-            if low is not None and not low <= getattr(self, f.name) <= high:
-                raise ConfigError(f"{f.name} must be in [{low}, {high}]")
+                    raise ConfigError(f"{key} must be finite")
+        for (key, (_, rule)), value in zip(SCHEMA.items(), self):
+            if rule == POSITIVE and not value > 0:
+                raise ConfigError(f"{key} must be positive")
+            if type(rule) is tuple and not rule[0] <= value <= rule[1]:
+                raise ConfigError(f"{key} must be in [{rule[0]}, {rule[1]}]")
         if self.n_b < 0:
             raise ConfigError("n_b must be nonnegative")
         if not 0 <= self.alpha_max <= ALPHA_CAP:
@@ -185,6 +198,7 @@ class RunConfig:
                 "or the Q1 peak's mirror about DC reaches the fit")
         if self.classical_x0_over_d >= 1.0:
             raise ConfigError("classical_x0_over_d must stay below 1 (gap contact)")
+        return self
 
     # -- assembled domain objects ------------------------------------
 
@@ -250,10 +264,6 @@ class RunConfig:
             n_samples=self.classical_samples,
             rtol=self.classical_rtol,
         )
-
-
-#: key -> default, in field order; the default's type parses the key
-KEYS: dict[str, int | float] = {f.name: f.default for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> RunConfig:

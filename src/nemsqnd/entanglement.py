@@ -57,11 +57,11 @@ mass ``eps`` can move each sum by at most ``2*eps``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import ALPHA_CAP
+from .config import ALPHA_CAP, checked_make
 from .errors import ConditioningError, TruncationError
 from .fock import (
     _check_modes,
@@ -92,24 +92,30 @@ SECTOR_CACHE_BYTES = 2**20
 ORACLE_BYTE_BUDGET = 82 * 2**18 + SECTOR_CACHE_BYTES
 
 
-@dataclass(frozen=True)
-class CoherentTriple:
+class _CoherentFields(NamedTuple):
+    alpha: complex
+    beta: complex
+    gamma: complex
+
+
+class CoherentTriple(_CoherentFields):
     """Initial coherent amplitudes for mechanics (alpha) and resonators.
 
     Each amplitude must be finite, |alpha| at most ``ALPHA_CAP`` and the
     joint intensity |beta|^2 + |gamma|^2 a finite float.
     """
 
-    alpha: complex
-    beta: complex
-    gamma: complex
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            val = complex(getattr(self, name))
+    def __new__(cls, *args, **kwargs):
+        amplitudes = []
+        for name, val in zip(cls._fields, super().__new__(cls, *args, **kwargs)):
+            val = complex(val)
             if not (math.isfinite(val.real) and math.isfinite(val.imag)):
                 raise ValueError(f"{name} must be finite, got {val!r}")
-            object.__setattr__(self, name, val)
+            amplitudes.append(val)
+        self = super().__new__(cls, *amplitudes)
         # hypot and * give inf past the float range, where abs and ** raise
         joint = math.hypot(self.beta.real, self.beta.imag, self.gamma.real, self.gamma.imag)
         if not math.isfinite(joint * joint):
@@ -123,6 +129,7 @@ class CoherentTriple:
                 "larger mechanical amplitudes need more than the intended "
                 "tens of phonon layers"
             )
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +435,16 @@ def exchange_evolve(psi: np.ndarray, theta_t: float) -> np.ndarray:
     tensor = np.asarray(psi, dtype=complex)
     layer_phase = np.arange(d_n) * theta_t
     out = np.empty_like(tensor)
+    # each sector is gathered as a contiguous (L, d_N) block, so the real
+    # basis acts on its real view by real products, with no complex copy of v
+    pairs, out_pairs = tensor.transpose(1, 2, 0), out.transpose(1, 2, 0)
     for total in range(d_1 + d_2 - 1):
         first, last = max(0, total - d_2 + 1), min(total, d_1 - 1)
         n1 = np.arange(first, last + 1)
         w, v = _SECTOR_BASES[total, first, last]
-        phases = np.exp(-1j * np.outer(layer_phase, w))
-        out[:, n1, total - n1] = ((tensor[:, n1, total - n1] @ v) * phases) @ v.T
+        block = (v.T @ pairs[n1, total - n1].view(float)).view(complex)
+        block *= np.exp(-1j * np.multiply.outer(w, layer_phase))
+        out_pairs[n1, total - n1] = (v @ block.view(float)).view(complex)
     return pure_state(out, norm_tol=1e-10)
 
 
@@ -512,8 +523,7 @@ def separability_check_12(triple: CoherentTriple, theta_t: float,
     return float(bound)
 
 
-@dataclass(frozen=True)
-class CatStateReport:
+class CatStateReport(NamedTuple):
     """Conditional-state fidelities at half period (mixing phase pi)."""
 
     even_fidelity: float

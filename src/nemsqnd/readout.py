@@ -34,25 +34,14 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .circuit import HBAR
-from .config import REGIME_LIMIT
+from .config import REGIME_LIMIT, checked_make
 from .errors import RegimeWarning
 
 
-@dataclass(frozen=True)
-class ReadoutParams:
-    """Rates and conversion constants of the measurement chain.
-
-    ``F`` is the drive amplitude (rad/s, complex); ``kappa1``/``kappa2``
-    the resonator energy decay rates; ``theta0``/``theta`` the exchange
-    rates produced by the circuit reduction; ``omega_tilde`` the common
-    effective resonator frequency; ``L`` the inductance of the measured
-    resonator.
-    """
-
+class _ReadoutFields(NamedTuple):
     F: complex
     kappa1: float
     kappa2: float
@@ -62,7 +51,22 @@ class ReadoutParams:
     L: float
     hbar: float = HBAR
 
-    def __post_init__(self):
+
+class ReadoutParams(_ReadoutFields):
+    """Rates and conversion constants of the measurement chain.
+
+    ``F`` is the drive amplitude (rad/s, complex); ``kappa1``/``kappa2``
+    the resonator energy decay rates; ``theta0``/``theta`` the exchange
+    rates produced by the circuit reduction; ``omega_tilde`` the common
+    effective resonator frequency; ``L`` the inductance of the measured
+    resonator.
+    """
+
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("kappa1", "kappa2", "omega_tilde", "L", "hbar"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0):
@@ -71,7 +75,7 @@ class ReadoutParams:
             raise ValueError(f"theta0 must be finite and >= 0, got {self.theta0!r}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
-        object.__setattr__(self, "F", complex(self.F))
+        self = super().__new__(cls, complex(self.F), *self[1:])
         # refuses a non-finite F, and finite F and kappa2 that overflow alpha2 or |alpha2|
         try:
             finite = cmath.isfinite(self.alpha2) and math.isfinite(self.gain)
@@ -80,6 +84,7 @@ class ReadoutParams:
         if not finite:
             raise ValueError(f"F = {self.F!r} and kappa2 = {self.kappa2!r} give a non-finite "
                              "probe amplitude -2iF/kappa2 or current gain")
+        return self
 
     @property
     def alpha2(self) -> complex:
@@ -209,7 +214,6 @@ def _nan_high(x: float) -> float:
     return math.inf if math.isnan(x) else x
 
 
-# a NamedTuple: a frozen dataclass costs about 1 ms more at `sim` start-up
 class CurrentTransients(NamedTuple):
     """Normalized current transients on a grid of ``tau = (Gamma + kappa1) t / 2``.
 

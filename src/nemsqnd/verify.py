@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import classical_averaging
 from .config import RunConfig
@@ -38,8 +38,7 @@ from .fock import poisson_tail
 from .readout import ReadoutParams, _nan_high, adiabatic_elimination_error, current_transients
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     residual: float

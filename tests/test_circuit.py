@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import tracemalloc
@@ -206,11 +205,11 @@ def test_drive_period_cap():
     with pytest.raises(ValueError, match="drive periods"):
         ClassicalCircuitConfig(params=p, t_span=(0.0, 1.01 * DRIVE_PERIOD_CAP * math.pi))
     with pytest.raises(ValueError, match="nu"):
-        ClassicalCircuitConfig(params=dataclasses.replace(p, nu=0.0))
+        ClassicalCircuitConfig(params=p._replace(nu=0.0))
     # below pi / DBL_MAX the drive period pi/nu is not a float
-    ClassicalCircuitConfig(params=dataclasses.replace(p, nu=1e-300))
+    ClassicalCircuitConfig(params=p._replace(nu=1e-300))
     with pytest.raises(ValueError, match="drive period pi/nu is not finite"):
-        ClassicalCircuitConfig(params=dataclasses.replace(p, nu=5e-324))
+        ClassicalCircuitConfig(params=p._replace(nu=5e-324))
 
 
 @pytest.mark.parametrize("rtol", [math.nan, math.inf, 0.0, -1e-10])
@@ -240,10 +239,10 @@ def test_classical_run_at_an_rtol_below_the_floor_runs_at_the_floor(rtol):
 
 def test_classical_run_is_frozen():
     run = ClassicalCircuitConfig(params=unit_params())
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         run.x0 = 0.5
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        run.params = dataclasses.replace(unit_params(), nu=2.0)
+    with pytest.raises(AttributeError):
+        run.params = unit_params()._replace(nu=2.0)
 
 
 def _matched_reference(run: ClassicalCircuitConfig, rtol: float) -> np.ndarray:
@@ -278,7 +277,7 @@ def test_whole_period_sample_times():
                                          (7.66, (3, 43), 161)):  # shifted start
         period = math.pi / nu
         t_span = (first * period, last * period)
-        run = ClassicalCircuitConfig(params=dataclasses.replace(p, nu=nu), x0=0.5,
+        run = ClassicalCircuitConfig(params=p._replace(nu=nu), x0=0.5,
                                      q1=1.0, p2=0.3,
                                      t_span=t_span, n_samples=n_samples, rtol=1e-11)
         t, y = simulate_classical_circuit(run)
@@ -360,7 +359,7 @@ def test_floquet_matches_step_by_step_reference(si, x0_over_d, nu_ratio, t0_peri
     circuit_period = 2 * math.pi / eff.omega_tilde1
     scale = (p.C1, p.C1 * math.sqrt(p.L1 / eff.c_tilde1))
     run = ClassicalCircuitConfig(
-        params=dataclasses.replace(p, nu=nu_ratio * eff.omega_tilde1), x0=x0_over_d * p.d,
+        params=p._replace(nu=nu_ratio * eff.omega_tilde1), x0=x0_over_d * p.d,
         q1=y0[0] * scale[0], p1=y0[1] * scale[1], q2=y0[2] * scale[0], p2=y0[3] * scale[1],
         t_span=(t0_periods * circuit_period, (t0_periods + 4) * circuit_period),
         n_samples=257,
@@ -383,7 +382,7 @@ def test_averaging_beyond_leading_order():
     omega_avg = math.sqrt(2.0 - x0**2 / 2.0)
     omega_frozen = math.sqrt(2.0)
     run = ClassicalCircuitConfig(
-        params=dataclasses.replace(p, nu=25.0 * omega_avg),
+        params=p._replace(nu=25.0 * omega_avg),
         x0=x0,
         q1=1.0, q2=1.0,
         t_span=(0.0, 250 * 2 * math.pi / omega_avg),

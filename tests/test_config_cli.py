@@ -13,7 +13,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nemsqnd
-from nemsqnd import entanglement, verify
+from nemsqnd import cli, entanglement, verify
 from nemsqnd.circuit import EPS0, HBAR, PhysicalCircuitParams, classical_averaging, effective_params
 from nemsqnd.cli import main
 from nemsqnd.config import (
     DRIVE_PERIOD_CAP,
     KEYS,
+    SCHEMA,
     RunConfig,
     default_config_text,
     load_config,
@@ -74,7 +74,7 @@ def test_default_text_roundtrips():
     assert parse_config_text(text) == load_config(None)
     # every key appears exactly once
     keys = [line.split("=")[0].strip() for line in text.strip().splitlines()]
-    assert keys == list(KEYS) == [f.name for f in fields(RunConfig)]
+    assert keys == list(KEYS) == list(SCHEMA) == list(RunConfig._fields)
 
 
 def test_readme_config_table_names_every_key():
@@ -99,14 +99,14 @@ _FIELD_VALUES = {
     float: (st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
             | st.floats(allow_nan=False, allow_infinity=False)),
 }
-_FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+_FIELD_TYPES = {key: type(default) for key, (default, _) in SCHEMA.items()}
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.data())
 def test_parsed_overrides_match_the_dataclass(data):
     """Any typed overrides, written as config text, parse to the same
-    RunConfig the dataclass builds from them, or fail the same way."""
+    RunConfig the record builds from them, or fail the same way."""
     names = data.draw(st.lists(st.sampled_from(list(_FIELD_TYPES)), unique=True, max_size=8))
     overrides = {name: data.draw(_FIELD_VALUES[_FIELD_TYPES[name]], label=name)
                  for name in names}
@@ -119,7 +119,7 @@ def test_parsed_overrides_match_the_dataclass(data):
     else:
         parsed = parse_config_text(text)
         assert parsed == expected
-        assert {k: type(v) for k, v in vars(parsed).items()} == _FIELD_TYPES
+        assert {k: type(v) for k, v in parsed._asdict().items()} == _FIELD_TYPES
 
 
 def test_comments_blanks_and_overrides():
@@ -196,27 +196,27 @@ def test_the_fewest_admitted_classical_periods_pass_their_check(samples):
 
 def test_dataclass_rejects_non_finite_floats():
     """Library callers get the finiteness check the config parser applies."""
-    for f in fields(RunConfig):
-        if type(f.default) is not float:
+    for key, (default, _) in SCHEMA.items():
+        if type(default) is not float:
             continue
         for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ConfigError, match=f"^{f.name} must be finite$"):
-                RunConfig(**{f.name: value})
+            with pytest.raises(ConfigError, match=f"^{key} must be finite$"):
+                RunConfig(**{key: value})
 
 
 def test_dataclass_rejects_mistyped_values():
     """Built directly, RunConfig refuses an int or float field of another
     type, before any finiteness or range check can compare or allocate
     with it."""
-    for f in fields(RunConfig):
-        if type(f.default) is int:
-            for value in (float(f.default), f.default + 0.5, str(f.default), True, None):
-                with pytest.raises(ConfigError, match=f"^{f.name} must be an integer$"):
-                    RunConfig(**{f.name: value})
+    for key, (default, _) in SCHEMA.items():
+        if type(default) is int:
+            for value in (float(default), default + 0.5, str(default), True, None):
+                with pytest.raises(ConfigError, match=f"^{key} must be an integer$"):
+                    RunConfig(**{key: value})
         else:
             for value in ("1e-6", None, True):
-                with pytest.raises(ConfigError, match=f"^{f.name} must be a number$"):
-                    RunConfig(**{f.name: value})
+                with pytest.raises(ConfigError, match=f"^{key} must be a number$"):
+                    RunConfig(**{key: value})
 
 
 def test_dataclass_bounds_grid_sizes():
@@ -233,6 +233,42 @@ def test_dataclass_bounds_grid_sizes():
     RunConfig(classical_periods=1024, classical_nu_factor=DRIVE_PERIOD_CAP / 2048)
     with pytest.raises(ConfigError, match="classical_nu_factor must be <= "):
         RunConfig(classical_periods=1024, classical_nu_factor=DRIVE_PERIOD_CAP / 2047)
+
+
+_DEFAULT = RunConfig()
+
+
+@pytest.mark.parametrize("record,bad", [
+    (_DEFAULT, {"alpha_points": 1}),
+    (_DEFAULT, {"L1": math.nan}),
+    (_DEFAULT, {"entropy_points": 2.5}),
+    (_DEFAULT, {"classical_periods": 1}),
+    (_DEFAULT.physical(), {"nu": 0.0}),
+    (_DEFAULT.classical(), {"rtol": math.nan}),
+    (_DEFAULT.classical(), {"t_span": (1.0, 0.0)}),
+    (_DEFAULT.readout(), {"kappa1": 0.0}),
+    (_DEFAULT.readout(), {"F": 1e308j, "kappa2": 1e-3}),
+    (_DEFAULT.triple(), {"alpha": 7.0}),
+    (_DEFAULT.triple(), {"beta": complex(math.inf, 0.0)}),
+], ids=lambda v: type(v).__name__ if not isinstance(v, dict) else ",".join(v))
+def test_records_refuse_through_replace_and_make(record, bad):
+    """A validating record's ``_replace`` and ``_make`` refuse what its
+    constructor refuses, with the same message: namedtuple's own build the
+    tuple without ``__new__``.  A good ``_replace`` normalises as the
+    constructor does."""
+    values = {**record._asdict(), **bad}
+    with pytest.raises(ValueError) as built:
+        type(record)(**values)
+    message = f"^{re.escape(str(built.value))}$"
+    with pytest.raises(type(built.value), match=message):
+        record._replace(**bad)
+    with pytest.raises(type(built.value), match=message):
+        type(record)._make(values.values())
+    assert type(record)._make(record) == record
+    if "F" in bad:
+        assert type(record._replace(F=2).F) is complex
+    if "alpha" in bad:
+        assert type(record._replace(alpha=1).alpha) is complex
 
 
 def test_load_config_file_errors(tmp_path):
@@ -469,7 +505,7 @@ def test_verify_catches_tampered_physics(tmp_path, capsys):
 def _shift_averaged_resonance(effective_params, tol):
     def shifted(*args, **kwargs):
         eff = effective_params(*args, **kwargs)
-        return replace(eff, omega_tilde1=eff.omega_tilde1 * (1 + 10 * tol))
+        return eff._replace(omega_tilde1=eff.omega_tilde1 * (1 + 10 * tol))
     return shifted
 
 
@@ -654,6 +690,20 @@ def test_entropy_streams_its_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_block_csv_writer_formats_each_value_as_one_fstring(tmp_path):
+    """The block writer's ``%`` template gives the bytes of one ``.12e``
+    f-string per value, over edge values and across block boundaries,
+    whether its chunks are array blocks or single rows."""
+    edge = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.797e308, -1.5, 1 / 3]
+    values = np.resize(edge, (2 * cli.CSV_BLOCK + 5) * 3).reshape(-1, 3)
+    expected = "a,b,c\n" + "".join(
+        ",".join(f"{float(v):.12e}" for v in row) + "\n" for row in values)
+    cli._write_csv(tmp_path / "blocks.csv", ("a", "b", "c"), cli._array_chunks(values))
+    cli._write_csv(tmp_path / "rows.csv", ("a", "b", "c"), values.tolist())
+    assert (tmp_path / "blocks.csv").read_text() == expected
+    assert (tmp_path / "rows.csv").read_text() == expected
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -1083,9 +1133,11 @@ def test_subcommands_load_no_unused_domain_module(tmp_path, command, modules):
     (["params", "--config", "range.conf"], 2, b"", b"config error: alpha_points must be in [2, 1000]"),
 ], ids=["defaults", "params", "current", "help", "config-error"])
 def test_scalar_subcommands_start_without_numpy(tmp_path, args, code, out, err):
-    """Only the array subcommands import numpy, inside their own bodies."""
+    """Only the array subcommands import numpy, inside their own bodies, and
+    no scalar one loads ``dataclasses``, ``inspect`` or ``json``, which
+    cost a fifth of a ``sim defaults`` process."""
     (tmp_path / "range.conf").write_text("alpha_points = 1001\n")
-    proc = run_blocked("numpy", args, tmp_path)
+    proc = run_blocked("numpy,dataclasses,inspect,json", args, tmp_path)
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.startswith(out), proc.stdout
     assert proc.stderr.startswith(err) if err else proc.stderr == b"", proc.stderr
