@@ -48,6 +48,10 @@ DRIVE_PERIOD_CAP = 2**20
 #: |theta|/kappa2 stay below this; ``sim --strict`` refuses the rest
 REGIME_LIMIT = 0.1
 
+#: ``RunConfig.effective`` refuses omega_tilde1 and omega_tilde2 further apart
+#: than this, relative: the exchange model needs the two on resonance
+RESONANCE_RTOL = 1e-9
+
 #: the classical run's spectral peak of Q1 lies within its normal-mode
 #: spread, 0.5%, of ``classical_periods`` cycles, and must lie at least
 #: ALIAS_MARGIN frequency bins from each of its mirrors, at the Nyquist
@@ -120,13 +124,11 @@ SCHEMA: dict[str, tuple[int | float, str | tuple[int, int] | None]] = {
     "classical_periods": (250, (1, 100_000)),
     # at least 1024 samples for the spectral fit
     "classical_samples": (8192, (1024, 2**18)),
-    "classical_rtol": (1e-10, POSITIVE),
     # tolerances of the two checks that judge what `sim current` and `sim
     # classical` write (every one strictly positive); `verify` derives the
     # gates of its other four checks
     "tol_current_ode": (1e-8, POSITIVE),
     "tol_classical_peak": (2e-2, POSITIVE),
-    "resonance_rtol": (1e-9, POSITIVE),
     # verification knob: scales theta on the analytic side of the
     # oracle comparison; anything but 1.0 must make `verify` fail
     "verify_theta_scale": (1.0, POSITIVE),
@@ -213,9 +215,7 @@ class RunConfig(namedtuple("RunConfig", KEYS, defaults=KEYS.values())):
     def effective(self) -> EffectiveParams:
         from .circuit import effective_params
 
-        return effective_params(
-            self.physical(), n_b=self.n_b, resonance_rtol=self.resonance_rtol
-        )
+        return effective_params(self.physical(), n_b=self.n_b, resonance_rtol=RESONANCE_RTOL)
 
     def readout(self) -> ReadoutParams:
         from .readout import ReadoutParams
@@ -262,7 +262,6 @@ class RunConfig(namedtuple("RunConfig", KEYS, defaults=KEYS.values())):
             q1=params.C1, q2=params.C1,
             t_span=(0.0, self.classical_periods * (2.0 * math.pi / omega)),
             n_samples=self.classical_samples,
-            rtol=self.classical_rtol,
         )
 
 

@@ -34,6 +34,7 @@ from .entanglement import (
     oracle_dims,
     separability_check_12,
 )
+from .errors import ConditioningError
 from .fock import poisson_tail
 from .readout import ReadoutParams, _nan_high, adiabatic_elimination_error, current_transients
 
@@ -240,6 +241,14 @@ def check_cat_fidelity(cfg: RunConfig) -> CheckResult:
     norm, and each of the two moves by at most 4 (t_N + t_J), plus
     roundoff.  The gate is capped at ``CAT_GATE_CAP``, which it reaches
     where the lighter branch weighs a few percent or less.
+
+    An odd residual past the gate by no more than roundoff can move the
+    odd fidelity is inconclusive: the check refuses it with a
+    ``ConditioningError`` naming the odd weight w-.  The even layers'
+    projection onto ``|-beta, -gamma>``, of norm ov sqrt(P+) (ov =
+    exp(-2 |beta|^2 - 2 |gamma|^2)), cancels from unit scale and keeps an
+    overlap's whole roundoff, ``oracle_gate``'s S^2 eps; in F- = |a|^2 / w-
+    that moves F- by up to 2 F- ov sqrt(P+) S^2 eps / w-.
     """
     triple = cfg.triple()
     dims = cat_dims(triple)
@@ -247,12 +256,21 @@ def check_cat_fidelity(cfg: RunConfig) -> CheckResult:
     p_even, p_odd = cat_weights(triple.alpha)
     even_target, odd_target = cat_fidelity_targets(triple)
     residuals = [abs(report.even_fidelity - even_target), 1.0 - report.reassembly_fidelity]
-    odd, lighter = "n/a", p_even
+    odd, lighter, odd_residual, roundoff = "n/a", p_even, 0.0, 0.0
     if report.odd_fidelity is not None:
-        residuals.append(abs(report.odd_fidelity - odd_target))
+        odd_residual = abs(report.odd_fidelity - odd_target)
+        leak = math.sqrt(p_even) * math.exp(-2.0 * (abs(triple.beta) ** 2
+                                                    + abs(triple.gamma) ** 2))
+        roundoff = 2.0 * odd_target * leak * oracle_gate(triple, dims, 0.0) / report.odd_weight
+        residuals.append(odd_residual)
         odd, lighter = f"{report.odd_fidelity:.12f} (closed form {odd_target:.12f})", p_odd
     residual = max(residuals)
     gate = min(oracle_gate(triple, dims, 8.0) / lighter, CAT_GATE_CAP)
+    # only the odd residual fails, and by no more than its roundoff
+    if max(residuals[:2]) <= gate < odd_residual <= gate + roundoff:
+        raise ConditioningError(
+            f"odd projection branch weighs {report.odd_weight:.3e}: its fidelity is off by "
+            f"{odd_residual:.3e}, within the {roundoff:.3e} that roundoff can move it")
     return CheckResult(
         name="cat_fidelity",
         passed=residual <= gate,

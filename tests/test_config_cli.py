@@ -27,6 +27,7 @@ from nemsqnd.cli import main
 from nemsqnd.config import (
     DRIVE_PERIOD_CAP,
     KEYS,
+    RESONANCE_RTOL,
     SCHEMA,
     RunConfig,
     default_config_text,
@@ -180,10 +181,22 @@ def test_parse_errors_carry_line_numbers(text, msg):
     *(pytest.param(f"{key} = 1.0\n", f"line 1: unknown key '{key}'", id=key)
       for key in ("tol_elimination", "tol_entropy_oracle", "tol_cat_fidelity",
                   "tol_separability")),
+    # removed keys: the constant ``RESONANCE_RTOL`` and the classical run's rtol 1e-10
+    *(pytest.param(f"{key} = 1e-9\n", f"line 1: unknown key '{key}'", id=key)
+      for key in ("classical_rtol", "resonance_rtol")),
 ])
 def test_semantic_validation(text, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_config_text(text)
+
+
+def test_a_run_refuses_resonators_detuned_past_the_resonance_limit():
+    """``RunConfig.effective`` judges the circuit at ``RESONANCE_RTOL``:
+    a 1e-12 detuning of L2 passes, a 1e-6 one is refused by name."""
+    L1 = RunConfig().L1
+    RunConfig(L2=L1 * (1 + 1e-12)).effective()
+    with pytest.raises(ValueError, match=rf"\(tolerance {RESONANCE_RTOL:.3e}\)"):
+        RunConfig(L2=L1 * (1 + 1e-6)).effective()
 
 
 @pytest.mark.parametrize("samples", [1024, 8192])
@@ -774,21 +787,6 @@ def test_values_past_the_float_range_exit_2_by_name(tmp_path, capsys, values, co
         name = key.split("_")[0]
         assert re.search(rf"\b{name} = \S*{re.escape(repr(value))}", err), (key, err)
     assert list(out.iterdir()) == []
-
-
-@pytest.mark.parametrize("rtol", ["1e-300", "5e-324"])
-@pytest.mark.parametrize("command", ["classical", "verify"])
-def test_classical_rtol_below_the_floor_runs(tmp_path, capsys, command, rtol):
-    """A ``classical_rtol`` below the integrator's floor of 100 machine
-    epsilons runs at the floor: exit 0, with no traceback and no warning.
-    1e-300 once raised ZeroDivisionError, and 5e-324 leaked two numpy
-    warnings before exiting 2."""
-    conf = tmp_path / "tiny.conf"
-    conf.write_text(f"classical_rtol = {rtol}\ncurrent_points = 16\n"
-                    "classical_periods = 20\nclassical_samples = 1024\n")
-    assert main([command, "--config", str(conf), "--out", str(tmp_path / "out")]) == 0
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and "warning:" not in err, err
 
 
 @pytest.mark.parametrize("command", ["classical", "verify"])
