@@ -53,9 +53,13 @@ from .errors import EstimationError
 if TYPE_CHECKING:
     import numpy as np
 
-#: CODATA values; overridable only for unit tests via PhysicalCircuitParams.
+#: CODATA values.  HBAR is fixed; EPS0 is a ``PhysicalCircuitParams`` field,
+#: which ``config.toy_weak_coupling_circuit`` sets to 1 for its unit scale.
 HBAR = 1.054571817e-34
 EPS0 = 8.8541878128e-12
+
+#: relative tolerance of the classical run's DOP853 solve
+CLASSICAL_RTOL = 1e-10
 
 
 class _PhysicalCircuitFields(NamedTuple):
@@ -68,7 +72,6 @@ class _PhysicalCircuitFields(NamedTuple):
     m: float
     nu: float
     eps0: float = EPS0
-    hbar: float = HBAR
 
 
 class PhysicalCircuitParams(_PhysicalCircuitFields):
@@ -154,7 +157,7 @@ def effective_params(
     """
     try:
         c_eq = equilibrium_capacitance(p)
-        r = p.hbar * (n_b + 0.5) / (p.m * p.nu * p.d**2)
+        r = HBAR * (n_b + 0.5) / (p.m * p.nu * p.d**2)
 
         c_tilde1 = 1.0 / (1.0 / p.C1 + 1.0 / (2.0 * c_eq))
         c_tilde2 = 1.0 / (1.0 / p.C2 + 1.0 / (2.0 * c_eq))
@@ -166,7 +169,7 @@ def effective_params(
         omega_tilde2 = math.sqrt(omega2**2 + omega_eq2**2 / 2.0)
 
         theta0 = omega_tilde1 * c_tilde1 / (4.0 * c_eq)
-        theta = -(p.hbar / (p.d**2 * p.m * p.nu)) * theta0
+        theta = -(HBAR / (p.d**2 * p.m * p.nu)) * theta0
         derived = (c_eq, c_tilde1, c_tilde2, omega1, omega2, omega_eq1, omega_eq2,
                    omega_tilde1, omega_tilde2, theta0, -theta)
         valid = all(0.0 < v < math.inf for v in derived)
@@ -219,7 +222,6 @@ class _ClassicalCircuitFields(NamedTuple):
     p2: float = 0.0
     t_span: tuple[float, float] = (0.0, 1.0)
     n_samples: int = 4096
-    rtol: float = 1e-10
 
 
 class ClassicalCircuitConfig(_ClassicalCircuitFields):
@@ -243,8 +245,6 @@ class ClassicalCircuitConfig(_ClassicalCircuitFields):
             raise ValueError("n_samples must be at least 2")
         if not self.t_span[1] > self.t_span[0]:
             raise ValueError("t_span must be increasing")
-        if not (math.isfinite(self.rtol) and self.rtol > 0):
-            raise ValueError(f"rtol must be finite and positive, got {self.rtol!r}")
         if not math.isfinite(math.pi / self.params.nu):
             raise ValueError(f"drive period pi/nu is not finite at nu = {self.params.nu!r}")
         periods = (self.t_span[1] - self.t_span[0]) * self.params.nu / math.pi
@@ -301,7 +301,7 @@ def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> tuple[np.ndarray,
     with c(t) = (d^2 - x^2(t)) / (2 d eps0 A), x(t) = x0 cos(nu t) and the
     instantaneous 1/Ctilde_i(t) = 1/C_i + c(t).  The fundamental matrix
     is integrated over one period T = pi/nu (or the span, if shorter)
-    with DOP853 at ``rtol`` (``nemsqnd.ode``), the step at most T/16.
+    with DOP853 at ``CLASSICAL_RTOL`` (``nemsqnd.ode``), the step at most T/16.
     Each sample is then Phi((t - t0) mod T) M^m y0: one step from the
     accepted node s_k nearest to the sample's phase, applied to the
     vector Phi(s_k) M^m y0, in blocks of ``SAMPLE_BLOCK`` samples.  The
@@ -356,7 +356,7 @@ def simulate_classical_circuit(cfg: ClassicalCircuitConfig) -> tuple[np.ndarray,
 
     c0 = d2 * inv_2dea
     size = np.array([1.0, math.sqrt(p.L1 * (inv_c1 + c0)), 1.0, math.sqrt(p.L2 * (inv_c2 + c0))])
-    nodes, phi = map(np.array, ode.solve(rhs, (0.0, horizon), np.eye(4), cfg.rtol,
+    nodes, phi = map(np.array, ode.solve(rhs, (0.0, horizon), np.eye(4), CLASSICAL_RTOL,
                                          np.outer(size, 1.0 / size), max_step=period / 16.0))
 
     starts = floquet_powers(phi[-1], (cfg.q1, cfg.p1, cfg.q2, cfg.p2), int(whole[-1]) + 1)

@@ -76,7 +76,7 @@ def toy_weak_coupling_circuit(nu: float) -> PhysicalCircuitParams:
 
     return PhysicalCircuitParams(
         L1=1.0, L2=1.0, C1=1.0, C2=1.0, d=1.0, A=50.0, m=1.0, nu=nu,
-        eps0=1.0, hbar=1.0,
+        eps0=1.0,
     )
 
 

@@ -156,9 +156,7 @@ def conditioned_state(triple: CoherentTriple, theta_t: float):
     raises ``ValueError`` before any multiple is formed.
     """
     p, tail = _layers(triple.alpha)
-    if not math.isfinite(abs(float(theta_t)) * (p.size - 1)):
-        raise ValueError(f"non-finite layer phases for theta_t = {theta_t!r}")
-    phi = np.arange(p.size) * theta_t
+    phi = _multiples(np.array([[float(theta_t)]]), p.size)[0]
     c, s = np.cos(phi), np.sin(phi)
     beta, gamma = triple.beta, triple.gamma
     return p, beta * c - 1j * gamma * s, gamma * c - 1j * beta * s, tail
@@ -371,10 +369,7 @@ def initial_product_state(triple: CoherentTriple,
         tail = poisson_tail(abs(amp) ** 2, dim)
         if tail > TAIL_TOL:
             raise TruncationError(
-                f"mode {name}: cutoff {dim} leaves tail {tail:.3e} for "
-                f"amplitude {amp}",
-                required_dim=min_fock_dim(amp, TAIL_TOL),
-            )
+                f"mode {name}: cutoff {dim} leaves tail {tail:.3e} for amplitude {amp}")
         vecs.append(coherent_vector(amp, dim))
     full = np.kron(np.kron(vecs[0], vecs[1]), vecs[2])
     return pure_state(full.reshape(d_n, d_1, d_2))
@@ -402,10 +397,6 @@ class _SectorBases(dict):
             self[key] = basis
             self.nbytes += size
         return basis
-
-    def clear(self) -> None:
-        super().clear()
-        self.nbytes = 0
 
 
 _SECTOR_BASES = _SectorBases()

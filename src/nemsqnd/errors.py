@@ -8,10 +8,6 @@ class SimulationError(Exception):
 class TruncationError(SimulationError):
     """A Fock-space cutoff is too small for the requested amplitude."""
 
-    def __init__(self, message: str, required_dim: int | None = None):
-        super().__init__(message)
-        self.required_dim = required_dim
-
 
 class IntegrationError(SimulationError):
     """The ODE integrator failed to meet its tolerances."""

@@ -31,6 +31,9 @@ from .errors import TruncationError
 #: matrix) and for one state vector
 DEFAULT_DENSITY_CAP = 2**20
 
+#: largest cutoff ``min_fock_dim`` searches
+FOCK_DIM_CAP = 4096
+
 
 def _check_cap(entries: int, what: str) -> None:
     if entries > DEFAULT_DENSITY_CAP:
@@ -126,8 +129,9 @@ def poisson_tail(mean: float, kept: int) -> float:
     return total
 
 
-def min_fock_dim(alpha: complex, tail_tol: float = 1e-12, cap: int = 4096) -> int:
-    """Smallest cutoff keeping the coherent tail mass at or below ``tail_tol``."""
+def min_fock_dim(alpha: complex, tail_tol: float = 1e-12) -> int:
+    """Smallest cutoff up to ``FOCK_DIM_CAP`` keeping the coherent tail mass
+    at or below ``tail_tol``."""
     if not tail_tol > 0:  # NaN included
         raise ValueError(f"tail_tol must be positive, got {tail_tol!r}")
     z = complex(alpha)
@@ -137,13 +141,13 @@ def min_fock_dim(alpha: complex, tail_tol: float = 1e-12, cap: int = 4096) -> in
     modulus = math.hypot(z.real, z.imag)
     lam = modulus * modulus
     # no cutoff up to the cap fits a mean above it; skip straight to the error
-    dim = max(2, math.ceil(lam)) if lam <= cap else cap + 1
-    while dim <= cap:
+    dim = max(2, math.ceil(lam)) if lam <= FOCK_DIM_CAP else FOCK_DIM_CAP + 1
+    while dim <= FOCK_DIM_CAP:
         if poisson_tail(lam, dim) <= tail_tol:
             return dim
         dim += 1
     raise TruncationError(
-        f"no cutoff below {cap} reaches tail {tail_tol} for amplitude {alpha}",
+        f"no cutoff below {FOCK_DIM_CAP} reaches tail {tail_tol} for amplitude {alpha}",
     )
 
 
@@ -168,10 +172,7 @@ def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
     c = coherent_amplitudes(alpha, dim)
     nrm = float(np.linalg.norm(c))
     if nrm == 0.0:
-        raise TruncationError(
-            f"coherent amplitude {alpha} has no support below cutoff {dim}",
-            required_dim=min_fock_dim(alpha),
-        )
+        raise TruncationError(f"coherent amplitude {alpha} has no support below cutoff {dim}")
     return c / nrm
 
 

@@ -49,7 +49,6 @@ class _ReadoutFields(NamedTuple):
     theta: float
     omega_tilde: float
     L: float
-    hbar: float = HBAR
 
 
 class ReadoutParams(_ReadoutFields):
@@ -67,7 +66,7 @@ class ReadoutParams(_ReadoutFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name in ("kappa1", "kappa2", "omega_tilde", "L", "hbar"):
+        for name in ("kappa1", "kappa2", "omega_tilde", "L"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be finite and positive, got {val!r}")
@@ -103,7 +102,7 @@ class ReadoutParams(_ReadoutFields):
     @property
     def current_scale(self) -> float:
         """Amplitude-to-current conversion, sqrt(2 hbar omega_tilde / L)."""
-        return math.sqrt(2.0 * self.hbar * self.omega_tilde / self.L)
+        return math.sqrt(2.0 * HBAR * self.omega_tilde / self.L)
 
     @property
     def gain(self) -> float:
@@ -177,12 +176,12 @@ def mean_photocurrent(t, n_b, p: ReadoutParams) -> list[list[float]]:
 # numerical integration (the independent route to the closed forms above)
 
 
-def integrate_mean_qsde(p: ReadoutParams, n_b: float, t, rtol: float = 1e-10) -> list[complex]:
+def integrate_mean_qsde(p: ReadoutParams, n_b: float, t) -> list[complex]:
     """Integrate the eliminated mean equation from rest
 
         d<a1>/dt = -i theta alpha2 n_b - (Gamma + kappa1)/2 <a1>,  <a1>(0) = 0
 
-    numerically, on Python complex numbers: one DOP853 solve at ``rtol``
+    numerically, on Python complex numbers: one DOP853 solve at rtol 1e-11
     to the latest time of the sequence ``t``, then one step from the
     nearest node to each time gives the list of ``<a1>``.  This
     duplicates the closed-form ``<a1>(t)`` of the module docstring on
@@ -203,7 +202,7 @@ def integrate_mean_qsde(p: ReadoutParams, n_b: float, t, rtol: float = 1e-10) ->
         return forcing - halfdecay * y
 
     scale = max(abs(forcing) / max(halfdecay, 1e-300), 1e-30)
-    nodes, states = ode.solve(rhs, (0.0, max(times)), 0j, rtol, scale)
+    nodes, states = ode.solve(rhs, (0.0, max(times)), 0j, 1e-11, scale)
     return [ode.step(rhs, nodes[i], states[i], s)
             for i, s in zip(ode.nearest(nodes, times), times)]
 
@@ -251,7 +250,7 @@ def current_transients(p: ReadoutParams, tau_max: float, points: int) -> Current
     t = [2.0 * s / decay for s in tau]
     normalized = [[v / gain for v in row]
                   for row in mean_photocurrent(t, (0.0, 1.0, 2.0, 3.0), p)]
-    current = current_from_amplitude(p, integrate_mean_qsde(p, 1.0, t, rtol=1e-11))
+    current = current_from_amplitude(p, integrate_mean_qsde(p, 1.0, t))
     residual = [max((abs(n * c / gain - r) / n for n, r in enumerate(refs, 1)), key=_nan_high)
                 for c, refs in zip(current, zip(*normalized[1:]))]
     return CurrentTransients(tau, normalized, residual)

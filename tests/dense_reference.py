@@ -158,8 +158,7 @@ def coherent_state(alpha: complex, dim: int, tail_tol: float = 1e-12) -> np.ndar
         need = min_fock_dim(alpha, tail_tol)
         raise TruncationError(
             f"cutoff {dim} keeps only 1 - {tail:.3e} of |alpha={alpha}|; "
-            f"need dim >= {need} for tail {tail_tol}",
-            required_dim=need,
+            f"need dim >= {need} for tail {tail_tol}"
         )
     return pure_state(coherent_vector(alpha, dim))
 

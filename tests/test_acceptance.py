@@ -82,7 +82,7 @@ def test_adiabatic_elimination_validity_window():
     kappa1, kappa2 = 1.0, 2.0
     sweep = [ReadoutParams(F=2.5j * kappa2, kappa1=kappa1, kappa2=kappa2,
                            theta0=theta0, theta=-1e-3 * theta0,
-                           omega_tilde=2.0, L=1.0, hbar=1.0)
+                           omega_tilde=2.0, L=1.0)
              for theta0 in (ratio * kappa2 for ratio in (1e-1, 1e-2, 1e-3))]
     errors = adiabatic_elimination_error(sweep, n_b=1.0)
 
@@ -180,7 +180,7 @@ def test_classical_averaging_and_energy_conservation():
     periods = 1e3 * 2.0 * math.pi / omega
     run = ClassicalCircuitConfig(
         params=params, q1=1.0, p1=0.0, q2=-0.5, p2=0.25,
-        t_span=(0.0, periods), n_samples=4096, rtol=1e-12,
+        t_span=(0.0, periods), n_samples=4096,
     )
     _, y = simulate_classical_circuit(run)
     energy = circuit_energy(params, *y)

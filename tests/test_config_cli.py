@@ -181,7 +181,7 @@ def test_parse_errors_carry_line_numbers(text, msg):
     *(pytest.param(f"{key} = 1.0\n", f"line 1: unknown key '{key}'", id=key)
       for key in ("tol_elimination", "tol_entropy_oracle", "tol_cat_fidelity",
                   "tol_separability")),
-    # removed keys: the constant ``RESONANCE_RTOL`` and the classical run's rtol 1e-10
+    # removed keys: the constants ``RESONANCE_RTOL`` and ``circuit.CLASSICAL_RTOL``
     *(pytest.param(f"{key} = 1e-9\n", f"line 1: unknown key '{key}'", id=key)
       for key in ("classical_rtol", "resonance_rtol")),
 ])
@@ -257,7 +257,6 @@ _DEFAULT = RunConfig()
     (_DEFAULT, {"entropy_points": 2.5}),
     (_DEFAULT, {"classical_periods": 1}),
     (_DEFAULT.physical(), {"nu": 0.0}),
-    (_DEFAULT.classical(), {"rtol": math.nan}),
     (_DEFAULT.classical(), {"t_span": (1.0, 0.0)}),
     (_DEFAULT.readout(), {"kappa1": 0.0}),
     (_DEFAULT.readout(), {"F": 1e308j, "kappa2": 1e-3}),

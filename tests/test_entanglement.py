@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -156,7 +157,7 @@ def test_conditioned_state_refuses_non_finite_layer_phases(bad):
     """The largest layer multiple (25 theta_t at the default alpha) is
     checked before any is formed, so numpy never warns (warnings are
     errors in this suite)."""
-    with pytest.raises(ValueError, match="non-finite layer phases"):
+    with pytest.raises(ValueError, match="non-finite phase multiples"):
         conditioned_state(triple(), bad)
 
 
@@ -467,7 +468,8 @@ def test_cached_sector_bases_evolve_bit_for_bit(monkeypatch):
     """An evolution served from the sector-basis cache, which unequal
     cutoffs filled first with n1 ranges of the same sectors that share
     their first or their last n1, equals bit for bit one run after the
-    cache is cleared; a repeat is served without a single ``eigh``."""
+    cache is replaced by an empty one; a repeat is served without a single
+    ``eigh``."""
     t = triple()
     dims = oracle_dims(t)
     assert dims == (26, 42, 42)
@@ -476,7 +478,8 @@ def test_cached_sector_bases_evolve_bit_for_bit(monkeypatch):
     for other in ((10, 30, 42), (10, 42, 30)):
         exchange_evolve(initial_product_state(triple(0.5, 0.5, 0.5), other), 0.7)
     served = exchange_evolve(psi, 0.9)
-    bases.clear()
+    assert bases
+    empty_sector_cache(monkeypatch)
     fresh = exchange_evolve(psi, 0.9)
     assert np.array_equal(served, fresh)
 
@@ -494,8 +497,6 @@ def test_sector_cache_stays_within_its_cap(monkeypatch):
     exchange_evolve(initial_product_state(triple(), (60, 101, 101)), 1.0)
     held = sum(w.nbytes + v.nbytes for w, v in bases.values())
     assert 0.9 * SECTOR_CACHE_BYTES < held == bases.nbytes <= SECTOR_CACHE_BYTES
-    bases.clear()
-    assert bases.nbytes == 0
 
 
 def test_sector_cache_keeps_its_first_bases(monkeypatch):
@@ -593,13 +594,15 @@ def test_exchange_evolve_refuses_non_finite_layer_phases(monkeypatch, theta_t):
 def test_initial_product_state_polices_tails():
     with pytest.raises(TruncationError, match="mode N"):
         initial_product_state(triple(2.0, 0.5, 0.5), (10, 8, 8))
-    try:
+    with pytest.raises(TruncationError) as err:
         initial_product_state(triple(0.5, 2.0, 0.5), (10, 8, 8))
-    except TruncationError as err:
-        assert "mode TLR1" in str(err)
-        assert err.required_dim > 8
-    else:
-        pytest.fail("undersized resonator cutoff was accepted")
+    tail = re.fullmatch(r"mode TLR1: cutoff 8 leaves tail (\S+) for amplitude \(2\+0j\)",
+                        str(err.value))
+    assert float(tail.group(1)) > TAIL_TOL
+    # an amplitude past every cutoff ``min_fock_dim`` searches still gets
+    # the mode's own message
+    with pytest.raises(TruncationError, match=r"^mode TLR1: cutoff 10 leaves tail 1\.000e\+00 "):
+        initial_product_state(CoherentTriple(0.5, 70, 0), (10, 10, 10))
 
 
 def test_analytic_entropies_match_the_oracle_on_every_curve_set():
@@ -805,19 +808,27 @@ phases = st.floats(0.0, 2.0 * math.pi)
 @given(moduli, phases, moduli, phases, moduli, phases)
 @example(1.5, 0.0, 1.5, 0.0, 1.5, 0.0)
 @example(1.0, 0.0, 1.2, 0.0, 1.1, 0.0)
+# odd cat weight ~1e-12: 1 - exp cancels to 1.2e-6 of the odd fidelity
+@example(1e-6, 0.0, 1.95, 0.0, 1.95, 0.0)
 def test_cat_fidelities_match_the_overlapping_branch_forms(ra, pa, rb, pb, rg, pg):
     """Wherever the overlap guard admits the resonator amplitudes, the
     conditional-state fidelities are the even/odd cat weights diluted by
-    the squared branch overlap, not 1."""
+    the squared branch overlap, not 1.  The odd fidelity F- is judged
+    within 1e-12 or, where the odd weight w- is tiny, within the roundoff
+    ``check_cat_fidelity`` derives, 2 F- ov sqrt(P+) S^2 eps / w-."""
     ov = math.exp(-2.0 * (rb**2 + rg**2))  # <beta|-beta><gamma|-gamma>
     assume(ov <= 1e-2)
     t = CoherentTriple(_polar(ra, pa), _polar(rb, pb), _polar(rg, pg))
-    report = cat_state_check(t, oracle_dims(t))
+    dims = oracle_dims(t)
+    report = cat_state_check(t, dims)
     even = 0.5 * (1.0 + math.exp(-2.0 * ra**2))
-    odd = 0.5 * (1.0 - math.exp(-2.0 * ra**2))
+    odd = -0.5 * math.expm1(-2.0 * ra**2)
     assert abs(report.even_fidelity - even / (even + odd * ov**2)) <= 1e-12
     if report.odd_fidelity is not None:
-        assert abs(report.odd_fidelity - odd / (odd + even * ov**2)) <= 1e-12
+        odd_fidelity = odd / (odd + even * ov**2)
+        roundoff = (2.0 * odd_fidelity * ov * math.sqrt(even) * sum(dims) ** 2
+                    * sys.float_info.epsilon / report.odd_weight)
+        assert abs(report.odd_fidelity - odd_fidelity) <= max(1e-12, roundoff)
 
 
 def test_cat_with_vacuum_mechanics_has_no_odd_branch():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from scipy.special import gammainc
 
 from nemsqnd.errors import TruncationError
 from nemsqnd.fock import (
+    FOCK_DIM_CAP,
     density_matrix,
     linear_entropy,
     min_fock_dim,
@@ -138,12 +140,15 @@ def test_min_fock_dim_names_a_non_finite_amplitude(alpha):
         min_fock_dim(alpha)
 
 
-@pytest.mark.parametrize("alpha,cap", [(64.0 + 1e-9, 4096), (11.0, 100), (1e300, 4096),
-                                       (complex(1.7e308, 1.7e308), 4096), (-1e200j, 60)])
-def test_min_fock_dim_refuses_a_mean_above_the_cap(alpha, cap):
-    """|alpha|^2 > cap needs no search; huge amplitudes must not overflow."""
-    with pytest.raises(TruncationError, match=f"no cutoff below {cap}"):
-        min_fock_dim(alpha, cap=cap)
+@pytest.mark.parametrize("alpha", [64.0 + 1e-9, complex(0.0, math.nextafter(64.0, math.inf)),
+                                   1e300, complex(1.7e308, 1.7e308), -1e200j],
+                         ids=lambda alpha: f"{alpha}-{FOCK_DIM_CAP}")
+def test_min_fock_dim_refuses_a_mean_above_the_cap(alpha):
+    """|alpha|^2 > FOCK_DIM_CAP needs no search; huge amplitudes must not overflow."""
+    modulus = math.hypot(complex(alpha).real, complex(alpha).imag)
+    assert modulus * modulus > FOCK_DIM_CAP == 4096
+    with pytest.raises(TruncationError, match=f"no cutoff below {FOCK_DIM_CAP}"):
+        min_fock_dim(alpha)
 
 
 def test_poisson_tail_matches_the_incomplete_gamma_function():
@@ -196,9 +201,10 @@ def test_coherent_tail_at_dim_30():
 def test_coherent_rejects_insufficient_cutoff():
     with pytest.raises(TruncationError) as exc:
         coherent_state(3.0, 30)
-    assert exc.value.required_dim == min_fock_dim(3.0, 1e-12)
+    need = int(re.search(r"need dim >= (\d+) for tail", str(exc.value)).group(1))
+    assert need == min_fock_dim(3.0, 1e-12)
     # the named dim actually suffices
-    coherent_state(3.0, exc.value.required_dim)
+    coherent_state(3.0, need)
 
 
 @pytest.mark.xfail(

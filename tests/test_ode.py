@@ -1,6 +1,8 @@
 """The package's DOP853 integrator against SciPy's tableau and closed forms."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +96,29 @@ def test_linear_equation_within_a_few_rtol(lam, rtol):
     assert all(isinstance(v, complex) for v in y)
     assert np.max(np.abs(np.array(y) - np.exp(lam * t)) / np.abs(np.exp(lam * t))) <= 5 * rtol
     assert [ode.step(rhs, s, y, s) for s, y in zip(nodes, states)] == states
+
+
+@pytest.mark.parametrize("rtol", [1e-300, 5e-324])
+def test_rtol_below_the_floor_runs_at_the_floor(rtol):
+    """An rtol below 100 machine epsilons gives exactly the solve at that
+    floor, its absolute tolerance included, and warns of nothing, for an
+    array and for a Python complex.  An absolute tolerance from the
+    unfloored rtol once made the first trial step 0.0 (1e-300) or divided
+    by zero (5e-324)."""
+    def driven(t, y):
+        return np.array((y[1], -(1.0 + 0.4 * math.cos(3.0 * t)) * y[0]))
+
+    def decaying(_t, y):
+        return (-0.3 + 2j) * y
+
+    for rhs, y0, scale in ((driven, np.array([1.0, 0.0]), np.array([1.0, 1.0])),
+                           (decaying, 1.0 + 0j, 1e-30)):
+        floor = ode.solve(rhs, (0.0, 20.0), y0, 100 * sys.float_info.epsilon, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = ode.solve(rhs, (0.0, 20.0), y0, rtol, scale)
+        for got, want in zip(tiny, floor):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_non_finite_rhs_raises():

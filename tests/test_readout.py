@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nemsqnd import readout, verify
+from nemsqnd.circuit import HBAR
 from nemsqnd.config import RunConfig
 from nemsqnd.errors import RegimeWarning
 from nemsqnd.readout import (
@@ -24,10 +25,11 @@ def unit_chain(**over):
     """Unit-scale measurement chain, comfortably inside the elimination regime.
 
     F is purely imaginary so alpha2 comes out real and positive and the
-    locked quadrature is plain Im<a1>.
+    locked quadrature is plain Im<a1>.  L = HBAR makes the current scale
+    sqrt(2 omega_tilde) = 2 exactly, so currents are of order one.
     """
     base = dict(F=10j, kappa1=1.0, kappa2=40.0, theta0=0.5, theta=-0.02,
-                omega_tilde=2.0, L=1.0, hbar=1.0)
+                omega_tilde=2.0, L=HBAR)
     base.update(over)
     return ReadoutParams(**base)
 
@@ -84,7 +86,8 @@ def test_alpha2_and_gamma_from_first_principles():
     assert p.Gamma == pytest.approx(2.0 * p.theta0**2 / p.kappa2, rel=1e-15)
     assert p.decay_total == pytest.approx(p.Gamma + p.kappa1, rel=1e-15)
     assert p.current_scale == pytest.approx(
-        math.sqrt(2.0 * p.hbar * p.omega_tilde / p.L), rel=1e-15)
+        math.sqrt(2.0 * HBAR * p.omega_tilde / p.L), rel=1e-15)
+    assert p.current_scale == 2.0
 
 
 def test_gain_positive_for_negative_theta():
@@ -216,7 +219,7 @@ def test_ode_reproduces_closed_form():
     p = unit_chain()
     n_b = 2.0
     t = np.linspace(0.0, 15.0, 200)
-    a1 = integrate_mean_qsde(p, n_b, t, rtol=1e-12)
+    a1 = integrate_mean_qsde(p, n_b, t)
     scale = abs(stationary_mean_amplitude(p, n_b))
     assert np.max(np.abs(np.subtract(a1, mean_amplitude(p, n_b, t)))) <= 1e-11 * scale
     np.testing.assert_allclose(current_from_amplitude(p, a1), mean_photocurrent(t, [n_b], p)[0],
@@ -306,7 +309,7 @@ def sweep_params(ratio):
     theta0 = ratio * kappa2
     return ReadoutParams(F=2.5j * kappa2, kappa1=kappa1, kappa2=kappa2,
                          theta0=theta0, theta=-1e-3 * theta0,
-                         omega_tilde=2.0, L=1.0, hbar=1.0)
+                         omega_tilde=2.0, L=HBAR)
 
 
 def test_elimination_error_matches_exact_ratio():
